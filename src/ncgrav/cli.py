@@ -91,22 +91,8 @@ def cmd_dispersion(args):
         _fail("need 0 <= omega-min < omega-max and n >= 2", 2)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     header = ["omega", "k", "vg", "residual", "evanescent"]
-    rows = []
-    nan = float("nan")
-    for omega in omegas:
-        omega = float(omega)
-        try:
-            k = D.solve_k(omega, args.m, args.lam, args.c, args.hbar)
-        except D.EvanescentModeError:
-            rows.append([omega, nan, nan, nan, 1])
-            continue
-        try:
-            vg = D.group_velocity(omega, args.m, args.lam, args.c, args.hbar)
-        except D.EvanescentModeError:
-            # the omega = 0 massless limit: k = 0 and vg -> c
-            vg = args.c if args.m == 0 else nan
-        res = D.shell_residual(omega, k, args.m, args.lam, args.c, args.hbar)
-        rows.append([omega, k, vg, res, 0])
+    rows = [[p.omega, p.k, p.vg, p.residual, int(math.isnan(p.k))]
+            for p in D.sweep(omegas, args.m, args.lam, args.c, args.hbar)]
     _write_output(args.output, _render_table(header, rows, args.format))
     return 0
 
@@ -242,9 +228,8 @@ def build_parser():
     s.set_defaults(func=cmd_dark_energy)
 
     s = sub.add_parser("verify", help="run the named invariant registry")
-    g = s.add_mutually_exclusive_group()
-    g.add_argument("--fast", action="store_true", default=True)
-    g.add_argument("--full", action="store_true", default=False)
+    s.add_argument("--full", action="store_true",
+                   help="large sample sizes (default: fast)")
     s.add_argument("--report", help="also write the JSON report here")
     s.set_defaults(func=cmd_verify)
     return p

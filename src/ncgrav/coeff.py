@@ -52,10 +52,6 @@ class Coeff:
         return cls.from_rational(1)
 
     @classmethod
-    def i(cls):
-        return cls.from_rational(0, 1)
-
-    @classmethod
     def lam(cls, power=1):
         return cls({(power, 0): (Fraction(1), Fraction(0))})
 

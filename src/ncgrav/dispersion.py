@@ -1,8 +1,9 @@
 """Deformed mass shell of the flat (beta = -1/c^2) model and group velocities.
 
-Mode convention: e^{i k.x - i omega t} with omega > 0; the imaginary time
+Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
-treated by default and must be enabled explicitly.
+treated: every function here raises ValueError for it.  `sweep` is the one
+producer of dispersion tables; the CLI only formats its points.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ class DispersionPoint:
     residual: float
 
 
-def _check_omega(omega, allow_negative):
-    if omega < 0 and not allow_negative:
-        raise ValueError("omega < 0 branch disabled; pass allow_negative=True")
+def _check_omega(omega):
+    if omega < 0:
+        raise ValueError("omega < 0 branch is not treated")
 
 
-def shell_residual(omega, k, m, lam, c, hbar, allow_negative=False):
+def shell_residual(omega, k, m, lam, c, hbar):
     """Residual of -k^2 e^{omega lam} + (2/(c^2 lam^2))(cosh(omega lam) - 1)
     = (m c / hbar)^2, normalized by the largest term."""
-    _check_omega(omega, allow_negative)
+    _check_omega(omega)
     u = omega * lam
     t1 = -k ** 2 * math.exp(u)
     t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
@@ -45,48 +46,50 @@ def shell_residual(omega, k, m, lam, c, hbar, allow_negative=False):
     return (t1 + t2 - t3) / scale
 
 
-def k_squared_closed(omega, m, lam, c, hbar, allow_negative=False):
+def k_squared_closed(omega, m, lam, c, hbar):
     """k^2 = (1 - e^{-omega lam})^2 / (c lam)^2 - (m c / hbar)^2 e^{-omega lam}."""
-    _check_omega(omega, allow_negative)
+    _check_omega(omega)
     u = omega * lam
     a = -math.expm1(-u) / (c * lam)  # (1 - e^{-u}) / (c lam), stable
     return a * a - (m * c / hbar) ** 2 * math.exp(-u)
 
 
-def solve_k(omega, m, lam, c, hbar, allow_negative=False, _numeric=True):
+def solve_k(omega, m, lam, c, hbar, _numeric=True):
     """Spatial momentum on the shell; bracketing root-find cross-checked
     against the closed form by the test suite."""
-    k2 = k_squared_closed(omega, m, lam, c, hbar, allow_negative)
+    k2 = k_squared_closed(omega, m, lam, c, hbar)
     if k2 < 0:
         raise EvanescentModeError(
             "no propagating mode at omega=%g, m=%g (k^2=%g)" % (omega, m, k2))
     if not _numeric:
         return math.sqrt(k2)
     k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
-    f = lambda k: shell_residual(omega, k, m, lam, c, hbar, allow_negative)
+    f = lambda k: shell_residual(omega, k, m, lam, c, hbar)
     f0 = f(0.0)
     if f0 <= 0:
         return 0.0
     return brentq(f, 0.0, k_hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def group_velocity(omega, m, lam, c, hbar, allow_negative=False):
-    """d omega / d k by implicit differentiation of the shell."""
-    k = solve_k(omega, m, lam, c, hbar, allow_negative, _numeric=False)
+def group_velocity(omega, m, lam, c, hbar):
+    """d omega / d k by implicit differentiation of the shell.  At the
+    massless omega = 0 point the shell is stationary; vg is its limit c."""
+    k = solve_k(omega, m, lam, c, hbar, _numeric=False)
     u = omega * lam
     eu = math.exp(u)
     denom = -k ** 2 * lam * eu + (2.0 / (c ** 2 * lam)) * math.sinh(u)
     if denom == 0:
+        if m == 0:
+            return c
         raise EvanescentModeError("stationary shell at omega=%g" % omega)
     return 2 * k * eu / denom
 
 
-def dispersion_point(omega, m, lam, c, hbar, allow_negative=False):
-    k = solve_k(omega, m, lam, c, hbar, allow_negative)
-    vg = group_velocity(omega, m, lam, c, hbar, allow_negative)
+def dispersion_point(omega, m, lam, c, hbar):
+    k = solve_k(omega, m, lam, c, hbar)
+    vg = group_velocity(omega, m, lam, c, hbar)
     return DispersionPoint(omega=omega, k=k, m=m, vg=vg,
-                           residual=shell_residual(omega, k, m, lam, c, hbar,
-                                                   allow_negative))
+                           residual=shell_residual(omega, k, m, lam, c, hbar))
 
 
 def time_of_flight_delta(omega1, omega2, distance, m, lam, c, hbar):

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+from .timeops import POWER_WINDOW
+
 
 class SignatureError(ValueError):
     """beta >= 0 somewhere: the static metric loses Lorentzian signature."""
@@ -51,10 +53,6 @@ class RadialProfile:
                    deriv2=lambda r: n * (n + 1) * coef
                    * np.asarray(r, dtype=float) ** (-n - 2),
                    tag={"kind": "power-law", "n": n, "coef": coef})
-
-    @classmethod
-    def from_callable(cls, fn, deriv=None, deriv2=None, tag=None):
-        return cls(fn, deriv=deriv, deriv2=deriv2, tag=tag)
 
     @classmethod
     def from_samples(cls, r, values, tag=None):
@@ -147,18 +145,19 @@ def mu_nu_closed(n):
     """Particular mu, nu for beta = 1/r^n.
 
     n = 1: mu = 1/r, nu = ln(r)/r;  n = 2: mu = ln(r)/r^2, nu = -(1+ln r)/r^2;
-    otherwise mu = 1/((2-n) r^n), nu = 1/((2-n)(1-n) r^n).  The n = 2 nu sign
-    is fixed by the ODE r nu' + nu = mu and by the n -> 2 limit of the generic
-    family after removing the homogeneous 1/(eps r^2) piece.
+    otherwise mu = 1/((2-n) r^n), nu = 1/((2-n)(1-n) r^n).  n counts as 1 or
+    2 within timeops.POWER_WINDOW, the window delta0_power uses.  The n = 2 nu
+    sign is fixed by the ODE r nu' + nu = mu and by the n -> 2 limit of the
+    generic family after removing the homogeneous 1/(eps r^2) piece.
     """
-    if abs(n - 1) < 1e-12:
+    if abs(n - 1) < POWER_WINDOW:
         mu = RadialProfile.power_law(1)
         nu = RadialProfile(
             lambda r: np.log(np.asarray(r, dtype=float)) / np.asarray(r, dtype=float),
             deriv=lambda r: (1 - np.log(r)) / np.asarray(r, dtype=float) ** 2,
             tag={"kind": "log-over-r"})
         return mu, nu
-    if abs(n - 2) < 1e-12:
+    if abs(n - 2) < POWER_WINDOW:
         mu = RadialProfile(
             lambda r: np.log(np.asarray(r, dtype=float)) / np.asarray(r, dtype=float) ** 2,
             deriv=lambda r: (1 - 2 * np.log(r)) / np.asarray(r, dtype=float) ** 3,

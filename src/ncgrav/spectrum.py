@@ -216,7 +216,7 @@ def reduction_residual(m, gamma, lam, omega, phi, grid,
 
 def exp_orbital(a):
     """phi = e^{-r/a} with analytic derivatives (hydrogen-like shape)."""
-    return RadialProfile.from_callable(
+    return RadialProfile(
         lambda r: np.exp(-np.asarray(r, dtype=float) / a),
         deriv=lambda r: -np.exp(-r / a) / a,
         deriv2=lambda r: np.exp(-r / a) / a ** 2,

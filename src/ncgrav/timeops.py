@@ -24,10 +24,6 @@ def _exp(z):
     return mpmath.exp(z)
 
 
-def _absval(z):
-    return abs(z)
-
-
 class DegenerateProfileError(ValueError):
     """mu = 0 or mu + nu = 0: the varying finite difference is undefined."""
 
@@ -65,10 +61,6 @@ class TimeFunction:
     def mode(cls, omega, c=1.0):
         """Plane-wave time factor e^{-i omega t}."""
         return cls({(0, -1j * omega): c})
-
-    @classmethod
-    def exponential(cls, s, c=1.0, p=0):
-        return cls({(p, s): c})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -134,12 +126,12 @@ class TimeFunction:
         return total
 
     def max_coeff(self):
-        return max((_absval(c) for c in self.terms.values()), default=0.0)
+        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def isclose(self, other, tol=TOL):
         diff = self - other
         scale = max(self.max_coeff(), other.max_coeff(), 1.0)
-        return all(_absval(c) <= tol * scale for c in diff.terms.values())
+        return all(abs(c) <= tol * scale for c in diff.terms.values())
 
     def to_json(self):
         items = [(float(c.real), float(c.imag), p, float(s.real), float(s.imag))
@@ -196,22 +188,26 @@ def delta0_hybrid(f, lam):
     return (f.deriv() - d0(f, lam)).scale(1.0 / (1j * lam))
 
 
-_POWER_WINDOW = 1e-9
+# n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
+# and in geometry.mu_nu_closed: nearer than that, the generic formulas divide
+# by 1 - n or 2 - n and cancel away most of their digits.
+POWER_WINDOW = 1e-9
 
 
 def delta0_power(f, lam, n):
     """Time part of the power-law Delta_0 for beta = 1/r^n, plus the r^{-n}
     radial weight reported as a tag.
 
-    n = 1 and n = 2 (within 1e-9) dispatch to the closed forms; these are the
-    removable-singularity limits of the generic finite-difference formula.
+    n = 1 and n = 2 (within POWER_WINDOW) dispatch to the closed forms; these
+    are the removable-singularity limits of the generic finite-difference
+    formula.
     """
     if lam <= 0:
         raise ValueError("delta0_power requires lam > 0")
-    if abs(n - 1) < _POWER_WINDOW:
+    if abs(n - 1) < POWER_WINDOW:
         part = delta0_hybrid(f.shift(1, lam), lam)
         return part, 1.0
-    if abs(n - 2) < _POWER_WINDOW:
+    if abs(n - 2) < POWER_WINDOW:
         part = (d0(f.shift(2, lam), lam) - f.shift(1, lam).deriv()).scale(
             1.0 / (1j * lam))
         return part, 2.0
@@ -266,9 +262,9 @@ def symbol_delta0_hybrid(omega, lam):
 
 
 def symbol_delta0_power(omega, lam, n):
-    if abs(n - 1) < _POWER_WINDOW:
+    if abs(n - 1) < POWER_WINDOW:
         return symbol_delta0_hybrid(omega, lam) * _exp(omega * lam)
-    if abs(n - 2) < _POWER_WINDOW:
+    if abs(n - 2) < POWER_WINDOW:
         zeta = _exp(omega * lam)
         return (symbol_d0(omega, lam) * zeta ** 2
                 + 1j * omega * zeta) / (1j * lam)

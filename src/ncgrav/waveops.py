@@ -148,14 +148,14 @@ def field_max_diff(a, b, r, t_samples=(0.0, 0.37, -1.2, 2.5)):
 
 def _lap_profile(sp):
     """Flat 3D Laplacian of a radial profile as a new profile."""
-    return RadialProfile.from_callable(
+    return RadialProfile(
         lambda r: sp.deriv2(r) + 2.0 / np.asarray(r, dtype=float) * sp.deriv(r),
         tag={"kind": "laplacian"})
 
 
 def _drift_profile(sp, beta):
     """-(1/2 beta) beta' d/dr applied to sp, as a profile."""
-    return RadialProfile.from_callable(
+    return RadialProfile(
         lambda r: -beta.deriv(r) / (2 * np.asarray(beta(r), dtype=complex))
         * sp.deriv(r),
         tag={"kind": "drift"})
@@ -204,7 +204,7 @@ def _delta0_closed_terms(sp, f, lam, components):
             n = tag["n"]
             coef = tag.get("coef", 1.0)
             part, weight = timeops.delta0_power(f, lam, n)
-            wprof = RadialProfile.from_callable(
+            wprof = RadialProfile(
                 lambda r, _n=weight, _sp=sp, _c=coef:
                 _c * np.asarray(r, dtype=float) ** (-_n)
                 * np.asarray(_sp(r), dtype=complex),
@@ -278,13 +278,13 @@ def box_newton(psi, gamma, c, lam, r_min=None):
         if isinstance(sp, PlaneWave):
             raise ValueError("box_newton needs radial spatial parts")
         shifted = f.shift(1, lam)
-        drift = RadialProfile.from_callable(
+        drift = RadialProfile(
             lambda r, _sp=sp: gamma
             / (2 * np.asarray(r, dtype=float) ** 2
                * (1 + gamma / np.asarray(r, dtype=float))) * _sp.deriv(r),
             tag={"kind": "newton-drift"})
         out.terms.append((drift, shifted))
-        hyb_weight = RadialProfile.from_callable(
+        hyb_weight = RadialProfile(
             lambda r, _sp=sp: -(2 * gamma / c ** 2)
             / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex),
             tag={"kind": "newton-hybrid-weight"})

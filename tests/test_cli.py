@@ -5,9 +5,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ncgrav import cli
+from ncgrav import dispersion as D
+from ncgrav import geometry as G
+from ncgrav import timeops as T
 from ncgrav import verify
 
 
@@ -107,6 +111,25 @@ class TestDispersion:
         data = json.loads(out)
         assert any(obj["k"] is None for obj in data)
 
+    @pytest.mark.parametrize("m, lam", [("0", "1"), ("0.5", "0.1")])
+    def test_rows_are_sweep_points(self, capsys, m, lam):
+        argv = ["dispersion", "--omega-min", "0", "--omega-max", "1",
+                "--n", "6", "--m", m, "--lam", lam]
+        pts = D.sweep(np.linspace(0.0, 1.0, 6), float(m), float(lam), 1.0, 1.0)
+        if m != "0":  # an evanescent band below the propagating one
+            assert {math.isnan(p.k) for p in pts} == {True, False}
+        cols = [(p.omega, p.k, p.vg, p.residual) for p in pts]
+        flags = [int(math.isnan(p.k)) for p in pts]
+        _, out, _ = run_cli(capsys, *argv)
+        _, rows = parse_csv(out)
+        assert rows == [[cli.FMT % v for v in c] + [str(f)]
+                        for c, f in zip(cols, flags)]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert json.loads(out) == [
+            dict(zip(("omega", "k", "vg", "residual", "evanescent"),
+                     [None if math.isnan(v) else v for v in c] + [f]))
+            for c, f in zip(cols, flags)]
+
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "dispersion", "--omega-min", "2",
                              "--omega-max", "1")
@@ -152,6 +175,17 @@ class TestMuNu:
         _, rows = parse_csv(out)
         r0, beta0 = float(rows[0][0]), float(rows[0][1])
         assert abs(beta0 + (1 + 1e-3 / r0)) < 1e-12
+
+    @pytest.mark.parametrize("n0", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [1e-10, -1e-10])
+    def test_special_case_window_shared(self, capsys, n0, eps):
+        # mu_nu_closed and delta0_power take the closed family at the same n
+        n = n0 + eps
+        assert G.mu_nu_closed(n)[1].tag == G.mu_nu_closed(n0)[1].tag
+        assert T.delta0_power(T.TimeFunction.mode(0.7), 0.3, n)[1] == n0
+        _, out, _ = run_cli(capsys, "mu-nu", "--n", repr(n))
+        _, rows = parse_csv(out)
+        assert max(abs(float(row[3])) for row in rows) < 10
 
     def test_requires_profile_choice(self, capsys):
         code, _, err = run_cli(capsys, "mu-nu")

@@ -28,7 +28,6 @@ class TestShellResidual:
     def test_negative_branch_gated(self):
         with pytest.raises(ValueError):
             D.shell_residual(-0.5, 0.1, 0.0, LAM, C, HBAR)
-        D.shell_residual(-0.5, 0.1, 0.0, LAM, C, HBAR, allow_negative=True)
 
 
 class TestSolveK:
@@ -89,6 +88,12 @@ class TestGroupVelocity:
         vgs = [D.group_velocity(w, 0.0, LAM, C, HBAR)
                for w in np.linspace(0.1, 3.0, 40)]
         assert all(b > a for a, b in zip(vgs, vgs[1:]))
+
+    def test_massless_omega_zero_limit(self):
+        for c in (C, 2.0):
+            assert D.group_velocity(0.0, 0.0, LAM, c, HBAR) == c
+        p = D.sweep([0.0, 0.5], 0.0, LAM, C, HBAR)[0]
+        assert p.k == 0.0 and p.vg == C
 
     def test_time_of_flight(self):
         L = 100.0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ncgrav import exactalg
 from ncgrav.coeff import Coeff
 from ncgrav.exactalg import (
     DT,
@@ -15,10 +16,10 @@ from ncgrav.exactalg import (
     commutator_d,
     dx,
     exterior_d,
-    exterior_d_formula,
     exterior_d_leibniz,
     normal_order,
 )
+from ncgrav.verify import random_element
 
 D = 3
 
@@ -120,19 +121,6 @@ class TestNormalOrder:
             assert part == whole
 
 
-def random_element(rng, max_deg=4, nterms=3):
-    out = NCElement.zero(D)
-    for _ in range(nterms):
-        budget = rng.randint(0, max_deg)
-        a = [0, 0, 0]
-        for _ in range(budget):
-            a[rng.randrange(3)] += 1
-        n = rng.randint(0, max(0, max_deg - sum(a)))
-        c = Coeff.from_rational(rng.randint(-3, 3), rng.randint(-2, 2))
-        out = out + NCElement.monomial(D, a, n, c)
-    return out
-
-
 class TestExteriorD:
     def test_d_generators(self):
         assert exterior_d(NCElement.t(D)) == NCOneForm(D, {DT: NCElement.one(D)})
@@ -161,7 +149,17 @@ class TestExteriorD:
             if a1 + a2 + a3 + n > 6:
                 continue
             psi = NCElement.monomial(D, (a1, a2, a3), n)
-            assert exterior_d_leibniz(psi) == exterior_d_formula(psi)
+            assert exterior_d_leibniz(psi) == exterior_d(psi)
+
+    def test_production_route_skips_the_oracle(self, monkeypatch):
+        psi = NCElement.x(D, 1) * NCElement.x(D, 1) * NCElement.t(D)
+        want = exterior_d_leibniz(psi)
+
+        def oracle(_psi):
+            raise AssertionError("exterior_d reached the Leibniz oracle")
+
+        monkeypatch.setattr(exactalg, "exterior_d_leibniz", oracle)
+        assert exactalg.exterior_d(psi) == want
 
     def test_leibniz_product_rule(self):
         rng = random.Random(11)

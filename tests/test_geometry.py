@@ -175,16 +175,16 @@ class TestFiniteDifferences:
 class TestWeakField:
     @staticmethod
     def plummer(Gn, M, a):
-        phi = G.RadialProfile.from_callable(
+        phi = G.RadialProfile(
             lambda r: -Gn * M / np.sqrt(np.asarray(r, dtype=float) ** 2 + a ** 2))
-        rho = G.RadialProfile.from_callable(
+        rho = G.RadialProfile(
             lambda r: 3 * M * a ** 2
             / (4 * np.pi * (np.asarray(r, dtype=float) ** 2 + a ** 2) ** 2.5))
         return phi, rho
 
     def test_vacuum_point_mass(self):
         Gn, c, M = 6.674e-11, 3e8, 5.97e24
-        phi = G.RadialProfile.from_callable(
+        phi = G.RadialProfile(
             lambda r: -Gn * M / np.asarray(r, dtype=float))
         rho = G.RadialProfile.constant(0.0)
         grid = G.default_log_grid(6.4e6, 6.4e8, 20000)
@@ -215,7 +215,7 @@ class TestWeakField:
 
     def test_uniform_ball_interior(self):
         Gn, c, rho0 = 6.674e-11, 3e8, 5500.0
-        phi = G.RadialProfile.from_callable(
+        phi = G.RadialProfile(
             lambda r: 2 * np.pi * Gn * rho0 * np.asarray(r, dtype=float) ** 2 / 3)
         rho = G.RadialProfile.constant(rho0)
         grid = np.linspace(1e3, 1e6, 2000)

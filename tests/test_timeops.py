@@ -7,18 +7,9 @@ import pytest
 
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
+from ncgrav.verify import random_tf
 
 LAM = 0.3
-
-
-def random_tf(rng, nterms=2):
-    out = TF.zero()
-    for _ in range(nterms):
-        p = rng.randint(0, 2)
-        s = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        out = out + TF({(p, s): c})
-    return out
 
 
 class TestTimeFunction:

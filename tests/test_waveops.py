@@ -15,14 +15,14 @@ GRID = G.default_log_grid(0.5, 20.0, 80)
 
 def gaussian_profile(width=1.0):
     w2 = width ** 2
-    return G.RadialProfile.from_callable(
+    return G.RadialProfile(
         lambda r: np.exp(-np.asarray(r, dtype=float) ** 2 / (2 * w2)),
         deriv=lambda r: -r / w2 * np.exp(-r ** 2 / (2 * w2)),
         deriv2=lambda r: (r ** 2 / w2 - 1) / w2 * np.exp(-r ** 2 / (2 * w2)))
 
 
 def exp_profile():
-    return G.RadialProfile.from_callable(
+    return G.RadialProfile(
         lambda r: np.exp(-np.asarray(r, dtype=float)),
         deriv=lambda r: -np.exp(-r),
         deriv2=lambda r: np.exp(-r))
