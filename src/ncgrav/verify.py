@@ -37,15 +37,20 @@ def check(name):
     return wrap
 
 
-def random_element(rng, max_deg=4, nterms=3):
-    """Sum of `nterms` monomials in x1, x2, x3, t of total degree <= max_deg,
+# A product of two random elements has degree <= MONOMIAL_DEGREE.
+SAMPLE_DEGREE = 4
+MONOMIAL_DEGREE = 2 * SAMPLE_DEGREE
+
+
+def random_element(rng):
+    """Sum of 3 monomials in x1, x2, x3, t of total degree <= SAMPLE_DEGREE,
     coefficients a + b i with a in [-3, 3] and b in [-2, 2]."""
     out = NCElement.zero(3)
-    for _ in range(nterms):
+    for _ in range(3):
         a = [0, 0, 0]
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, SAMPLE_DEGREE)):
             a[rng.randrange(3)] += 1
-        n = rng.randint(0, max(0, max_deg - sum(a)))
+        n = rng.randint(0, SAMPLE_DEGREE - sum(a))
         c = Coeff.from_rational(rng.randint(-3, 3), rng.randint(-2, 2))
         out = out + NCElement.monomial(3, a, n, c)
     return out
@@ -63,13 +68,13 @@ def random_tf(rng, nterms=2):
     return out
 
 
-def monomials(max_deg=8):
-    """Every x1^a x2^b x3^c t^n with a + b + c + n <= max_deg, coefficient 1
-    (495 of them at the default degree)."""
+def monomials():
+    """Every x1^a x2^b x3^c t^n with a + b + c + n <= MONOMIAL_DEGREE,
+    coefficient 1 (495 of them)."""
+    top = MONOMIAL_DEGREE
     return [NCElement.monomial(3, (a1, a2, a3), n)
-            for a1, a2, a3, n in itertools.product(range(max_deg + 1),
-                                                   repeat=4)
-            if a1 + a2 + a3 + n <= max_deg]
+            for a1, a2, a3, n in itertools.product(range(top + 1), repeat=4)
+            if a1 + a2 + a3 + n <= top]
 
 
 # -- exact calculus ----------------------------------------------------------
@@ -100,13 +105,14 @@ def _(level):
 @check("exactalg.eq-route-agreement")
 def _(level):
     # Both routes are linear over the central Coeff ring, so agreeing on every
-    # monomial of degree <= 8 means agreeing on every element built from them,
-    # products of two random elements of degree <= 4 included.
+    # monomial of degree <= MONOMIAL_DEGREE means agreeing on every element
+    # built from them, products of two random elements included.
     psis = monomials()
     for psi in psis:
         if exterior_d_leibniz(psi) != exterior_d(psi):
             return False, "monomial %s" % psi.to_text()
-    return True, "%d monomials of degree <= 8" % len(psis)
+    return True, "%d monomials of degree <= %d" % (len(psis),
+                                                    MONOMIAL_DEGREE)
 
 
 @check("exactalg.normal-order-confluence")
