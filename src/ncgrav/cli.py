@@ -101,8 +101,8 @@ def cmd_spectrum(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
     if args.x <= 0 or args.M <= 0:
         _fail("x and M must be positive", 2)
-    pars = E.effective_params(args.x * units.m_p, units)
     try:
+        pars = E.effective_params(args.x * units.m_p, units)
         states = S.solve_radial(pars.m_I, pars.m_G, pars.V0, args.M, args.G,
                                 args.hbar, l=args.l, n_states=args.n_states,
                                 check_grid=True)

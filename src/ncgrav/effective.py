@@ -15,6 +15,7 @@ one code path serves all x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -22,6 +23,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 SMALL_X = 1e-4
+# math.sinh overflows for x above this (about 710.48)
+X_MAX = math.asinh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,9 @@ class EffectiveParams:
 
 def _ratios(x):
     """(m_I/m, m_G/m, V0/(m c^2)) at dimensionless x, cancellation-safe."""
+    if x > X_MAX:
+        raise ValueError("x = m/m_p = %g is above %.6f, where sinh(x) "
+                         "overflows" % (x, X_MAX))
     if x < SMALL_X:
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
@@ -96,7 +102,7 @@ def mG_over_mI(x):
     return 2 * np.exp(x) * (x + np.expm1(-x)) / np.sinh(x) ** 2
 
 
-def series_check(order=1):
+def series_check():
     """Leading small-x coefficients fitted from extended-precision samples:
     m_I/m = 1 - x + ..., m_G/m = 1 - x/3 + ..., V0/(mc^2) = -(x^2)/24 + ..."""
     xs = np.array([1e-6, 2e-6, 3e-6, 4e-6])

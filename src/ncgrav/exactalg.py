@@ -227,11 +227,6 @@ class NCOneForm:
     def zero(cls, d):
         return cls(d)
 
-    @classmethod
-    def basis(cls, d, form, coeff_elem=None):
-        e = NCElement.one(d) if coeff_elem is None else coeff_elem
-        return cls(d, {form: e})
-
     def coeff(self, form):
         return self.parts.get(form, NCElement.zero(self.d))
 

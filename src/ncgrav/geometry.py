@@ -337,12 +337,15 @@ class StaticMetric:
         return laplacian_flat_radial(values, r) - bp / (2 * b) * fd1(values, r)
 
 
-def weak_field_check(phi_profile, rho_profile, c, G, r_grid,
-                     interior_margin=3):
+# nodes at each end of the grid left out of weak_field_check's maxima
+INTERIOR_MARGIN = 3
+
+
+def weak_field_check(phi_profile, rho_profile, c, G, r_grid):
     """Compare Ricci_00 = phi LB_flat phi against LB_flat Phi and against the
     Poisson source 4 pi G rho, by radial finite differences.
 
-    Boundary-affected nodes (interior_margin at each end) are excluded from
+    Boundary-affected nodes (INTERIOR_MARGIN at each end) are excluded from
     the reported maxima.
     """
     r = np.asarray(r_grid, dtype=float)
@@ -357,7 +360,7 @@ def weak_field_check(phi_profile, rho_profile, c, G, r_grid,
     # finite differences are not quantized at the scale c * eps
     dphi = c * np.expm1(-0.5 * np.log1p(-2 * u))
     phi_m = c + dphi
-    sl = slice(interior_margin, -interior_margin or None)
+    sl = slice(INTERIOR_MARGIN, -INTERIOR_MARGIN)
     ricci00 = phi_m * laplacian_flat_radial(dphi, r)
     lap_phi = laplacian_flat_radial(Phi, r)
     rho = np.asarray(rho_profile(r)).real

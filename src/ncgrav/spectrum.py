@@ -57,14 +57,25 @@ def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     return out
 
 
-def default_grid(m_I, m_G, M, G, hbar, n_bohr=40.0, n_nodes=4000):
+# default grid: GRID_NODES uniform nodes out to GRID_BOHR Bohr radii
+GRID_BOHR = 40.0
+GRID_NODES = 4000
+# largest relative eigenvalue change allowed when check_grid doubles the grid
+DRIFT_TOL = 5e-3
+
+
+def default_grid(m_I, m_G, M, G, hbar):
     a = bohr_radius(m_I, m_G, M, G, hbar)
-    return np.linspace(a * n_bohr / n_nodes, a * n_bohr, n_nodes)
+    return np.linspace(a * GRID_BOHR / GRID_NODES, a * GRID_BOHR, GRID_NODES)
 
 
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
-                 return_vectors=False, check_grid=False, drift_tol=5e-3):
+                 return_vectors=False, check_grid=False):
     """Lowest bound states below V0 at angular index l."""
+    if l < 0:
+        raise ValueError("l must be >= 0, got %r" % l)
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1, got %r" % n_states)
     if grid is None:
         grid = default_grid(m_I, m_G, M, G, hbar)
     grid = np.asarray(grid, dtype=float)
@@ -100,7 +111,7 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
                            n_states=len(states))
         for s, sr in zip(states, ref):
             scale = abs(sr.E - V0) + 1e-300
-            if abs(s.E - sr.E) / scale > drift_tol:
+            if abs(s.E - sr.E) / scale > DRIFT_TOL:
                 raise GridConvergenceError(
                     "state n=%d drifts %.2e under grid doubling"
                     % (s.n, abs(s.E - sr.E) / scale))
@@ -179,8 +190,8 @@ def reduction_residual(m, gamma, lam, omega, phi, grid,
     m_t = m
     # stage (i): full operator via waveops
     psi = SeparableField.single(phi, TimeFunction.mode(m_t + omega))
-    cfg = waveops.WaveOpConfig(lam=lam, c=1.0, variant="newton", gamma=gamma)
-    r_i = waveops.kg_residual(psi, cfg, m, 1.0, 1.0).to_grid(grid).evaluate(0.0)
+    box = waveops.box_newton(psi, gamma, 1.0, lam)
+    r_i = waveops.kg_residual(box, psi, m, 1.0, 1.0).to_grid(grid).evaluate(0.0)
 
     # stage (ii): identical operator, term-by-term symbol bookkeeping
     phi_vals = np.asarray(phi(grid), dtype=complex)

@@ -14,6 +14,8 @@ import cmath
 import json
 from math import comb
 
+import numpy as np
+
 TOL = 1e-12
 
 
@@ -28,22 +30,40 @@ class DegenerateProfileError(ValueError):
     """mu = 0 or mu + nu = 0: the varying finite difference is undefined."""
 
 
+def _check_nondegenerate(mu, nu):
+    """Raise DegenerateProfileError naming the nodes (flat indices; a scalar
+    is node 0) where mu = 0 or mu + nu = 0."""
+    bad = np.flatnonzero((np.asarray(mu) == 0) | (np.asarray(mu + nu) == 0))
+    if bad.size:
+        raise DegenerateProfileError(
+            "mu = 0 or mu + nu = 0 at node(s) %s" % bad.tolist())
+
+
+def shift_terms(terms, h, exp):
+    """Terms {(p, s): c} of f(t + h) for f = sum c t^p e^{st}.
+
+    Each term becomes c e^{sh} sum_q C(p, q) h^{p-q} t^q.  c and h may be
+    per-node numpy arrays (with exp = np.exp); this is the one binomial time
+    shift behind TimeFunction.shift and waveops.GridField.shift.
+    """
+    out = {}
+    for (p, s), c in terms.items():
+        base = c * exp(s * h) if s != 0 else c
+        for q in range(p, -1, -1):
+            val = base * comb(p, q) * h ** (p - q)
+            key = (q, s)
+            out[key] = out.get(key, 0) + val
+    return out
+
+
 class TimeFunction:
     """Finite sum of terms c * t^p * e^{s t}."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # {(p, s): c} with p >= 0 int, s complex
-        self.terms = {}
-        if terms:
-            for (p, s), c in terms.items():
-                if c != 0:
-                    key = (p, s)
-                    if key in self.terms:
-                        self.terms[key] = self.terms[key] + c
-                    else:
-                        self.terms[key] = c
+        # {(p, s): c} with p >= 0 int, s complex; zero terms dropped
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def zero(cls):
@@ -65,12 +85,7 @@ class TimeFunction:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key, 0)
-            new = cur + c
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
+            out[key] = out.get(key, 0) + c
         return TimeFunction(out)
 
     def __neg__(self):
@@ -106,15 +121,7 @@ class TimeFunction:
 
     def shift(self, a, lam):
         """Exact f(t + i lam a); a may be complex (varying-beta shifts)."""
-        out = {}
-        for (p, s), c in self.terms.items():
-            h = 1j * lam * a
-            base = c * _exp(s * h) if s != 0 else c
-            for q in range(p, -1, -1):
-                val = base * comb(p, q) * h ** (p - q)
-                key = (q, s)
-                out[key] = out.get(key, 0) + val
-        return TimeFunction(out)
+        return TimeFunction(shift_terms(self.terms, 1j * lam * a, _exp))
 
     def evaluate(self, t):
         total = 0j
@@ -219,15 +226,18 @@ def delta0_power(f, lam, n):
 
 
 def delta0_general(f, lam, mu, nu, beta):
-    """Varying-beta finite difference at a fixed spatial point:
+    """Varying-beta finite difference:
 
     (nu f(t+il) + mu f(t - il(beta/mu - 1)) - (nu+mu) f(t + il(1 - beta/(nu+mu))))
     / (i lam)^2
+
+    f is a TimeFunction with scalar mu, nu, beta (one spatial point), or a
+    waveops.GridField with mu, nu, beta sampled on its nodes (all points at
+    once).
     """
     if lam <= 0:
         raise ValueError("delta0_general requires lam > 0")
-    if mu == 0 or mu + nu == 0:
-        raise DegenerateProfileError("mu = %s, mu+nu = %s" % (mu, mu + nu))
+    _check_nondegenerate(mu, nu)
     a2 = -(beta / mu - 1)
     a3 = 1 - beta / (nu + mu)
     num = (f.shift(1, lam).scale(nu)
@@ -241,10 +251,6 @@ def delta0_general(f, lam, mu, nu, beta):
 # ---------------------------------------------------------------------------
 # Written as independent closed forms (not by applying the operators), so the
 # symbol-consistency tests are a genuine cross-check.
-
-def symbol_shift(omega, lam, a=1.0):
-    return _exp(omega * lam * a)
-
 
 def symbol_d0(omega, lam):
     return (1 - _exp(-omega * lam)) / (1j * lam)
@@ -275,8 +281,7 @@ def symbol_delta0_power(omega, lam, n):
 
 
 def symbol_delta0_general(omega, lam, mu, nu, beta):
-    if mu == 0 or mu + nu == 0:
-        raise DegenerateProfileError("mu = %s, mu+nu = %s" % (mu, mu + nu))
+    _check_nondegenerate(mu, nu)
     a2 = -(beta / mu - 1)
     a3 = 1 - beta / (nu + mu)
     e = _exp
@@ -289,20 +294,19 @@ def symbol_delta0_general(omega, lam, mu, nu, beta):
 # classical-limit convergence report
 # ---------------------------------------------------------------------------
 
-def classical_limit_check(op, f, lambdas, target, t_samples=None):
-    """Error of op(f; lam) against the classical target on a t grid, per lam,
-    with the convergence order fitted from the error decay.
+LIMIT_T_SAMPLES = np.linspace(-1.0, 1.0, 21)
+
+
+def classical_limit_check(op, f, lambdas, target):
+    """Error of op(f; lam) against the classical target on LIMIT_T_SAMPLES,
+    per lam, with the convergence order fitted from the error decay.
 
     op: callable f, lam -> TimeFunction;  target: TimeFunction.
     """
-    import numpy as np
-
-    if t_samples is None:
-        t_samples = np.linspace(-1.0, 1.0, 21)
     errors = []
     for lam in lambdas:
         g = op(f, lam) - target
-        err = max(abs(g.evaluate(complex(tv))) for tv in t_samples)
+        err = max(abs(g.evaluate(complex(tv))) for tv in LIMIT_T_SAMPLES)
         errors.append(err)
     errors = np.asarray(errors)
     lams = np.asarray([float(x) for x in lambdas])

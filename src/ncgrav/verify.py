@@ -329,12 +329,6 @@ def _(level):
 _GRID = G.default_log_grid(0.5, 20.0, 80)
 
 
-def _exp_prof():
-    return G.RadialProfile(
-        lambda r: np.exp(-np.asarray(r, dtype=float)),
-        deriv=lambda r: -np.exp(-r), deriv2=lambda r: np.exp(-r))
-
-
 @check("waveops.massless-shell-residual")
 def _(level):
     lam, c = 0.05, 1.0
@@ -342,8 +336,8 @@ def _(level):
     for w in (0.2, 0.8, 1.5):
         k = -math.expm1(-w * lam) / (c * lam)
         psi = W.SeparableField.single(W.PlaneWave(k), TF.mode(w))
-        cfg = W.WaveOpConfig(lam=lam, c=c, variant="const", beta=-1 / c ** 2)
-        res = W.kg_residual(psi, cfg, 0.0, 1.0, c)
+        res = W.kg_residual(W.box_const(psi, -1 / c ** 2, lam), psi, 0.0,
+                            1.0, c)
         worst = max(worst, abs(sum(f.evaluate(0.1) for _, f in res.terms)))
     return worst < 1e-12, "max residual %.2e" % worst
 
@@ -351,7 +345,7 @@ def _(level):
 @check("waveops.general-const-coherence")
 def _(level):
     lam, beta0 = 0.05, -1.0
-    psi = W.SeparableField.single(_exp_prof(), TF.mode(0.8))
+    psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.8))
     bc = W.box_const(psi, beta0, lam)
     half = G.RadialProfile.constant(beta0 / 2)
     bg = W.box_general(psi, G.RadialProfile.constant(beta0), half, half, lam,
@@ -368,7 +362,7 @@ def _(level):
     n_fields = 10 if level == "full" else 4
     for i in range(n_fields):
         w = 0.3 + 0.2 * i
-        psi = W.SeparableField.single(_exp_prof(), TF.mode(w))
+        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(w))
         d, s = W.field_max_diff(W.box_general(psi, beta, mu, nu, lam),
                                 W.box_newton(psi, gamma, c, lam), _GRID)
         worst = max(worst, d / s)
@@ -378,8 +372,8 @@ def _(level):
 @check("waveops.linearity")
 def _(level):
     lam = 0.05
-    f1 = W.SeparableField.single(_exp_prof(), TF.mode(0.4))
-    f2 = W.SeparableField.single(_exp_prof(), TF.mode(1.0))
+    f1 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
+    f2 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(1.0))
     combo = f1 + f2.scale(2.5)
     lhs = W.box_newton(combo, 1e-3, 1.0, lam)
     rhs = W.box_newton(f1, 1e-3, 1.0, lam) \

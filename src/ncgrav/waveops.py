@@ -9,21 +9,22 @@ Three variants of the box operator:
 
 For box_general the spatial finite difference Delta0 is dispatched through the
 closed forms when the beta profile carries a component decomposition (constant
-plus power laws); untagged profiles fall back to the pointwise varying finite
-difference, which is a different (non-resummed) object on logarithmic
-profiles -- see the mode flag.
+plus power laws); untagged profiles, or mode = "pointwise", sample psi, beta,
+mu and nu on a grid and evaluate the varying finite difference on the whole
+grid at once (one timeops.delta0_general call on a GridField).  That is a
+different (non-resummed) object on logarithmic profiles -- see the mode flag.
+
+kg_residual subtracts the mass term from a box already applied to psi.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import timeops
-from .geometry import RadialProfile, laplacian_flat_radial
-from .timeops import TimeFunction
+from .geometry import RadialProfile
 
 WEAK_FIELD_WARN = 0.3
 
@@ -76,46 +77,42 @@ class SeparableField:
             out.append(np.asarray(sp(r), dtype=complex))
         return out
 
-    def evaluate(self, r, t):
-        r = np.asarray(r, dtype=float)
-        total = np.zeros(r.shape, dtype=complex)
-        for sp_vals, (_, f) in zip(self.spatial_values(r), self.terms):
-            total += sp_vals * f.evaluate(complex(t))
-        return total
-
     def to_grid(self, r):
-        g = GridField(r)
+        data = {}
         for sp_vals, (_, f) in zip(self.spatial_values(r), self.terms):
             for key, c in f.terms.items():
-                cur = g.data.get(key)
-                add = c * sp_vals
-                g.data[key] = add if cur is None else cur + add
-        return g
+                data[key] = data.get(key, 0) + c * sp_vals
+        return GridField(r, data)
 
 
 class GridField:
     """psi(r, t) = sum_{p,s} A_{p,s}(r) t^p e^{st} with per-node coefficient
-    arrays; closed under node-dependent imaginary time shifts."""
+    arrays; closed under node-dependent imaginary time shifts (shift), so
+    timeops.delta0_general evaluates on every node in one call.  Fields may
+    share coefficient arrays, which are never written in place."""
 
     def __init__(self, r, data=None):
         self.r = np.asarray(r, dtype=float)
         self.data = dict(data) if data else {}
 
-    def copy(self):
-        return GridField(self.r, {k: v.copy() for k, v in self.data.items()})
-
     def __add__(self, other):
-        out = self.copy()
+        data = dict(self.data)
         for key, arr in other.data.items():
-            cur = out.data.get(key)
-            out.data[key] = arr.copy() if cur is None else cur + arr
-        return out
+            data[key] = data.get(key, 0) + arr
+        return GridField(self.r, data)
 
     def scale(self, c):
+        """c may be a scalar or an array over the nodes."""
         return GridField(self.r, {k: c * v for k, v in self.data.items()})
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
+
+    def shift(self, a, lam):
+        """Exact psi(r, t + i lam a(r)); a is a scalar or an array over the
+        nodes, real or complex."""
+        return GridField(self.r, timeops.shift_terms(self.data, 1j * lam * a,
+                                                     np.exp))
 
     def evaluate(self, t):
         t = complex(t)
@@ -131,14 +128,18 @@ class GridField:
         return max(np.max(np.abs(self.evaluate(t))) for t in t_samples)
 
 
-def field_max_diff(a, b, r, t_samples=(0.0, 0.37, -1.2, 2.5)):
-    """Sup-norm difference over nodes and time samples, plus the larger of the
-    two field norms (for forming relative errors)."""
+DIFF_T_SAMPLES = (0.0, 0.37, -1.2, 2.5)
+
+
+def field_max_diff(a, b, r):
+    """Sup-norm difference over nodes and DIFF_T_SAMPLES, plus the larger of
+    the two field norms (for forming relative errors)."""
     ga = a.to_grid(r) if isinstance(a, SeparableField) else a
     gb = b.to_grid(r) if isinstance(b, SeparableField) else b
     diff = max(np.max(np.abs(ga.evaluate(t) - gb.evaluate(t)))
-               for t in t_samples)
-    scale = max(ga.max_abs(t_samples), gb.max_abs(t_samples), 1e-300)
+               for t in DIFF_T_SAMPLES)
+    scale = max(ga.max_abs(DIFF_T_SAMPLES), gb.max_abs(DIFF_T_SAMPLES),
+                1e-300)
     return diff, scale
 
 
@@ -184,10 +185,7 @@ def _beta_components(beta):
     """Component list [(kind-dict, profile)] for a beta profile, or None."""
     if beta.structure is not None:
         return beta.structure
-    kind = beta.tag.get("kind")
-    if kind == "constant":
-        return [(beta.tag, beta)]
-    if kind == "power-law":
+    if beta.tag.get("kind") in ("constant", "power-law"):
         return [(beta.tag, beta)]
     return None
 
@@ -220,8 +218,9 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
 
     mode = "auto": tagged constant/power-law/superposition beta goes through
     the closed-form Delta0 of each component (result stays separable);
-    anything else, or mode = "pointwise", evaluates the varying finite
-    difference node by node on `grid` and returns a GridField.
+    anything else, or mode = "pointwise", samples psi, mu, nu and beta on
+    `grid` and evaluates the varying finite difference on all nodes at once,
+    returning a GridField.
     """
     components = _beta_components(beta) if mode == "auto" else None
     dbar = SeparableField()
@@ -241,26 +240,8 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
     if grid is None:
         raise ValueError("pointwise Delta0 needs an explicit grid")
     grid = np.asarray(grid, dtype=float)
-    out = dbar.to_grid(grid)
-    mu_v = np.asarray(mu(grid), dtype=complex)
-    nu_v = np.asarray(nu(grid), dtype=complex)
-    beta_v = np.asarray(beta(grid), dtype=complex)
-    bad = np.where((mu_v == 0) | (mu_v + nu_v == 0))[0]
-    if bad.size:
-        raise timeops.DegenerateProfileError(
-            "mu = 0 or mu + nu = 0 at node(s) %s" % bad.tolist())
-    for sp, f in psi.terms:
-        sp_v = np.asarray(sp(grid), dtype=complex)
-        for j in range(grid.size):
-            g = timeops.delta0_general(
-                f, lam, complex(mu_v[j]), complex(nu_v[j]), complex(beta_v[j]))
-            for key, c in g.terms.items():
-                cur = out.data.get(key)
-                if cur is None:
-                    cur = np.zeros(grid.size, dtype=complex)
-                    out.data[key] = cur
-                cur[j] += 2.0 * c * sp_v[j]
-    return out
+    return dbar.to_grid(grid) + timeops.delta0_general(
+        psi.to_grid(grid), lam, mu(grid), nu(grid), beta(grid)).scale(2.0)
 
 
 def box_newton(psi, gamma, c, lam, r_min=None):
@@ -293,42 +274,12 @@ def box_newton(psi, gamma, c, lam, r_min=None):
 
 
 # ---------------------------------------------------------------------------
-# configuration and the Klein-Gordon residual
+# the Klein-Gordon residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaveOpConfig:
-    lam: float
-    c: float
-    variant: str  # "const" | "general" | "newton"
-    beta: object = None          # number (const) or RadialProfile (general)
-    mu: object = None
-    nu: object = None
-    gamma: float = 0.0
-    mode: str = "auto"
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.variant == "newton" and self.gamma <= 0:
-            raise ValueError("newton variant requires gamma > 0")
-
-
-def apply_box(psi, config, grid=None):
-    if config.variant == "const":
-        return box_const(psi, config.beta, config.lam)
-    if config.variant == "general":
-        return box_general(psi, config.beta, config.mu, config.nu, config.lam,
-                           grid=grid, mode=config.mode)
-    if config.variant == "newton":
-        r_min = None if grid is None else float(np.min(grid))
-        return box_newton(psi, config.gamma, config.c, config.lam, r_min=r_min)
-    raise ValueError("unknown variant %r" % config.variant)
-
-
-def kg_residual(psi, config, m, hbar, c, grid=None):
-    """box psi - (m c / hbar)^2 psi."""
-    box = apply_box(psi, config, grid=grid)
+def kg_residual(box, psi, m, hbar, c):
+    """box - (m c / hbar)^2 psi, where box is a wave operator applied to psi
+    (a SeparableField, or the GridField of box_general's pointwise mode)."""
     mass_term = psi.scale((m * c / hbar) ** 2)
     if isinstance(box, GridField):
         return box - mass_term.to_grid(box.r)

@@ -75,6 +75,13 @@ class TestFigure1:
         code, _, _ = run_cli(capsys, "figure1", "--n", "1")
         assert code == 2
 
+    def test_xmax_beyond_sinh_range_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "figure1", "--xmax", "1000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "710.47" in err
+        code, out, _ = run_cli(capsys, "figure1", "--xmax", "710", "--n", "3")
+        assert code == 0 and len(parse_csv(out)[1]) == 3
+
 
 class TestDispersion:
     def test_omega_zero_massless_row(self, capsys):
@@ -157,6 +164,16 @@ class TestSpectrum:
     def test_nonpositive_x_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--x", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, words", [
+        (("--l", "-1"), "l must be"),
+        (("--n-states", "0"), "n_states must be"),
+        (("--x", "1000"), "710.47"),
+    ])
+    def test_out_of_domain_exit_2(self, capsys, argv, words):
+        code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and words in err
 
 
 class TestMuNu:

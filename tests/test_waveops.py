@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncgrav import geometry as G
+from ncgrav import spectrum as S
 from ncgrav import timeops as T
 from ncgrav import waveops as W
 from ncgrav.timeops import TimeFunction as TF
@@ -21,25 +22,19 @@ def gaussian_profile(width=1.0):
         deriv2=lambda r: (r ** 2 / w2 - 1) / w2 * np.exp(-r ** 2 / (2 * w2)))
 
 
-def exp_profile():
-    return G.RadialProfile(
-        lambda r: np.exp(-np.asarray(r, dtype=float)),
-        deriv=lambda r: -np.exp(-r),
-        deriv2=lambda r: np.exp(-r))
-
-
 def field_battery():
     """Ten separable fields mixing profiles and time behavior."""
     fields = []
     for omega in (0.3, 0.8, 1.5):
-        fields.append(W.SeparableField.single(exp_profile(), TF.mode(omega)))
+        fields.append(W.SeparableField.single(S.exp_orbital(1.0),
+                                              TF.mode(omega)))
         fields.append(W.SeparableField.single(gaussian_profile(1.5),
                                               TF.mode(omega)))
     fields.append(W.SeparableField.time_only(TF.mode(0.6)))
-    fields.append(W.SeparableField.single(exp_profile(), TF.monomial(2)))
+    fields.append(W.SeparableField.single(S.exp_orbital(1.0), TF.monomial(2)))
     fields.append(W.SeparableField.single(gaussian_profile(2.0),
                                           TF.constant(1.0)))
-    fields.append(W.SeparableField.single(exp_profile(), TF.mode(0.4))
+    fields.append(W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
                   + W.SeparableField.single(gaussian_profile(1.0),
                                             TF.mode(1.1)))
     return fields
@@ -48,6 +43,57 @@ def field_battery():
 def rel_diff(a, b, grid=GRID):
     d, s = W.field_max_diff(a, b, grid)
     return d / s
+
+
+def box_general_node_loop(psi, beta, mu, nu, lam, grid):
+    """Pointwise box_general evaluated node by node, one scalar
+    delta0_general call per node: the oracle for the whole-grid evaluation."""
+    dbar = W.SeparableField()
+    for sp, f in psi.terms:
+        shifted = f.shift(1, lam)
+        dbar.terms.append((W._lap_profile(sp), shifted))
+        dbar.terms.append((W._drift_profile(sp, beta), shifted))
+    out = dbar.to_grid(grid)
+    mu_v, nu_v, beta_v = (np.asarray(p(grid), dtype=complex)
+                          for p in (mu, nu, beta))
+    for sp, f in psi.terms:
+        sp_v = np.asarray(sp(grid), dtype=complex)
+        for j in range(grid.size):
+            g = T.delta0_general(f, lam, complex(mu_v[j]), complex(nu_v[j]),
+                                 complex(beta_v[j]))
+            for key, c in g.terms.items():
+                cur = out.data.setdefault(key,
+                                          np.zeros(grid.size, dtype=complex))
+                cur[j] += 2.0 * c * sp_v[j]
+    return out
+
+
+def mixed_field():
+    """Two radial terms with powers of t up to 2 and nonzero exponents."""
+    return (W.SeparableField.single(
+                S.exp_orbital(1.0),
+                TF({(0, -0.8j): 1.0, (1, -0.5j): 0.3 + 0.1j, (2, 0j): 0.1,
+                    (2, 0.2 - 1.1j): -0.05j}))
+            + W.SeparableField.single(gaussian_profile(1.5), TF.mode(1.1)))
+
+
+class TestGridFieldShift:
+    def test_matches_time_function_shift_node_by_node(self):
+        f = TF({(0, -0.8j): 1.0, (1, 0.3 - 0.5j): 0.4 + 0.2j, (2, 0j): -0.7,
+                (2, 0.25j): 0.5j})
+        phi = S.exp_orbital(1.0)
+        grid = GRID[:16]
+        sp_v = phi(grid)
+        g = W.SeparableField.single(phi, f).to_grid(grid)
+        rng = np.random.default_rng(3)
+        real_a = rng.uniform(-2.0, 2.0, grid.size)
+        for a in (real_a, real_a + 1j * rng.uniform(-1.0, 1.0, grid.size)):
+            shifted = g.shift(a, LAM)
+            for j in range(grid.size):
+                want = f.shift(a[j], LAM).scale(sp_v[j])
+                assert set(shifted.data) == set(want.terms)
+                got = TF({key: arr[j] for key, arr in shifted.data.items()})
+                assert got.isclose(want, tol=1e-14)
 
 
 class TestBoxConst:
@@ -66,7 +112,7 @@ class TestBoxConst:
         assert rel_diff(box, W.SeparableField.time_only(TF.zero())) < 1e-14
 
     def test_classical_limit_first_order(self):
-        phi = exp_profile()
+        phi = S.exp_orbital(1.0)
         omega, beta = 0.8, -1.0
         psi = W.SeparableField.single(phi, TF.mode(omega))
         r = GRID
@@ -85,7 +131,7 @@ class TestBoxConst:
 class TestBoxGeneral:
     def test_const_profile_equals_box_const_both_modes(self):
         beta0 = -1.0 / C ** 2
-        psi = W.SeparableField.single(exp_profile(), TF.mode(0.8))
+        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.8))
         bc = W.box_const(psi, beta0, LAM)
         prof = G.RadialProfile.constant(beta0)
         half = G.RadialProfile.constant(beta0 / 2)
@@ -107,7 +153,7 @@ class TestBoxGeneral:
 
     def test_time_independent_drift_visible(self):
         # for beta = 1/r the drift is +(1/2r) d/dr
-        phi = exp_profile()
+        phi = S.exp_orbital(1.0)
         psi = W.SeparableField.single(phi, TF.constant(1.0))
         beta = G.RadialProfile.power_law(1)
         mu, nu = G.mu_nu_closed(1)
@@ -117,6 +163,20 @@ class TestBoxGeneral:
         want = phi.deriv2(r) + 2 / r * phi.deriv(r) + phi.deriv(r) / (2 * r)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
+    @pytest.mark.parametrize("profile", ["power-law-n3", "newton"])
+    def test_pointwise_equals_node_loop(self, profile):
+        if profile == "newton":
+            beta, mu, nu = G.mu_nu_newton(1e-3, C)
+        else:
+            beta = G.RadialProfile.power_law(3)
+            mu, nu = G.mu_nu_closed(3)
+        psi = mixed_field()
+        got = W.box_general(psi, beta, mu, nu, LAM, grid=GRID,
+                            mode="pointwise")
+        want = box_general_node_loop(psi, beta, mu, nu, LAM, GRID)
+        assert set(got.data) == set(want.data)
+        assert rel_diff(got, want) < 1e-12
+
     def test_degenerate_profile_reports_node(self):
         psi = W.SeparableField.time_only(TF.mode(0.5))
         beta = G.RadialProfile.power_law(1)
@@ -124,6 +184,15 @@ class TestBoxGeneral:
         with pytest.raises(T.DegenerateProfileError):
             W.box_general(psi, beta, zero, zero, LAM, grid=GRID,
                           mode="pointwise")
+        # mu = 0 at nodes 3 and 7, mu + nu = 0 at node 11
+        mu = np.ones(GRID.size)
+        mu[[3, 7]] = 0.0
+        nu = np.full(GRID.size, 0.5)
+        nu[11] = -1.0
+        g = psi.to_grid(GRID)
+        with pytest.raises(T.DegenerateProfileError,
+                           match=r"node\(s\) \[3, 7, 11\]"):
+            T.delta0_general(g, LAM, mu, nu, beta(GRID))
 
     def test_plane_wave_rejected(self):
         psi = W.SeparableField.single(W.PlaneWave(0.3), TF.mode(0.5))
@@ -134,7 +203,7 @@ class TestBoxGeneral:
 
 class TestBoxNewton:
     def test_gamma_zero_rejected_use_const(self):
-        psi = W.SeparableField.single(exp_profile(), TF.mode(0.5))
+        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
         with pytest.raises(ValueError):
             W.box_newton(psi, 0.0, C, LAM)
 
@@ -145,7 +214,7 @@ class TestBoxNewton:
         assert rel_diff(box, W.SeparableField.time_only(TF.zero())) < 1e-14
 
     def test_weak_field_warning(self):
-        psi = W.SeparableField.single(exp_profile(), TF.mode(0.5))
+        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
         with pytest.warns(UserWarning):
             W.box_newton(psi, 0.4, C, LAM, r_min=1.0)
 
@@ -162,7 +231,7 @@ class TestCoherenceAndLinearity:
     def test_variant_linearity(self):
         gamma = 1e-3
         beta, mu, nu = G.mu_nu_newton(gamma, C)
-        f1 = W.SeparableField.single(exp_profile(), TF.mode(0.4))
+        f1 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
         f2 = W.SeparableField.single(gaussian_profile(1.5), TF.mode(1.0))
         combo = f1 + f2.scale(2.5)
         for apply_op in (
@@ -180,15 +249,15 @@ class TestKGResidual:
         omega = 0.8
         k = (1 - np.exp(-omega * LAM)) / (C * LAM)
         psi = W.SeparableField.single(W.PlaneWave(k), TF.mode(omega))
-        cfg = W.WaveOpConfig(lam=LAM, c=C, variant="const", beta=-1 / C ** 2)
-        res = W.kg_residual(psi, cfg, 0.0, 1.0, C)
+        res = W.kg_residual(W.box_const(psi, -1 / C ** 2, LAM), psi, 0.0, 1.0,
+                            C)
         total = sum(f.evaluate(0.1) for _, f in res.terms)
         assert abs(total) < 1e-12
 
     def test_massless_constant_zero(self):
         psi = W.SeparableField.time_only(TF.constant(1.0))
-        cfg = W.WaveOpConfig(lam=LAM, c=C, variant="const", beta=-1 / C ** 2)
-        res = W.kg_residual(psi, cfg, 0.0, 1.0, C)
+        res = W.kg_residual(W.box_const(psi, -1 / C ** 2, LAM), psi, 0.0, 1.0,
+                            C)
         assert rel_diff(res, W.SeparableField.time_only(TF.zero())) < 1e-14
 
     def test_classical_shell_residual_order_lam(self):
@@ -198,9 +267,8 @@ class TestKGResidual:
         psi = W.SeparableField.single(W.PlaneWave(k), TF.mode(omega))
         res = []
         for lam in (0.02, 0.01, 0.005):
-            cfg = W.WaveOpConfig(lam=lam, c=C, variant="const",
-                                 beta=-1 / C ** 2)
-            r = W.kg_residual(psi, cfg, m, hbar, C)
+            r = W.kg_residual(W.box_const(psi, -1 / C ** 2, lam), psi, m,
+                              hbar, C)
             res.append(abs(sum(f.evaluate(0.0) for _, f in r.terms)))
         assert res[0] > res[1] > res[2]
         assert 1.5 < res[0] / res[1] < 2.5
