@@ -91,8 +91,12 @@ def cmd_dispersion(args):
         _fail("need 0 <= omega-min < omega-max and n >= 2", 2)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     header = ["omega", "k", "vg", "residual", "evanescent"]
+    try:
+        points = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
+    except ValueError as exc:
+        _fail(str(exc), 2)
     rows = [[p.omega, p.k, p.vg, p.residual, int(math.isnan(p.k))]
-            for p in D.sweep(omegas, args.m, args.lam, args.c, args.hbar)]
+            for p in points]
     _write_output(args.output, _render_table(header, rows, args.format))
     return 0
 

@@ -2,13 +2,16 @@
 
 Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
-treated: every function here raises ValueError for it.  `sweep` is the one
-producer of dispersion tables; the CLI only formats its points.
+treated: every function here raises ValueError for it, as it does when
+omega lam is above `U_MAX` (e^{omega lam} overflows) or (c lam)^2 underflows
+to 0.  `sweep` is the one producer of dispersion tables; the CLI only formats
+its points.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
@@ -27,15 +30,25 @@ class DispersionPoint:
     residual: float
 
 
-def _check_omega(omega):
+# math.exp overflows above this (about 709.78)
+U_MAX = math.log(sys.float_info.max)
+
+
+def _check_domain(omega, lam, c):
     if omega < 0:
         raise ValueError("omega < 0 branch is not treated")
+    if (c * lam) ** 2 == 0:
+        raise ValueError("(c lam)^2 underflows to 0 at c = %g, lam = %g"
+                         % (c, lam))
+    if omega * lam > U_MAX:
+        raise ValueError("omega lam = %g is above %.6f, where exp(omega lam) "
+                         "overflows" % (omega * lam, U_MAX))
 
 
 def shell_residual(omega, k, m, lam, c, hbar):
     """Residual of -k^2 e^{omega lam} + (2/(c^2 lam^2))(cosh(omega lam) - 1)
     = (m c / hbar)^2, normalized by the largest term."""
-    _check_omega(omega)
+    _check_domain(omega, lam, c)
     u = omega * lam
     t1 = -k ** 2 * math.exp(u)
     t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
@@ -48,7 +61,7 @@ def shell_residual(omega, k, m, lam, c, hbar):
 
 def k_squared_closed(omega, m, lam, c, hbar):
     """k^2 = (1 - e^{-omega lam})^2 / (c lam)^2 - (m c / hbar)^2 e^{-omega lam}."""
-    _check_omega(omega)
+    _check_domain(omega, lam, c)
     u = omega * lam
     a = -math.expm1(-u) / (c * lam)  # (1 - e^{-u}) / (c lam), stable
     return a * a - (m * c / hbar) ** 2 * math.exp(-u)

@@ -63,9 +63,15 @@ def _ratios(x):
             mg = (xm + mpmath.exp(-xm) - 1) / (xm / 2 * mpmath.sinh(xm))
             v0 = xm / mpmath.sinh(xm) * (1 - mpmath.sinh(xm / 2) / (xm / 2))
             return float(mi), float(mg), float(v0)
+    x = float(x)  # a numpy scalar would warn where den overflows below
     mi = math.sinh(x) / x * math.exp(-x)
     # x + e^{-x} - 1 written via expm1: the numerator is ~x^2/2 at small x
-    mg = (x + math.expm1(-x)) / (x / 2 * math.sinh(x))
+    den = x / 2 * math.sinh(x)
+    if math.isinf(den):
+        # x sinh(x) / 2 overflows above x ~ 704.61: divide by each factor
+        mg = (x + math.expm1(-x)) / (x / 2) / math.sinh(x)
+    else:
+        mg = (x + math.expm1(-x)) / den
     v0 = x / math.sinh(x) * (1 - math.sinh(x / 2) / (x / 2))
     return mi, mg, v0
 

@@ -7,11 +7,27 @@ one-forms dx_1..dx_d, dt and the extra direction theta' (constant beta).
 Elements are kept in canonical normal order: spatial powers to the left of
 time powers, function coefficients to the left of basis one-forms.  All
 coefficients live in the exact ring ``coeff.Coeff``.
+
+A basis one-form acts on a whole element psi from the left as follows, with
+S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
+
+    theta' psi = (S^+ psi) theta'
+    dx_i psi   = psi dx_i + i lam S^+(d_i psi) theta'
+    dt psi     = (S^- psi) dt - i lam sum_j (d_j psi) dx_j
+                 + [(beta/2)(S^+ psi - S^- psi)
+                    + (lam^2/2) S^+(Delta psi)] theta'
+
+Each follows from the generator relations (`_push_rules`) by induction on the
+word x^a t^n: x_i passes dx_i leaving i lam theta', which then meets t^n as
+(t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own theta' terms sum
+to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt plus
+(beta/2)((t + i lam)^n - (t - i lam)^n) theta'.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .coeff import Coeff
@@ -191,11 +207,13 @@ class NCElement:
     __repr__ = to_text
 
 
+@lru_cache(maxsize=4096)
 def _t_power_shifted(n, a):
-    """(t + a i lam)^n as [(q, Coeff multiplying t^q)]."""
+    """(t + a i lam)^n as ((q, Coeff multiplying t^q), ...).  Cached: the
+    Coeffs are shared between callers, who must not mutate them."""
     a = Fraction(a)
     if a == 0:
-        return [(n, Coeff.one())]
+        return ((n, Coeff.one()),)
     out = []
     for q in range(n + 1):
         # C(n,q) (a i lam)^(n-q)
@@ -206,7 +224,7 @@ def _t_power_shifted(n, a):
         re, im = {0: (val, Fraction(0)), 1: (Fraction(0), val),
                   2: (-val, Fraction(0)), 3: (Fraction(0), -val)}[ip]
         out.append((q, Coeff({(p, 0): (re, im)})))
-    return out
+    return tuple(out)
 
 
 class NCOneForm:
@@ -270,16 +288,45 @@ class NCOneForm:
         return out
 
     def mul_elem(self, other):
-        """Right-multiply by an NCElement."""
-        out = NCOneForm.zero(self.d)
-        for (xpow, n), c in other.terms.items():
-            cur = self
-            for i, p in enumerate(xpow, start=1):
-                for _ in range(p):
-                    cur = cur.mul_gen(("x", i))
-            for _ in range(n):
-                cur = cur.mul_gen("t")
-            out = out + cur.scale(c)
+        """Right-multiply by an NCElement psi.
+
+        omega psi = sum_w e_w (w psi), where each basis one-form w acts on the
+        whole of psi (S^+- = shift_t(+-1), Delta = sum_j d_j^2):
+
+            theta' psi = (S^+ psi) theta'
+            dx_i psi   = psi dx_i + i lam S^+(d_i psi) theta'
+            dt psi     = (S^- psi) dt - i lam sum_j (d_j psi) dx_j
+                         + [(beta/2)(S^+ psi - S^- psi)
+                            + (lam^2/2) S^+(Delta psi)] theta'
+
+        Each follows from the relations in `_push_rules` by induction on the
+        word of a monomial (see the module docstring).  `mul_gen`, which
+        pushes one generator at a time, stays as the oracle."""
+        d = self.d
+        i_lam = Coeff.i_lam()
+        half = Fraction(1, 2)
+        up = other.shift_t(1)
+        grads = {j: other.partial_x(j) for j in range(1, d + 1)}
+
+        def action(w):
+            """w psi as {basis one-form: coefficient}."""
+            if w == THETA:
+                return {THETA: up}
+            if w != DT:
+                return {w: other, THETA: grads[w[1]].shift_t(1).scale(i_lam)}
+            down = other.shift_t(-1)
+            lap = NCElement.zero(d)
+            for j, g in grads.items():
+                lap = lap + g.partial_x(j)
+            act = {dx(j): g.scale(-i_lam) for j, g in grads.items()}
+            act[DT] = down
+            act[THETA] = ((up - down).scale(Coeff.beta().scale(half))
+                          + lap.shift_t(1).scale(Coeff.lam(2).scale(half)))
+            return act
+
+        out = NCOneForm.zero(d)
+        for w, e in self.parts.items():
+            out = out + NCOneForm(d, {wp: e * u for wp, u in action(w).items()})
         return out
 
     def subs_lam_zero(self):
@@ -337,13 +384,26 @@ class TwoFormError(ValueError):
     """Raised when a word contains more than one basis one-form factor."""
 
 
+def _check_tag(d, g):
+    if g in ("t", DT, THETA):
+        return
+    if (isinstance(g, tuple) and len(g) == 2 and g[0] in ("x", "dx")
+            and type(g[1]) is int and 1 <= g[1] <= d):
+        return
+    raise ValueError("invalid tag %r: expected 't', 'dt', \"theta'\", ('x', i) "
+                     "or ('dx', i) with 1 <= i <= %d" % (g, d))
+
+
 def normal_order(d, word, coeff=None):
     """Reduce a word (sequence of generator/one-form tags) to canonical form.
 
     Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  Returns NCElement if the
     word has no one-form factor, NCOneForm if it has exactly one; raises
-    TwoFormError otherwise (no 2-form relations in this calculus).
+    TwoFormError otherwise (no 2-form relations in this calculus).  Any other
+    tag, or an index outside 1..d, raises ValueError.
     """
+    for g in word:
+        _check_tag(d, g)
     nforms = sum(1 for g in word if g == DT or g == THETA
                  or (isinstance(g, tuple) and g[0] == "dx"))
     if nforms > 1:

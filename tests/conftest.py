@@ -1,3 +1,11 @@
+from hypothesis import settings
+
+# Fixed examples and no time limit: the property tests give the same verdict
+# on every run and machine.
+settings.register_profile("ncgrav", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("ncgrav")
+
 ACCEPTANCE_LINES = []
 
 

@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from ncgrav import cli
 from ncgrav import dispersion as D
+from ncgrav import effective as E
 from ncgrav import geometry as G
 from ncgrav import timeops as T
 from ncgrav import verify
@@ -82,6 +85,19 @@ class TestFigure1:
         code, out, _ = run_cli(capsys, "figure1", "--xmax", "710", "--n", "3")
         assert code == 0 and len(parse_csv(out)[1]) == 3
 
+    def test_mg_at_sinh_limit_does_not_underflow(self, capsys):
+        # x sinh(x) / 2 overflows for x above about 704.6, below X_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "figure1", "--xmax",
+                                     repr(E.X_MAX), "--n", "3")
+        assert code == 0 and err == ""
+        x, _mi, mg, _v0 = map(float, parse_csv(out)[1][-1])
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            want = xm * (xm + mpmath.exp(-xm) - 1) / (xm / 2 * mpmath.sinh(xm))
+        assert abs(mg - float(want)) <= 1e-10 * float(want)
+
 
 class TestDispersion:
     def test_omega_zero_massless_row(self, capsys):
@@ -141,6 +157,15 @@ class TestDispersion:
         code, _, _ = run_cli(capsys, "dispersion", "--omega-min", "2",
                              "--omega-max", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, words", [
+        (("--omega-max", "1e4"), "exp(omega lam) overflows"),
+        (("--lam", "1e-300"), "(c lam)^2 underflows"),
+    ])
+    def test_out_of_domain_exit_2(self, capsys, argv, words):
+        code, out, err = run_cli(capsys, "dispersion", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and words in err
 
 
 class TestSpectrum:

@@ -2,8 +2,12 @@
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgrav import exactalg
 from ncgrav.coeff import Coeff
@@ -13,13 +17,14 @@ from ncgrav.exactalg import (
     NCElement,
     NCOneForm,
     TwoFormError,
+    _monomial_word,
     commutator_d,
     dx,
     exterior_d,
     exterior_d_leibniz,
     normal_order,
 )
-from ncgrav.verify import random_element
+from ncgrav.verify import monomials, random_element
 
 D = 3
 
@@ -95,6 +100,11 @@ class TestNormalOrder:
         with pytest.raises(TwoFormError):
             normal_order(D, [DT, dx(1)])
 
+    @pytest.mark.parametrize("tag", [("y", 1), "q", ("x", 5), ("dx", 0)])
+    def test_unknown_tag_rejected(self, tag):
+        with pytest.raises(ValueError, match=re.escape(repr(tag))):
+            normal_order(D, [tag, "t"])
+
     def test_confluence_random_words(self):
         # associativity probe: reduce prefix then continue vs reduce whole word
         rng = random.Random(7)
@@ -119,6 +129,71 @@ class TestNormalOrder:
                 part = part * rest if isinstance(rest, NCElement) \
                     else rest.lmul(part)
             assert part == whole
+
+
+class TestBimoduleAction:
+    @pytest.mark.parametrize("form", [dx(1), dx(2), dx(3), DT, THETA],
+                             ids=["dx1", "dx2", "dx3", "dt", "theta'"])
+    def test_basis_form_on_monomials_matches_normal_order(self, form):
+        w = NCOneForm(D, {form: NCElement.one(D)})
+        for m in monomials():
+            ((xpow, n), _c), = m.terms.items()
+            assert w.mul_elem(m) == normal_order(D, [form] + _monomial_word(xpow, n))
+
+    def test_makes_no_generator_push(self, monkeypatch):
+        rng = random.Random(19)
+        omega = exterior_d(random_element(rng))
+        psi = random_element(rng)
+        want = omega.mul_elem(psi)
+
+        def push(_self, _gen):
+            raise AssertionError("mul_elem pushed a single generator")
+
+        monkeypatch.setattr(NCOneForm, "mul_gen", push)
+        assert omega.mul_elem(psi) == want
+
+    def test_shift_table_is_shared_tuple(self):
+        table = exactalg._t_power_shifted(3, 1)
+        assert isinstance(table, tuple)
+        assert exactalg._t_power_shifted(3, Fraction(1)) is table
+
+
+# small elements for the product properties: degree <= 2, Gaussian-integer
+# coefficients
+_SMALL_DEGREES = [p for p in itertools.product(range(3), repeat=D + 1)
+                  if sum(p) <= 2]
+_small_terms = st.lists(st.tuples(st.sampled_from(_SMALL_DEGREES),
+                                  st.integers(-3, 3), st.integers(-3, 3)),
+                        max_size=3)
+
+
+@st.composite
+def small_elements(draw):
+    out = NCElement.zero(D)
+    for (*xpow, n), re_, im in draw(_small_terms):
+        out = out + elem(xpow, n, Coeff.from_rational(re_, im))
+    return out
+
+
+@st.composite
+def small_forms(draw):
+    forms = draw(st.lists(st.sampled_from([dx(1), dx(2), dx(3), DT, THETA]),
+                          unique=True, max_size=3))
+    return NCOneForm(D, {w: draw(small_elements()) for w in forms})
+
+
+class TestProductProperties:
+    @given(small_elements(), small_elements(), small_elements())
+    def test_element_product_associative(self, f, g, h):
+        assert (f * g) * h == f * (g * h)
+
+    @given(small_forms(), small_elements(), small_elements())
+    def test_right_action_associative(self, omega, f, g):
+        assert omega.mul_elem(f).mul_elem(g) == omega.mul_elem(f * g)
+
+    @given(small_elements(), small_forms(), small_elements())
+    def test_left_and_right_actions_commute(self, f, omega, g):
+        assert omega.lmul(f).mul_elem(g) == omega.mul_elem(g).lmul(f)
 
 
 class TestExteriorD:
