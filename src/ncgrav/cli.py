@@ -1,6 +1,8 @@
 """Command-line front end: machine-readable tables and the self-check suite.
 
-Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error.
+Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error
+or an input outside the domain (a ValueError or ArithmeticError out of the
+library, reported by `main` as "error: ..." with no traceback).
 All floats are printed as %.12e so identical configs give byte-identical CSV.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
@@ -76,10 +78,7 @@ def _check_constants(args):
 
 
 def cmd_figure1(args):
-    try:
-        data = E.figure1_data(x_max=args.xmax, n_points=args.n)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    data = E.figure1_data(x_max=args.xmax, n_points=args.n)
     header = ["x", "mI_over_mp", "mG_over_mp", "V0_over_mpc2"]
     rows = [[float(v) for v in row] for row in data]
     _write_output(args.output, _render_table(header, rows, args.format))
@@ -91,10 +90,7 @@ def cmd_dispersion(args):
         _fail("need 0 <= omega-min < omega-max and n >= 2", 2)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     header = ["omega", "k", "vg", "residual", "evanescent"]
-    try:
-        points = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    points = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
     rows = [[p.omega, p.k, p.vg, p.residual, int(math.isnan(p.k))]
             for p in points]
     _write_output(args.output, _render_table(header, rows, args.format))
@@ -105,15 +101,10 @@ def cmd_spectrum(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
     if args.x <= 0 or args.M <= 0:
         _fail("x and M must be positive", 2)
-    try:
-        pars = E.effective_params(args.x * units.m_p, units)
-        states = S.solve_radial(pars.m_I, pars.m_G, pars.V0, args.M, args.G,
-                                args.hbar, l=args.l, n_states=args.n_states,
-                                check_grid=True)
-    except S.GridConvergenceError as exc:
-        _fail(str(exc), 1)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    pars = E.effective_params(args.x * units.m_p, units)
+    states = S.solve_radial(pars.m_I, pars.m_G, pars.V0, args.M, args.G,
+                            args.hbar, l=args.l, n_states=args.n_states,
+                            check_grid=True)
     oracle = {s.n: s.E for s in S.bohr_oracle(
         pars.m_I, pars.m_G, pars.V0, args.M, args.G, args.hbar,
         n_max=args.l + args.n_states) if s.l == 0}
@@ -133,10 +124,7 @@ def cmd_mu_nu(args):
             _fail("gamma must be positive", 2)
         beta, mu, nu = G.mu_nu_newton(args.gamma, args.c)
     elif args.n is not None:
-        try:
-            mu, nu = G.mu_nu_closed(args.n)
-        except ValueError as exc:
-            _fail(str(exc), 2)
+        mu, nu = G.mu_nu_closed(args.n)
         beta = G.RadialProfile.power_law(args.n)
     else:
         _fail("pass either --n (power law) or --gamma (weak field)", 2)
@@ -154,19 +142,11 @@ def cmd_mu_nu(args):
 
 def cmd_dark_energy(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
-    try:
-        rep = E.dark_energy_estimate(args.m_universe, args.r_universe, units)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    rep = E.dark_energy_estimate(args.m_universe, args.r_universe, units)
     if args.format == "json":
         text = json.dumps(rep, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["key", "value"])
-        for key, val in rep.items():
-            w.writerow([key, FMT % val if isinstance(val, float) else val])
-        text = buf.getvalue()
+        text = _render_table(["key", "value"], rep.items(), "csv")
     _write_output(args.output, text)
     return 0
 
@@ -274,7 +254,12 @@ def main(argv=None):
         pos = argv.index(args.subcommand) + 1
         args = parser.parse_args(argv[:pos] + extra + argv[pos:])
     _check_constants(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except S.GridConvergenceError as exc:
+        _fail(str(exc), 1)
+    except (ValueError, ArithmeticError) as exc:
+        _fail(str(exc) or type(exc).__name__, 2)
 
 
 if __name__ == "__main__":

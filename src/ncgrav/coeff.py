@@ -88,7 +88,7 @@ class Coeff:
             elif cur:
                 del out[key]
         res = Coeff()
-        res.terms = {k: v for k, v in out.items() if v[0] or v[1]}
+        res.terms = out
         return res
 
     def __neg__(self):

@@ -3,9 +3,10 @@
 Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
 treated: every function here raises ValueError for it, as it does when
-omega lam is above `U_MAX` (e^{omega lam} overflows) or (c lam)^2 underflows
-to 0.  `sweep` is the one producer of dispersion tables; the CLI only formats
-its points.
+omega lam is above `U_MAX` (e^{omega lam} overflows), when (c lam)^2
+underflows to 0, or when a term of the shell residual passes the float limit
+(omega lam just below `U_MAX`, or a subnormal (c lam)^2).  `sweep` is the one
+producer of dispersion tables; the CLI only formats its points.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ def shell_residual(omega, k, m, lam, c, hbar):
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0:
         return 0.0
-    return (t1 + t2 - t3) / scale
+    res = (t1 + t2 - t3) / scale
+    if math.isnan(res):
+        raise ValueError("shell residual at omega = %g, lam = %g is not finite "
+                         "(a term is nan or beyond the float limit %g)"
+                         % (omega, lam, sys.float_info.max))
+    return res
 
 
 def k_squared_closed(omega, m, lam, c, hbar):
@@ -67,15 +73,18 @@ def k_squared_closed(omega, m, lam, c, hbar):
     return a * a - (m * c / hbar) ** 2 * math.exp(-u)
 
 
-def solve_k(omega, m, lam, c, hbar, _numeric=True):
-    """Spatial momentum on the shell; bracketing root-find cross-checked
-    against the closed form by the test suite."""
+def _propagating_k_squared(omega, m, lam, c, hbar):
     k2 = k_squared_closed(omega, m, lam, c, hbar)
     if k2 < 0:
         raise EvanescentModeError(
             "no propagating mode at omega=%g, m=%g (k^2=%g)" % (omega, m, k2))
-    if not _numeric:
-        return math.sqrt(k2)
+    return k2
+
+
+def solve_k(omega, m, lam, c, hbar):
+    """Spatial momentum on the shell; bracketing root-find cross-checked
+    against the closed form by the test suite."""
+    _propagating_k_squared(omega, m, lam, c, hbar)
     k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
     f = lambda k: shell_residual(omega, k, m, lam, c, hbar)
     f0 = f(0.0)
@@ -87,7 +96,7 @@ def solve_k(omega, m, lam, c, hbar, _numeric=True):
 def group_velocity(omega, m, lam, c, hbar):
     """d omega / d k by implicit differentiation of the shell.  At the
     massless omega = 0 point the shell is stationary; vg is its limit c."""
-    k = solve_k(omega, m, lam, c, hbar, _numeric=False)
+    k = math.sqrt(_propagating_k_squared(omega, m, lam, c, hbar))
     u = omega * lam
     eu = math.exp(u)
     denom = -k ** 2 * lam * eu + (2.0 / (c ** 2 * lam)) * math.sinh(u)

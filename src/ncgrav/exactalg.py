@@ -127,8 +127,6 @@ class NCElement:
 
     def __mul__(self, other):
         """Normal-ordered product.  Uses t^n x^b = x^b (t - i lam |b|)^n."""
-        if isinstance(other, NCOneForm):
-            return NCOneForm(self.d, {w: self * e for w, e in other.parts.items()})
         out = NCElement(self.d)
         for (a, n), c1 in self.terms.items():
             for (b, m), c2 in other.terms.items():

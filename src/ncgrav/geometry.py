@@ -26,15 +26,22 @@ class SignatureError(ValueError):
 
 
 class RadialProfile:
-    """Function of radius r > 0, closed-form or sampled."""
+    """Function of radius r > 0, closed-form or sampled.
+
+    ``structure`` is None or a list of (n, coef) pairs meaning the profile is
+    sum coef * r^{-n} (n = 0 is the constant); it is the only thing that lets
+    waveops.box_general take the closed-form Delta_0.  ``constant``,
+    ``power_law`` and ``mu_nu_newton``'s beta set it; sampled profiles (from
+    ``from_samples`` or ``from_csv``), sums and scalings leave it None and are
+    evaluated pointwise.  ``tag`` only describes the profile: it is the CSV
+    header text and is never dispatched on.
+    """
 
     def __init__(self, fn, deriv=None, deriv2=None, tag=None, structure=None):
         self._fn = fn
         self._deriv = deriv
         self._deriv2 = deriv2
         self.tag = tag or {"kind": "closed-form"}
-        # optional additive decomposition [(kind-dict, profile), ...] used by
-        # waveops to dispatch Delta_0 component-wise (see mu_nu_newton)
         self.structure = structure
 
     # -- constructors -------------------------------------------------
@@ -43,7 +50,8 @@ class RadialProfile:
         return cls(lambda r: np.full_like(np.asarray(r, dtype=complex), value),
                    deriv=lambda r: np.zeros_like(np.asarray(r, dtype=complex)),
                    deriv2=lambda r: np.zeros_like(np.asarray(r, dtype=complex)),
-                   tag={"kind": "constant", "value": value})
+                   tag={"kind": "constant", "value": value},
+                   structure=[(0, value)])
 
     @classmethod
     def power_law(cls, n, coef=1.0):
@@ -52,7 +60,8 @@ class RadialProfile:
                    deriv=lambda r: -n * coef * np.asarray(r, dtype=float) ** (-n - 1),
                    deriv2=lambda r: n * (n + 1) * coef
                    * np.asarray(r, dtype=float) ** (-n - 2),
-                   tag={"kind": "power-law", "n": n, "coef": coef})
+                   tag={"kind": "power-law", "n": n, "coef": coef},
+                   structure=[(n, coef)])
 
     @classmethod
     def from_samples(cls, r, values, tag=None):
@@ -73,11 +82,8 @@ class RadialProfile:
             fn = lambda x: sp(x)
             dfn = lambda x: sp(x, 1)
             d2fn = lambda x: sp(x, 2)
-        prof = cls(fn, deriv=dfn, deriv2=d2fn,
+        return cls(fn, deriv=dfn, deriv2=d2fn,
                    tag=tag or {"kind": "sampled", "n_nodes": int(r.size)})
-        prof.r_nodes = r
-        prof.values = values
-        return prof
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, r):
@@ -179,22 +185,18 @@ def mu_nu_newton(gamma, c):
     beta = -(1/c^2)(1 + gamma/r),  mu = -(1/c^2)(1/2 + gamma/r),
     nu = -(1/c^2)(1/2 - (gamma/r) ln(gamma/r)).
 
-    beta carries a structure tag decomposing it as constant + 1/r, which is
-    what lets the wave operators treat Delta_0 component-wise.
+    beta's structure [(0, -1/c^2), (1, -gamma/c^2)] (a constant plus a 1/r
+    power law) lets the wave operators take Delta_0 term by term.
     """
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
     inv_c2 = 1.0 / c ** 2
-    const_part = RadialProfile.constant(-inv_c2)
-    coulomb_part = RadialProfile.power_law(1, -inv_c2 * gamma)
     beta = RadialProfile(
         lambda r: -inv_c2 * (1 + gamma / np.asarray(r, dtype=float)),
         deriv=lambda r: inv_c2 * gamma / np.asarray(r, dtype=float) ** 2,
         deriv2=lambda r: -2 * inv_c2 * gamma / np.asarray(r, dtype=float) ** 3,
         tag={"kind": "newtonian-beta", "gamma": gamma, "c": c},
-        structure=[({"kind": "constant", "value": -inv_c2}, const_part),
-                   ({"kind": "power-law", "n": 1, "coef": -inv_c2 * gamma},
-                    coulomb_part)])
+        structure=[(0, -1 / c ** 2), (1, -gamma / c ** 2)])
     mu = RadialProfile(
         lambda r: -inv_c2 * (0.5 + gamma / np.asarray(r, dtype=float)),
         deriv=lambda r: inv_c2 * gamma / np.asarray(r, dtype=float) ** 2,

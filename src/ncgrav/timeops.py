@@ -3,9 +3,8 @@
 ``TimeFunction`` holds finite sums c * t^p * exp(s t) with complex c, s.  The
 class is closed under d/dt, products, and the imaginary shifts t -> t + i*lam*a,
 which makes every operator here exact: no analytic continuation of grid data
-is ever needed.  Coefficients may be Python complex or mpmath numbers; the
-arithmetic is written generically so high-precision evaluation works when a
-removable-singularity limit has to be resolved.
+is ever needed.  Coefficients are Python complex numbers (per-node numpy
+arrays in waveops.GridField, which shares `shift_terms`).
 """
 
 from __future__ import annotations
@@ -17,13 +16,6 @@ from math import comb
 import numpy as np
 
 TOL = 1e-12
-
-
-def _exp(z):
-    if isinstance(z, complex) or isinstance(z, float) or isinstance(z, int):
-        return cmath.exp(z)
-    import mpmath
-    return mpmath.exp(z)
 
 
 class DegenerateProfileError(ValueError):
@@ -121,14 +113,14 @@ class TimeFunction:
 
     def shift(self, a, lam):
         """Exact f(t + i lam a); a may be complex (varying-beta shifts)."""
-        return TimeFunction(shift_terms(self.terms, 1j * lam * a, _exp))
+        return TimeFunction(shift_terms(self.terms, 1j * lam * a, cmath.exp))
 
     def evaluate(self, t):
         total = 0j
         for (p, s), c in self.terms.items():
             val = c * t ** p if p else c
             if s != 0:
-                val = val * _exp(s * t)
+                val = val * cmath.exp(s * t)
             total = total + val
         return total
 
@@ -202,27 +194,24 @@ POWER_WINDOW = 1e-9
 
 
 def delta0_power(f, lam, n):
-    """Time part of the power-law Delta_0 for beta = 1/r^n, plus the r^{-n}
-    radial weight reported as a tag.
+    """Time part of the power-law Delta_0 for beta = 1/r^n; the full
+    Delta_0 is this times the radial weight r^{-n}, which the caller applies.
 
-    n = 1 and n = 2 (within POWER_WINDOW) dispatch to the closed forms; these
-    are the removable-singularity limits of the generic finite-difference
-    formula.
+    n = 0 is delta0_const with beta = 1 (mu = nu = beta/2).  n = 1 and n = 2
+    (within POWER_WINDOW) dispatch to the closed forms; these are the
+    removable-singularity limits of the generic finite-difference formula.
     """
     if lam <= 0:
         raise ValueError("delta0_power requires lam > 0")
     if abs(n - 1) < POWER_WINDOW:
-        part = delta0_hybrid(f.shift(1, lam), lam)
-        return part, 1.0
+        return delta0_hybrid(f.shift(1, lam), lam)
     if abs(n - 2) < POWER_WINDOW:
-        part = (d0(f.shift(2, lam), lam) - f.shift(1, lam).deriv()).scale(
+        return (d0(f.shift(2, lam), lam) - f.shift(1, lam).deriv()).scale(
             1.0 / (1j * lam))
-        return part, 2.0
     num = (f.shift(1, lam)
            + f.shift(-(1 - n), lam).scale(1 - n)
            - f.shift(n, lam).scale(2 - n))
-    part = num.scale(1.0 / ((1j * lam) ** 2 * (2 - n) * (1 - n)))
-    return part, float(n)
+    return num.scale(1.0 / ((1j * lam) ** 2 * (2 - n) * (1 - n)))
 
 
 def delta0_general(f, lam, mu, nu, beta):
@@ -253,7 +242,7 @@ def delta0_general(f, lam, mu, nu, beta):
 # symbol-consistency tests are a genuine cross-check.
 
 def symbol_d0(omega, lam):
-    return (1 - _exp(-omega * lam)) / (1j * lam)
+    return (1 - cmath.exp(-omega * lam)) / (1j * lam)
 
 
 def symbol_delta0_const(omega, lam, beta):
@@ -264,17 +253,18 @@ def symbol_delta0_const(omega, lam, beta):
 
 
 def symbol_delta0_hybrid(omega, lam):
-    return (1.0 / (1j * lam)) * (-1j * omega - (1 - _exp(-omega * lam)) / (1j * lam))
+    return (1.0 / (1j * lam)) * (-1j * omega
+                                 - (1 - cmath.exp(-omega * lam)) / (1j * lam))
 
 
 def symbol_delta0_power(omega, lam, n):
     if abs(n - 1) < POWER_WINDOW:
-        return symbol_delta0_hybrid(omega, lam) * _exp(omega * lam)
+        return symbol_delta0_hybrid(omega, lam) * cmath.exp(omega * lam)
     if abs(n - 2) < POWER_WINDOW:
-        zeta = _exp(omega * lam)
+        zeta = cmath.exp(omega * lam)
         return (symbol_d0(omega, lam) * zeta ** 2
                 + 1j * omega * zeta) / (1j * lam)
-    e = _exp
+    e = cmath.exp
     num = (e(omega * lam) + (1 - n) * e(-(1 - n) * omega * lam)
            - (2 - n) * e(n * omega * lam))
     return num / ((1j * lam) ** 2 * (2 - n) * (1 - n))
@@ -284,7 +274,7 @@ def symbol_delta0_general(omega, lam, mu, nu, beta):
     _check_nondegenerate(mu, nu)
     a2 = -(beta / mu - 1)
     a3 = 1 - beta / (nu + mu)
-    e = _exp
+    e = cmath.exp
     num = (nu * e(omega * lam) + mu * e(omega * lam * a2)
            - (nu + mu) * e(omega * lam * a3))
     return num / (1j * lam) ** 2

@@ -7,12 +7,14 @@ Three variants of the box operator:
                 Dbar = lap - (1/2 beta) beta' d/dr
   box_newton  : the weak-field operator for beta = -(1/c^2)(1 + gamma/r)
 
-For box_general the spatial finite difference Delta0 is dispatched through the
-closed forms when the beta profile carries a component decomposition (constant
-plus power laws); untagged profiles, or mode = "pointwise", sample psi, beta,
-mu and nu on a grid and evaluate the varying finite difference on the whole
-grid at once (one timeops.delta0_general call on a GridField).  That is a
-different (non-resummed) object on logarithmic profiles -- see the mode flag.
+For box_general the spatial finite difference Delta0 takes the closed forms
+when beta.structure lists it as a sum of power laws coef * r^{-n} (n = 0 the
+constant): each piece is timeops.delta0_power(f, lam, n) weighted by
+coef * r^{-n}.  Profiles without a structure (sampled or CSV-loaded data,
+sums, scalings), or mode = "pointwise", sample psi, beta, mu and nu on a grid
+and evaluate the varying finite difference on the whole grid at once (one
+timeops.delta0_general call on a GridField).  That is a different
+(non-resummed) object on logarithmic profiles -- see the mode flag.
 
 kg_residual subtracts the mass term from a box already applied to psi.
 """
@@ -150,16 +152,14 @@ def field_max_diff(a, b, r):
 def _lap_profile(sp):
     """Flat 3D Laplacian of a radial profile as a new profile."""
     return RadialProfile(
-        lambda r: sp.deriv2(r) + 2.0 / np.asarray(r, dtype=float) * sp.deriv(r),
-        tag={"kind": "laplacian"})
+        lambda r: sp.deriv2(r) + 2.0 / np.asarray(r, dtype=float) * sp.deriv(r))
 
 
 def _drift_profile(sp, beta):
     """-(1/2 beta) beta' d/dr applied to sp, as a profile."""
     return RadialProfile(
         lambda r: -beta.deriv(r) / (2 * np.asarray(beta(r), dtype=complex))
-        * sp.deriv(r),
-        tag={"kind": "drift"})
+        * sp.deriv(r))
 
 
 # ---------------------------------------------------------------------------
@@ -181,48 +181,27 @@ def box_const(psi, beta, lam):
     return out
 
 
-def _beta_components(beta):
-    """Component list [(kind-dict, profile)] for a beta profile, or None."""
-    if beta.structure is not None:
-        return beta.structure
-    if beta.tag.get("kind") in ("constant", "power-law"):
-        return [(beta.tag, beta)]
-    return None
-
-
-def _delta0_closed_terms(sp, f, lam, components):
-    """2 Delta0 psi for a beta decomposed into constant + power-law pieces,
-    each through its closed form; separability is preserved."""
-    terms = []
-    for tag, _prof in components:
-        if tag["kind"] == "constant":
-            part = timeops.delta0_const(f, lam, tag["value"]).scale(2.0)
-            terms.append((sp, part))
-        elif tag["kind"] == "power-law":
-            n = tag["n"]
-            coef = tag.get("coef", 1.0)
-            part, weight = timeops.delta0_power(f, lam, n)
-            wprof = RadialProfile(
-                lambda r, _n=weight, _sp=sp, _c=coef:
-                _c * np.asarray(r, dtype=float) ** (-_n)
-                * np.asarray(_sp(r), dtype=complex),
-                tag={"kind": "weighted"})
-            terms.append((wprof, part.scale(2.0)))
-        else:
-            raise ValueError("unsupported beta component: %r" % tag)
-    return terms
+def _delta0_closed_terms(sp, f, lam, structure):
+    """2 Delta0 psi for beta = sum coef r^{-n}: one closed-form
+    timeops.delta0_power per power law, weighted by coef r^{-n}; separability
+    is preserved."""
+    return [(RadialProfile(lambda r, _n=n, _c=coef:
+                           _c * np.asarray(r, dtype=float) ** (-_n)
+                           * np.asarray(sp(r), dtype=complex)),
+             timeops.delta0_power(f, lam, n).scale(2.0))
+            for n, coef in structure]
 
 
 def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
     """Varying-beta wave operator.
 
-    mode = "auto": tagged constant/power-law/superposition beta goes through
-    the closed-form Delta0 of each component (result stays separable);
-    anything else, or mode = "pointwise", samples psi, mu, nu and beta on
-    `grid` and evaluates the varying finite difference on all nodes at once,
-    returning a GridField.
+    mode = "auto": a beta with a structure (a sum of power laws, see
+    RadialProfile) goes through the closed-form Delta0 of each power law
+    (result stays separable); a beta without one, or mode = "pointwise",
+    samples psi, mu, nu and beta on `grid` and evaluates the varying finite
+    difference on all nodes at once, returning a GridField.
     """
-    components = _beta_components(beta) if mode == "auto" else None
+    structure = beta.structure if mode == "auto" else None
     dbar = SeparableField()
     for sp, f in psi.terms:
         if isinstance(sp, PlaneWave):
@@ -231,10 +210,10 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
         dbar.terms.append((_lap_profile(sp), shifted))
         dbar.terms.append((_drift_profile(sp, beta), shifted))
 
-    if components is not None:
+    if structure is not None:
         out = SeparableField(dbar.terms)
         for sp, f in psi.terms:
-            out.terms.extend(_delta0_closed_terms(sp, f, lam, components))
+            out.terms.extend(_delta0_closed_terms(sp, f, lam, structure))
         return out
 
     if grid is None:
@@ -262,13 +241,11 @@ def box_newton(psi, gamma, c, lam, r_min=None):
         drift = RadialProfile(
             lambda r, _sp=sp: gamma
             / (2 * np.asarray(r, dtype=float) ** 2
-               * (1 + gamma / np.asarray(r, dtype=float))) * _sp.deriv(r),
-            tag={"kind": "newton-drift"})
+               * (1 + gamma / np.asarray(r, dtype=float))) * _sp.deriv(r))
         out.terms.append((drift, shifted))
         hyb_weight = RadialProfile(
             lambda r, _sp=sp: -(2 * gamma / c ** 2)
-            / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex),
-            tag={"kind": "newton-hybrid-weight"})
+            / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex))
         out.terms.append((hyb_weight, timeops.delta0_hybrid(shifted, lam)))
     return out
 

@@ -1,5 +1,6 @@
 """CLI contract: tables, formats, config override, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,11 +10,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ncgrav import cli
 from ncgrav import dispersion as D
 from ncgrav import effective as E
 from ncgrav import geometry as G
+from ncgrav import spectrum as S
 from ncgrav import timeops as T
 from ncgrav import verify
 
@@ -161,6 +165,12 @@ class TestDispersion:
     @pytest.mark.parametrize("argv, words", [
         (("--omega-max", "1e4"), "exp(omega lam) overflows"),
         (("--lam", "1e-300"), "(c lam)^2 underflows"),
+        (("--omega-max", "709.7", "--n", "3"),
+         "omega = 709.7, lam = 1 is not finite (a term is nan or beyond the "
+         "float limit"),
+        (("--lam", "1e-160", "--n", "3"),
+         "omega = 1, lam = 1e-160 is not finite (a term is nan or beyond the "
+         "float limit"),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "dispersion", *argv)
@@ -224,7 +234,9 @@ class TestMuNu:
         # mu_nu_closed and delta0_power take the closed family at the same n
         n = n0 + eps
         assert G.mu_nu_closed(n)[1].tag == G.mu_nu_closed(n0)[1].tag
-        assert T.delta0_power(T.TimeFunction.mode(0.7), 0.3, n)[1] == n0
+        f = T.TimeFunction.mode(0.7)
+        assert (T.delta0_power(f, 0.3, n).terms
+                == T.delta0_power(f, 0.3, n0).terms)
         _, out, _ = run_cli(capsys, "mu-nu", "--n", repr(n))
         _, rows = parse_csv(out)
         assert max(abs(float(row[3])) for row in rows) < 10
@@ -297,16 +309,17 @@ class TestVerifyCommand:
         assert all("measured" in c for c in rep["checks"])
 
     def test_failure_named_and_exit_1(self, capsys, monkeypatch):
-        # tamper with one registered check to simulate a broken invariant
+        # tamper with one registered check to simulate a broken invariant,
+        # next to one real check (test_fast_passes_with_named_lines runs all)
         broken = ("dispersion.momentum-bounded",
                   lambda level: (False, "tampered"))
-        originals = list(verify.CHECKS)
-        monkeypatch.setattr(verify, "CHECKS",
-                            [broken if name == broken[0] else (name, fn)
-                             for name, fn in originals])
+        real = next((name, fn) for name, fn in verify.CHECKS
+                    if name == "timeops.symbol-consistency")
+        monkeypatch.setattr(verify, "CHECKS", [broken, real])
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL dispersion.momentum-bounded" in out
+        assert "PASS timeops.symbol-consistency" in out
 
 
 class TestRegistryDirect:
@@ -320,3 +333,67 @@ class TestRegistryDirect:
         rep = verify.run("fast")
         assert rep["n_failed"] == 1
         assert "boom" in rep["checks"][0]["measured"]
+
+
+# edge values for every float flag of the table subcommands, plus any float
+EDGE = st.sampled_from(["0", "-1", "1e-300", "1e-160", "0.5", "3", "709.7",
+                        "1e4", "1e308", "nan", "inf", "-inf"]) \
+    | st.floats().map(repr)
+SIZE = st.integers(-1, 50).map(str)
+CONSTANTS = {"lam": EDGE, "c": EDGE, "hbar": EDGE, "G": EDGE}
+TABLE_FLAGS = {
+    "figure1": {"xmax": EDGE, "n": SIZE},
+    "dispersion": {"omega-min": EDGE, "omega-max": EDGE, "n": SIZE, "m": EDGE,
+                   **CONSTANTS},
+    "spectrum": {"x": EDGE, "M": EDGE, "l": st.integers(0, 3).map(str),
+                 "n-states": st.integers(1, 5).map(str), **CONSTANTS},
+    "mu-nu": {"n": EDGE, "gamma": EDGE, "rmin": EDGE, "rmax": EDGE,
+              "nodes": SIZE, **CONSTANTS},
+    "dark-energy": {"m-universe": EDGE, "r-universe": EDGE, **CONSTANTS},
+}
+
+
+@st.composite
+def table_argv(draw):
+    cmd = draw(st.sampled_from(sorted(TABLE_FLAGS)))
+    flags = TABLE_FLAGS[cmd]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                           max_size=4))
+    argv = [cmd] + ["--%s=%s" % (f, draw(flags[f])) for f in chosen]
+    if cmd == "spectrum" and "x" not in chosen:
+        argv.append("--x=1e-8")
+    return argv
+
+
+class TestErrorPolicy:
+    def test_bare_message_names_the_class(self, capsys, monkeypatch):
+        def overflow(*args):
+            raise OverflowError
+        monkeypatch.setattr(E, "dark_energy_estimate", overflow)
+        code, out, err = run_cli(capsys, "dark-energy")
+        assert (code, out, err) == (2, "", "error: OverflowError\n")
+
+    def test_grid_convergence_exit_1(self, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise S.GridConvergenceError("drift 1e-2 above 5e-3")
+        monkeypatch.setattr(S, "solve_radial", unconverged)
+        code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8")
+        assert (code, out, err) == (1, "", "error: drift 1e-2 above 5e-3\n")
+
+    @given(table_argv())
+    @example(["dark-energy", "--r-universe=1e-300"])
+    @example(["dispersion", "--n=3", "--lam=1e308"])
+    @example(["spectrum", "--x=1e-8", "--hbar=1e-300"])
+    def test_exit_0_or_named_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code:
+            assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -91,18 +91,20 @@ class TestOperatorExamples:
         assert T.delta0_hybrid(f, LAM).isclose(TF.zero())
 
     def test_delta0_power_constant(self):
-        part, weight = T.delta0_power(TF.constant(1.0), LAM, 3)
-        assert part.isclose(TF.zero())
-        assert weight == 3.0
+        assert T.delta0_power(TF.constant(1.0), LAM, 3).isclose(TF.zero())
+
+    def test_delta0_power_n0_is_const(self):
+        # the constant term of a beta structure is the n = 0 power law
+        f = TF({(2, 0j): 1.0, (0, -0.7j): 0.5})
+        assert T.delta0_power(f, LAM, 0).isclose(T.delta0_const(f, LAM, 1.0))
 
     def test_delta0_power_n1_t_squared(self):
-        part, weight = T.delta0_power(TF.monomial(2), LAM, 1)
+        part = T.delta0_power(TF.monomial(2), LAM, 1)
         assert part.isclose(TF.constant(1.0))
-        assert weight == 1.0
 
     def test_delta0_power_n3_mode(self):
         omega = 0.5
-        part, _ = T.delta0_power(TF.mode(omega), LAM, 3)
+        part = T.delta0_power(TF.mode(omega), LAM, 3)
         e = cmath.exp
         # weights (1, 1-n, -(2-n)) = (1, -2, 1) at shifts (1, n-1, n)
         fac = (e(omega * LAM) - 2 * e(2 * omega * LAM) + e(3 * omega * LAM)) \
@@ -127,7 +129,7 @@ class TestOperatorExamples:
         beta = r ** -n
         f = TF.mode(omega)
         got = T.delta0_general(f, LAM, mu, nu, beta)
-        part, _ = T.delta0_power(f, LAM, n)
+        part = T.delta0_power(f, LAM, n)
         want = part.scale(r ** -n)
         assert got.isclose(want, tol=1e-12)
 
@@ -174,11 +176,11 @@ class TestSymbols:
                 (T.symbol_delta0_hybrid(omega, LAM),
                  T.delta0_hybrid(mode, LAM)),
                 (T.symbol_delta0_power(omega, LAM, 3),
-                 T.delta0_power(mode, LAM, 3)[0]),
+                 T.delta0_power(mode, LAM, 3)),
                 (T.symbol_delta0_power(omega, LAM, 1),
-                 T.delta0_power(mode, LAM, 1)[0]),
+                 T.delta0_power(mode, LAM, 1)),
                 (T.symbol_delta0_power(omega, LAM, 2),
-                 T.delta0_power(mode, LAM, 2)[0]),
+                 T.delta0_power(mode, LAM, 2)),
                 (T.symbol_delta0_general(omega, LAM, 0.4, 0.3, 0.9),
                  T.delta0_general(mode, LAM, 0.4, 0.3, 0.9)),
             ]
@@ -190,8 +192,8 @@ class TestSymbols:
         for n0 in (1.0, 2.0):
             for eps in (1e-6, -1e-6):
                 f = random_tf(rng)
-                near, _ = T.delta0_power(f, LAM, n0 + eps)
-                exact, _ = T.delta0_power(f, LAM, n0)
+                near = T.delta0_power(f, LAM, n0 + eps)
+                exact = T.delta0_power(f, LAM, n0)
                 assert near.isclose(exact, tol=1e-5)
 
 
