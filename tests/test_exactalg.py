@@ -1,5 +1,6 @@
 """Exact identities of the normal-ordering engine and the 5D calculus."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -56,6 +57,120 @@ class TestCoeff:
     def test_subs_lam_zero(self):
         z = Coeff.one() + Coeff.i_lam()
         assert z.subs_lam_zero() == Coeff.one()
+
+
+# Reference model of Coeff for the ring properties: a dict
+# {(lam_pow, beta_pow): (Fraction re, Fraction im)} without zero parts, and
+# its text.  It shares no code with ncgrav.coeff.
+def ref_add(p, q):
+    out = dict(p)
+    for key, (a, b) in q.items():
+        c, e = out.get(key, (0, 0))
+        out[key] = (c + a, e + b)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def ref_mul(p, q):
+    out = {}
+    for (j1, k1), (a, b) in p.items():
+        for (j2, k2), (c, e) in q.items():
+            key = (j1 + j2, k1 + k2)
+            out = ref_add(out, {key: (a * c - b * e, a * e + b * c)})
+    return out
+
+
+def ref_str(p):
+    def num(a, b):
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return "%si" % b
+        return "%s%s%si" % (a, "+" if b > 0 else "-", abs(b))
+    return " + ".join(
+        "(%s)" % num(*p[(j, k)])
+        + ("*lam" + ("^%d" % j if j > 1 else "") if j else "")
+        + ("*beta" + ("^%d" % k if k > 1 else "") if k else "")
+        for j, k in sorted(p)) or "0"
+
+
+_fracs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def coeffs(draw):
+    """(Coeff, reference dict): rational parts with denominators 1, 2, 3 and
+    6, lam and beta powers 0..3; the empty draw is zero."""
+    parts = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(_fracs, _fracs), max_size=4))
+    ref = {k: v for k, v in parts.items() if v != (0, 0)}
+    return Coeff(parts), ref
+
+
+def assert_matches(c, ref):
+    assert str(c) == ref_str(ref)
+    assert c == Coeff(ref)
+    assert hash(c) == hash(Coeff(ref))
+
+
+class TestCoeffRing:
+    @given(coeffs(), coeffs(), coeffs())
+    def test_associative(self, a, b, c):
+        (a, ra), (b, rb), (c, rc) = a, b, c
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert_matches((a + b) + c, ref_add(ref_add(ra, rb), rc))
+        assert_matches((a * b) * c, ref_mul(ref_mul(ra, rb), rc))
+
+    @given(coeffs(), coeffs())
+    def test_commutative(self, a, b):
+        (a, ra), (b, rb) = a, b
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert_matches(a * b, ref_mul(ra, rb))
+
+    @given(coeffs(), coeffs(), coeffs())
+    def test_distributive(self, a, b, c):
+        (a, ra), (b, rb), (c, rc) = a, b, c
+        left = a * (b + c)
+        assert left == a * b + a * c
+        assert_matches(left, ref_mul(ra, ref_add(rb, rc)))
+
+    @given(coeffs())
+    def test_identities_and_inverse(self, a):
+        a, ra = a
+        assert_matches(a, ra)
+        assert a + Coeff.zero() == a and a * Coeff.one() == a
+        assert (a * Coeff.zero()).is_zero()
+        assert_matches(-a, {k: (-x, -y) for k, (x, y) in ra.items()})
+        z = a - a
+        assert z.is_zero() and z == Coeff.zero() and str(z) == "0"
+        assert hash(z) == hash(Coeff.zero())
+
+    @given(coeffs(), st.integers(-4, 4), _fracs)
+    def test_scale(self, a, n, q):
+        a, ra = a
+        assert_matches(a.scale(n), ref_mul(ra, {(0, 0): (Fraction(n), 0)}))
+        assert_matches(a.scale(q, n),
+                       ref_mul(ra, {(0, 0): (q, Fraction(n))}))
+
+    @given(coeffs(), st.integers(0, 5))
+    def test_div_i_lam_inverts_i_lam_power(self, a, p):
+        a, ra = a
+        i_lam_p = Coeff.one()
+        for _ in range(p):
+            i_lam_p = i_lam_p * Coeff.i_lam()
+        assert (a * i_lam_p).div_i_lam(p) == a
+        assert_matches((a * i_lam_p).div_i_lam(p), ra)
+
+    @given(coeffs(), coeffs())
+    def test_subs_lam_zero_is_ring_homomorphism(self, a, b):
+        (a, ra), (b, rb) = a, b
+        assert (a + b).subs_lam_zero() == a.subs_lam_zero() + b.subs_lam_zero()
+        assert (a * b).subs_lam_zero() == a.subs_lam_zero() * b.subs_lam_zero()
+        assert Coeff.one().subs_lam_zero() == Coeff.one()
+        assert_matches((a * b).subs_lam_zero(),
+                       {k: v for k, v in ref_mul(ra, rb).items() if k[0] == 0})
 
 
 class TestNormalOrder:
@@ -285,3 +400,18 @@ class TestSerialization:
         w = exterior_d(NCElement.t(D) * NCElement.t(D))
         text = w.to_text()
         assert "dt" in text and "theta'" in text
+
+    def test_text_digest_pinned(self):
+        # Digest of the exact output recorded at the Fraction-part
+        # representation of Coeff; any change to the arithmetic or the text
+        # format of a coefficient shows here.
+        h = hashlib.sha256()
+        for m in monomials():
+            h.update(exterior_d(m).to_text().encode() + b"\n")
+        rng = random.Random(23)
+        for _ in range(20):
+            f, g = random_element(rng), random_element(rng)
+            for v in (f * g, exterior_d(f).mul_elem(g), commutator_d(f * g)):
+                h.update(v.to_text().encode() + b"\n")
+        assert h.hexdigest() == ("453ab437a4b166fc31d757afe838a5c7"
+                                 "949d87de650ab60b182b4567358c5543")
