@@ -4,44 +4,67 @@ A ``Coeff`` is a finite sum  sum_{j,k} (a_{jk} + i b_{jk}) lam^j beta^k  with
 a, b rational.  All arithmetic is exact; this is the scalar ring under the
 noncommutative spacetime algebra, so the calculus identities can be checked as
 identities rather than to a tolerance.
+
+Representation: ``terms`` maps (lam_pow, beta_pow) to a pair of Python ints
+(re, im), and ``den`` is one positive int denominator shared by every part, so
+the coefficient of lam^j beta^k is (re + i im) / den.  Invariant: no pair is
+(0, 0), and den is 1 or shares no common factor with all the numerators; zero
+is ``terms == {}`` with den 1.  The form is canonical, so equality compares
+terms and den.  The structure constants of the calculus lie in Z[i][lam, beta]
+and den is nearly always 1, so the arithmetic is on small ints and reduces by
+a gcd only when den is not 1.  ``Fraction`` appears only at the boundary:
+``from_rational`` and ``scale`` given non-int parts, the constructor given
+Fraction parts, and the text of a part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _gadd(u, v):
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _gmul(u, v):
-    # (a+bi)(c+di)
-    a, b = u
-    c, d = v
-    return (a * c - b * d, a * d + b * c)
+def _coeff(terms, den):
+    """Coeff from int pairs without (0, 0) over den > 0, reduced to the
+    invariant."""
+    if den != 1:
+        if not terms:
+            den = 1
+        else:
+            g = den
+            for re, im in terms.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    res = object.__new__(Coeff)
+    res.terms = terms
+    res.den = den
+    return res
 
 
 class Coeff:
     """Polynomial in (lam, beta) over the Gaussian rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        # terms: {(lam_pow, beta_pow): (Fraction re, Fraction im)}, zeros dropped
-        self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                if val[0] or val[1]:
-                    self.terms[key] = val
+        # terms: {(lam_pow, beta_pow): (re, im)}, parts int or Fraction;
+        # zero pairs are dropped and the parts brought over one denominator
+        parts = {k: (Fraction(a), Fraction(b))
+                 for k, (a, b) in (terms or {}).items() if a or b}
+        den = lcm(*(p.denominator for v in parts.values() for p in v))
+        self.terms = {k: (a.numerator * (den // a.denominator),
+                          b.numerator * (den // b.denominator))
+                      for k, (a, b) in parts.items()}
+        self.den = den
 
     @classmethod
     def from_rational(cls, re, im=0):
-        re = Fraction(re)
-        im = Fraction(im)
-        if re == 0 and im == 0:
-            return cls()
-        return cls({(0, 0): (re, im)})
+        if type(re) is int and type(im) is int:
+            return _coeff({(0, 0): (re, im)} if re or im else {}, 1)
+        return cls({(0, 0): (Fraction(re), Fraction(im))})
 
     @classmethod
     def zero(cls):
@@ -53,16 +76,16 @@ class Coeff:
 
     @classmethod
     def lam(cls, power=1):
-        return cls({(power, 0): (Fraction(1), Fraction(0))})
+        return _coeff({(power, 0): (1, 0)}, 1)
 
     @classmethod
     def beta(cls, power=1):
-        return cls({(0, power): (Fraction(1), Fraction(0))})
+        return _coeff({(0, power): (1, 0)}, 1)
 
     @classmethod
     def i_lam(cls):
         """The ubiquitous i*lam."""
-        return cls({(1, 0): (Fraction(0), Fraction(1))})
+        return _coeff({(1, 0): (0, 1)}, 1)
 
     def is_zero(self):
         return not self.terms
@@ -73,28 +96,36 @@ class Coeff:
     def __eq__(self, other):
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
+        den = self.den
+        if other.den == den:
+            out = dict(self.terms)
+            items = other.terms.items()
+        else:
+            den = lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            out = {k: (a * fa, b * fa) for k, (a, b) in self.terms.items()}
+            items = [(k, (a * fb, b * fb)) for k, (a, b) in other.terms.items()]
+        for key, val in items:
             cur = out.get(key)
-            new = _gadd(cur, val) if cur else val
-            if new[0] or new[1]:
-                out[key] = new
-            elif cur:
-                del out[key]
-        res = Coeff()
-        res.terms = out
-        return res
+            if cur is None:
+                out[key] = val
+            else:
+                new = (cur[0] + val[0], cur[1] + val[1])
+                if new[0] or new[1]:
+                    out[key] = new
+                else:
+                    del out[key]
+        return _coeff(out, den)
 
     def __neg__(self):
-        res = Coeff()
-        res.terms = {k: (-a, -b) for k, (a, b) in self.terms.items()}
-        return res
+        return _coeff({k: (-a, -b) for k, (a, b) in self.terms.items()},
+                      self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -103,16 +134,14 @@ class Coeff:
         if isinstance(other, int):
             other = Coeff.from_rational(other)
         out = {}
-        for (j1, k1), v1 in self.terms.items():
-            for (j2, k2), v2 in other.terms.items():
+        for (j1, k1), (a, b) in self.terms.items():
+            for (j2, k2), (c, d) in other.terms.items():
                 key = (j1 + j2, k1 + k2)
-                prod = _gmul(v1, v2)
+                re, im = a * c - b * d, a * d + b * c
                 cur = out.get(key)
-                new = _gadd(cur, prod) if cur else prod
-                out[key] = new
-        res = Coeff()
-        res.terms = {k: v for k, v in out.items() if v[0] or v[1]}
-        return res
+                out[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+        return _coeff({k: v for k, v in out.items() if v[0] or v[1]},
+                      self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -123,24 +152,18 @@ class Coeff:
         """Exact division by (i*lam)**power; raises if not divisible by lam**power."""
         out = {}
         # 1/i = -i, so dividing by (i lam)^p multiplies by (-i)^p lam^-p
-        inv_i = {0: (Fraction(1), Fraction(0)),
-                 1: (Fraction(0), Fraction(-1)),
-                 2: (Fraction(-1), Fraction(0)),
-                 3: (Fraction(0), Fraction(1))}[power % 4]
-        for (j, k), val in self.terms.items():
+        turn = power % 4
+        for (j, k), (a, b) in self.terms.items():
             if j < power:
                 raise ArithmeticError(
                     "coefficient not divisible by lam^%d: %s" % (power, self))
-            out[(j - power, k)] = _gmul(val, inv_i)
-        res = Coeff()
-        res.terms = out
-        return res
+            out[(j - power, k)] = ((a, b), (b, -a), (-a, -b), (-b, a))[turn]
+        return _coeff(out, self.den)
 
     def subs_lam_zero(self):
         """Classical limit lam -> 0."""
-        res = Coeff()
-        res.terms = {k: v for k, v in self.terms.items() if k[0] == 0}
-        return res
+        return _coeff({k: v for k, v in self.terms.items() if k[0] == 0},
+                      self.den)
 
     def lam_valuation(self):
         """Smallest power of lam appearing (None for the zero polynomial)."""
@@ -151,15 +174,20 @@ class Coeff:
     def __str__(self):
         if not self.terms:
             return "0"
+        den = self.den
+
+        def part(n):
+            return str(n) if den == 1 else str(Fraction(n, den))
+
         parts = []
         for (j, k) in sorted(self.terms):
             a, b = self.terms[(j, k)]
             if b == 0:
-                num = str(a)
+                num = part(a)
             elif a == 0:
-                num = "%si" % b
+                num = "%si" % part(b)
             else:
-                num = "%s%s%si" % (a, "+" if b >= 0 else "-", abs(b))
+                num = "%s%s%si" % (part(a), "+" if b >= 0 else "-", part(abs(b)))
             piece = "(%s)" % num
             if j:
                 piece += "*lam" + ("^%d" % j if j > 1 else "")
