@@ -60,15 +60,28 @@ def _render_table(header, rows, fmt):
     return json.dumps(data, indent=2) + "\n"
 
 
+def _finite_float(text):
+    """argparse type of every float flag, config-file values included: nan
+    and +-inf are refused (exit 2) instead of flowing into the tables."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r"
+                                         % text)
+    return value
+
+
 def _add_common(sub, constants=True):
     sub.add_argument("--output", "-o", default="-",
                      help="output path, - for stdout (default)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if constants:
-        sub.add_argument("--lam", type=float, default=1.0)
-        sub.add_argument("--c", type=float, default=1.0)
-        sub.add_argument("--hbar", type=float, default=1.0)
-        sub.add_argument("--G", type=float, default=1.0)
+        sub.add_argument("--lam", type=_finite_float, default=1.0)
+        sub.add_argument("--c", type=_finite_float, default=1.0)
+        sub.add_argument("--hbar", type=_finite_float, default=1.0)
+        sub.add_argument("--G", type=_finite_float, default=1.0)
 
 
 def _check_constants(args):
@@ -173,41 +186,41 @@ def build_parser():
 
     s = sub.add_parser("figure1",
                        help="effective mass / potential table vs x")
-    s.add_argument("--xmax", type=float, default=10.0)
+    s.add_argument("--xmax", type=_finite_float, default=10.0)
     s.add_argument("--n", type=int, default=500)
     _add_common(s, constants=False)
     s.set_defaults(func=cmd_figure1)
 
     s = sub.add_parser("dispersion", help="deformed mass-shell sweep")
-    s.add_argument("--omega-min", type=float, default=0.0)
-    s.add_argument("--omega-max", type=float, default=2.0)
+    s.add_argument("--omega-min", type=_finite_float, default=0.0)
+    s.add_argument("--omega-max", type=_finite_float, default=2.0)
     s.add_argument("--n", type=int, default=100)
-    s.add_argument("--m", type=float, default=0.0)
+    s.add_argument("--m", type=_finite_float, default=0.0)
     _add_common(s)
     s.set_defaults(func=cmd_dispersion)
 
     s = sub.add_parser("spectrum",
                        help="bound states, numeric vs closed-form oracle")
-    s.add_argument("--x", type=float, required=True,
+    s.add_argument("--x", type=_finite_float, required=True,
                    help="particle mass over the Planck mass")
-    s.add_argument("--M", type=float, default=1.0, help="central mass")
+    s.add_argument("--M", type=_finite_float, default=1.0, help="central mass")
     s.add_argument("--l", type=int, default=0)
     s.add_argument("--n-states", type=int, default=3)
     _add_common(s)
     s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("mu-nu", help="metric coefficient profiles + residuals")
-    s.add_argument("--n", type=float, help="beta = 1/r^n power law")
-    s.add_argument("--gamma", type=float, help="weak-field length 2GM/c^2")
-    s.add_argument("--rmin", type=float, default=0.5)
-    s.add_argument("--rmax", type=float, default=50.0)
+    s.add_argument("--n", type=_finite_float, help="beta = 1/r^n power law")
+    s.add_argument("--gamma", type=_finite_float, help="weak-field length 2GM/c^2")
+    s.add_argument("--rmin", type=_finite_float, default=0.5)
+    s.add_argument("--rmax", type=_finite_float, default=50.0)
     s.add_argument("--nodes", type=int, default=200)
     _add_common(s)
     s.set_defaults(func=cmd_mu_nu)
 
     s = sub.add_parser("dark-energy", help="constant-term density estimate")
-    s.add_argument("--m-universe", type=float, default=1e53)
-    s.add_argument("--r-universe", type=float, default=1e26)
+    s.add_argument("--m-universe", type=_finite_float, default=1e53)
+    s.add_argument("--r-universe", type=_finite_float, default=1e26)
     _add_common(s)
     s.set_defaults(func=cmd_dark_energy)
 

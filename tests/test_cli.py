@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -260,6 +264,15 @@ class TestDarkEnergy:
         assert header == ["key", "value"]
         assert any(r[0] == "mass_density" for r in rows)
 
+    def test_runs_as_module_from_checkout(self, capsys):
+        # python -m ncgrav with only the checkout's src/ on the path
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "ncgrav", "dark-energy"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        _, want, _ = run_cli(capsys, "dark-energy")
+        assert (proc.returncode, proc.stdout) == (0, want)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -384,6 +397,8 @@ class TestErrorPolicy:
     @example(["dark-energy", "--r-universe=1e-300"])
     @example(["dispersion", "--n=3", "--lam=1e308"])
     @example(["spectrum", "--x=1e-8", "--hbar=1e-300"])
+    @example(["figure1", "--xmax=nan", "--n=3"])
+    @example(["dark-energy", "--c=nan"])
     def test_exit_0_or_named_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -397,3 +412,7 @@ class TestErrorPolicy:
         if code:
             assert "error:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+        # an exit-0 table is finite, except the documented evanescent
+        # dispersion rows (last column 1, k and vg nan)
+        if any(a.split("=", 1)[1] in ("nan", "inf", "-inf") for a in argv[1:]):
+            assert code == 2
