@@ -277,6 +277,9 @@ class TestBimoduleAction:
 # coefficients
 _SMALL_DEGREES = [p for p in itertools.product(range(3), repeat=D + 1)
                   if sum(p) <= 2]
+# exponents (x1, x2, x3, t) of total degree <= 4, as random_element draws
+_DEGREES = [p for p in itertools.product(range(5), repeat=D + 1)
+            if sum(p) <= 4]
 _small_terms = st.lists(st.tuples(st.sampled_from(_SMALL_DEGREES),
                                   st.integers(-3, 3), st.integers(-3, 3)),
                         max_size=3)
@@ -309,6 +312,26 @@ class TestProductProperties:
     @given(small_elements(), small_forms(), small_elements())
     def test_left_and_right_actions_commute(self, f, omega, g):
         assert omega.lmul(f).mul_elem(g) == omega.mul_elem(g).lmul(f)
+
+
+def classical_dt(psi):
+    """d/dt of a commuting polynomial, term by term."""
+    out = NCElement.zero(D)
+    for (xpow, n), c in psi.terms.items():
+        if n:
+            out = out + elem(xpow, n - 1, c.scale(n))
+    return out
+
+
+class TestClassicalLimit:
+    @given(st.lists(st.tuples(st.sampled_from(_DEGREES), coeffs()),
+                    max_size=3))
+    def test_d0_tends_to_dt(self, terms):
+        # coefficients may carry lam and beta: the limit drops them after d0
+        psi = NCElement.zero(D)
+        for (*xpow, n), (c, _ref) in terms:
+            psi = psi + elem(xpow, n, c)
+        assert psi.d0().subs_lam_zero() == classical_dt(psi.subs_lam_zero())
 
 
 class TestExteriorD:

@@ -4,12 +4,22 @@ import cmath
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
 from ncgrav.verify import random_tf
 
 LAM = 0.3
+
+# a time function as random_tf draws it: p in 0..2, s and c complex
+_unit = st.floats(-1.0, 1.0)
+time_functions = st.lists(
+    st.tuples(st.integers(0, 2), st.builds(complex, _unit, _unit),
+              st.builds(complex, _unit, _unit)), max_size=3).map(
+    lambda terms: TF({(p, 0.5 * s): c for p, s, c in terms}))
+shifts = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
 
 
 class TestTimeFunction:
@@ -47,6 +57,13 @@ class TestTimeFunction:
         f = random_tf(rng, 3)
         back = TF.from_json(f.to_json())
         assert back.isclose(f)
+
+
+class TestShiftGroupLaw:
+    @given(time_functions, shifts, shifts)
+    def test_time_function(self, f, a, b):
+        # registry tolerance: 1e-12 relative to the largest coefficient
+        assert f.shift(a, LAM).shift(b, LAM).isclose(f.shift(a + b, LAM))
 
 
 class TestOperatorExamples:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgrav import geometry as G
 from ncgrav import spectrum as S
@@ -12,6 +14,9 @@ from ncgrav.timeops import TimeFunction as TF
 LAM = 0.05
 C = 1.0
 GRID = G.default_log_grid(0.5, 20.0, 80)
+# complex values on four nodes, parts in [-2, 2]
+NODE_VALUES = st.lists(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+                       min_size=4, max_size=4).map(np.array)
 
 
 def gaussian_profile(width=1.0):
@@ -94,6 +99,19 @@ class TestGridFieldShift:
                 assert set(shifted.data) == set(want.terms)
                 got = TF({key: arr[j] for key, arr in shifted.data.items()})
                 assert got.isclose(want, tol=1e-14)
+
+
+    @given(st.dictionaries(st.sampled_from([(0, 0j), (1, 0.2 - 0.4j), (2, 0j),
+                                            (2, 0.5j)]), NODE_VALUES,
+                           min_size=1), NODE_VALUES, NODE_VALUES)
+    def test_group_law(self, data, a, b):
+        # shifting by a(r) then b(r) is shifting by a(r) + b(r), to 1e-12
+        # relative at every node
+        g = W.GridField(GRID[:4], data)
+        got, want = g.shift(a, LAM).shift(b, LAM), g.shift(a + b, LAM)
+        for j in range(4):
+            assert TF({k: v[j] for k, v in got.data.items()}).isclose(
+                TF({k: v[j] for k, v in want.data.items()}))
 
 
 class TestBoxConst:
