@@ -211,7 +211,8 @@ def build_parser():
 
     s = sub.add_parser("mu-nu", help="metric coefficient profiles + residuals")
     s.add_argument("--n", type=_finite_float, help="beta = 1/r^n power law")
-    s.add_argument("--gamma", type=_finite_float, help="weak-field length 2GM/c^2")
+    s.add_argument("--gamma", type=_finite_float,
+                   help="weak-field length 2GM/c^2")
     s.add_argument("--rmin", type=_finite_float, default=0.5)
     s.add_argument("--rmax", type=_finite_float, default=50.0)
     s.add_argument("--nodes", type=int, default=200)

@@ -139,7 +139,8 @@ class Coeff:
                 key = (j1 + j2, k1 + k2)
                 re, im = a * c - b * d, a * d + b * c
                 cur = out.get(key)
-                out[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+                out[key] = ((re, im) if cur is None
+                            else (cur[0] + re, cur[1] + im))
         return _coeff({k: v for k, v in out.items() if v[0] or v[1]},
                       self.den * other.den)
 
@@ -187,7 +188,8 @@ class Coeff:
             elif a == 0:
                 num = "%si" % part(b)
             else:
-                num = "%s%s%si" % (part(a), "+" if b >= 0 else "-", part(abs(b)))
+                num = "%s%s%si" % (part(a), "+" if b >= 0 else "-",
+                                   part(abs(b)))
             piece = "(%s)" % num
             if j:
                 piece += "*lam" + ("^%d" % j if j > 1 else "")

@@ -305,6 +305,13 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "--config", str(cfg), "figure1")
         assert code == 2
 
+    def test_non_finite_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = nan\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "dark-energy")
+        assert (code, out) == (2, "")
+        assert "error: argument --c: expected a finite number" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nope.cfg", "figure1")
         assert code == 2
@@ -412,7 +419,6 @@ class TestErrorPolicy:
         if code:
             assert "error:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
-        # an exit-0 table is finite, except the documented evanescent
-        # dispersion rows (last column 1, k and vg nan)
+        # a non-finite flag value is refused before any table is made
         if any(a.split("=", 1)[1] in ("nan", "inf", "-inf") for a in argv[1:]):
             assert code == 2

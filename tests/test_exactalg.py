@@ -425,9 +425,8 @@ class TestSerialization:
         assert "dt" in text and "theta'" in text
 
     def test_text_digest_pinned(self):
-        # Digest of the exact output recorded at the Fraction-part
-        # representation of Coeff; any change to the arithmetic or the text
-        # format of a coefficient shows here.
+        # Pins the exact text output: any change to the coefficient
+        # arithmetic or to the text format of a coefficient shows here.
         h = hashlib.sha256()
         for m in monomials():
             h.update(exterior_d(m).to_text().encode() + b"\n")

@@ -100,7 +100,6 @@ class TestGridFieldShift:
                 got = TF({key: arr[j] for key, arr in shifted.data.items()})
                 assert got.isclose(want, tol=1e-14)
 
-
     @given(st.dictionaries(st.sampled_from([(0, 0j), (1, 0.2 - 0.4j), (2, 0j),
                                             (2, 0.5j)]), NODE_VALUES,
                            min_size=1), NODE_VALUES, NODE_VALUES)
