@@ -27,17 +27,14 @@ def _coeff(terms, den):
     """Coeff from int pairs without (0, 0) over den > 0, reduced to the
     invariant."""
     if den != 1:
-        if not terms:
-            den = 1
-        else:
-            g = den
-            for re, im in terms.values():
-                g = gcd(g, re, im)
-                if g == 1:
-                    break
-            if g != 1:
-                den //= g
-                terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+        g = den  # zero (no terms) ends with den // den = 1
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
     res = object.__new__(Coeff)
     res.terms = terms
     res.den = den
