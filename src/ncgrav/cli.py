@@ -2,8 +2,14 @@
 
 Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error
 or an input outside the domain (a ValueError or ArithmeticError out of the
-library, reported by `main` as "error: ..." with no traceback).
-All floats are printed as %.12e so identical configs give byte-identical CSV.
+library, reported by `main` as "error: ..." with no traceback).  A table
+that exits 0 holds only finite numbers, except the documented nan cells of
+evanescent `dispersion` rows; `mu-nu` and `dark-energy` refuse a non-finite
+column with exit 2.
+Each table's columns come from whole-grid library calls; the CLI only
+checks and formats them.  There is one render path: each CSV row is one
+%-format built from its cell types, every float printed as %.12e, so
+identical configs give byte-identical CSV.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
@@ -12,8 +18,7 @@ be overridden per subcommand, or via a config file of key=value lines
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import sys
@@ -45,16 +50,31 @@ def _write_output(path, text):
         _fail("cannot write %s: %s" % (path, exc), 2)
 
 
+def _csv_text(text):
+    """One text cell, quoted as csv.writer quotes it (QUOTE_MINIMAL)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+@functools.lru_cache(maxsize=None)
+def _row_format(types):
+    """The %-format of a CSV row whose cells have these types."""
+    return ",".join(FMT if issubclass(t, float) else "%d" if t is int
+                    else "%s" for t in types) + "\n"
+
+
 def _render_table(header, rows, fmt):
-    """rows of floats (nan allowed); csv or a json array of objects."""
+    """rows of floats (nan allowed), ints and text; csv or a json array of
+    objects.  A CSV row is one % against the format of its cell types."""
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
+        lines = [",".join(map(_csv_text, header)) + "\n"]
         for row in rows:
-            w.writerow([FMT % v if isinstance(v, float) else str(v)
-                        for v in row])
-        return buf.getvalue()
+            types = tuple(map(type, row))
+            if str in types:
+                row = [_csv_text(v) if type(v) is str else v for v in row]
+            lines.append(_row_format(types) % tuple(row))
+        return "".join(lines)
     data = [dict(zip(header, [None if isinstance(v, float) and math.isnan(v)
                               else v for v in row])) for row in rows]
     return json.dumps(data, indent=2) + "\n"
@@ -93,8 +113,8 @@ def _check_constants(args):
 def cmd_figure1(args):
     data = E.figure1_data(x_max=args.xmax, n_points=args.n)
     header = ["x", "mI_over_mp", "mG_over_mp", "V0_over_mpc2"]
-    rows = [[float(v) for v in row] for row in data]
-    _write_output(args.output, _render_table(header, rows, args.format))
+    _write_output(args.output,
+                  _render_table(header, data.tolist(), args.format))
     return 0
 
 
@@ -144,18 +164,29 @@ def cmd_mu_nu(args):
     if args.rmin <= 0 or args.rmax <= args.rmin or args.nodes < 2:
         _fail("need 0 < rmin < rmax and nodes >= 2", 2)
     r = G.default_log_grid(args.rmin, args.rmax, args.nodes)
-    res_mu, res_nu = G.ode_residuals(beta, mu, nu, r)
     header = ["r", "beta", "mu", "nu", "res_mu", "res_nu"]
-    rows = [[float(ri), float(beta(ri)), float(mu(ri)), float(nu(ri)),
-             float(rm), float(rn)]
-            for ri, rm, rn in zip(r, res_mu, res_nu)]
-    _write_output(args.output, _render_table(header, rows, args.format))
+    with np.errstate(all="ignore"):  # a non-finite cell is refused below
+        table = np.column_stack([r, beta(r), mu(r), nu(r),
+                                 *G.ode_residuals(beta, mu, nu, r)])
+        bad = ~np.isfinite(table)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError("mu-nu column %s is %r at r = %g: the profiles "
+                         "pass the float range there"
+                         % (header[col], float(table[row, col]), r[row]))
+    _write_output(args.output,
+                  _render_table(header, table.tolist(), args.format))
     return 0
 
 
 def cmd_dark_energy(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
     rep = E.dark_energy_estimate(args.m_universe, args.r_universe, units)
+    for key, value in rep.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("dark-energy %s is %r at m-universe = %g, "
+                             "r-universe = %g: it passes the float range"
+                             % (key, value, args.m_universe, args.r_universe))
     if args.format == "json":
         text = json.dumps(rep, indent=2) + "\n"
     else:

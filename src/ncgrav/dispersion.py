@@ -46,23 +46,34 @@ def _check_domain(omega, lam, c):
                          "overflows" % (omega * lam, U_MAX))
 
 
+def _shell(omega, m, lam, c, hbar):
+    """The shell residual at this omega as a function of k.  The domain
+    check, e^{omega lam}, the sinh^2 term and (m c / hbar)^2 are done once
+    here, not on each evaluation."""
+    _check_domain(omega, lam, c)
+    u = omega * lam
+    eu = math.exp(u)
+    t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
+    t3 = (m * c / hbar) ** 2
+
+    def residual(k):
+        t1 = -k ** 2 * eu
+        scale = max(abs(t1), abs(t2), abs(t3))
+        if scale == 0:
+            return 0.0
+        res = (t1 + t2 - t3) / scale
+        if math.isnan(res):
+            raise ValueError("shell residual at omega = %g, lam = %g is not "
+                             "finite (a term is nan or beyond the float limit "
+                             "%g)" % (omega, lam, sys.float_info.max))
+        return res
+    return residual
+
+
 def shell_residual(omega, k, m, lam, c, hbar):
     """Residual of -k^2 e^{omega lam} + (2/(c^2 lam^2))(cosh(omega lam) - 1)
     = (m c / hbar)^2, normalized by the largest term."""
-    _check_domain(omega, lam, c)
-    u = omega * lam
-    t1 = -k ** 2 * math.exp(u)
-    t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
-    t3 = (m * c / hbar) ** 2
-    scale = max(abs(t1), abs(t2), abs(t3))
-    if scale == 0:
-        return 0.0
-    res = (t1 + t2 - t3) / scale
-    if math.isnan(res):
-        raise ValueError("shell residual at omega = %g, lam = %g is not finite "
-                         "(a term is nan or beyond the float limit %g)"
-                         % (omega, lam, sys.float_info.max))
-    return res
+    return _shell(omega, m, lam, c, hbar)(k)
 
 
 def k_squared_closed(omega, m, lam, c, hbar):
@@ -86,7 +97,7 @@ def solve_k(omega, m, lam, c, hbar):
     against the closed form by the test suite."""
     _propagating_k_squared(omega, m, lam, c, hbar)
     k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
-    f = lambda k: shell_residual(omega, k, m, lam, c, hbar)
+    f = _shell(omega, m, lam, c, hbar)
     f0 = f(0.0)
     if f0 <= 0:
         return 0.0

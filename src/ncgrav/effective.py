@@ -112,9 +112,7 @@ def series_check():
     """Leading small-x coefficients fitted from extended-precision samples:
     m_I/m = 1 - x + ..., m_G/m = 1 - x/3 + ..., V0/(mc^2) = -(x^2)/24 + ..."""
     xs = np.array([1e-6, 2e-6, 3e-6, 4e-6])
-    mi = np.array([_ratios(x)[0] for x in xs])
-    mg = np.array([_ratios(x)[1] for x in xs])
-    v0 = np.array([_ratios(x)[2] for x in xs])
+    mi, mg, v0 = np.array([_ratios(x) for x in xs]).T
     c_mi = np.polyfit(xs, (mi - 1), 1)[0]
     c_mg = np.polyfit(xs, (mg - 1), 1)[0]
     c_v0 = np.polyfit(xs ** 2, v0, 1)[0]

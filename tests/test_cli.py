@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -250,6 +251,36 @@ class TestMuNu:
         assert code == 2
         assert "--n" in err or "--gamma" in err
 
+    @pytest.mark.parametrize("n, words", [
+        ("1023", "column res_mu is inf at r = 0.5"),
+        ("1e4", "column beta is inf at r = 0.5"),
+    ])
+    def test_non_finite_column_exit_2(self, capsys, n, words):
+        # r^-n passes the float range at rmin = 0.5: refused, no numpy warning
+        code, out, err = run_cli(capsys, "mu-nu", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: mu-nu ") and words in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("profile", [("--n", "3"), ("--gamma", "1e-3")])
+    def test_profile_calls_independent_of_nodes(self, capsys, monkeypatch,
+                                                profile):
+        # each profile is evaluated on the whole grid, not once per row
+        calls = [0]
+        call = G.RadialProfile.__call__
+
+        def counted(self, r):
+            calls[0] += 1
+            return call(self, r)
+        monkeypatch.setattr(G.RadialProfile, "__call__", counted)
+        counts = []
+        for nodes in ("20", "2000"):
+            calls[0] = 0
+            code, _, _ = run_cli(capsys, "mu-nu", *profile, "--nodes", nodes)
+            assert code == 0
+            counts.append(calls[0])
+        assert counts[0] == counts[1] <= 9
+
 
 class TestDarkEnergy:
     def test_headline_density(self, capsys):
@@ -263,6 +294,14 @@ class TestDarkEnergy:
         header, rows = parse_csv(out)
         assert header == ["key", "value"]
         assert any(r[0] == "mass_density" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_density_exit_2(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "dark-energy", "--m-universe=1e308",
+                                 "--r-universe=0.5", "--c=1e4",
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dark-energy energy_density is -inf")
 
     def test_runs_as_module_from_checkout(self, capsys):
         # python -m ncgrav with only the checkout's src/ on the path
@@ -355,6 +394,95 @@ class TestRegistryDirect:
         assert "boom" in rep["checks"][0]["measured"]
 
 
+def render_csv_oracle(header, rows):
+    """Per-cell csv.writer rendering: each float as %.12e, any other cell as
+    str(v).  The oracle of `cli._render_table`'s one-% rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([cli.FMT % v if isinstance(v, float) else str(v)
+                    for v in row])
+    return buf.getvalue()
+
+
+FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                         1e-310, -2.5e-320, 1e308, -1e308,
+                         1.7976931348623157e308]) | st.floats()
+# table text: names, prose and the characters csv quotes; a bare carriage
+# return is left out, no table holds one
+TEXT = st.text(alphabet=st.sampled_from(list('aZ_^/.()0 ,"\n')))
+
+
+@st.composite
+def table_rows(draw):
+    """(header, rows) in the shapes the table subcommands produce."""
+    shape = draw(st.sampled_from(["floats", "dispersion", "spectrum",
+                                  "key-value"]))
+    if shape == "floats":  # figure1, mu-nu
+        width = draw(st.integers(1, 6))
+        cell = st.lists(FLOAT, min_size=width, max_size=width)
+    elif shape == "dispersion":  # omega, k, vg, residual, evanescent flag
+        cell = st.tuples(FLOAT, FLOAT, FLOAT, FLOAT, st.integers(0, 1))
+    elif shape == "spectrum":  # n, l, then floats
+        cell = st.tuples(st.integers(1, 60), st.integers(0, 5), FLOAT, FLOAT,
+                         FLOAT, FLOAT)
+    else:  # dark-energy: text keys, float or text values
+        cell = st.tuples(TEXT, FLOAT | TEXT)
+    rows = draw(st.lists(cell, max_size=8))
+    width = len(rows[0]) if rows else draw(st.integers(2, 6))
+    header = draw(st.lists(TEXT.filter(bool), min_size=width,
+                           max_size=width))
+    return header, rows
+
+
+class TestRenderer:
+    @given(table_rows())
+    @example((["x", "y"], [[math.nan, -0.0], [math.inf, -math.inf],
+                           [5e-324, 1e308]]))
+    @example((["omega", "k", "vg", "residual", "evanescent"],
+              [(0.5, math.nan, math.nan, math.nan, 1), (1.0, 0.9, 1.1, 0.0, 0)]))
+    @example((["key", "value"], [("mass_density", 1.2e-27),
+                                 ("sign", 'a "quoted", two-line\ntext')]))
+    def test_matches_csv_writer_oracle(self, table):
+        header, rows = table
+        assert cli._render_table(header, rows, "csv") \
+            == render_csv_oracle(header, rows)
+
+
+# SHA-256 of the CSV and JSON output of the table subcommands: any change to
+# a printed number or to the text format shows here.
+TABLE_DIGESTS = {
+    "figure1": ("83d948b58b95813e107904f3eff0c72afebae60851653f9d17bc773ea930af28",
+                "313806af7221187208d53ad551f87acd950f91387b064444d1a2b5cce394ccd0"),
+    "dispersion": ("8fb43d20ce660564e003062d6d31028d1e87e62de0e7c5642e9b18e961c552a1",
+                   "505334e2d315c4ea10b35527396b79f511fb611527486dd67f573aeba3895e40"),
+    "dispersion --m 0.5": ("e616b4517bf8e80fbcfe834669dc8d08856b32e4702796458a21d6f9382a94d7",
+                           "b4112afb2434d3daa1d219a1e12ba8396719cf144e129d21db082608b051b566"),
+    "mu-nu --n 1": ("d59969116edadb56aa43a49e1f20e3d510bdab4736a925a47113463e2f755852",
+                    "1ff2ab9441d1909f6e07d91745b577168e86b211ccc7371965945e6fe838d921"),
+    "mu-nu --n 2": ("d1127313af008f484a2dedf502cdc9e9593b8115937a4706a22f389371b823cf",
+                    "65027e14ae2a075a0a42746db0792255e685a04098b143fe0e259b298d3c241a"),
+    "mu-nu --n 3": ("9698983f1cdfc88b9eebf5b1ba64866a27335e3b6db1bf98ca7e9286e5210444",
+                    "faa41dfb30ca33973316fe1babe515fb5f85423e43653c1b8c7e3c705fcd598a"),
+    "mu-nu --gamma 1e-3": ("38f05eb2c3ca43bd03a4d9833341be25eef2c9f3d2ad5e2b053c26e540ad4339",
+                           "440787e24e358476c2bcd33925204d160f2fd13761a3c848b1f3da512c910b86"),
+    "spectrum --x 1e-8": ("517b0985350b8ceec4ef60eb55c3f72e1145e0e10d8e5d7736e3f1d4bb484b7b",
+                          "80705538493068e46edf1b699e123d04d6081dc5f8c42f1cc538d5d07e020e2e"),
+    "dark-energy": ("4c1f33daf4fff64477477b1bd62b0d67749fed79aeb9a10902f0f32ced6fe0ad",
+                    "0aa3dd83a4422eea78d6baffbf42247fa182c357035464cebc367c0ffe72f5b7"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_DIGESTS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_bytes_pinned(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    want = TABLE_DIGESTS[command][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 # edge values for every float flag of the table subcommands, plus any float
 EDGE = st.sampled_from(["0", "-1", "1e-300", "1e-160", "0.5", "3", "709.7",
                         "1e4", "1e308", "nan", "inf", "-inf"]) \
@@ -406,6 +534,10 @@ class TestErrorPolicy:
     @example(["spectrum", "--x=1e-8", "--hbar=1e-300"])
     @example(["figure1", "--xmax=nan", "--n=3"])
     @example(["dark-energy", "--c=nan"])
+    @example(["mu-nu", "--n=1023"])
+    @example(["mu-nu", "--n=1e4"])
+    @example(["dark-energy", "--m-universe=1e308", "--r-universe=0.5",
+              "--c=1e4"])
     def test_exit_0_or_named_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -422,3 +554,13 @@ class TestErrorPolicy:
         # a non-finite flag value is refused before any table is made
         if any(a.split("=", 1)[1] in ("nan", "inf", "-inf") for a in argv[1:]):
             assert code == 2
+        # an exit-0 table is finite, but for the nan cells of evanescent
+        # dispersion rows
+        if code == 0:
+            header, rows = parse_csv(out.getvalue())
+            for row in rows:
+                if argv[0] == "dispersion" and row[-1] == "1":
+                    continue
+                for cell in row:
+                    with contextlib.suppress(ValueError):  # text cells
+                        assert math.isfinite(float(cell)), (header, row)

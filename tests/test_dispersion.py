@@ -111,3 +111,31 @@ class TestSweep:
         assert math.isnan(pts[0].k)  # omega=0 with m>0 is evanescent
         good = [p for p in pts if not math.isnan(p.k)]
         assert good and all(abs(p.residual) < 1e-10 for p in good)
+
+    def test_domain_checked_per_omega_not_per_evaluation(self, monkeypatch):
+        # the shell's domain check and k-free terms are done once per omega
+        # and shared by every brentq evaluation of the residual
+        checks, evaluations = [0], [0]
+        check, shell = D._check_domain, D._shell
+
+        def counted_check(*args):
+            checks[0] += 1
+            return check(*args)
+
+        def counted_shell(*args):
+            residual = shell(*args)
+
+            def f(k):
+                evaluations[0] += 1
+                return residual(k)
+            return f
+        monkeypatch.setattr(D, "_check_domain", counted_check)
+        monkeypatch.setattr(D, "_shell", counted_shell)
+        per_omega = []
+        for n in (1, 40):
+            checks[0] = evaluations[0] = 0
+            pts = D.sweep(np.linspace(1.0, 2.0, n), 0.3, LAM, C, HBAR)
+            assert not any(math.isnan(p.k) for p in pts)
+            per_omega.append(checks[0] / n)
+        assert evaluations[0] >= 10 * 40
+        assert per_omega[0] == per_omega[1] <= 4
