@@ -419,9 +419,10 @@ def table_rows(draw):
     """(header, rows) in the shapes the table subcommands produce."""
     shape = draw(st.sampled_from(["floats", "dispersion", "spectrum",
                                   "key-value"]))
-    if shape == "floats":  # figure1, mu-nu
+    if shape == "floats":  # figure1, mu-nu; numpy scalars print alike
         width = draw(st.integers(1, 6))
-        cell = st.lists(FLOAT, min_size=width, max_size=width)
+        cell = st.lists(FLOAT | FLOAT.map(np.float64), min_size=width,
+                        max_size=width)
     elif shape == "dispersion":  # omega, k, vg, residual, evanescent flag
         cell = st.tuples(FLOAT, FLOAT, FLOAT, FLOAT, st.integers(0, 1))
     elif shape == "spectrum":  # n, l, then floats
