@@ -93,15 +93,16 @@ def _propagating_k_squared(omega, m, lam, c, hbar):
 
 
 def solve_k(omega, m, lam, c, hbar):
-    """Spatial momentum on the shell; bracketing root-find cross-checked
-    against the closed form by the test suite."""
+    """Spatial momentum on the shell by brentq, capped at 100 iterations plus
+    log2(bracket / xtol); the test suite checks it against the closed form."""
     _propagating_k_squared(omega, m, lam, c, hbar)
     k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
     f = _shell(omega, m, lam, c, hbar)
     f0 = f(0.0)
     if f0 <= 0:
         return 0.0
-    return brentq(f, 0.0, k_hi, xtol=1e-12, rtol=8.9e-16)
+    return brentq(f, 0.0, k_hi, xtol=1e-12, rtol=8.9e-16,
+                  maxiter=100 + math.ceil(math.log2(k_hi / 1e-12)))
 
 
 def group_velocity(omega, m, lam, c, hbar):

@@ -1,4 +1,4 @@
-"""Exact normal-ordering engine for the bicrossproduct spacetime algebra.
+"""Exact production algebra of the bicrossproduct spacetime.
 
 Generators: commuting spatial coordinates x_1..x_d and a time generator t with
 [x_i, t] = i lam x_i, plus the 5D first-order calculus spanned by the basis
@@ -17,11 +17,14 @@ S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
                  + [(beta/2)(S^+ psi - S^- psi)
                     + (lam^2/2) S^+(Delta psi)] theta'
 
-Each follows from the generator relations (`_push_rules`) by induction on the
-word x^a t^n: x_i passes dx_i leaving i lam theta', which then meets t^n as
-(t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own theta' terms sum
-to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt plus
-(beta/2)((t + i lam)^n - (t - i lam)^n) theta'.
+Each follows by induction on the word x^a t^n from the generator relations
+theta' t = (t + i lam) theta', dt t = (t - i lam) dt + i lam beta theta',
+dt x_j = x_j dt - i lam dx_j and dx_i x_j = x_j dx_i + i lam delta_ij theta'
+(all other pairs commute): x_i passes dx_i leaving i lam theta', which then
+meets t^n as (t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own
+theta' terms sum to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt
+plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The oracle
+`verify.normal_order` applies the relations one generator at a time.
 """
 
 from __future__ import annotations
@@ -275,16 +278,6 @@ class NCOneForm:
         """elem * self (element coefficients multiply on the left: trivial)."""
         return NCOneForm(self.d, {w: elem * e for w, e in self.parts.items()})
 
-    def mul_gen(self, gen):
-        """Right-multiply by a generator ('t' or ('x', i)), pushing it left
-        past the basis one-form with the bimodule relations."""
-        d = self.d
-        out = NCOneForm(d)
-        for w, e in self.parts.items():
-            for u, wp, c in _push_rules(d, w, gen):
-                out = out + NCOneForm(d, {wp: (e * u).scale(c)})
-        return out
-
     def mul_elem(self, other):
         """Right-multiply by an NCElement psi.
 
@@ -297,9 +290,9 @@ class NCOneForm:
                          + [(beta/2)(S^+ psi - S^- psi)
                             + (lam^2/2) S^+(Delta psi)] theta'
 
-        Each follows from the relations in `_push_rules` by induction on the
-        word of a monomial (see the module docstring).  `mul_gen`, which
-        pushes one generator at a time, stays as the oracle."""
+        Each follows from the generator relations by induction on the word
+        of a monomial (see the module docstring).  `verify.mul_gen`, which
+        pushes one generator at a time, is the oracle."""
         d = self.d
         i_lam = Coeff.i_lam()
         half = Fraction(1, 2)
@@ -342,115 +335,13 @@ class NCOneForm:
     __repr__ = to_text
 
 
-def _push_rules(d, form, gen):
-    """Rewrite form * gen as a list of (element u, form', Coeff c) meaning
-    c * u * form'.  Implements the five bimodule relations."""
-    one = NCElement.one(d)
-    i_lam = Coeff.i_lam()
-    if gen == "t":
-        telem = NCElement.t(d)
-        if form == THETA:
-            # theta' t = (t + i lam) theta'
-            return [(telem, THETA, Coeff.one()), (one, THETA, i_lam)]
-        if form == DT:
-            # dt t = t dt - i lam dt + i lam beta theta'
-            return [(telem, DT, Coeff.one()), (one, DT, -i_lam),
-                    (one, THETA, i_lam * Coeff.beta())]
-        # [dx_i, t] = 0
-        return [(telem, form, Coeff.one())]
-    # gen = ('x', j)
-    j = gen[1]
-    xelem = NCElement.x(d, j)
-    if form == THETA:
-        return [(xelem, THETA, Coeff.one())]
-    if form == DT:
-        # dt x_j = x_j dt - i lam dx_j
-        return [(xelem, DT, Coeff.one()), (one, dx(j), -i_lam)]
-    # dx_i x_j = x_j dx_i + i lam delta_ij theta'
-    i = form[1]
-    rules = [(xelem, form, Coeff.one())]
-    if i == j:
-        rules.append((one, THETA, i_lam))
-    return rules
-
-
-# ---------------------------------------------------------------------------
-# word reduction and the exterior derivative
-# ---------------------------------------------------------------------------
-
-class TwoFormError(ValueError):
-    """Raised when a word contains more than one basis one-form factor."""
-
-
-def _check_tag(d, g):
-    if g in ("t", DT, THETA):
-        return
-    if (isinstance(g, tuple) and len(g) == 2 and g[0] in ("x", "dx")
-            and type(g[1]) is int and 1 <= g[1] <= d):
-        return
-    raise ValueError("invalid tag %r: expected 't', 'dt', \"theta'\", ('x', i) "
-                     "or ('dx', i) with 1 <= i <= %d" % (g, d))
-
-
-def normal_order(d, word, coeff=None):
-    """Reduce a word (sequence of generator/one-form tags) to canonical form.
-
-    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  Returns NCElement if the
-    word has no one-form factor, NCOneForm if it has exactly one; raises
-    TwoFormError otherwise (no 2-form relations in this calculus).  Any other
-    tag, or an index outside 1..d, raises ValueError.
-    """
-    for g in word:
-        _check_tag(d, g)
-    nforms = sum(1 for g in word if g == DT or g == THETA
-                 or (isinstance(g, tuple) and g[0] == "dx"))
-    if nforms > 1:
-        raise TwoFormError("word contains %d one-form factors" % nforms)
-    acc = NCElement.scalar(d, Coeff.one() if coeff is None else coeff)
-    form_acc = None
-    for g in word:
-        if form_acc is None:
-            if g == "t":
-                acc = acc * NCElement.t(d)
-            elif isinstance(g, tuple) and g[0] == "x":
-                acc = acc * NCElement.x(d, g[1])
-            else:
-                form_acc = NCOneForm(d, {g: acc})
-        else:
-            form_acc = form_acc.mul_gen(g)
-    return acc if form_acc is None else form_acc
-
-
-def _monomial_word(xpow, n):
-    word = []
-    for i, p in enumerate(xpow, start=1):
-        word.extend([("x", i)] * p)
-    word.extend(["t"] * n)
-    return word
-
-
-def exterior_d_leibniz(psi):
-    """d by the Leibniz rule on each monomial word: d(g1..gk) =
-    sum_j g1..g_{j-1} d(g_j) g_{j+1}..gk, reduced to canonical form.
-
-    Oracle only: the registry and the tests compare it with `exterior_d`."""
-    d = psi.d
-    out = NCOneForm.zero(d)
-    for (xpow, n), c in psi.terms.items():
-        word = _monomial_word(xpow, n)
-        for j, g in enumerate(word):
-            dg = DT if g == "t" else dx(g[1])
-            new_word = word[:j] + [dg] + word[j + 1:]
-            out = out + normal_order(d, new_word, c)
-    return out
-
-
 def exterior_d(psi):
     """Exterior derivative by the direct formula: spatial gradients, d0 and
     the constant-beta wave operator contracted against theta'.
 
-    Agreement with `exterior_d_leibniz` is checked by the registry check
-    `exactalg.eq-route-agreement` on every monomial of degree <= 8."""
+    Agreement with the Leibniz-rule oracle `verify.exterior_d_leibniz` is
+    checked by the registry check `exactalg.eq-route-agreement` on every
+    monomial of degree <= 8."""
     d = psi.d
     out = NCOneForm.zero(d)
     for i in range(1, d + 1):
@@ -483,6 +374,6 @@ def commutator_d(psi):
         out = NCOneForm(
             d, {w: NCElement(d, {k: -(c.div_i_lam(1)) for k, c in e.terms.items()})
                 for w, e in comm.parts.items()})
-    except ArithmeticError as exc:  # pragma: no cover - rewrite-engine bug guard
+    except ArithmeticError as exc:  # pragma: no cover - mul_elem bug guard
         raise AssertionError("[theta, psi] not divisible by lam: %s" % exc)
     return out

@@ -239,7 +239,8 @@ def delta0_general(f, lam, mu, nu, beta):
 # operator symbols on the pure mode e^{-i omega t}
 # ---------------------------------------------------------------------------
 # Written as independent closed forms (not by applying the operators), so the
-# symbol-consistency tests are a genuine cross-check.
+# symbol-consistency tests are a genuine cross-check.  `spectrum` uses these
+# three; the power-law and general symbols are oracles in `verify`.
 
 def symbol_d0(omega, lam):
     return (1 - cmath.exp(-omega * lam)) / (1j * lam)
@@ -255,29 +256,6 @@ def symbol_delta0_const(omega, lam, beta):
 def symbol_delta0_hybrid(omega, lam):
     return (1.0 / (1j * lam)) * (-1j * omega
                                  - (1 - cmath.exp(-omega * lam)) / (1j * lam))
-
-
-def symbol_delta0_power(omega, lam, n):
-    if abs(n - 1) < POWER_WINDOW:
-        return symbol_delta0_hybrid(omega, lam) * cmath.exp(omega * lam)
-    if abs(n - 2) < POWER_WINDOW:
-        zeta = cmath.exp(omega * lam)
-        return (symbol_d0(omega, lam) * zeta ** 2
-                + 1j * omega * zeta) / (1j * lam)
-    e = cmath.exp
-    num = (e(omega * lam) + (1 - n) * e(-(1 - n) * omega * lam)
-           - (2 - n) * e(n * omega * lam))
-    return num / ((1j * lam) ** 2 * (2 - n) * (1 - n))
-
-
-def symbol_delta0_general(omega, lam, mu, nu, beta):
-    _check_nondegenerate(mu, nu)
-    a2 = -(beta / mu - 1)
-    a3 = 1 - beta / (nu + mu)
-    e = cmath.exp
-    num = (nu * e(omega * lam) + mu * e(omega * lam * a2)
-           - (nu + mu) * e(omega * lam * a3))
-    return num / (1j * lam) ** 2
 
 
 # ---------------------------------------------------------------------------

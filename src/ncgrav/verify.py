@@ -3,12 +3,15 @@
 Each check is a function level -> (ok, measured) where level is "fast" or
 "full" (full uses more samples and finer grids).  The CLI `verify` subcommand
 runs the registry and exits nonzero if anything fails.  The seeded sample
-generators `random_element` and `random_tf` and the monomial set `monomials`
-are shared with the test suite.
+generators `random_element` and `random_tf`, the monomial set `monomials` and
+the oracles are shared with the test suite.  The oracles are the second routes
+that no production module calls: the word-rewriting engine `normal_order`
+(with `mul_gen`), `exterior_d_leibniz`, and two Delta_0 symbols.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -23,9 +26,10 @@ from . import spectrum as S
 from . import timeops as T
 from . import waveops as W
 from .coeff import Coeff
-from .exactalg import (DT, THETA, NCElement, commutator_d, dx, exterior_d,
-                       exterior_d_leibniz, normal_order)
-from .timeops import TimeFunction as TF
+from .exactalg import (DT, THETA, NCElement, NCOneForm, commutator_d, dx,
+                       exterior_d)
+from .timeops import (POWER_WINDOW, TimeFunction as TF, _check_nondegenerate,
+                      symbol_d0, symbol_delta0_hybrid)
 
 CHECKS = []
 
@@ -75,6 +79,118 @@ def monomials():
     return [NCElement.monomial(3, (a1, a2, a3), n)
             for a1, a2, a3, n in itertools.product(range(top + 1), repeat=4)
             if a1 + a2 + a3 + n <= top]
+
+
+# -- exact oracles: the word-rewriting engine and the Leibniz-rule d ---------
+
+def mul_gen(form, gen):
+    """Right-multiply the one-form `form` by a generator ('t' or ('x', i)),
+    pushing it left past the basis one-form with the bimodule relations."""
+    d = form.d
+    out = NCOneForm(d)
+    for w, e in form.parts.items():
+        for u, wp, c in _push_rules(d, w, gen):
+            out = out + NCOneForm(d, {wp: (e * u).scale(c)})
+    return out
+
+
+def _push_rules(d, form, gen):
+    """Rewrite form * gen as a list of (element u, form', Coeff c) meaning
+    c * u * form'.  Implements the five bimodule relations."""
+    one = NCElement.one(d)
+    i_lam = Coeff.i_lam()
+    if gen == "t":
+        telem = NCElement.t(d)
+        if form == THETA:
+            # theta' t = (t + i lam) theta'
+            return [(telem, THETA, Coeff.one()), (one, THETA, i_lam)]
+        if form == DT:
+            # dt t = t dt - i lam dt + i lam beta theta'
+            return [(telem, DT, Coeff.one()), (one, DT, -i_lam),
+                    (one, THETA, i_lam * Coeff.beta())]
+        # [dx_i, t] = 0
+        return [(telem, form, Coeff.one())]
+    # gen = ('x', j)
+    j = gen[1]
+    xelem = NCElement.x(d, j)
+    if form == THETA:
+        return [(xelem, THETA, Coeff.one())]
+    if form == DT:
+        # dt x_j = x_j dt - i lam dx_j
+        return [(xelem, DT, Coeff.one()), (one, dx(j), -i_lam)]
+    # dx_i x_j = x_j dx_i + i lam delta_ij theta'
+    i = form[1]
+    rules = [(xelem, form, Coeff.one())]
+    if i == j:
+        rules.append((one, THETA, i_lam))
+    return rules
+
+
+class TwoFormError(ValueError):
+    """Raised when a word contains more than one basis one-form factor."""
+
+
+def _check_tag(d, g):
+    if g in ("t", DT, THETA):
+        return
+    if (isinstance(g, tuple) and len(g) == 2 and g[0] in ("x", "dx")
+            and type(g[1]) is int and 1 <= g[1] <= d):
+        return
+    raise ValueError("invalid tag %r: expected 't', 'dt', \"theta'\", ('x', i) "
+                     "or ('dx', i) with 1 <= i <= %d" % (g, d))
+
+
+def normal_order(d, word, coeff=None):
+    """Reduce a word (sequence of generator/one-form tags) to canonical form.
+
+    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  Returns NCElement if the
+    word has no one-form factor, NCOneForm if it has exactly one; raises
+    TwoFormError otherwise (no 2-form relations in this calculus).  Any other
+    tag, or an index outside 1..d, raises ValueError.
+    """
+    for g in word:
+        _check_tag(d, g)
+    nforms = sum(1 for g in word if g == DT or g == THETA
+                 or (isinstance(g, tuple) and g[0] == "dx"))
+    if nforms > 1:
+        raise TwoFormError("word contains %d one-form factors" % nforms)
+    acc = NCElement.scalar(d, Coeff.one() if coeff is None else coeff)
+    form_acc = None
+    for g in word:
+        if form_acc is None:
+            if g == "t":
+                acc = acc * NCElement.t(d)
+            elif isinstance(g, tuple) and g[0] == "x":
+                acc = acc * NCElement.x(d, g[1])
+            else:
+                form_acc = NCOneForm(d, {g: acc})
+        else:
+            form_acc = mul_gen(form_acc, g)
+    return acc if form_acc is None else form_acc
+
+
+def _monomial_word(xpow, n):
+    word = []
+    for i, p in enumerate(xpow, start=1):
+        word.extend([("x", i)] * p)
+    word.extend(["t"] * n)
+    return word
+
+
+def exterior_d_leibniz(psi):
+    """d by the Leibniz rule on each monomial word: d(g1..gk) =
+    sum_j g1..g_{j-1} d(g_j) g_{j+1}..gk, reduced to canonical form.
+
+    Oracle only: the registry and the tests compare it with `exterior_d`."""
+    d = psi.d
+    out = NCOneForm.zero(d)
+    for (xpow, n), c in psi.terms.items():
+        word = _monomial_word(xpow, n)
+        for j, g in enumerate(word):
+            dg = DT if g == "t" else dx(g[1])
+            new_word = word[:j] + [dg] + word[j + 1:]
+            out = out + normal_order(d, new_word, c)
+    return out
 
 
 # -- exact calculus ----------------------------------------------------------
@@ -132,7 +248,7 @@ def _(level):
         part = normal_order(3, left)
         if has_form:
             for g in right:
-                part = part.mul_gen(g)
+                part = mul_gen(part, g)
         else:
             rest = normal_order(3, right)
             part = part * rest if isinstance(rest, NCElement) \
@@ -189,6 +305,29 @@ def _(level):
     return worst < 1e-12, "max rel dev %.2e over %d pairs" % (worst, n)
 
 
+def symbol_delta0_power(omega, lam, n):
+    if abs(n - 1) < POWER_WINDOW:
+        return symbol_delta0_hybrid(omega, lam) * cmath.exp(omega * lam)
+    if abs(n - 2) < POWER_WINDOW:
+        zeta = cmath.exp(omega * lam)
+        return (symbol_d0(omega, lam) * zeta ** 2
+                + 1j * omega * zeta) / (1j * lam)
+    e = cmath.exp
+    num = (e(omega * lam) + (1 - n) * e(-(1 - n) * omega * lam)
+           - (2 - n) * e(n * omega * lam))
+    return num / ((1j * lam) ** 2 * (2 - n) * (1 - n))
+
+
+def symbol_delta0_general(omega, lam, mu, nu, beta):
+    _check_nondegenerate(mu, nu)
+    a2 = -(beta / mu - 1)
+    a3 = 1 - beta / (nu + mu)
+    e = cmath.exp
+    num = (nu * e(omega * lam) + mu * e(omega * lam * a2)
+           - (nu + mu) * e(omega * lam * a3))
+    return num / (1j * lam) ** 2
+
+
 @check("timeops.symbol-consistency")
 def _(level):
     rng = random.Random(7)
@@ -201,9 +340,9 @@ def _(level):
             (T.symbol_delta0_const(w, lam, -1.0),
              T.delta0_const(mode, lam, -1.0)),
             (T.symbol_delta0_hybrid(w, lam), T.delta0_hybrid(mode, lam)),
-            (T.symbol_delta0_power(w, lam, 3),
+            (symbol_delta0_power(w, lam, 3),
              T.delta0_power(mode, lam, 3)),
-            (T.symbol_delta0_general(w, lam, 0.4, 0.3, 0.9),
+            (symbol_delta0_general(w, lam, 0.4, 0.3, 0.9),
              T.delta0_general(mode, lam, 0.4, 0.3, 0.9)),
         ]
         for sym, applied in pairs:

@@ -21,7 +21,7 @@ from ncgrav import spectrum as S
 from ncgrav import timeops as T
 from ncgrav import verify as V
 from ncgrav import waveops as W
-from ncgrav.exactalg import commutator_d, exterior_d, exterior_d_leibniz
+from ncgrav.exactalg import commutator_d, exterior_d
 from ncgrav.timeops import TimeFunction as TF
 
 
@@ -90,7 +90,7 @@ def test_criterion_05_exact_calculus():
     t0 = time.perf_counter()
     ok = True
     for psi in V.monomials():
-        ok = ok and exterior_d_leibniz(psi) == exterior_d(psi)
+        ok = ok and V.exterior_d_leibniz(psi) == exterior_d(psi)
         ok = ok and exterior_d(psi) == commutator_d(psi)
     rng = random.Random(20260824)
     for _ in range(200):

@@ -539,6 +539,8 @@ class TestErrorPolicy:
     @example(["mu-nu", "--n=1e4"])
     @example(["dark-energy", "--m-universe=1e308", "--r-universe=0.5",
               "--c=1e4"])
+    @example(["dispersion", "--lam=1e-30", "--n=3"])
+    @example(["dispersion", "--lam=5e-31", "--m=5e-31", "--n=3"])
     def test_exit_0_or_named_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -69,6 +69,16 @@ class TestSolveK:
         with pytest.raises(D.EvanescentModeError):
             D.solve_k(0.01, 5.0, LAM, C, HBAR)
 
+    @pytest.mark.parametrize("lam", [1e-30, 1e-100, 1e-150])
+    def test_tiny_lam_converges(self, lam):
+        # the bracket is about 1/(c lam) wide, yet the root sits near k = 1:
+        # brentq needs more than 100 iterations to reach xtol = 1e-12
+        for omega in (0.5, 1.0, 2.0):
+            for m in (0.0, 0.3):
+                k = D.solve_k(omega, m, lam, C, HBAR)
+                want = math.sqrt(D.k_squared_closed(omega, m, lam, C, HBAR))
+                assert abs(k - want) <= 1e-12
+
 
 class TestGroupVelocity:
     def test_massless_closed_form(self):

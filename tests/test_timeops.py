@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
-from ncgrav.verify import random_tf
+from ncgrav.verify import random_tf, symbol_delta0_general, symbol_delta0_power
 
 LAM = 0.3
 
@@ -192,13 +192,13 @@ class TestSymbols:
                  T.delta0_const(mode, LAM, -1.0)),
                 (T.symbol_delta0_hybrid(omega, LAM),
                  T.delta0_hybrid(mode, LAM)),
-                (T.symbol_delta0_power(omega, LAM, 3),
+                (symbol_delta0_power(omega, LAM, 3),
                  T.delta0_power(mode, LAM, 3)),
-                (T.symbol_delta0_power(omega, LAM, 1),
+                (symbol_delta0_power(omega, LAM, 1),
                  T.delta0_power(mode, LAM, 1)),
-                (T.symbol_delta0_power(omega, LAM, 2),
+                (symbol_delta0_power(omega, LAM, 2),
                  T.delta0_power(mode, LAM, 2)),
-                (T.symbol_delta0_general(omega, LAM, 0.4, 0.3, 0.9),
+                (symbol_delta0_general(omega, LAM, 0.4, 0.3, 0.9),
                  T.delta0_general(mode, LAM, 0.4, 0.3, 0.9)),
             ]
             for sym, applied in checks:
