@@ -13,10 +13,6 @@ ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "symbol_delta0_power", "symbol_delta0_general"}
 
 
-def _parse(path):
-    return ast.parse(path.read_text(), filename=str(path))
-
-
 def _imports_verify(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -44,7 +40,8 @@ def _defined(tree):
 
 
 def test_oracles_live_only_in_verify():
-    trees = {p.name: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
     assert [name for name, tree in trees.items()
             if _imports_verify(tree)] == ["cli.py"]
     # ast.walk reaches the methods, so NCOneForm.mul_gen would show here too
