@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncgrav import exactalg
+from ncgrav import exactalg, verify
 from ncgrav.coeff import Coeff
 from ncgrav.exactalg import (
     DT,
@@ -259,6 +259,19 @@ class TestBimoduleAction:
             ((xpow, n), _c), = m.terms.items()
             assert w.mul_elem(m) == normal_order(D, [form] + _monomial_word(xpow, n))
 
+    def test_makes_no_generator_push(self, monkeypatch):
+        rng = random.Random(19)
+        omega = exterior_d(random_element(rng))
+        psi = random_element(rng)
+        want = omega.mul_elem(psi)
+
+        def push(_form, _gen):
+            raise AssertionError("mul_elem pushed a single generator")
+
+        monkeypatch.setattr(verify, "mul_gen", push)
+        monkeypatch.setattr(verify, "_push_rules", push)
+        assert omega.mul_elem(psi) == want
+
     def test_shift_table_is_shared_tuple(self):
         table = exactalg._t_power_shifted(3, 1)
         assert isinstance(table, tuple)
@@ -355,6 +368,16 @@ class TestExteriorD:
                 continue
             psi = NCElement.monomial(D, (a1, a2, a3), n)
             assert exterior_d_leibniz(psi) == exterior_d(psi)
+
+    def test_production_route_skips_the_oracle(self, monkeypatch):
+        psi = NCElement.x(D, 1) * NCElement.x(D, 1) * NCElement.t(D)
+        want = exterior_d_leibniz(psi)
+
+        def oracle(_psi):
+            raise AssertionError("exterior_d reached the Leibniz oracle")
+
+        monkeypatch.setattr(verify, "exterior_d_leibniz", oracle)
+        assert exactalg.exterior_d(psi) == want
 
     def test_leibniz_product_rule(self):
         rng = random.Random(11)
