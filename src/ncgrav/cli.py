@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error
 or an input outside the domain (a ValueError or ArithmeticError out of the
 library, reported by `main` as "error: ..." with no traceback).  A table
 that exits 0 holds only finite numbers, except the documented nan cells of
-evanescent `dispersion` rows; `mu-nu` and `dark-energy` refuse a non-finite
-column with exit 2.
+evanescent `dispersion` rows; `dispersion` (vg), `mu-nu` and `dark-energy`
+refuse a non-finite column with exit 2.
 Each table's columns come from whole-grid library calls; the CLI only
 checks and formats them.  There is one render path: each CSV row is one
 %-format built from its cell types, every float printed as %.12e, so
@@ -124,6 +124,11 @@ def cmd_dispersion(args):
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     header = ["omega", "k", "vg", "residual", "evanescent"]
     points = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
+    for p in points:
+        if not (math.isnan(p.k) or math.isfinite(p.vg)):
+            raise ValueError("dispersion column vg is %r at omega = %g: "
+                             "d omega / d k passes the float range there"
+                             % (p.vg, p.omega))
     rows = [[p.omega, p.k, p.vg, p.residual, int(math.isnan(p.k))]
             for p in points]
     _write_output(args.output, _render_table(header, rows, args.format))

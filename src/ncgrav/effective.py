@@ -51,27 +51,36 @@ class EffectiveParams:
     V0: float
 
 
-def _ratios(x):
-    """(m_I/m, m_G/m, V0/(m c^2)) at dimensionless x, cancellation-safe."""
+def _mg_ratio(x):
+    """m_G/m at dimensionless x, cancellation-safe; the one route to m_G."""
     if x > X_MAX:
         raise ValueError("x = m/m_p = %g is above %.6f, where sinh(x) "
                          "overflows" % (x, X_MAX))
     if x < SMALL_X:
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
-            mi = mpmath.sinh(xm) / xm * mpmath.exp(-xm)
-            mg = (xm + mpmath.exp(-xm) - 1) / (xm / 2 * mpmath.sinh(xm))
-            v0 = xm / mpmath.sinh(xm) * (1 - mpmath.sinh(xm / 2) / (xm / 2))
-            return float(mi), float(mg), float(v0)
+            return float((xm + mpmath.exp(-xm) - 1)
+                         / (xm / 2 * mpmath.sinh(xm)))
     x = float(x)  # a numpy scalar would warn where den overflows below
-    mi = math.sinh(x) / x * math.exp(-x)
     # x + e^{-x} - 1 written via expm1: the numerator is ~x^2/2 at small x
     den = x / 2 * math.sinh(x)
     if math.isinf(den):
         # x sinh(x) / 2 overflows above x ~ 704.61: divide by each factor
-        mg = (x + math.expm1(-x)) / (x / 2) / math.sinh(x)
-    else:
-        mg = (x + math.expm1(-x)) / den
+        return (x + math.expm1(-x)) / (x / 2) / math.sinh(x)
+    return (x + math.expm1(-x)) / den
+
+
+def _ratios(x):
+    """(m_I/m, m_G/m, V0/(m c^2)) at dimensionless x, cancellation-safe."""
+    mg = _mg_ratio(x)  # checks x
+    if x < SMALL_X:
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            mi = mpmath.sinh(xm) / xm * mpmath.exp(-xm)
+            v0 = xm / mpmath.sinh(xm) * (1 - mpmath.sinh(xm / 2) / (xm / 2))
+            return float(mi), mg, float(v0)
+    x = float(x)
+    mi = math.sinh(x) / x * math.exp(-x)
     v0 = x / math.sinh(x) * (1 - math.sinh(x / 2) / (x / 2))
     return mi, mg, v0
 
@@ -93,7 +102,8 @@ def mI_over_mp(x):
 
 def mG_over_mp(x):
     x = np.asarray(x, dtype=float)
-    return x * np.array([_ratios(v)[1] for v in np.atleast_1d(x)]).reshape(x.shape)
+    return x * np.array([_mg_ratio(v)
+                         for v in np.atleast_1d(x)]).reshape(x.shape)
 
 
 def V0_over_mpc2(x):

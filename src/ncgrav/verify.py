@@ -528,13 +528,12 @@ def _(level):
     lam, c, hbar = 0.1, 1.0, 1.0
     worst = 0.0
     n_m = 10 if level == "full" else 3
-    for w in np.linspace(0.5, 3.0, 50):
-        for m in np.linspace(0.0, 0.4, n_m):
-            k2 = D.k_squared_closed(w, m, lam, c, hbar)
+    for m in np.linspace(0.0, 0.4, n_m):
+        for p in D.sweep(np.linspace(0.5, 3.0, 50), m, lam, c, hbar):
+            k2 = D.k_squared_closed(p.omega, m, lam, c, hbar)
             if k2 <= 1e-6:
                 continue
-            k = D.solve_k(w, m, lam, c, hbar)
-            worst = max(worst, abs(k - math.sqrt(k2)) / math.sqrt(k2))
+            worst = max(worst, abs(p.k - math.sqrt(k2)) / math.sqrt(k2))
     return worst < 1e-10, "max rel dev %.2e" % worst
 
 

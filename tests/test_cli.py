@@ -170,9 +170,8 @@ class TestDispersion:
     @pytest.mark.parametrize("argv, words", [
         (("--omega-max", "1e4"), "exp(omega lam) overflows"),
         (("--lam", "1e-300"), "(c lam)^2 underflows"),
-        (("--omega-max", "709.7", "--n", "3"),
-         "omega = 709.7, lam = 1 is not finite (a term is nan or beyond the "
-         "float limit"),
+        (("--omega-max", "354.8", "--lam", "2", "--c", "0.7", "--n", "3"),
+         "dispersion column vg is inf at omega = 354.8"),
         (("--lam", "1e-160", "--n", "3"),
          "omega = 1, lam = 1e-160 is not finite (a term is nan or beyond the "
          "float limit"),
@@ -181,6 +180,18 @@ class TestDispersion:
         code, out, err = run_cli(capsys, "dispersion", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and words in err
+
+    def test_bracket_end_overflow_exits_0(self, capsys):
+        # -k_hi^2 e^{omega lam} overflows at omega lam = 709.7; that lane's
+        # bracket ends where the term is finite, and k is solved
+        code, out, _ = run_cli(capsys, "dispersion", "--omega-max", "709.7",
+                               "--n", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        omega, k = float(rows[-1][0]), float(rows[-1][1])
+        assert omega == 709.7 and rows[-1][4] == "0"
+        assert abs(k - math.sqrt(D.k_squared_closed(omega, 0.0, 1.0, 1.0,
+                                                    1.0))) <= 1e-12
 
 
 class TestSpectrum:
@@ -541,6 +552,9 @@ class TestErrorPolicy:
               "--c=1e4"])
     @example(["dispersion", "--lam=1e-30", "--n=3"])
     @example(["dispersion", "--lam=5e-31", "--m=5e-31", "--n=3"])
+    @example(["dispersion", "--omega-max=709.7", "--n=3"])
+    @example(["dispersion", "--omega-max=354.8", "--lam=2", "--c=0.7",
+              "--n=3"])
     def test_exit_0_or_named_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

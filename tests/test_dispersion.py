@@ -1,13 +1,92 @@
-"""Deformed mass shell: closed forms vs root-finder, group velocity, bounds."""
+"""Deformed mass shell: closed forms vs root-finder, group velocity, bounds,
+and the lockstep solver bit for bit against scipy's brentq."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ncgrav import dispersion as D
 
 LAM, C, HBAR = 0.1, 1.0, 1.0
+
+
+# -- oracle: the scalar residual and scipy's brentq, one omega at a time -----
+
+def _oracle_shell(omega, m, lam, c, hbar):
+    D._check_domain(omega, lam, c)
+    u = omega * lam
+    eu = math.exp(u)
+    t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
+    t3 = (m * c / hbar) ** 2
+
+    def residual(k):
+        t1 = -k ** 2 * eu
+        scale = max(abs(t1), abs(t2), abs(t3))
+        if scale == 0:
+            return 0.0
+        res = (t1 + t2 - t3) / scale
+        if math.isnan(res):
+            raise ValueError("shell residual at omega = %g is not finite"
+                             % omega)
+        return res
+    return residual
+
+
+def _oracle_k_squared(omega, m, lam, c, hbar):
+    k2 = D.k_squared_closed(omega, m, lam, c, hbar)
+    if k2 < 0:
+        raise D.EvanescentModeError("no propagating mode")
+    return k2
+
+
+def _oracle_point(omega, m, lam, c, hbar):
+    """(k, vg, residual) at one omega, as brentq and the scalar residual
+    give them."""
+    _oracle_k_squared(omega, m, lam, c, hbar)
+    k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
+    f = _oracle_shell(omega, m, lam, c, hbar)
+    if f(0.0) <= 0:
+        k = 0.0
+    else:
+        k = brentq(f, 0.0, k_hi, xtol=1e-12, rtol=8.9e-16,
+                   maxiter=100 + math.ceil(math.log2(k_hi / 1e-12)))
+    kc = math.sqrt(_oracle_k_squared(omega, m, lam, c, hbar))
+    u = omega * lam
+    eu = math.exp(u)
+    denom = -kc ** 2 * lam * eu + (2.0 / (c ** 2 * lam)) * math.sinh(u)
+    if denom == 0:
+        if m != 0:
+            raise D.EvanescentModeError("stationary shell")
+        vg = c
+    else:
+        vg = 2 * kc * eu / denom
+    return k, vg, _oracle_shell(omega, m, lam, c, hbar)(k)
+
+
+def _oracle_outcome(omega, m, lam, c, hbar):
+    """Bits of (k, vg, residual), "evanescent", or the error type."""
+    try:
+        return _bits(_oracle_point(omega, m, lam, c, hbar))
+    except D.EvanescentModeError:
+        return "evanescent"
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _bracket_end_overflows(omega, m, lam, c, hbar):
+    """-k_hi^2 e^{omega lam} is not finite: the lanes whose bracket shrinks."""
+    k_hi = 1.0 / (c * lam) + m * c / hbar + 1.0
+    try:
+        return math.isinf(k_hi ** 2 * math.exp(omega * lam))
+    except (OverflowError, ValueError):
+        return True
 
 
 class TestShellResidual:
@@ -80,6 +159,24 @@ class TestSolveK:
                 assert abs(k - want) <= 1e-12
 
 
+    def test_nan_term_passed_over_as_max_does(self):
+        # (c lam)^2 is subnormal, so 2/(c lam)^2 overflows and the sinh^2
+        # term is inf * 0 = nan at omega = 0; Python's max(0.0, nan, 0.0) is
+        # 0.0, so the residual is 0 and k = 0 (np.maximum would give nan)
+        assert D.solve_k(0.0, 0.0, 1e-154, C, HBAR) == 0.0
+        p = D.sweep([0.0], 0.0, 1e-154, C, HBAR)[0]
+        assert (p.k, p.vg, p.residual) == (0.0, C, 0.0)
+
+    @pytest.mark.parametrize("omega", [708.5, 709.0, 709.7, 709.78])
+    def test_bracket_end_overflow_solved(self, omega):
+        # -k_hi^2 e^{omega lam} overflows at k_hi = 2; the bracket ends at
+        # the largest k where it is finite, and the root k ~ 1 lies inside
+        assert _bracket_end_overflows(omega, 0.0, 1.0, C, HBAR)
+        k = D.solve_k(omega, 0.0, 1.0, C, HBAR)
+        want = math.sqrt(D.k_squared_closed(omega, 0.0, 1.0, C, HBAR))
+        assert abs(k - want) <= 1e-12
+
+
 class TestGroupVelocity:
     def test_massless_closed_form(self):
         for omega in np.linspace(0.01, 2.0, 30):
@@ -123,29 +220,84 @@ class TestSweep:
         assert good and all(abs(p.residual) < 1e-10 for p in good)
 
     def test_domain_checked_per_omega_not_per_evaluation(self, monkeypatch):
-        # the shell's domain check and k-free terms are done once per omega
-        # and shared by every brentq evaluation of the residual
+        # the domain check runs once per omega, and every lane shares each
+        # array evaluation of the residual: their number is that of the
+        # Brent steps, not of the omegas
         checks, evaluations = [0], [0]
-        check, shell = D._check_domain, D._shell
+        check, residual = D._check_domain, D._Shell.residual
 
         def counted_check(*args):
             checks[0] += 1
             return check(*args)
 
-        def counted_shell(*args):
-            residual = shell(*args)
-
-            def f(k):
-                evaluations[0] += 1
-                return residual(k)
-            return f
+        def counted_residual(*args):
+            evaluations[0] += 1
+            return residual(*args)
         monkeypatch.setattr(D, "_check_domain", counted_check)
-        monkeypatch.setattr(D, "_shell", counted_shell)
-        per_omega = []
-        for n in (1, 40):
+        monkeypatch.setattr(D._Shell, "residual", counted_residual)
+        counts = []
+        for n in (4, 400):
             checks[0] = evaluations[0] = 0
-            pts = D.sweep(np.linspace(1.0, 2.0, n), 0.3, LAM, C, HBAR)
+            omegas = np.repeat(np.linspace(1.0, 2.0, 4), n // 4)
+            pts = D.sweep(omegas, 0.3, LAM, C, HBAR)
             assert not any(math.isnan(p.k) for p in pts)
-            per_omega.append(checks[0] / n)
-        assert evaluations[0] >= 10 * 40
-        assert per_omega[0] == per_omega[1] <= 4
+            assert checks[0] == n
+            counts.append(evaluations[0])
+        assert 5 <= counts[0] == counts[1] <= 30
+
+
+# the omega grids of the cli-tables benchmark: 4,000 points, m = 0 and 0.5
+CLI_GRIDS = [(lo, lo + 2.0, m) for lo in (0.0, 0.01, 0.02, 0.03)
+             for m in (0.0, 0.5)]
+
+# edge values: subnormal and tiny lam (the brentq iteration cap), Python's
+# max with a nan term, omega lam near U_MAX (the bracket end overflows),
+# huge m, and c far from 1
+EDGE_LAM = [1e-320, 1e-160, 1e-155, 1e-154, 1e-150, 5e-31, 1e-30, 1e-3, 0.1,
+            1.0, 1e3, 1e300]
+EDGE_M = [0.0, -0.5, 5e-31, 0.3, 1.0, 1e100, 1.3e154]
+EDGE_C = [1.0, 0.5, 1e100]
+EDGE_OMEGA = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 100.0, 354.85, 708.0,
+              709.0, 709.5, 709.7, 709.78, 1e4]
+
+
+class TestBrentqOracle:
+    """The lockstep solver against scipy's brentq on the scalar residual:
+    k, vg and the residual agree bit for bit, and a failing omega fails
+    with the same exception type."""
+
+    @pytest.mark.parametrize("lo, hi, m", CLI_GRIDS)
+    def test_cli_grid_bits(self, lo, hi, m):
+        omegas = np.linspace(lo, hi, 4000)
+        got = [_bits((p.k, p.vg, p.residual))
+               for p in D.sweep(omegas, m, 1.0, 1.0, 1.0)]
+        want = [_oracle_outcome(float(w), m, 1.0, 1.0, 1.0) for w in omegas]
+        nan = _bits([math.nan] * 3)
+        assert got == [nan if w == "evanescent" else w for w in want]
+
+    def test_edge_sweep(self):
+        for lam, m, c in itertools.product(EDGE_LAM, EDGE_M, EDGE_C):
+            args = (m, lam, c, 1.0)
+            want = [_oracle_outcome(w, *args) for w in EDGE_OMEGA]
+            shell = D._Shell(EDGE_OMEGA, *args)
+            k, vg, res = shell.sweep()
+            for i, (omega, w) in enumerate(zip(EDGE_OMEGA, want)):
+                # past the first omega whose closed form fails, a lane
+                # carries that error, as a loop over omega stops there
+                err = shell.errors.get(min(i, shell.n))
+                got = "evanescent" if isinstance(err, D.EvanescentModeError) \
+                    else type(err) if err is not None \
+                    else _bits((k[i], vg[i], res[i]))
+                if got != w:  # only where the old bracket end overflowed
+                    assert w is ValueError, (omega, args, got, w)
+                    assert _bracket_end_overflows(omega, *args)
+                    if isinstance(got, tuple):
+                        kc = math.sqrt(D.k_squared_closed(omega, *args))
+                        assert abs(k[i] - kc) <= 1e-12, (omega, args)
+            # a whole sweep raises the error of its first failing omega
+            first = next((w for w in want if isinstance(w, type)), None)
+            if first is None:
+                continue
+            with pytest.raises(Exception) as info:
+                D.sweep(EDGE_OMEGA, *args)
+            assert type(info.value) is first, (args, info.value)

@@ -48,3 +48,21 @@ def test_oracles_live_only_in_verify():
     for name in ("exactalg.py", "timeops.py"):
         assert not ORACLES & _defined(trees[name]), name
     assert ORACLES <= _defined(trees["verify.py"])
+
+
+def _uses_brentq(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and any(a.name == "brentq" for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "brentq":
+            return True
+    return False
+
+
+def test_brentq_only_in_verify():
+    # production solves the shell with its own lockstep Brent; scipy's
+    # brentq is an oracle (in the tests, or in verify)
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if _uses_brentq(ast.parse(p.read_text(), filename=str(p)))]
+    assert set(users) <= {"verify.py"}, users
