@@ -555,6 +555,7 @@ class TestErrorPolicy:
     @example(["dispersion", "--omega-max=709.7", "--n=3"])
     @example(["dispersion", "--omega-max=354.8", "--lam=2", "--c=0.7",
               "--n=3"])
+    @example(["dispersion", "--c=1e-160", "--omega-max=1e-300", "--n=5"])
     def test_exit_0_or_named_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -158,7 +158,6 @@ class TestSolveK:
                 want = math.sqrt(D.k_squared_closed(omega, m, lam, C, HBAR))
                 assert abs(k - want) <= 1e-12
 
-
     def test_nan_term_passed_over_as_max_does(self):
         # (c lam)^2 is subnormal, so 2/(c lam)^2 overflows and the sinh^2
         # term is inf * 0 = nan at omega = 0; Python's max(0.0, nan, 0.0) is
