@@ -13,6 +13,9 @@ identical configs give byte-identical CSV.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
+Only `spectrum` (its eigensolve) and `verify` load scipy: `verify` is imported
+in `cmd_verify`, and every scipy import sits in the function that uses it, so
+the other subcommands start without scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from . import dispersion as D
 from . import effective as E
 from . import geometry as G
 from . import spectrum as S
-from . import verify as V
 
 FMT = "%.12e"
 
@@ -201,6 +203,7 @@ def cmd_dark_energy(args):
 
 
 def cmd_verify(args):
+    from . import verify as V  # here, so that no table subcommand loads scipy
     level = "full" if args.full else "fast"
     rep = V.run(level)
     for c in rep["checks"]:

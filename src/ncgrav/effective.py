@@ -7,9 +7,14 @@ the Planck time, with m_p = hbar/(lam c^2)):
     m_G = m (x + e^{-x} - 1) / ((x/2) sinh x)
     V_0 = m c^2 (x / sinh x)(1 - sinh(x/2)/(x/2))
 
-For x below 1e-4 the closed forms lose digits to cancellation; they are then
-evaluated in extended precision (mpmath) rather than via truncated series, so
-one code path serves all x.
+Below x = SMALL_X = 1e-4 the m_G closed form loses digits to cancellation,
+so `_mg_ratio`, and `_ratios` (all three ratios, for `effective_params`), take
+a 30-digit mpmath branch there rather than truncated series.  The figure-1
+columns `mI_over_mp` and `V0_over_mpc2` are numpy closed forms at every x.
+The 30-digit branch itself loses m_G digits as x falls, since x + e^{-x} - 1
+~ x^2/2 cancels in 30 digits too: m_G/m is off by 1e-11 relative at x = 1e-10,
+by 21 % at 1e-15, and is 0.0 from about 1e-16 (at x = 7.7e-20, say).  ROADMAP
+item 3 replaces the branch with cancellation-free forms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 SMALL_X = 1e-4
 # math.sinh overflows for x above this (about 710.48)
@@ -116,36 +120,6 @@ def mG_over_mI(x):
     """= 2 e^x (x + e^{-x} - 1) / sinh^2 x."""
     x = np.asarray(x, dtype=float)
     return 2 * np.exp(x) * (x + np.expm1(-x)) / np.sinh(x) ** 2
-
-
-def series_check():
-    """Leading small-x coefficients fitted from extended-precision samples:
-    m_I/m = 1 - x + ..., m_G/m = 1 - x/3 + ..., V0/(mc^2) = -(x^2)/24 + ..."""
-    xs = np.array([1e-6, 2e-6, 3e-6, 4e-6])
-    mi, mg, v0 = np.array([_ratios(x) for x in xs]).T
-    c_mi = np.polyfit(xs, (mi - 1), 1)[0]
-    c_mg = np.polyfit(xs, (mg - 1), 1)[0]
-    c_v0 = np.polyfit(xs ** 2, v0, 1)[0]
-    return {"m_I_linear": float(c_mi), "m_G_linear": float(c_mg),
-            "V0_quadratic": float(c_v0),
-            "expected": (-1.0, -1.0 / 3.0, -1.0 / 24.0)}
-
-
-def extrema_report():
-    """Locations and values of the bounds/extrema on x in (0, 50]."""
-    res_v0 = minimize_scalar(V0_over_mpc2, bounds=(0.1, 50.0),
-                             method="bounded",
-                             options={"xatol": 1e-10})
-    res_ratio = minimize_scalar(lambda x: -mG_over_mI(x), bounds=(0.1, 50.0),
-                                method="bounded", options={"xatol": 1e-10})
-    return {
-        "mI_sup_over_mp": 0.5,
-        "mI_at_x10_over_mp": float(mI_over_mp(10.0)),
-        "V0_argmin": float(res_v0.x),
-        "V0_min_over_mpc2": float(res_v0.fun),
-        "mG_over_mI_argmax": float(res_ratio.x),
-        "mG_over_mI_peak": float(-res_ratio.fun),
-    }
 
 
 def figure1_data(x_max=10.0, n_points=500):

@@ -15,8 +15,6 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .timeops import POWER_WINDOW
 
@@ -65,6 +63,8 @@ class RadialProfile:
 
     @classmethod
     def from_samples(cls, r, values, tag=None):
+        from scipy.interpolate import CubicSpline
+
         r = np.asarray(r, dtype=float)
         if r.size < 16:
             raise ValueError("sampled profiles need >= 16 nodes")
@@ -231,6 +231,8 @@ def ode_residuals(beta, mu, nu, r):
 def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid, rtol=1e-10):
     """Integrate r mu' + 2 mu = beta, r nu' + nu = mu from the pin outward and
     inward; returns sampled profiles on r_grid."""
+    from scipy.integrate import solve_ivp
+
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0):
         raise ValueError("r grid must be positive")

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import effective, timeops, waveops
 from .geometry import RadialProfile
@@ -41,7 +40,14 @@ class GridConvergenceError(RuntimeError):
     """Eigenvalues still drifting when the grid is doubled."""
 
 
+def _require_positive(**values):
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError("%s must be positive, got %r" % (name, value))
+
+
 def bohr_radius(m_I, m_G, M, G, hbar):
+    _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
     return hbar ** 2 / (m_I * G * M * m_G)
 
 
@@ -71,11 +77,19 @@ def default_grid(m_I, m_G, M, G, hbar):
 
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
                  return_vectors=False, check_grid=False):
-    """Lowest bound states below V0 at angular index l."""
+    """Lowest bound states below V0 at angular index l.
+
+    The coupling G M m_G may be zero on an explicit grid (no bound states);
+    the default grid scales with the Bohr radius, so it needs all five
+    parameters positive."""
+    # here, so that importing spectrum (as cli does) loads no scipy
+    from scipy.linalg import eigh_tridiagonal
+
     if l < 0:
         raise ValueError("l must be >= 0, got %r" % l)
     if n_states < 1:
         raise ValueError("n_states must be >= 1, got %r" % n_states)
+    _require_positive(m_I=m_I, hbar=hbar)
     if grid is None:
         grid = default_grid(m_I, m_G, M, G, hbar)
     grid = np.asarray(grid, dtype=float)

@@ -6,7 +6,9 @@ runs the registry and exits nonzero if anything fails.  The seeded sample
 generators `random_element` and `random_tf`, the monomial set `monomials` and
 the oracles are shared with the test suite.  The oracles are the second routes
 that no production module calls: the word-rewriting engine `normal_order`
-(with `mul_gen`), `exterior_d_leibniz`, and two Delta_0 symbols.
+(with `mul_gen`), `exterior_d_leibniz`, and two Delta_0 symbols.  The
+effective-parameter checks `series_check` and `extrema_report` live here too,
+so scipy's optimizer loads only with the registry.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import time
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import dispersion as D
 from . import effective as E
@@ -556,6 +559,37 @@ def _(level):
 
 # -- effective parameters ----------------------------------------------------
 
+def series_check():
+    """Leading small-x coefficients fitted from extended-precision samples:
+    m_I/m = 1 - x + ..., m_G/m = 1 - x/3 + ..., V0/(mc^2) = -(x^2)/24 + ..."""
+    xs = np.array([1e-6, 2e-6, 3e-6, 4e-6])
+    mi, mg, v0 = np.array([E._ratios(x) for x in xs]).T
+    c_mi = np.polyfit(xs, (mi - 1), 1)[0]
+    c_mg = np.polyfit(xs, (mg - 1), 1)[0]
+    c_v0 = np.polyfit(xs ** 2, v0, 1)[0]
+    return {"m_I_linear": float(c_mi), "m_G_linear": float(c_mg),
+            "V0_quadratic": float(c_v0),
+            "expected": (-1.0, -1.0 / 3.0, -1.0 / 24.0)}
+
+
+def extrema_report():
+    """Locations and values of the bounds/extrema on x in (0, 50]."""
+    res_v0 = minimize_scalar(E.V0_over_mpc2, bounds=(0.1, 50.0),
+                             method="bounded",
+                             options={"xatol": 1e-10})
+    res_ratio = minimize_scalar(lambda x: -E.mG_over_mI(x),
+                                bounds=(0.1, 50.0), method="bounded",
+                                options={"xatol": 1e-10})
+    return {
+        "mI_sup_over_mp": 0.5,
+        "mI_at_x10_over_mp": float(E.mI_over_mp(10.0)),
+        "V0_argmin": float(res_v0.x),
+        "V0_min_over_mpc2": float(res_v0.fun),
+        "mG_over_mI_argmax": float(res_ratio.x),
+        "mG_over_mI_peak": float(-res_ratio.fun),
+    }
+
+
 @check("effective.figure1-x1-row")
 def _(level):
     mi = E.mI_over_mp(1.0)
@@ -569,7 +603,7 @@ def _(level):
 
 @check("effective.extrema")
 def _(level):
-    rep = E.extrema_report()
+    rep = extrema_report()
     ok = abs(rep["V0_argmin"] - 4.5) < 0.2 \
         and abs(rep["V0_min_over_mpc2"] + 0.49) < 0.01 \
         and 1.0 < rep["mG_over_mI_argmax"] < 1.6 \
@@ -581,7 +615,7 @@ def _(level):
 
 @check("effective.series-coefficients")
 def _(level):
-    rep = E.series_check()
+    rep = series_check()
     ok = abs(rep["m_I_linear"] + 1) < 1e-4 \
         and abs(rep["m_G_linear"] + 1 / 3) < 1e-4 \
         and abs(rep["V0_quadratic"] + 1 / 24) < 1e-4

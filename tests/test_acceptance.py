@@ -47,7 +47,7 @@ def test_criterion_01_figure1_x1_row():
 
 def test_criterion_02_extrema():
     t0 = time.perf_counter()
-    rep = E.extrema_report()
+    rep = V.extrema_report()
     xs = np.linspace(1e-3, 10, 300)
     mono = np.all(np.diff(E.mI_over_mp(xs)) > 0)
     ok = (rep["mI_sup_over_mp"] == 0.5 and mono
@@ -61,7 +61,7 @@ def test_criterion_02_extrema():
 
 
 def test_criterion_03_series():
-    rep = E.series_check()
+    rep = V.series_check()
     ok = (abs(rep["m_I_linear"] + 1.0) < 1e-4
           and abs(rep["m_G_linear"] + 1.0 / 3.0) < 1e-4
           and abs(rep["V0_quadratic"] + 1.0 / 24.0) < 1e-4)

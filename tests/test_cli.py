@@ -220,6 +220,8 @@ class TestSpectrum:
         (("--l", "-1"), "l must be"),
         (("--n-states", "0"), "n_states must be"),
         (("--x", "1000"), "710.47"),
+        # m_G cancels to 0.0 in effective's 30-digit branch at this x
+        (("--x", "7.7e-20"), "m_G must be positive, got 0.0"),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8", *argv)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncgrav import effective as E
+from ncgrav import verify as V
 
 
 class TestClosedForms:
@@ -42,7 +43,7 @@ class TestClosedForms:
 
 class TestSeries:
     def test_leading_coefficients(self):
-        rep = E.series_check()
+        rep = V.series_check()
         assert abs(rep["m_I_linear"] + 1.0) < 1e-4
         assert abs(rep["m_G_linear"] + 1.0 / 3.0) < 1e-4
         assert abs(rep["V0_quadratic"] + 1.0 / 24.0) < 1e-4
@@ -50,7 +51,7 @@ class TestSeries:
 
 class TestExtrema:
     def test_report(self):
-        rep = E.extrema_report()
+        rep = V.extrema_report()
         assert rep["mI_sup_over_mp"] == 0.5
         assert abs(rep["mI_at_x10_over_mp"] - 0.5) < 1e-6
         assert abs(rep["V0_argmin"] - 4.5) < 0.2

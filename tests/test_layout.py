@@ -1,8 +1,12 @@
 """Source layout: each production module computes a quantity by one route, and
-the second routes (the oracles) live in `verify`, which production never
-imports."""
+the second routes (the oracles) and the check helpers live in `verify`, which
+production never imports; the table subcommands load no scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ncgrav
@@ -10,7 +14,8 @@ import ncgrav
 SRC = Path(ncgrav.__file__).parent
 ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "TwoFormError", "_monomial_word", "exterior_d_leibniz",
-           "symbol_delta0_power", "symbol_delta0_general"}
+           "symbol_delta0_power", "symbol_delta0_general",
+           "extrema_report", "series_check"}
 
 
 def _imports_verify(tree):
@@ -45,7 +50,7 @@ def test_oracles_live_only_in_verify():
     assert [name for name, tree in trees.items()
             if _imports_verify(tree)] == ["cli.py"]
     # ast.walk reaches the methods, so NCOneForm.mul_gen would show here too
-    for name in ("exactalg.py", "timeops.py"):
+    for name in ("exactalg.py", "timeops.py", "effective.py"):
         assert not ORACLES & _defined(trees[name]), name
     assert ORACLES <= _defined(trees["verify.py"])
 
@@ -66,3 +71,32 @@ def test_brentq_only_in_verify():
     users = [p.name for p in sorted(SRC.glob("*.py"))
              if _uses_brentq(ast.parse(p.read_text(), filename=str(p)))]
     assert set(users) <= {"verify.py"}, users
+
+
+TABLES = [["figure1"], ["dispersion"], ["dispersion", "--m", "0.5"],
+          ["mu-nu", "--n", "3"], ["mu-nu", "--gamma", "1e-3"],
+          ["dark-energy"]]
+NO_SCIPY = """
+import json, os, sys
+from ncgrav import cli
+out, tables = sys.argv[1], json.loads(sys.argv[2])
+codes = [cli.main(argv + ["--output", os.path.join(out, "%d.csv" % i)])
+         for i, argv in enumerate(tables)]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_table_subcommands_load_no_scipy(tmp_path):
+    # one fresh interpreter for all six tables: scipy loads only with
+    # spectrum's eigensolve and the verify registry
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path), json.dumps(TABLES)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout.splitlines()[-1])
+    assert rep == {"codes": [0] * len(TABLES), "scipy": []}
+    assert all((tmp_path / ("%d.csv" % i)).stat().st_size
+               for i in range(len(TABLES)))

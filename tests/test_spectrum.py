@@ -74,6 +74,15 @@ class TestSolveRadial:
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR,
                            grid=np.geomspace(0.1, 10, 3000))
 
+    @pytest.mark.parametrize("name", ["m_I", "m_G", "M", "G", "hbar"])
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_nonpositive_parameter_named(self, name, value):
+        kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
+        kw[name] = value
+        with pytest.raises(ValueError, match="^%s must be positive, got "
+                           % name):
+            S.solve_radial(**kw)
+
     def test_grid_convergence_guard_passes(self):
         states = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, n_states=2,
                                 check_grid=True)
