@@ -4,13 +4,26 @@
 class is closed under d/dt, products, and the imaginary shifts t -> t + i*lam*a,
 which makes every operator here exact: no analytic continuation of grid data
 is ever needed.  Coefficients are Python complex numbers (per-node numpy
-arrays in waveops.GridField, which shares `shift_terms`).
+arrays in waveops.GridField).
+
+Each operator is a stencil, a few taps (w, a) that the one kernel
+`stencil_terms` applies as sum_j w_j f(t + i lam a_j); a shift is the one-tap
+stencil [(1, a)].  With k = 1/(i lam), and f' taps applied to d/dt f:
+
+  d0              k [(1, 0), (-1, -1)]
+  delta0_const    (beta/2) k^2 [(1, 1), (1, -1), (-2, 0)]
+  delta0_hybrid   k^2 [(-1, 0), (1, -1)],  f' taps k [(1, 0)]
+  delta0_power    n = 1: k^2 [(-1, 1), (1, 0)],  f' taps k [(1, 1)]
+                  n = 2: k^2 [(1, 2), (-1, 1)],  f' taps k [(-1, 1)]
+                  else:  k^2/((2-n)(1-n)) [(1, 1), (1-n, n-1), (n-2, n)]
+  delta0_general  k^2 [(nu, 1), (mu, 1 - beta/mu), (-(nu+mu), 1 - beta/(nu+mu))]
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 from math import comb
 
 import numpy as np
@@ -31,20 +44,36 @@ def _check_nondegenerate(mu, nu):
             "mu = 0 or mu + nu = 0 at node(s) %s" % bad.tolist())
 
 
-def shift_terms(terms, h, exp):
-    """Terms {(p, s): c} of f(t + h) for f = sum c t^p e^{st}.
+def _check_finite(op, **params):
+    """Raise ValueError naming the first non-finite scalar parameter."""
+    for name, value in params.items():
+        if not cmath.isfinite(value):
+            raise ValueError("%s requires a finite %s, got %s = %r"
+                             % (op, name, name, value))
 
-    Each term becomes c e^{sh} sum_q C(p, q) h^{p-q} t^q.  c and h may be
-    per-node numpy arrays (with exp = np.exp); this is the one binomial time
-    shift behind TimeFunction.shift and waveops.GridField.shift.
-    """
-    out = {}
+
+def _check_lam(op, lam):
+    if not 0 < lam < math.inf:
+        _check_finite(op, lam=lam)
+        raise ValueError("%s requires lam > 0, got lam = %r" % (op, lam))
+
+
+def stencil_terms(terms, taps, lam, exp, out=None):
+    """Terms {(p, s): c} of sum_j w_j f(t + i lam a_j), f = sum c t^p e^{st},
+    over taps [(w_j, a_j)], summed into `out` (a new dict by default).  At
+    h = i lam a a term becomes w c e^{sh} sum_q C(p, q) h^{p-q} t^q; w, a and
+    c may be per-node numpy arrays (with exp = np.exp)."""
+    out = {} if out is None else out
+    taps = [(w, 1j * lam * a, isinstance(a, np.ndarray) or a != 0)
+            for w, a in taps]
     for (p, s), c in terms.items():
-        base = c * exp(s * h) if s != 0 else c
-        for q in range(p, -1, -1):
-            val = base * comb(p, q) * h ** (p - q)
-            key = (q, s)
-            out[key] = out.get(key, 0) + val
+        for w, h, moves in taps:
+            val = w * c * exp(s * h) if s != 0 and moves else w * c
+            out[p, s] = out.get((p, s), 0) + val
+            if moves:  # a zero shift adds only to the t^p term
+                for q in range(p - 1, -1, -1):
+                    val = val * h
+                    out[q, s] = out.get((q, s), 0) + comb(p, q) * val
     return out
 
 
@@ -54,8 +83,12 @@ class TimeFunction:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # {(p, s): c} with p >= 0 int, s complex; zero terms dropped
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        # {(p, s): c} with p >= 0 int, s complex; zero terms dropped.  The
+        # dict is adopted, not copied: no TimeFunction writes its terms.
+        terms = {} if terms is None else terms
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = terms
 
     @classmethod
     def zero(cls):
@@ -80,11 +113,11 @@ class TimeFunction:
             out[key] = out.get(key, 0) + c
         return TimeFunction(out)
 
-    def __neg__(self):
-        return TimeFunction({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) - c
+        return TimeFunction(out)
 
     def scale(self, c):
         if c == 0:
@@ -104,16 +137,23 @@ class TimeFunction:
         out = {}
         for (p, s), c in self.terms.items():
             if p:
-                key = (p - 1, s)
-                out[key] = out.get(key, 0) + p * c
+                out[p - 1, s] = out.get((p - 1, s), 0) + p * c
             if s != 0:
-                key = (p, s)
-                out[key] = out.get(key, 0) + s * c
+                out[p, s] = out.get((p, s), 0) + s * c
         return TimeFunction(out)
+
+    def stencil(self, taps, lam, deriv_taps=()):
+        """sum_j w_j f(t + i lam a_j) over taps [(w_j, a_j)], plus that sum
+        of f' = d/dt f over deriv_taps."""
+        out = stencil_terms(self.deriv().terms, deriv_taps, lam, cmath.exp) \
+            if deriv_taps else None
+        return TimeFunction(stencil_terms(self.terms, taps, lam, cmath.exp, out))
 
     def shift(self, a, lam):
         """Exact f(t + i lam a); a may be complex (varying-beta shifts)."""
-        return TimeFunction(shift_terms(self.terms, 1j * lam * a, cmath.exp))
+        if not (cmath.isfinite(a) and math.isfinite(lam)):
+            _check_finite("shift", a=a, lam=lam)
+        return TimeFunction(stencil_terms(self.terms, [(1, a)], lam, cmath.exp))
 
     def evaluate(self, t):
         total = 0j
@@ -134,31 +174,21 @@ class TimeFunction:
 
     def to_json(self):
         items = [(float(c.real), float(c.imag), p, float(s.real), float(s.imag))
-                 for (p, s), c in sorted(self.terms.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1].real,
-                                                         kv[0][1].imag))]
-        return json.dumps(items)
+                 for (p, s), c in self.terms.items()]
+        return json.dumps(sorted(items, key=lambda item: item[2:]))
 
     @classmethod
     def from_json(cls, text):
-        out = {}
-        for cre, cim, p, sre, sim in json.loads(text):
-            out[(p, complex(sre, sim))] = complex(cre, cim)
-        return cls(out)
+        return cls({(p, complex(sre, sim)): complex(cre, cim)
+                    for cre, cim, p, sre, sim in json.loads(text)})
 
     def __repr__(self):
-        if not self.terms:
-            return "TimeFunction(0)"
-        bits = []
-        for (p, s), c in sorted(self.terms.items(),
-                                key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            bit = "(%s)" % c
-            if p:
-                bit += "*t^%d" % p
-            if s != 0:
-                bit += "*e^(%s t)" % s
-            bits.append(bit)
-        return "TimeFunction[" + " + ".join(bits) + "]"
+        bits = ["(%s)%s%s" % (c, "*t^%d" % p if p else "",
+                              "*e^(%s t)" % s if s != 0 else "")
+                for (p, s), c in sorted(self.terms.items(),
+                                        key=lambda kv: (kv[0][0], str(kv[0][1])))]
+        return "TimeFunction[%s]" % " + ".join(bits) if bits \
+            else "TimeFunction(0)"
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +197,24 @@ class TimeFunction:
 
 def d0(f, lam):
     """(f(t) - f(t - i lam)) / (i lam)."""
-    if lam <= 0:
-        raise ValueError("d0 requires lam > 0; use f.deriv() at lam = 0")
-    return (f - f.shift(-1, lam)).scale(1.0 / (1j * lam))
+    _check_lam("d0", lam)
+    k = 1.0 / (1j * lam)
+    return f.stencil([(k, 0), (-k, -1)], lam)
 
 
 def delta0_const(f, lam, beta):
     """(beta/2) (f(t+i lam) + f(t-i lam) - 2 f) / (i lam)^2."""
-    if lam <= 0:
-        raise ValueError("delta0_const requires lam > 0")
-    num = f.shift(1, lam) + f.shift(-1, lam) - f.scale(2)
-    return num.scale(beta / (2 * (1j * lam) ** 2))
+    _check_lam("delta0_const", lam)
+    _check_finite("delta0_const", beta=beta)
+    w = beta / (2 * (1j * lam) ** 2)
+    return f.stencil([(w, 1), (w, -1), (-2 * w, 0)], lam)
 
 
 def delta0_hybrid(f, lam):
     """(1/(i lam)) (d/dt - d0) f."""
-    if lam <= 0:
-        raise ValueError("delta0_hybrid requires lam > 0")
-    return (f.deriv() - d0(f, lam)).scale(1.0 / (1j * lam))
+    _check_lam("delta0_hybrid", lam)
+    k = 1.0 / (1j * lam)
+    return f.stencil([(-k * k, 0), (k * k, -1)], lam, [(k, 0)])
 
 
 # n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
@@ -201,17 +231,15 @@ def delta0_power(f, lam, n):
     (within POWER_WINDOW) dispatch to the closed forms; these are the
     removable-singularity limits of the generic finite-difference formula.
     """
-    if lam <= 0:
-        raise ValueError("delta0_power requires lam > 0")
+    _check_lam("delta0_power", lam)
+    _check_finite("delta0_power", n=n)
+    k = 1.0 / (1j * lam)
     if abs(n - 1) < POWER_WINDOW:
-        return delta0_hybrid(f.shift(1, lam), lam)
+        return f.stencil([(-k * k, 1), (k * k, 0)], lam, [(k, 1)])
     if abs(n - 2) < POWER_WINDOW:
-        return (d0(f.shift(2, lam), lam) - f.shift(1, lam).deriv()).scale(
-            1.0 / (1j * lam))
-    num = (f.shift(1, lam)
-           + f.shift(-(1 - n), lam).scale(1 - n)
-           - f.shift(n, lam).scale(2 - n))
-    return num.scale(1.0 / ((1j * lam) ** 2 * (2 - n) * (1 - n)))
+        return f.stencil([(k * k, 2), (-k * k, 1)], lam, [(-k, 1)])
+    w = 1.0 / ((1j * lam) ** 2 * (2 - n) * (1 - n))
+    return f.stencil([(w, 1), ((1 - n) * w, n - 1), ((n - 2) * w, n)], lam)
 
 
 def delta0_general(f, lam, mu, nu, beta):
@@ -222,17 +250,19 @@ def delta0_general(f, lam, mu, nu, beta):
 
     f is a TimeFunction with scalar mu, nu, beta (one spatial point), or a
     waveops.GridField with mu, nu, beta sampled on its nodes (all points at
-    once).
+    once).  Non-finite mu, nu or beta is refused naming its nodes, as is a
+    degenerate profile (DegenerateProfileError).
     """
-    if lam <= 0:
-        raise ValueError("delta0_general requires lam > 0")
+    _check_lam("delta0_general", lam)
+    for name, value in (("mu", mu), ("nu", nu), ("beta", beta)):
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise ValueError("delta0_general requires a finite %s, not finite"
+                             " at node(s) %s" % (name, bad.tolist()))
     _check_nondegenerate(mu, nu)
-    a2 = -(beta / mu - 1)
-    a3 = 1 - beta / (nu + mu)
-    num = (f.shift(1, lam).scale(nu)
-           + f.shift(a2, lam).scale(mu)
-           - f.shift(a3, lam).scale(nu + mu))
-    return num.scale(1.0 / (1j * lam) ** 2)
+    w = 1.0 / (1j * lam) ** 2
+    return f.stencil([(w * nu, 1), (w * mu, 1 - beta / mu),
+                      (-w * (nu + mu), 1 - beta / (nu + mu))], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +278,6 @@ def symbol_d0(omega, lam):
 
 def symbol_delta0_const(omega, lam, beta):
     # -(beta/lam^2)(cosh(omega lam) - 1), written via sinh^2 for stability
-    import math
     u = omega * lam
     return -(beta / lam ** 2) * 2 * math.sinh(u / 2) ** 2
 
@@ -271,12 +300,8 @@ def classical_limit_check(op, f, lambdas, target):
 
     op: callable f, lam -> TimeFunction;  target: TimeFunction.
     """
-    errors = []
-    for lam in lambdas:
-        g = op(f, lam) - target
-        err = max(abs(g.evaluate(complex(tv))) for tv in LIMIT_T_SAMPLES)
-        errors.append(err)
-    errors = np.asarray(errors)
+    errors = np.asarray([max(abs((op(f, lam) - target).evaluate(complex(tv)))
+                             for tv in LIMIT_T_SAMPLES) for lam in lambdas])
     lams = np.asarray([float(x) for x in lambdas])
     if np.all(errors < 1e-14):
         order = float("inf")

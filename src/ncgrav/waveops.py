@@ -63,25 +63,17 @@ class SeparableField:
     def scale(self, c):
         return SeparableField([(sp, f.scale(c)) for sp, f in self.terms])
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def __sub__(self, other):
-        return self + (-other)
-
-    def spatial_values(self, r):
-        """Per-term spatial samples; PlaneWave terms are rejected (use the
-        symbol arithmetic instead of sampling an angular function radially)."""
-        out = []
-        for sp, _ in self.terms:
-            if isinstance(sp, PlaneWave):
-                raise ValueError("plane-wave term has no radial sampling")
-            out.append(np.asarray(sp(r), dtype=complex))
-        return out
+        return self + other.scale(-1.0)
 
     def to_grid(self, r):
+        """Sample on the nodes r; PlaneWave terms are rejected (use the symbol
+        arithmetic instead of sampling an angular function radially)."""
         data = {}
-        for sp_vals, (_, f) in zip(self.spatial_values(r), self.terms):
+        for sp, f in self.terms:
+            if isinstance(sp, PlaneWave):
+                raise ValueError("plane-wave term has no radial sampling")
+            sp_vals = np.asarray(sp(r), dtype=complex)
             for key, c in f.terms.items():
                 data[key] = data.get(key, 0) + c * sp_vals
         return GridField(r, data)
@@ -89,9 +81,9 @@ class SeparableField:
 
 class GridField:
     """psi(r, t) = sum_{p,s} A_{p,s}(r) t^p e^{st} with per-node coefficient
-    arrays; closed under node-dependent imaginary time shifts (shift), so
-    timeops.delta0_general evaluates on every node in one call.  Fields may
-    share coefficient arrays, which are never written in place."""
+    arrays; closed under stencils with node-dependent weights and imaginary
+    time shifts, so timeops.delta0_general evaluates on every node in one
+    call.  Fields may share coefficient arrays, never written in place."""
 
     def __init__(self, r, data=None):
         self.r = np.asarray(r, dtype=float)
@@ -110,11 +102,15 @@ class GridField:
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
+    def stencil(self, taps, lam):
+        """sum_j w_j psi(r, t + i lam a_j(r)) over taps [(w_j, a_j)]; w_j and
+        a_j are scalars or arrays over the nodes, real or complex."""
+        return GridField(self.r, timeops.stencil_terms(self.data, taps, lam,
+                                                       np.exp))
+
     def shift(self, a, lam):
-        """Exact psi(r, t + i lam a(r)); a is a scalar or an array over the
-        nodes, real or complex."""
-        return GridField(self.r, timeops.shift_terms(self.data, 1j * lam * a,
-                                                     np.exp))
+        """Exact psi(r, t + i lam a(r)), the one-tap stencil."""
+        return self.stencil([(1, a)], lam)
 
     def evaluate(self, t):
         t = complex(t)
@@ -125,9 +121,6 @@ class GridField:
                 val = val * np.exp(s * t)
             total += val
         return total
-
-    def max_abs(self, t_samples):
-        return max(np.max(np.abs(self.evaluate(t))) for t in t_samples)
 
 
 DIFF_T_SAMPLES = (0.0, 0.37, -1.2, 2.5)
@@ -140,8 +133,8 @@ def field_max_diff(a, b, r):
     gb = b.to_grid(r) if isinstance(b, SeparableField) else b
     diff = max(np.max(np.abs(ga.evaluate(t) - gb.evaluate(t)))
                for t in DIFF_T_SAMPLES)
-    scale = max(ga.max_abs(DIFF_T_SAMPLES), gb.max_abs(DIFF_T_SAMPLES),
-                1e-300)
+    scale = max(max(np.max(np.abs(g.evaluate(t))) for g in (ga, gb)
+                    for t in DIFF_T_SAMPLES), 1e-300)
     return diff, scale
 
 
@@ -227,7 +220,7 @@ def box_newton(psi, gamma, c, lam, r_min=None):
     """Weak-field operator for beta = -(1/c^2)(1 + gamma/r): constant-beta
     part, radial drift + (gamma / (2 r^2 (1 + gamma/r))) d/dr acting on
     psi(t+il), and the hybrid finite-difference term -(2 gamma/(c^2 r))
-    Delta0^hybrid psi(t+il)."""
+    Delta0^hybrid psi(t+il), which is timeops.delta0_power at n = 1."""
     if gamma <= 0:
         raise ValueError("gamma must be positive (use box_const for gamma=0)")
     if r_min is not None and gamma / r_min > WEAK_FIELD_WARN:
@@ -246,7 +239,7 @@ def box_newton(psi, gamma, c, lam, r_min=None):
         hyb_weight = RadialProfile(
             lambda r, _sp=sp: -(2 * gamma / c ** 2)
             / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex))
-        out.terms.append((hyb_weight, timeops.delta0_hybrid(shifted, lam)))
+        out.terms.append((hyb_weight, timeops.delta0_power(f, lam, 1)))
     return out
 
 

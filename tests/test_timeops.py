@@ -2,13 +2,17 @@
 
 import cmath
 import random
+import re
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
+from ncgrav.waveops import GridField
 from ncgrav.verify import random_tf, symbol_delta0_general, symbol_delta0_power
 
 LAM = 0.3
@@ -20,6 +24,59 @@ time_functions = st.lists(
               st.builds(complex, _unit, _unit)), max_size=3).map(
     lambda terms: TF({(p, 0.5 * s): c for p, s, c in terms}))
 shifts = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
+lams = st.floats(0.1, 0.5)
+powers = st.one_of(st.sampled_from([0, 1, 2]), st.floats(2.5, 4.5))
+# mu, nu > 0 keep the varying finite difference away from mu = 0 and mu + nu = 0
+profile_values = st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0),
+                           st.floats(-1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# reference: the operators composed from binomial shifts, scale and +, with
+# their own shift, so the stencil kernel is checked against code it shares
+# nothing with beyond TimeFunction's ring operations
+# ---------------------------------------------------------------------------
+
+def ref_shift(f, a, lam):
+    h = 1j * lam * a
+    out = {}
+    for (p, s), c in f.terms.items():
+        base = c * cmath.exp(s * h) if s != 0 else c
+        for q in range(p, -1, -1):
+            out[q, s] = out.get((q, s), 0) + base * comb(p, q) * h ** (p - q)
+    return TF(out)
+
+
+def ref_d0(f, lam):
+    return (f - ref_shift(f, -1, lam)).scale(1.0 / (1j * lam))
+
+
+def ref_delta0_const(f, lam, beta):
+    num = ref_shift(f, 1, lam) + ref_shift(f, -1, lam) - f.scale(2)
+    return num.scale(beta / (2 * (1j * lam) ** 2))
+
+
+def ref_delta0_hybrid(f, lam):
+    return (f.deriv() - ref_d0(f, lam)).scale(1.0 / (1j * lam))
+
+
+def ref_delta0_power(f, lam, n):
+    if abs(n - 1) < T.POWER_WINDOW:
+        return ref_delta0_hybrid(ref_shift(f, 1, lam), lam)
+    if abs(n - 2) < T.POWER_WINDOW:
+        return (ref_d0(ref_shift(f, 2, lam), lam)
+                - ref_shift(f, 1, lam).deriv()).scale(1.0 / (1j * lam))
+    num = (ref_shift(f, 1, lam)
+           + ref_shift(f, -(1 - n), lam).scale(1 - n)
+           - ref_shift(f, n, lam).scale(2 - n))
+    return num.scale(1.0 / ((1j * lam) ** 2 * (2 - n) * (1 - n)))
+
+
+def ref_delta0_general(f, lam, mu, nu, beta):
+    num = (ref_shift(f, 1, lam).scale(nu)
+           + ref_shift(f, -(beta / mu - 1), lam).scale(mu)
+           - ref_shift(f, 1 - beta / (nu + mu), lam).scale(nu + mu))
+    return num.scale(1.0 / (1j * lam) ** 2)
 
 
 class TestTimeFunction:
@@ -45,12 +102,21 @@ class TestTimeFunction:
         f = random_tf(rng, 3)
         assert f.shift(1, LAM).shift(-1, LAM).isclose(f)
 
-    def test_mul_matches_pointwise(self):
-        rng = random.Random(5)
-        f, g = random_tf(rng), random_tf(rng)
+    @given(time_functions, time_functions)
+    def test_mul_matches_pointwise(self, f, g):
         h = f * g
         for tv in (0.0, 0.4, -1.1):
             assert abs(h.evaluate(tv) - f.evaluate(tv) * g.evaluate(tv)) < 1e-12
+
+    @given(time_functions)
+    def test_zero_results_hold_no_terms(self, f):
+        assert (f - f).terms == {}
+        assert f.scale(0).terms == {}
+        assert TF({(1, 0j): 0j, (0, 0j): 2.0}).terms == {(0, 0j): 2.0}
+
+    @given(time_functions, time_functions)
+    def test_add_then_sub(self, f, g):
+        assert (f + g - g).isclose(f)
 
     def test_json_round_trip(self):
         rng = random.Random(9)
@@ -64,6 +130,87 @@ class TestShiftGroupLaw:
     def test_time_function(self, f, a, b):
         # registry tolerance: 1e-12 relative to the largest coefficient
         assert f.shift(a, LAM).shift(b, LAM).isclose(f.shift(a + b, LAM))
+
+
+class TestStencilsMatchReference:
+    # 1e-12 relative to the largest coefficient (TimeFunction.isclose)
+
+    @given(time_functions, shifts, lams)
+    def test_shift(self, f, a, lam):
+        assert f.shift(a, lam).isclose(ref_shift(f, a, lam))
+
+    @given(time_functions, lams, st.floats(-2.0, 2.0))
+    def test_constant_beta_operators(self, f, lam, beta):
+        before = dict(f.terms)
+        assert T.d0(f, lam).isclose(ref_d0(f, lam))
+        assert T.delta0_const(f, lam, beta).isclose(
+            ref_delta0_const(f, lam, beta))
+        assert T.delta0_hybrid(f, lam).isclose(ref_delta0_hybrid(f, lam))
+        assert f.terms == before
+
+    @given(time_functions, lams, powers)
+    def test_delta0_power(self, f, lam, n):
+        assert T.delta0_power(f, lam, n).isclose(ref_delta0_power(f, lam, n))
+
+    @given(time_functions, lams, profile_values)
+    def test_delta0_general(self, f, lam, profile):
+        assert T.delta0_general(f, lam, *profile).isclose(
+            ref_delta0_general(f, lam, *profile))
+
+    @given(time_functions, lams,
+           st.lists(st.tuples(st.floats(0.5, 2.0), profile_values),
+                    min_size=1, max_size=4))
+    def test_delta0_general_on_grid(self, f, lam, nodes):
+        # per-node weights and shifts against the reference at each node
+        amp = np.array([a for a, _ in nodes])
+        mu, nu, beta = (np.array(col) for col in zip(*(p for _, p in nodes)))
+        g = GridField(np.arange(1.0, amp.size + 1),
+                      {k: c * amp for k, c in f.terms.items()})
+        got = T.delta0_general(g, lam, mu, nu, beta)
+        for j in range(amp.size):
+            want = ref_delta0_general(f.scale(amp[j]), lam, mu[j], nu[j],
+                                      beta[j])
+            assert TF({k: v[j] for k, v in got.data.items()}).isclose(want)
+
+
+NAN, INF = float("nan"), float("inf")
+MODE = TF.mode(1.0)
+
+
+class TestNonFiniteRefused:
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    @pytest.mark.parametrize("name, call", [
+        ("lam", lambda v: T.d0(MODE, v)),
+        ("lam", lambda v: T.delta0_const(MODE, v, 1.0)),
+        ("beta", lambda v: T.delta0_const(MODE, LAM, v)),
+        ("lam", lambda v: T.delta0_hybrid(MODE, v)),
+        ("lam", lambda v: T.delta0_power(MODE, v, 3)),
+        ("n", lambda v: T.delta0_power(MODE, LAM, v)),
+        ("lam", lambda v: T.delta0_general(MODE, v, 0.3, 0.2, 0.5)),
+        ("a", lambda v: MODE.shift(v, LAM)),
+        ("a", lambda v: MODE.shift(complex(1.0, v), LAM)),
+        ("lam", lambda v: MODE.shift(1, v)),
+    ], ids=["d0", "const-lam", "const-beta", "hybrid", "power-lam", "power-n",
+            "general-lam", "shift-a", "shift-complex-a", "shift-lam"])
+    def test_scalar_parameter_named(self, name, call, value):
+        with pytest.raises(ValueError,
+                           match=r"requires a finite %s, got %s = .*%s" % (
+                               name, name, re.escape(repr(abs(value))))):
+            call(value)
+
+    @pytest.mark.parametrize("name", ["mu", "nu", "beta"])
+    def test_general_profile_nodes_named(self, name):
+        profile = {"mu": 0.3, "nu": 0.2, "beta": 0.5}
+        nodes = {k: np.full(6, v) for k, v in profile.items()}
+        profile[name] = NAN
+        with pytest.raises(ValueError, match=r"finite %s, not finite at "
+                           r"node\(s\) \[0\]" % name):
+            T.delta0_general(MODE, LAM, **profile)
+        nodes[name][[1, 4]] = [INF, NAN]
+        grid = GridField(np.arange(6.0), {(0, -1j): np.ones(6, complex)})
+        with pytest.raises(ValueError, match=r"finite %s, not finite at "
+                           r"node\(s\) \[1, 4\]" % name):
+            T.delta0_general(grid, LAM, **nodes)
 
 
 class TestOperatorExamples:
