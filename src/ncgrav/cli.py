@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error
 or an input outside the domain (a ValueError or ArithmeticError out of the
-library, reported by `main` as "error: ..." with no traceback).  A table
-that exits 0 holds only finite numbers, except the documented nan cells of
-evanescent `dispersion` rows; `dispersion` (vg), `mu-nu` and `dark-energy`
-refuse a non-finite column with exit 2.
-Each table's columns come from whole-grid library calls; the CLI only
-checks and formats them.  There is one render path: each CSV row is one
-%-format built from its cell types, every float printed as %.12e, so
-identical configs give byte-identical CSV.
+library, reported by `main` as "error: ..." with no traceback).
+Each table subcommand checks its arguments, makes one library call and hands
+the table to `_write_table`, which applies the one refusal rule and renders.
+The rule: a table that exits 0 holds only finite numbers, except in the rows
+the library marks as allowed (the nan cells of evanescent `dispersion`
+rows); otherwise the first non-finite cell is refused with exit 2 as
+"<subcommand> column <C> is <V> at <key> = <value>", the key being the row's
+first column (`m-universe` for `dark-energy`).  There is one render path:
+each CSV row is one %-format built from its cell types, every float printed
+as %.12e, so identical configs give byte-identical CSV.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
@@ -112,50 +114,53 @@ def _check_constants(args):
             _fail("%s must be positive" % name, 2)
 
 
-def cmd_figure1(args):
-    data = E.figure1_data(x_max=args.xmax, n_points=args.n)
-    header = ["x", "mI_over_mp", "mG_over_mp", "V0_over_mpc2"]
+def _refuse_non_finite(command, header, cells, allowed=None):
+    """The one non-finite refusal of the tables: a ValueError (exit 2) naming
+    the first non-finite cell, row by row, outside the rows that `allowed`
+    marks.  cells is a 2-D float array whose columns header names; a row is
+    named by its first column."""
+    bad = ~np.isfinite(cells)
+    if allowed is not None:
+        bad[allowed.astype(bool)] = False
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError("%s column %s is %r at %s = %g"
+                         % (command, header[col], float(cells[row, col]),
+                            header[0], cells[row, 0]))
+
+
+def _write_table(args, table, header=None, allowed=None):
+    """Refuse, then render and write, a library table: a record array, whose
+    fields are the columns, or a 2-D float array with the columns header."""
+    cells = table
+    if table.dtype.names:
+        header = table.dtype.names
+        cells = np.column_stack([table[name] for name in header])
+    _refuse_non_finite(args.subcommand, header, cells, allowed)
     _write_output(args.output,
-                  _render_table(header, data.tolist(), args.format))
+                  _render_table(header, table.tolist(), args.format))
     return 0
+
+
+def cmd_figure1(args):
+    return _write_table(args, E.figure1_data(x_max=args.xmax, n_points=args.n),
+                        ["x", "mI_over_mp", "mG_over_mp", "V0_over_mpc2"])
 
 
 def cmd_dispersion(args):
     if args.omega_min < 0 or args.omega_max <= args.omega_min or args.n < 2:
         _fail("need 0 <= omega-min < omega-max and n >= 2", 2)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
-    header = ["omega", "k", "vg", "residual", "evanescent"]
-    points = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
-    for p in points:
-        if not (math.isnan(p.k) or math.isfinite(p.vg)):
-            raise ValueError("dispersion column vg is %r at omega = %g: "
-                             "d omega / d k passes the float range there"
-                             % (p.vg, p.omega))
-    rows = [[p.omega, p.k, p.vg, p.residual, int(math.isnan(p.k))]
-            for p in points]
-    _write_output(args.output, _render_table(header, rows, args.format))
-    return 0
+    table = D.sweep(omegas, args.m, args.lam, args.c, args.hbar)
+    return _write_table(args, table, allowed=table.evanescent)
 
 
 def cmd_spectrum(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
     if args.x <= 0 or args.M <= 0:
         _fail("x and M must be positive", 2)
-    pars = E.effective_params(args.x * units.m_p, units)
-    states = S.solve_radial(pars.m_I, pars.m_G, pars.V0, args.M, args.G,
-                            args.hbar, l=args.l, n_states=args.n_states,
-                            check_grid=True)
-    oracle = {s.n: s.E for s in S.bohr_oracle(
-        pars.m_I, pars.m_G, pars.V0, args.M, args.G, args.hbar,
-        n_max=args.l + args.n_states) if s.l == 0}
-    header = ["n", "l", "E_numeric", "E_oracle", "rel_err", "V0"]
-    rows = []
-    for s in states:
-        depth = abs(oracle[s.n] - pars.V0)
-        rows.append([s.n, s.l, s.E, oracle[s.n],
-                     abs(s.E - oracle[s.n]) / depth, pars.V0])
-    _write_output(args.output, _render_table(header, rows, args.format))
-    return 0
+    return _write_table(args, S.spectrum_table(args.x, args.M, units, l=args.l,
+                                               n_states=args.n_states))
 
 
 def cmd_mu_nu(args):
@@ -171,29 +176,19 @@ def cmd_mu_nu(args):
     if args.rmin <= 0 or args.rmax <= args.rmin or args.nodes < 2:
         _fail("need 0 < rmin < rmax and nodes >= 2", 2)
     r = G.default_log_grid(args.rmin, args.rmax, args.nodes)
-    header = ["r", "beta", "mu", "nu", "res_mu", "res_nu"]
-    with np.errstate(all="ignore"):  # a non-finite cell is refused below
+    with np.errstate(all="ignore"):  # a non-finite cell is refused
         table = np.column_stack([r, beta(r), mu(r), nu(r),
                                  *G.ode_residuals(beta, mu, nu, r)])
-        bad = ~np.isfinite(table)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError("mu-nu column %s is %r at r = %g: the profiles "
-                         "pass the float range there"
-                         % (header[col], float(table[row, col]), r[row]))
-    _write_output(args.output,
-                  _render_table(header, table.tolist(), args.format))
-    return 0
+    return _write_table(args, table,
+                        ["r", "beta", "mu", "nu", "res_mu", "res_nu"])
 
 
 def cmd_dark_energy(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
     rep = E.dark_energy_estimate(args.m_universe, args.r_universe, units)
-    for key, value in rep.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("dark-energy %s is %r at m-universe = %g, "
-                             "r-universe = %g: it passes the float range"
-                             % (key, value, args.m_universe, args.r_universe))
+    numbers = {k: v for k, v in rep.items() if isinstance(v, float)}
+    _refuse_non_finite("dark-energy", ["m-universe", *numbers],
+                       np.array([[args.m_universe, *numbers.values()]]))
     if args.format == "json":
         text = json.dumps(rep, indent=2) + "\n"
     else:

@@ -7,13 +7,16 @@ omega lam is above `U_MAX` (e^{omega lam} overflows), when (c lam)^2
 underflows to 0, or when a term of the shell residual passes the float limit
 (a subnormal (c lam)^2, say).
 
-`sweep` is the one producer of dispersion tables; the CLI only formats its
-points.  It solves every omega at once: `_Shell` holds one lane per omega,
-computes the k-free terms once per lane, and runs Brent's method on all
-propagating lanes in lockstep, step for step as scipy's `brentq` (brentq.c)
-runs it on one.  Each transcendental is a `math` call and each k^2 is
-CPython's float pow, per element, so every lane is bit-identical to
-`brentq` on the scalar residual; the tests hold that against scipy.
+`sweep` is the one producer of dispersion tables: it returns a numpy record
+array, one row per omega with the fields omega, k, vg, residual and
+evanescent, which the CLI refuses or renders as it stands; there are no
+per-omega point objects.  It solves every omega at once: `_Shell` holds one
+lane per omega, computes the k-free terms once per lane, and runs Brent's
+method on all propagating lanes in lockstep, step for step as scipy's
+`brentq` (brentq.c) runs it on one.  Each transcendental is a `math` call
+and each k^2 is CPython's float pow, per element, so every lane is
+bit-identical to `brentq` on the scalar residual; the tests hold that
+against scipy.
 `solve_k`, `group_velocity` and `shell_residual` are the one-omega case.
 Where the bracket end's term -k_hi^2 e^{omega lam} overflows (omega lam
 within 2 ln k_hi of `U_MAX`), that lane's bracket ends at the largest k at
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -32,15 +34,6 @@ import numpy as np
 
 class EvanescentModeError(ValueError):
     """Shell has no real spatial momentum at this (omega, m)."""
-
-
-@dataclass(frozen=True)
-class DispersionPoint:
-    omega: float
-    k: float
-    m: float
-    vg: float
-    residual: float
 
 
 # math.exp overflows above this (about 709.78)
@@ -375,13 +368,24 @@ def time_of_flight_delta(omega1, omega2, distance, m, lam, c, hbar):
     return distance * (1.0 / v1 - 1.0 / v2)
 
 
+class SweepTable(np.recarray):
+    """The record array `sweep` returns.  Unlike a bare ndarray it is true
+    when it has rows, as a list is, so `if table:` asks whether any omega
+    was swept."""
+
+    def __bool__(self):
+        return len(self) > 0
+
+
 def sweep(omegas, m, lam, c, hbar):
-    """DispersionPoint per omega; evanescent points carry k = vg = nan.
-    Any other failure raises the error of the first omega that fails."""
+    """The dispersion table: a record array with one row per omega and the
+    fields omega, k, vg, residual and evanescent, the int flag 1 where the
+    omega has no propagating mode and k, vg and the residual are nan.  Any
+    other failure raises the error of the first omega that fails."""
     omegas = [float(w) for w in omegas]
     shell = _Shell(omegas, m, lam, c, hbar)
     k, vg, res = shell.sweep()
     shell.raise_first(skip=EvanescentModeError)
-    return [DispersionPoint(omega=w, k=ki, m=m, vg=v, residual=r)
-            for w, ki, v, r in zip(omegas, k.tolist(), vg.tolist(),
-                                   res.tolist())]
+    return np.rec.fromarrays([omegas, k, vg, res, np.isnan(k).astype(int)],
+                             names="omega,k,vg,residual,evanescent"
+                             ).view(SweepTable)

@@ -2,8 +2,10 @@
 
 The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 + (V0 - G M m_G / r) Psi.  Eigensolves use the u = r R substitution on a
-uniform grid with Dirichlet ends (symmetric tridiagonal).  The reduction
-laboratory evaluates the residual of the same physical state at three stages:
+uniform grid with Dirichlet ends (symmetric tridiagonal); `spectrum_table`
+joins the numeric states with the closed-form oracle into the one spectrum
+table the CLI renders.  The reduction laboratory evaluates the residual of
+the same physical state at three stages:
 
   (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
@@ -132,6 +134,25 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     if return_vectors:
         return states, grid, vecs
     return states
+
+
+def spectrum_table(x, M, units, l=0, n_states=3):
+    """The spectrum table of a particle of mass x m_p about a central mass M:
+    a record array with one row per numeric state (grid doubling checked)
+    and the fields n, l, E_numeric, E_oracle (bohr_oracle at that n), rel_err
+    = |E_numeric - E_oracle| / |E_oracle - V0| and V0."""
+    pars = effective.effective_params(x * units.m_p, units)
+    states = solve_radial(pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
+                          l=l, n_states=n_states, check_grid=True)
+    oracle = {s.n: s.E for s in bohr_oracle(
+        pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
+        n_max=l + n_states) if s.l == 0}
+    rows = [(s.n, s.l, s.E, oracle[s.n],
+             abs(s.E - oracle[s.n]) / abs(oracle[s.n] - pars.V0), pars.V0)
+            for s in states]
+    return np.array(rows, dtype=[
+        ("n", int), ("l", int), ("E_numeric", float), ("E_oracle", float),
+        ("rel_err", float), ("V0", float)]).view(np.recarray)
 
 
 def virial_check(m_I, m_G, V0, M, G, hbar, grid=None):

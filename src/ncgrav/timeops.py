@@ -17,6 +17,11 @@ stencil [(1, a)].  With k = 1/(i lam), and f' taps applied to d/dt f:
                   n = 2: k^2 [(1, 2), (-1, 1)],  f' taps k [(-1, 1)]
                   else:  k^2/((2-n)(1-n)) [(1, 1), (1-n, n-1), (n-2, n)]
   delta0_general  k^2 [(nu, 1), (mu, 1 - beta/mu), (-(nu+mu), 1 - beta/(nu+mu))]
+
+Every operator refuses lam below LAM_MIN = 1/sqrt(float max), about 7.5e-155,
+where k^2 overflows.  Above it the taps still cancel: on a mode e^{-i omega t}
+d0 loses its digits once omega lam is below about 1e-16, where e^{-omega lam}
+rounds to 1 (d0 of a mode is then 0).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from math import comb
 
 import numpy as np
@@ -52,10 +58,15 @@ def _check_finite(op, **params):
                              % (op, name, name, value))
 
 
+# the smallest lam the operators take: below it 1/lam^2 passes the float range
+LAM_MIN = 1 / math.sqrt(sys.float_info.max)
+
+
 def _check_lam(op, lam):
-    if not 0 < lam < math.inf:
+    if not LAM_MIN <= lam < math.inf:
         _check_finite(op, lam=lam)
-        raise ValueError("%s requires lam > 0, got lam = %r" % (op, lam))
+        raise ValueError("%s requires lam >= LAM_MIN = %.6g (1/lam^2 overflows "
+                         "below it), got lam = %r" % (op, LAM_MIN, lam))
 
 
 def stencil_terms(terms, taps, lam, exp, out=None):

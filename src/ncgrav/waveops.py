@@ -5,7 +5,8 @@ Three variants of the box operator:
   box_const   : constant beta,  box psi = lap psi(t+il) + 2 Delta0^const psi
   box_general : varying beta,   box psi = Dbar psi(t+il) + 2 Delta0 psi with
                 Dbar = lap - (1/2 beta) beta' d/dr
-  box_newton  : the weak-field operator for beta = -(1/c^2)(1 + gamma/r)
+  box_newton  : the weak-field operator for beta = -(1/c^2)(1 + gamma/r),
+                box_general on geometry.mu_nu_newton's beta
 
 For box_general the spatial finite difference Delta0 takes the closed forms
 when beta.structure lists it as a sum of power laws coef * r^{-n} (n = 0 the
@@ -26,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import timeops
-from .geometry import RadialProfile
+from .geometry import RadialProfile, mu_nu_newton
 
 WEAK_FIELD_WARN = 0.3
 
@@ -149,10 +150,17 @@ def _lap_profile(sp):
 
 
 def _drift_profile(sp, beta):
-    """-(1/2 beta) beta' d/dr applied to sp, as a profile."""
-    return RadialProfile(
-        lambda r: -beta.deriv(r) / (2 * np.asarray(beta(r), dtype=complex))
-        * sp.deriv(r))
+    """-(1/2 beta) beta' d/dr applied to sp, as a profile; sampling it where
+    beta = 0 raises ValueError naming those nodes."""
+    def drift(r):
+        b = np.asarray(beta(r), dtype=complex)
+        zero = np.flatnonzero(b == 0)
+        if zero.size:
+            raise ValueError("box_general divides by beta, which is 0 at "
+                             "node(s) %s (r = %s)" % (
+                                 zero.tolist(), np.ravel(r)[zero].tolist()))
+        return -beta.deriv(r) / (2 * b) * sp.deriv(r)
+    return RadialProfile(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +225,20 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
 
 
 def box_newton(psi, gamma, c, lam, r_min=None):
-    """Weak-field operator for beta = -(1/c^2)(1 + gamma/r): constant-beta
-    part, radial drift + (gamma / (2 r^2 (1 + gamma/r))) d/dr acting on
-    psi(t+il), and the hybrid finite-difference term -(2 gamma/(c^2 r))
-    Delta0^hybrid psi(t+il), which is timeops.delta0_power at n = 1."""
+    """Weak-field operator for beta = -(1/c^2)(1 + gamma/r): box_general on
+    geometry.mu_nu_newton's beta, whose structure (a constant plus a 1/r
+    power law) gives the constant-beta part, the radial drift
+    (gamma / (2 r^2 (1 + gamma/r))) d/dr on psi(t+il), and the hybrid term
+    -(2 gamma/(c^2 r)) Delta0^hybrid psi(t+il), timeops.delta0_power at n = 1.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive (use box_const for gamma=0)")
     if r_min is not None and gamma / r_min > WEAK_FIELD_WARN:
         warnings.warn("gamma/r = %.3g exceeds the weak-field regime"
                       % (gamma / r_min))
-    out = box_const(psi, -1.0 / c ** 2, lam)
-    for sp, f in psi.terms:
-        if isinstance(sp, PlaneWave):
-            raise ValueError("box_newton needs radial spatial parts")
-        shifted = f.shift(1, lam)
-        drift = RadialProfile(
-            lambda r, _sp=sp: gamma
-            / (2 * np.asarray(r, dtype=float) ** 2
-               * (1 + gamma / np.asarray(r, dtype=float))) * _sp.deriv(r))
-        out.terms.append((drift, shifted))
-        hyb_weight = RadialProfile(
-            lambda r, _sp=sp: -(2 * gamma / c ** 2)
-            / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex))
-        out.terms.append((hyb_weight, timeops.delta0_power(f, lam, 1)))
-    return out
+    if any(isinstance(sp, PlaneWave) for sp, _ in psi.terms):
+        raise ValueError("box_newton needs radial spatial parts")
+    return box_general(psi, *mu_nu_newton(gamma, c), lam)
 
 
 # ---------------------------------------------------------------------------

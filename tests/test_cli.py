@@ -314,7 +314,8 @@ class TestDarkEnergy:
                                  "--r-universe=0.5", "--c=1e4",
                                  "--format", fmt)
         assert (code, out) == (2, "")
-        assert err.startswith("error: dark-energy energy_density is -inf")
+        assert err.startswith("error: dark-energy column energy_density is "
+                              "-inf at m-universe = 1e+308")
 
     def test_runs_as_module_from_checkout(self, capsys):
         # python -m ncgrav with only the checkout's src/ on the path
@@ -324,6 +325,76 @@ class TestDarkEnergy:
                               env={**os.environ, "PYTHONPATH": src})
         _, want, _ = run_cli(capsys, "dark-energy")
         assert (proc.returncode, proc.stdout) == (0, want)
+
+
+def _poison(monkeypatch, module, name, poison):
+    """Make module.name put a non-finite value into its own result."""
+    real = getattr(module, name)
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        poison(out)
+        return out
+    monkeypatch.setattr(module, name, poisoned)
+
+
+def _set(column, row, value):
+    def poison(table):
+        table[column][row] = value
+    return poison
+
+
+class TestOneRefusalRule:
+    """Every table subcommand refuses its first non-finite cell outside the
+    rows the library allows, as "<subcommand> column <C> is <V> at <key> =
+    <value>"."""
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("argv, producer, poison, words", [
+        (["figure1", "--n", "5"], (E, "figure1_data"),
+         lambda v: _set((slice(None), 3), 2, v),
+         "figure1 column V0_over_mpc2 is %r at x = 6"),
+        (["dispersion", "--n", "5"], (D, "sweep"), lambda v: _set("vg", 1, v),
+         "dispersion column vg is %r at omega = 0.5"),
+        (["spectrum", "--x", "1e-8"], (S, "spectrum_table"),
+         lambda v: _set("E_oracle", 1, v),
+         "spectrum column E_oracle is %r at n = 2"),
+        (["mu-nu", "--n", "3", "--nodes", "5"], (G, "ode_residuals"),
+         lambda v: _set(1, 3, v), "mu-nu column res_nu is %r at r = 15.8114"),
+        (["dark-energy"], (E, "dark_energy_estimate"),
+         lambda v: lambda rep: rep.update(mass_density=v),
+         "dark-energy column mass_density is %r at m-universe = 1e+53"),
+    ], ids=["figure1", "dispersion", "spectrum", "mu-nu", "dark-energy"])
+    def test_first_non_finite_cell_named(self, capsys, monkeypatch, argv,
+                                         producer, poison, words, value):
+        _poison(monkeypatch, *producer, poison(value))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % (words % value))
+
+    def test_first_cell_row_by_row(self, capsys, monkeypatch):
+        def poison(table):
+            table[2, 3] = math.inf
+            table[3, 1] = math.nan
+            table[1, 2] = math.nan
+        _poison(monkeypatch, E, "figure1_data", poison)
+        code, _, err = run_cli(capsys, "figure1", "--n", "5")
+        assert (code, err) == (2, "error: figure1 column mG_over_mp is nan "
+                                  "at x = 4\n")
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_evanescent_rows_may_hold_nan(self, capsys, monkeypatch, flag):
+        def poison(table):
+            table.vg[1] = math.nan
+            table.evanescent[1] = flag
+        _poison(monkeypatch, D, "sweep", poison)
+        code, out, err = run_cli(capsys, "dispersion", "--n", "5")
+        if flag:
+            assert (code, err) == (0, "")
+            row = parse_csv(out)[1][1]
+            assert (row[2], row[4]) == ("nan", "1")
+        else:
+            assert (code, out) == (2, "")
+            assert err == "error: dispersion column vg is nan at omega = 0.5\n"
 
 
 class TestConfigFile:

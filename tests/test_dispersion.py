@@ -218,6 +218,17 @@ class TestSweep:
         good = [p for p in pts if not math.isnan(p.k)]
         assert good and all(abs(p.residual) < 1e-10 for p in good)
 
+    def test_table_is_a_record_array(self):
+        omegas = np.linspace(0.0, 2.0, 11)
+        table = D.sweep(omegas, 0.1, LAM, C, HBAR)
+        assert table.dtype.names == ("omega", "k", "vg", "residual",
+                                     "evanescent")
+        assert table.omega.tolist() == omegas.tolist()
+        assert table.evanescent.tolist() == np.isnan(table.k).astype(int).tolist()
+        assert [p.k for p in table][3] == table.k[3]
+        # true when it has rows, as a list is
+        assert table and not D.sweep([], 0.1, LAM, C, HBAR)
+
     def test_domain_checked_per_omega_not_per_evaluation(self, monkeypatch):
         # the domain check runs once per omega, and every lane shares each
         # array evaluation of the residual: their number is that of the

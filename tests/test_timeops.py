@@ -1,8 +1,10 @@
 """Finite-difference time operators: examples, Leibniz identities, symbols."""
 
 import cmath
+import math
 import random
 import re
+import sys
 from math import comb
 
 import numpy as np
@@ -211,6 +213,37 @@ class TestNonFiniteRefused:
         with pytest.raises(ValueError, match=r"finite %s, not finite at "
                            r"node\(s\) \[1, 4\]" % name):
             T.delta0_general(grid, LAM, **nodes)
+
+
+OPERATORS = {
+    "d0": lambda lam: T.d0(MODE, lam),
+    "delta0_const": lambda lam: T.delta0_const(MODE, lam, 1.0),
+    "delta0_hybrid": lambda lam: T.delta0_hybrid(MODE, lam),
+    "delta0_power": lambda lam: T.delta0_power(MODE, lam, 3),
+    "delta0_power-n1": lambda lam: T.delta0_power(MODE, lam, 1),
+    "delta0_power-n2": lambda lam: T.delta0_power(MODE, lam, 2),
+    "delta0_general": lambda lam: T.delta0_general(MODE, lam, 0.3, 0.2, 0.5),
+}
+
+
+class TestTinyLamRefused:
+    # below LAM_MIN, 1/lam^2 overflows: the operators returned nan, 0 or a
+    # bare ZeroDivisionError there
+    @pytest.mark.parametrize("lam", [1e-160, 1e-320])
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    def test_lam_named(self, op, lam):
+        name = op.split("-")[0]
+        with pytest.raises(ValueError, match=r"^%s requires lam >= LAM_MIN = "
+                           r".*got lam = %s$" % (name, re.escape(repr(lam)))):
+            OPERATORS[op](lam)
+
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    def test_bound_is_where_the_weights_overflow(self, op):
+        assert T.LAM_MIN == 1 / math.sqrt(sys.float_info.max)
+        out = OPERATORS[op](T.LAM_MIN)
+        assert all(cmath.isfinite(c) for c in out.terms.values())
+        with pytest.raises(ValueError, match="LAM_MIN"):
+            OPERATORS[op](math.nextafter(T.LAM_MIN, 0.0))
 
 
 class TestOperatorExamples:

@@ -10,6 +10,7 @@ from ncgrav import spectrum as S
 from ncgrav import timeops as T
 from ncgrav import waveops as W
 from ncgrav.timeops import TimeFunction as TF
+from ncgrav.verify import box_newton_oracle
 
 LAM = 0.05
 C = 1.0
@@ -237,8 +238,30 @@ class TestBoxGeneral:
         with pytest.raises(ValueError):
             W.box_general(psi, beta, beta, beta, LAM)
 
+    @pytest.mark.parametrize("mode", ["auto", "pointwise"])
+    def test_beta_zero_nodes_named(self, mode):
+        # beta = 1 - r vanishes at r = 1, where the drift divides by it; the
+        # closed-form route refuses when its result is sampled there
+        nodes = np.array([0.5, 1.0, 2.0])
+        beta = G.RadialProfile(lambda r: 1 - np.asarray(r, dtype=float),
+                               deriv=lambda r: -np.ones(np.shape(r)),
+                               structure=[(0, 1.0), (-1, -1.0)])
+        half = G.RadialProfile.constant(-0.5)
+        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
+        with pytest.raises(ValueError, match=r"beta, which is 0 at "
+                           r"node\(s\) \[1\] \(r = \[1\.0\]\)"):
+            box = W.box_general(psi, beta, half, half, LAM, grid=nodes,
+                                mode=mode)
+            if mode == "auto":
+                box.to_grid(nodes)
+
 
 class TestBoxNewton:
+    def test_plane_wave_rejected(self):
+        psi = W.SeparableField.single(W.PlaneWave(0.3), TF.mode(0.5))
+        with pytest.raises(ValueError, match="box_newton needs radial"):
+            W.box_newton(psi, 1e-3, C, LAM)
+
     def test_gamma_zero_rejected_use_const(self):
         psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
         with pytest.raises(ValueError):
@@ -256,12 +279,13 @@ class TestBoxNewton:
             W.box_newton(psi, 0.4, C, LAM, r_min=1.0)
 
     def test_agrees_with_box_general_battery(self):
+        # box_newton is box_general on the Newton beta; the hand-written
+        # operator in verify is the second route
         gamma = 1e-3
-        beta, mu, nu = G.mu_nu_newton(gamma, C)
         for psi in field_battery():
-            bg = W.box_general(psi, beta, mu, nu, LAM)
             bn = W.box_newton(psi, gamma, C, LAM)
-            assert rel_diff(bg, bn) < 1e-8
+            oracle = box_newton_oracle(psi, gamma, C, LAM)
+            assert rel_diff(bn, oracle) < 1e-8
 
 
 class TestCoherenceAndLinearity:
