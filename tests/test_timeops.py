@@ -227,8 +227,8 @@ OPERATORS = {
 
 
 class TestTinyLamRefused:
-    # below LAM_MIN, 1/lam^2 overflows: the operators returned nan, 0 or a
-    # bare ZeroDivisionError there
+    # below LAM_MIN, 1/lam^2 overflows: unrefused, the weights turn the
+    # result into nan or 0, or the division fails with no name
     @pytest.mark.parametrize("lam", [1e-160, 1e-320])
     @pytest.mark.parametrize("op", sorted(OPERATORS))
     def test_lam_named(self, op, lam):
