@@ -99,6 +99,10 @@ class NCElement:
             return cls(d)
         return cls(d, {(tuple(xpow), tpow): c})
 
+    def coeffs(self):
+        """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n."""
+        return dict(self.terms)
+
     # -- ring structure ----------------------------------------------
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.terms == other.terms

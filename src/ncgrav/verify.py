@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -197,6 +198,66 @@ def exterior_d_leibniz(psi):
     return out
 
 
+# -- the Meljanac-Stojic realization: an oracle for the product ---------------
+# x_i acts on commuting polynomials in X_1..X_d, T as multiplication by X_i,
+# and t as T - i lam sum_j X_j d/dX_j; these operators satisfy
+# [x_i, t] = i lam x_i (Meljanac & Stojic, Eur. Phys. J. C 47 (2006) 531).
+# Acting on 1, x^a t^n gives X^a T^n, so the normal-ordered symbol of f g is
+# f's operator acting on the symbol of g.  A symbol is a dict
+# {(a_1, .., a_d, n, lam_pow, beta_pow): (re, im)} of ints or Fractions;
+# nothing here uses exactalg's or coeff's arithmetic.
+
+def realization_symbol(elem):
+    """The symbol of an NCElement, read through its coefficients."""
+    out = {}
+    for (xpow, n), c in elem.coeffs().items():
+        for (j, k), (re, im) in c.terms.items():
+            out[(*xpow, n, j, k)] = ((re, im) if c.den == 1 else
+                                     (Fraction(re, c.den), Fraction(im, c.den)))
+    return out
+
+
+def _symbol_add(out, key, re, im):
+    old_re, old_im = out.get(key, (0, 0))
+    re, im = old_re + re, old_im + im
+    if re or im:
+        out[key] = (re, im)
+    else:
+        out.pop(key, None)
+
+
+def _realize_t(sym, d):
+    """t acting on a symbol: T times it, minus i lam sum_j X_j d/dX_j of it."""
+    out = {}
+    for key, (re, im) in sym.items():
+        xs, n, j, k = key[:d], key[d], key[d + 1], key[d + 2]
+        _symbol_add(out, (*xs, n + 1, j, k), re, im)
+        for a in xs:
+            if a:  # X_j d/dX_j X^a = a_j X^a, times -i lam
+                _symbol_add(out, (*xs, n, j + 1, k), a * im, -a * re)
+    return out
+
+
+def realization_product(f, g, d):
+    """The symbol of f g from the symbols of f and g."""
+    out = {}
+    for key, (re, im) in f.items():
+        acted = g
+        for _ in range(key[d]):
+            acted = _realize_t(acted, d)
+        for k2, (r2, i2) in acted.items():
+            new = (*(a + b for a, b in zip(key[:d], k2[:d])), k2[d],
+                   key[d + 1] + k2[d + 1], key[d + 2] + k2[d + 2])
+            _symbol_add(out, new, re * r2 - im * i2, re * i2 + im * r2)
+    return out
+
+
+def realization_agrees(f, g):
+    """True if f * g has the symbol that the realization gives."""
+    return realization_symbol(f * g) == realization_product(
+        realization_symbol(f), realization_symbol(g), f.d)
+
+
 # -- exact calculus ----------------------------------------------------------
 
 @check("exactalg.leibniz-product-rule")
@@ -233,6 +294,22 @@ def _(level):
             return False, "monomial %s" % psi.to_text()
     return True, "%d monomials of degree <= %d" % (len(psis),
                                                     MONOMIAL_DEGREE)
+
+
+@check("exactalg.realization-oracle")
+def _(level):
+    rng = random.Random(24)
+    psis = monomials()
+    partners, n = (3, 200) if level == "full" else (1, 30)
+    for psi in psis:
+        for _ in range(partners):
+            if not realization_agrees(psi, rng.choice(psis)):
+                return False, "monomial product %s" % psi.to_text()
+    for _ in range(n):
+        if not realization_agrees(random_element(rng), random_element(rng)):
+            return False, "random product"
+    return True, "%d monomial products, %d random pairs" % (
+        partners * len(psis), n)
 
 
 @check("exactalg.normal-order-confluence")

@@ -29,6 +29,7 @@ from ncgrav.verify import (
     mul_gen,
     normal_order,
     random_element,
+    realization_agrees,
 )
 
 D = 3
@@ -303,6 +304,30 @@ def small_forms(draw):
     forms = draw(st.lists(st.sampled_from([dx(1), dx(2), dx(3), DT, THETA]),
                           unique=True, max_size=3))
     return NCOneForm(D, {w: draw(small_elements()) for w in forms})
+
+
+@st.composite
+def ring_elements(draw):
+    """Elements of degree <= 4 whose coefficients carry lam, beta and the
+    denominators 2, 3 and 6."""
+    out = NCElement.zero(D)
+    for (*xpow, n), (c, _ref) in draw(st.lists(
+            st.tuples(st.sampled_from(_DEGREES), coeffs()), max_size=3)):
+        out = out + elem(xpow, n, c)
+    return out
+
+
+class TestRealizationOracle:
+    # the Meljanac-Stojic realization shares no code with the product
+    @given(ring_elements(), ring_elements())
+    def test_product_matches_realization(self, f, g):
+        assert realization_agrees(f, g)
+
+    def test_monomial_products(self):
+        psis = monomials()
+        rng = random.Random(29)
+        for psi in psis:
+            assert realization_agrees(psi, rng.choice(psis))
 
 
 class TestProductProperties:

@@ -15,7 +15,8 @@ SRC = Path(ncgrav.__file__).parent
 ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "TwoFormError", "_monomial_word", "exterior_d_leibniz",
            "symbol_delta0_power", "symbol_delta0_general",
-           "extrema_report", "series_check", "box_newton_oracle"}
+           "extrema_report", "series_check", "box_newton_oracle",
+           "realization_symbol", "realization_product", "realization_agrees"}
 
 
 def _imports_verify(tree):
