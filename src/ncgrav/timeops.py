@@ -262,18 +262,27 @@ def delta0_general(f, lam, mu, nu, beta):
     f is a TimeFunction with scalar mu, nu, beta (one spatial point), or a
     waveops.GridField with mu, nu, beta sampled on its nodes (all points at
     once).  Non-finite mu, nu or beta is refused naming its nodes, as is a
-    degenerate profile (DegenerateProfileError).
+    finite profile whose shift 1 - beta/mu or 1 - beta/(nu+mu) overflows and
+    a degenerate profile (DegenerateProfileError).
     """
     _check_lam("delta0_general", lam)
-    for name, value in (("mu", mu), ("nu", nu), ("beta", beta)):
+
+    def require_finite(name, value):
         bad = np.flatnonzero(~np.isfinite(value))
         if bad.size:
             raise ValueError("delta0_general requires a finite %s, not finite"
                              " at node(s) %s" % (name, bad.tolist()))
+
+    for name, value in (("mu", mu), ("nu", nu), ("beta", beta)):
+        require_finite(name, value)
     _check_nondegenerate(mu, nu)
+    with np.errstate(over="ignore"):
+        a_mu, a_sum = 1 - beta / mu, 1 - beta / (nu + mu)
+    require_finite("shift 1 - beta/mu", a_mu)
+    require_finite("shift 1 - beta/(nu+mu)", a_sum)
     w = 1.0 / (1j * lam) ** 2
-    return f.stencil([(w * nu, 1), (w * mu, 1 - beta / mu),
-                      (-w * (nu + mu), 1 - beta / (nu + mu))], lam)
+    return f.stencil([(w * nu, 1), (w * mu, a_mu), (-w * (nu + mu), a_sum)],
+                     lam)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,23 @@ class TestNonFiniteRefused:
                            r"node\(s\) \[1, 4\]" % name):
             T.delta0_general(grid, LAM, **nodes)
 
+    # finite profiles whose shift passes the float range: beta/mu overflows
+    # at a subnormal mu, beta/(nu+mu) at a subnormal nu + mu
+    @pytest.mark.parametrize("shift, mu, nu", [
+        ("1 - beta/mu", 1e-310, 0.2),
+        ("1 - beta/(nu+mu)", 1e-300, -1e-300 + 1e-310),
+    ], ids=["mu", "nu+mu"])
+    def test_general_shift_overflow_named(self, shift, mu, nu):
+        message = r"finite shift %s, not finite at node\(s\) \[%s\]"
+        with pytest.raises(ValueError, match=message % (re.escape(shift), 0)):
+            T.delta0_general(MODE, LAM, mu, nu, 0.2)
+        nodes = {"mu": np.full(4, 0.3), "nu": np.full(4, 0.2),
+                 "beta": np.full(4, 0.2)}
+        nodes["mu"][2], nodes["nu"][2] = mu, nu
+        grid = GridField(np.arange(4.0), {(0, -1j): np.ones(4, complex)})
+        with pytest.raises(ValueError, match=message % (re.escape(shift), 2)):
+            T.delta0_general(grid, LAM, **nodes)
+
 
 OPERATORS = {
     "d0": lambda lam: T.d0(MODE, lam),
