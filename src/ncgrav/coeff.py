@@ -10,11 +10,16 @@ Representation: ``terms`` maps (lam_pow, beta_pow) to a pair of Python ints
 the coefficient of lam^j beta^k is (re + i im) / den.  Invariant: no pair is
 (0, 0), and den is 1 or shares no common factor with all the numerators; zero
 is ``terms == {}`` with den 1.  The form is canonical, so equality compares
-terms and den.  The structure constants of the calculus lie in Z[i][lam, beta]
-and den is nearly always 1, so the arithmetic is on small ints and reduces by
-a gcd only when den is not 1.  ``Fraction`` appears only at the boundary:
-``from_rational`` and ``scale`` given non-int parts, the constructor given
-Fraction parts, and the text of a part.
+terms and den.  ``lowest_terms`` brings int pairs over a denominator to this
+form, for ``Coeff`` and for ``exactalg.NCElement`` alike.  ``Fraction``
+appears only at the boundary: ``from_rational`` and ``scale`` given non-int
+parts, the constructor given Fraction parts, and the text of a part.
+
+``Coeff`` is the type of the API boundary, not of the calculus: an
+``NCElement`` keeps its own flat (monomial, lam^j beta^k) -> (re, im) dict
+and builds a ``Coeff`` only where a caller asks for one (its constructors
+and ``scale`` take one; ``coeffs()`` and ``to_text`` return them).  The ring
+operations here serve those callers, the oracles in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _coeff(terms, den):
-    """Coeff from int pairs without (0, 0) over den > 0, reduced to the
-    invariant."""
+def lowest_terms(terms, den):
+    """(terms, den) with the common factor of den and every numerator divided
+    out; terms maps keys to int pairs without (0, 0), den > 0."""
     if den != 1:
         g = den  # zero (no terms) ends with den // den = 1
         for re, im in terms.values():
@@ -35,9 +40,14 @@ def _coeff(terms, den):
         if g != 1:
             den //= g
             terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    return terms, den
+
+
+def _coeff(terms, den):
+    """Coeff from int pairs without (0, 0) over den > 0, reduced to the
+    invariant."""
     res = object.__new__(Coeff)
-    res.terms = terms
-    res.den = den
+    res.terms, res.den = lowest_terms(terms, den)
     return res
 
 
@@ -62,6 +72,12 @@ class Coeff:
         if type(re) is int and type(im) is int:
             return _coeff({(0, 0): (re, im)} if re or im else {}, 1)
         return cls({(0, 0): (Fraction(re), Fraction(im))})
+
+    @classmethod
+    def from_parts(cls, terms, den):
+        """Coeff of {(lam_pow, beta_pow): (re, im)} int pairs without (0, 0)
+        over den > 0; the dict is adopted, not copied."""
+        return _coeff(terms, den)
 
     @classmethod
     def zero(cls):

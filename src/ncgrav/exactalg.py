@@ -5,8 +5,19 @@ Generators: commuting spatial coordinates x_1..x_d and a time generator t with
 one-forms dx_1..dx_d, dt and the extra direction theta' (constant beta).
 
 Elements are kept in canonical normal order: spatial powers to the left of
-time powers, function coefficients to the left of basis one-forms.  All
-coefficients live in the exact ring ``coeff.Coeff``.
+time powers, function coefficients to the left of basis one-forms.
+
+An element is one flat dict ``terms`` mapping (xpow, n, j, k) to a pair of
+Python ints (re, im), and one positive int ``den`` shared by the whole
+element: the coefficient of x^xpow t^n lam^j beta^k is (re + i im) / den.
+Invariant: no pair is (0, 0), and den is 1 or shares no common factor with
+all the numerators; zero is ``terms == {}`` with den 1, so equality compares
+terms and den.  The structure constants lie in Z[i][lam, beta] (Sitarz, Phys.
+Lett. B 349 (1995) 42), so den is nearly always 1, and the product, the
+shifts, the derivatives and the one-form actions are int arithmetic on these
+pairs with no coefficient object per term.  ``coeff.Coeff`` is the boundary
+type: the constructors (``NCElement(d, {(xpow, n): Coeff})``, ``monomial``,
+``scalar``) and ``scale`` take it, and ``coeffs()`` and ``to_text`` build it.
 
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
@@ -29,11 +40,11 @@ plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The oracle
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add
 
-from .coeff import Coeff
+from .coeff import Coeff, lowest_terms
 
 # one-form basis tags
 DT = "dt"
@@ -52,18 +63,37 @@ def _form_name(form):
     return "dx%d" % form[1]
 
 
-class NCElement:
-    """Canonical sum of monomials x^a t^n with Coeff coefficients."""
+def _element(d, terms, den=1):
+    """NCElement from flat int pairs without (0, 0) over den > 0, reduced to
+    the invariant.  The dict is adopted, not copied."""
+    if den != 1:
+        terms, den = lowest_terms(terms, den)
+    out = object.__new__(NCElement)
+    out.d, out.terms, out.den = d, terms, den
+    return out
 
-    __slots__ = ("d", "terms")
+
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if v[0] or v[1]}
+
+
+class NCElement:
+    """Canonical sum of monomials x^xpow t^n lam^j beta^k with Gaussian
+    rational coefficients: ``terms`` maps (xpow, n, j, k) to an int pair
+    (re, im) over the element's one denominator ``den``."""
+
+    __slots__ = ("d", "terms", "den")
 
     def __init__(self, d, terms=None):
+        # terms: {(xpow, n): Coeff}, brought over one denominator; each Coeff
+        # is in lowest terms, so their lcm is too
+        coeffs = [(key, c) for key, c in (terms or {}).items() if c]
+        den = lcm(*(c.den for _key, c in coeffs))
         self.d = d
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
+        self.terms = {(xpow, n, j, k): (re * f, im * f)
+                      for (xpow, n), c in coeffs for f in [den // c.den]
+                      for (j, k), (re, im) in c.terms.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -74,132 +104,157 @@ class NCElement:
     def scalar(cls, d, c):
         if isinstance(c, int):
             c = Coeff.from_rational(c)
-        if not c:
-            return cls(d)
         return cls(d, {((0,) * d, 0): c})
 
     @classmethod
     def one(cls, d):
-        return cls.scalar(d, Coeff.one())
+        return cls.monomial(d, (0,) * d, 0)
 
     @classmethod
     def x(cls, d, i):
         xpow = [0] * d
         xpow[i - 1] = 1
-        return cls(d, {(tuple(xpow), 0): Coeff.one()})
+        return cls.monomial(d, xpow, 0)
 
     @classmethod
     def t(cls, d):
-        return cls(d, {((0,) * d, 1): Coeff.one()})
+        return cls.monomial(d, (0,) * d, 1)
 
     @classmethod
     def monomial(cls, d, xpow, tpow, c=None):
-        c = Coeff.one() if c is None else c
-        if not c:
-            return cls(d)
+        if c is None:
+            return _element(d, {(tuple(xpow), tpow, 0, 0): (1, 0)})
         return cls(d, {(tuple(xpow), tpow): c})
 
     def coeffs(self):
         """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n."""
-        return dict(self.terms)
+        parts = {}
+        for (xpow, n, j, k), v in self.terms.items():
+            parts.setdefault((xpow, n), {})[(j, k)] = v
+        return {key: Coeff.from_parts(p, self.den) for key, p in parts.items()}
 
     # -- ring structure ----------------------------------------------
     def __eq__(self, other):
-        return isinstance(other, NCElement) and self.terms == other.terms
+        return (isinstance(other, NCElement) and self.den == other.den
+                and self.terms == other.terms)
 
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+    def _combine(self, other, sign):
+        """self + sign * other."""
+        den = self.den
+        if other.den == den:
+            out = dict(self.terms)
+            f = sign
+        else:
+            den = lcm(den, other.den)
+            g, f = den // self.den, sign * (den // other.den)
+            out = {k: (a * g, b * g) for k, (a, b) in self.terms.items()}
+        for key, (a, b) in other.terms.items():
             cur = out.get(key)
-            new = cur + c if cur else c
-            if new:
-                out[key] = new
-            elif cur is not None:
-                del out[key]
-        return NCElement(self.d, out)
+            if cur is None:
+                out[key] = (a * f, b * f)
+            else:
+                a, b = cur[0] + a * f, cur[1] + b * f
+                if a or b:
+                    out[key] = (a, b)
+                else:
+                    del out[key]
+        return _element(self.d, out, den)
 
-    def __neg__(self):
-        return NCElement(self.d, {k: -c for k, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        terms = {k: (-a, -b) for k, (a, b) in self.terms.items()}
+        return _element(self.d, terms, self.den)
+
+    def _times(self, re, im, dj=0, dk=0, den=1):
+        """self * (re + i im) lam^dj beta^dk / den, for a nonzero Gaussian
+        integer re + i im and den > 0.  A negative dj divides by lam^-dj,
+        which must divide every term."""
+        out = {}
+        for (xpow, n, j, k), (a, b) in self.terms.items():
+            if j + dj < 0:
+                raise ArithmeticError("element not divisible by lam^%d: %s"
+                                      % (-dj, self.to_text()))
+            out[(xpow, n, j + dj, k + dk)] = (a * re - b * im, a * im + b * re)
+        return _element(self.d, out, self.den * den)
 
     def scale(self, c):
+        """self * c for an int or Coeff c."""
         if isinstance(c, int):
             c = Coeff.from_rational(c)
-        return NCElement(self.d, {k: c * v for k, v in self.terms.items()})
+        parts = [self._times(re, im, j, k, c.den)
+                 for (j, k), (re, im) in c.terms.items()]
+        return sum(parts[1:], parts[0]) if parts else NCElement(self.d)
 
     def __mul__(self, other):
         """Normal-ordered product.  Uses t^n x^b = x^b (t - i lam |b|)^n."""
-        out = NCElement(self.d)
-        for (a, n), c1 in self.terms.items():
-            for (b, m), c2 in other.terms.items():
-                xpow = tuple(ai + bi for ai, bi in zip(a, b))
-                shift = -sum(b)  # t -> t - i lam |b|
-                c = c1 * c2
-                for q, sc in _t_power_shifted(n, shift):
-                    key = (xpow, q + m)
-                    term = c * sc
-                    cur = out.terms.get(key)
-                    new = cur + term if cur else term
-                    if new:
-                        out.terms[key] = new
-                    elif cur is not None:
-                        del out.terms[key]
-        return out
+        right = [(b, m, j, k, re, im, -sum(b))
+                 for (b, m, j, k), (re, im) in other.terms.items()]
+        out = {}
+        get = out.get
+        for (a, n, j1, k1), (r1, i1) in self.terms.items():
+            for b, m, j2, k2, r2, i2, s in right:
+                xpow = tuple(map(add, a, b))
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                j, k = j1 + j2, k1 + k2
+                for q, p, sr, si in _t_power_shifted(n, s):
+                    key = (xpow, q + m, j + p, k)
+                    vr, vi = re * sr - im * si, re * si + im * sr
+                    cur = get(key)
+                    out[key] = ((vr, vi) if cur is None
+                                else (cur[0] + vr, cur[1] + vi))
+        return _element(self.d, _nonzero(out), self.den * other.den)
 
     # -- calculus helpers ---------------------------------------------
-    def shift_t(self, a):
-        """Exact substitution t -> t + a * i * lam, a rational."""
-        a = Fraction(a)
-        out = NCElement(self.d)
-        for (xpow, n), c in self.terms.items():
-            for q, sc in _t_power_shifted(n, a):
-                key = (xpow, q)
-                term = c * sc
-                cur = out.terms.get(key)
-                new = cur + term if cur else term
-                if new:
-                    out.terms[key] = new
-                elif cur is not None:
-                    del out.terms[key]
-        return out
+    def shift_t(self, s):
+        """Exact substitution t -> t + s i lam, s an int."""
+        out = {}
+        get = out.get
+        for (xpow, n, j, k), (re, im) in self.terms.items():
+            for q, p, sr, si in _t_power_shifted(n, s):
+                key = (xpow, q, j + p, k)
+                vr, vi = re * sr - im * si, re * si + im * sr
+                cur = get(key)
+                out[key] = ((vr, vi) if cur is None
+                            else (cur[0] + vr, cur[1] + vi))
+        return _element(self.d, _nonzero(out), self.den)
 
     def partial_x(self, i):
         out = {}
-        for (xpow, n), c in self.terms.items():
+        for (xpow, n, j, k), (re, im) in self.terms.items():
             p = xpow[i - 1]
             if p:
-                new = list(xpow)
-                new[i - 1] = p - 1
-                out[(tuple(new), n)] = c.scale(p)
-        return NCElement(self.d, out)
+                out[(xpow[:i - 1] + (p - 1,) + xpow[i:], n, j, k)] = (re * p,
+                                                                      im * p)
+        return _element(self.d, out, self.den)
 
     def d0(self):
         """Finite-difference time derivative (f(t) - f(t - i lam)) / (i lam)."""
-        diff = self - self.shift_t(-1)
-        return NCElement(self.d, {k: c.div_i_lam(1) for k, c in diff.terms.items()})
+        # 1 / (i lam) = -i lam^-1
+        return (self - self.shift_t(-1))._times(0, -1, -1)
 
     def delta0_const(self):
         """(beta/2) (f(t+i lam) + f(t-i lam) - 2 f(t)) / (i lam)^2."""
-        num = self.shift_t(1) + self.shift_t(-1) - self.scale(2)
-        half_beta = Coeff.beta().scale(Fraction(1, 2))
-        return NCElement(
-            self.d, {k: half_beta * c.div_i_lam(2) for k, c in num.terms.items()})
+        # (beta/2) / (i lam)^2 = -beta lam^-2 / 2
+        num = self.shift_t(1) + self.shift_t(-1) - self._times(2, 0)
+        return num._times(-1, 0, -2, 1, 2)
 
     def subs_lam_zero(self):
-        out = {k: c.subs_lam_zero() for k, c in self.terms.items()}
-        return NCElement(self.d, out)
+        return _element(self.d, {key: v for key, v in self.terms.items()
+                                 if key[2] == 0}, self.den)
 
     def to_text(self):
         if not self.terms:
             return "0"
         parts = []
-        for (xpow, n) in sorted(self.terms):
-            c = self.terms[(xpow, n)]
+        for (xpow, n), c in sorted(self.coeffs().items()):
             piece = "(%s)" % c
             for i, p in enumerate(xpow, start=1):
                 if p:
@@ -213,22 +268,18 @@ class NCElement:
 
 
 @lru_cache(maxsize=4096)
-def _t_power_shifted(n, a):
-    """(t + a i lam)^n as ((q, Coeff multiplying t^q), ...).  Cached: the
-    Coeffs are shared between callers, who must not mutate them."""
-    a = Fraction(a)
-    if a == 0:
-        return ((n, Coeff.one()),)
+def _t_power_shifted(n, s):
+    """(t + s i lam)^n for an int s, as ((q, p, re, im), ...) meaning
+    (re + i im) lam^p t^q with p = n - q; zero terms are left out.  Cached:
+    the table is shared between callers."""
     out = []
     for q in range(n + 1):
-        # C(n,q) (a i lam)^(n-q)
+        # C(n, q) (s i lam)^p
         p = n - q
-        val = Fraction(comb(n, q)) * a ** p
-        # (i)^p
-        ip = p % 4
-        re, im = {0: (val, Fraction(0)), 1: (Fraction(0), val),
-                  2: (-val, Fraction(0)), 3: (Fraction(0), -val)}[ip]
-        out.append((q, Coeff({(p, 0): (re, im)})))
+        val = comb(n, q) * s ** p
+        if val:  # i^p: 1, i, -1, -i
+            re_im = ((val, 0), (0, val), (-val, 0), (0, -val))[p % 4]
+            out.append((q, p) + re_im)
     return tuple(out)
 
 
@@ -298,8 +349,6 @@ class NCOneForm:
         of a monomial (see the module docstring).  `verify.mul_gen`, which
         pushes one generator at a time, is the oracle."""
         d = self.d
-        i_lam = Coeff.i_lam()
-        half = Fraction(1, 2)
         up = other.shift_t(1)
         grads = {j: other.partial_x(j) for j in range(1, d + 1)}
 
@@ -308,15 +357,18 @@ class NCOneForm:
             if w == THETA:
                 return {THETA: up}
             if w != DT:
-                return {w: other, THETA: grads[w[1]].shift_t(1).scale(i_lam)}
+                # i lam S^+(d_i psi)
+                return {w: other,
+                        THETA: grads[w[1]].shift_t(1)._times(0, 1, 1)}
             down = other.shift_t(-1)
             lap = NCElement.zero(d)
             for j, g in grads.items():
                 lap = lap + g.partial_x(j)
-            act = {dx(j): g.scale(-i_lam) for j, g in grads.items()}
+            act = {dx(j): g._times(0, -1, 1) for j, g in grads.items()}
             act[DT] = down
-            act[THETA] = ((up - down).scale(Coeff.beta().scale(half))
-                          + lap.shift_t(1).scale(Coeff.lam(2).scale(half)))
+            # (beta/2)(S^+ - S^-) psi + (lam^2/2) S^+(Delta psi)
+            act[THETA] = ((up - down)._times(1, 0, 0, 1, 2)
+                          + lap.shift_t(1)._times(1, 0, 2, 0, 2))
             return act
 
         out = NCOneForm.zero(d)
@@ -347,37 +399,26 @@ def exterior_d(psi):
     checked by the registry check `exactalg.eq-route-agreement` on every
     monomial of degree <= 8."""
     d = psi.d
-    out = NCOneForm.zero(d)
-    for i in range(1, d + 1):
-        gi = psi.partial_x(i)
-        if not gi.is_zero():
-            out = out + NCOneForm(d, {dx(i): gi})
-    p0 = psi.d0()
-    if not p0.is_zero():
-        out = out + NCOneForm(d, {DT: p0})
+    parts = {dx(i): psi.partial_x(i) for i in range(1, d + 1)}
+    parts[DT] = psi.d0()
     # box^{beta=const} psi = sum_i d^2/dx_i^2 psi(t + i lam) + 2 Delta_0 psi
-    box = NCElement.zero(d)
+    box = psi.delta0_const()._times(2, 0)
     shifted = psi.shift_t(1)
     for i in range(1, d + 1):
         box = box + shifted.partial_x(i).partial_x(i)
-    box = box + psi.delta0_const().scale(2)
-    if not box.is_zero():
-        half_i_lam = Coeff.i_lam().scale(Fraction(1, 2))
-        out = out + NCOneForm(d, {THETA: box.scale(half_i_lam)})
-    return out
+    parts[THETA] = box._times(0, 1, 1, 0, 2)  # times i lam / 2
+    return NCOneForm(d, parts)
 
 
 def commutator_d(psi):
     """(i/lam) [theta, psi] with theta = dt - beta theta'; must equal d psi."""
     d = psi.d
-    theta = NCOneForm(d, {DT: NCElement.one(d),
-                          THETA: NCElement.scalar(d, -Coeff.beta())})
+    minus_beta = _element(d, {((0,) * d, 0, 0, 1): (-1, 0)})
+    theta = NCOneForm(d, {DT: NCElement.one(d), THETA: minus_beta})
     comm = theta.mul_elem(psi) - theta.lmul(psi)
-    # (i/lam) z = -(z / (i lam))
+    # (i/lam) z = i z lam^-1
     try:
-        out = NCOneForm(
-            d, {w: NCElement(d, {k: -(c.div_i_lam(1)) for k, c in e.terms.items()})
-                for w, e in comm.parts.items()})
+        return NCOneForm(d, {w: e._times(0, 1, -1)
+                             for w, e in comm.parts.items()})
     except ArithmeticError as exc:  # pragma: no cover - mul_elem bug guard
         raise AssertionError("[theta, psi] not divisible by lam: %s" % exc)
-    return out

@@ -189,7 +189,7 @@ def exterior_d_leibniz(psi):
     Oracle only: the registry and the tests compare it with `exterior_d`."""
     d = psi.d
     out = NCOneForm.zero(d)
-    for (xpow, n), c in psi.terms.items():
+    for (xpow, n), c in psi.coeffs().items():
         word = _monomial_word(xpow, n)
         for j, g in enumerate(word):
             dg = DT if g == "t" else dx(g[1])
@@ -212,8 +212,9 @@ def realization_symbol(elem):
     out = {}
     for (xpow, n), c in elem.coeffs().items():
         for (j, k), (re, im) in c.terms.items():
-            out[(*xpow, n, j, k)] = ((re, im) if c.den == 1 else
-                                     (Fraction(re, c.den), Fraction(im, c.den)))
+            if c.den != 1:
+                re, im = Fraction(re, c.den), Fraction(im, c.den)
+            out[(*xpow, n, j, k)] = (re, im)
     return out
 
 
@@ -344,7 +345,7 @@ def _(level):
     rng = random.Random(4)
     for _ in range(20):
         theta_part = exterior_d(random_element(rng)).coeff(THETA)
-        for c in theta_part.terms.values():
+        for c in theta_part.coeffs().values():
             if c.lam_valuation() < 1:
                 return False, "theta' coefficient survives lam -> 0"
     return True, "20 elements"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncgrav import exactalg, verify
+from ncgrav import coeff, exactalg, verify
 from ncgrav.coeff import Coeff
 from ncgrav.exactalg import (
     DT,
@@ -257,7 +257,7 @@ class TestBimoduleAction:
     def test_basis_form_on_monomials_matches_normal_order(self, form):
         w = NCOneForm(D, {form: NCElement.one(D)})
         for m in monomials():
-            ((xpow, n), _c), = m.terms.items()
+            ((xpow, n), _c), = m.coeffs().items()
             assert w.mul_elem(m) == normal_order(D, [form] + _monomial_word(xpow, n))
 
     def test_makes_no_generator_push(self, monkeypatch):
@@ -273,10 +273,19 @@ class TestBimoduleAction:
         monkeypatch.setattr(verify, "_push_rules", push)
         assert omega.mul_elem(psi) == want
 
-    def test_shift_table_is_shared_tuple(self):
+    def test_shift_table_is_shared_int_tuple(self):
+        # (t + i lam)^3 = t^3 + 3i lam t^2 - 3 lam^2 t - i lam^3, as
+        # (q, p, re, im) for (re + i im) lam^p t^q
         table = exactalg._t_power_shifted(3, 1)
-        assert isinstance(table, tuple)
-        assert exactalg._t_power_shifted(3, Fraction(1)) is table
+        assert table == ((0, 3, 0, -1), (1, 2, -3, 0), (2, 1, 0, 3),
+                         (3, 0, 1, 0))
+        assert all(type(v) is int for entry in table for v in entry)
+        assert exactalg._t_power_shifted(3, 1) is table
+        # (t - 2i lam)^2 = t^2 - 4i lam t - 4 lam^2; no shift leaves t^n
+        assert exactalg._t_power_shifted(2, -2) == ((0, 2, -4, 0),
+                                                    (1, 1, 0, -4),
+                                                    (2, 0, 1, 0))
+        assert exactalg._t_power_shifted(4, 0) == ((4, 0, 1, 0),)
 
 
 # small elements for the product properties: degree <= 2, Gaussian-integer
@@ -330,6 +339,74 @@ class TestRealizationOracle:
             assert realization_agrees(psi, rng.choice(psis))
 
 
+@st.composite
+def half_elements(draw, degrees=_SMALL_DEGREES):
+    """Elements with half-integer Gaussian coefficients times lam^j beta^k,
+    so that den is 2 wherever a part is odd."""
+    out = NCElement.zero(D)
+    for (*xpow, n), re_, im, j, k in draw(st.lists(st.tuples(
+            st.sampled_from(degrees), st.integers(-5, 5), st.integers(-5, 5),
+            st.integers(0, 2), st.integers(0, 2)), max_size=3)):
+        c = Coeff.from_rational(Fraction(re_, 2), Fraction(im, 2))
+        out = out + elem(xpow, n, c * Coeff.lam(j) * Coeff.beta(k))
+    return out
+
+
+HALF = Coeff.from_rational(Fraction(1, 2))
+
+
+class TestHalfIntegerElements:
+    @given(half_elements(), half_elements(), half_elements())
+    def test_product_associative_and_distributive(self, f, g, h):
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert (f + g) * h == f * h + g * h
+
+    @given(half_elements())
+    def test_half_then_two_is_identity(self, f):
+        assert f.scale(HALF).scale(2) == f
+        whole = f.scale(2)  # Gaussian-integer coefficients
+        assert whole.scale(HALF).scale(2) == whole
+        assert whole.den == 1 and whole.scale(HALF).scale(2).den == 1
+
+    @given(half_elements(_DEGREES))
+    def test_coefficient_round_trip(self, f):
+        back = NCElement(D, f.coeffs())
+        assert back == f and back.den == f.den
+        assert back.to_text() == f.to_text()
+
+    def test_denominator_is_canonical(self):
+        f = elem((1, 0, 0), 0, Coeff.from_rational(Fraction(1, 2)))
+        assert f.den == 2
+        assert (f + f).den == 1 and (f - f).den == 1 and (f - f).is_zero()
+
+
+class TestNoCoeffInsideTheCalculus:
+    def test_calculus_builds_no_coeff(self, monkeypatch):
+        rng = random.Random(31)
+        f, g = random_element(rng), random_element(rng)
+        df, dg = exterior_d(f), exterior_d(g)
+        built = []
+        real_coeff, real_init = coeff._coeff, Coeff.__init__
+
+        def counted_coeff(*args):
+            built.append("_coeff")
+            return real_coeff(*args)
+
+        def counted_init(self, *args):
+            built.append("__init__")
+            real_init(self, *args)
+
+        monkeypatch.setattr(coeff, "_coeff", counted_coeff)
+        monkeypatch.setattr(Coeff, "__init__", counted_init)
+        fg = f * g
+        dfg = exterior_d(fg)
+        assert dfg == df.mul_elem(g) + dg.lmul(f) == commutator_d(fg)
+        assert built == []
+        fg.to_text()  # the text is built from Coeffs: the counters work
+        assert "_coeff" in built
+
+
 class TestProductProperties:
     @given(small_elements(), small_elements(), small_elements())
     def test_element_product_associative(self, f, g, h):
@@ -347,7 +424,7 @@ class TestProductProperties:
 def classical_dt(psi):
     """d/dt of a commuting polynomial, term by term."""
     out = NCElement.zero(D)
-    for (xpow, n), c in psi.terms.items():
+    for (xpow, n), c in psi.coeffs().items():
         if n:
             out = out + elem(xpow, n - 1, c.scale(n))
     return out
@@ -434,7 +511,7 @@ class TestExteriorD:
             psi = random_element(rng)
             dpsi = exterior_d(psi)
             theta_part = dpsi.coeff(THETA)
-            for c in theta_part.terms.values():
+            for c in theta_part.coeffs().values():
                 assert c.lam_valuation() >= 1
             classical = dpsi.subs_lam_zero()
             for i in range(1, D + 1):
