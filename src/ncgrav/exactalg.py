@@ -215,6 +215,8 @@ class NCElement:
     # -- calculus helpers ---------------------------------------------
     def shift_t(self, s):
         """Exact substitution t -> t + s i lam, s an int."""
+        if type(s) is not int:  # a rational s would leave non-int parts
+            raise TypeError("shift_t takes an int shift, got %r" % (s,))
         out = {}
         get = out.get
         for (xpow, n, j, k), (re, im) in self.terms.items():

@@ -6,7 +6,8 @@ runs the registry and exits nonzero if anything fails.  The seeded sample
 generators `random_element` and `random_tf`, the monomial set `monomials` and
 the oracles are shared with the test suite.  The oracles are the second routes
 that no production module calls: the word-rewriting engine `normal_order`
-(with `mul_gen`), `exterior_d_leibniz`, two Delta_0 symbols and the
+(with `mul_gen`), `exterior_d_leibniz`, the Meljanac-Stojic realization of
+the product (`realization_product`), two Delta_0 symbols and the
 hand-written weak-field operator `box_newton_oracle`.  The
 effective-parameter checks `series_check` and `extrema_report` live here too,
 so scipy's optimizer loads only with the registry.

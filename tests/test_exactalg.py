@@ -287,6 +287,12 @@ class TestBimoduleAction:
                                                     (2, 0, 1, 0))
         assert exactalg._t_power_shifted(4, 0) == ((4, 0, 1, 0),)
 
+    def test_shift_t_takes_int_shifts_only(self):
+        t = NCElement.t(D)
+        assert t.shift_t(-1) == t + NCElement.scalar(D, -Coeff.i_lam())
+        with pytest.raises(TypeError, match="int shift"):
+            t.shift_t(Fraction(1, 2))
+
 
 # small elements for the product properties: degree <= 2, Gaussian-integer
 # coefficients
@@ -316,30 +322,6 @@ def small_forms(draw):
 
 
 @st.composite
-def ring_elements(draw):
-    """Elements of degree <= 4 whose coefficients carry lam, beta and the
-    denominators 2, 3 and 6."""
-    out = NCElement.zero(D)
-    for (*xpow, n), (c, _ref) in draw(st.lists(
-            st.tuples(st.sampled_from(_DEGREES), coeffs()), max_size=3)):
-        out = out + elem(xpow, n, c)
-    return out
-
-
-class TestRealizationOracle:
-    # the Meljanac-Stojic realization shares no code with the product
-    @given(ring_elements(), ring_elements())
-    def test_product_matches_realization(self, f, g):
-        assert realization_agrees(f, g)
-
-    def test_monomial_products(self):
-        psis = monomials()
-        rng = random.Random(29)
-        for psi in psis:
-            assert realization_agrees(psi, rng.choice(psis))
-
-
-@st.composite
 def half_elements(draw, degrees=_SMALL_DEGREES):
     """Elements with half-integer Gaussian coefficients times lam^j beta^k,
     so that den is 2 wherever a part is odd."""
@@ -350,6 +332,19 @@ def half_elements(draw, degrees=_SMALL_DEGREES):
         c = Coeff.from_rational(Fraction(re_, 2), Fraction(im, 2))
         out = out + elem(xpow, n, c * Coeff.lam(j) * Coeff.beta(k))
     return out
+
+
+class TestRealizationOracle:
+    # the Meljanac-Stojic realization shares no code with the product
+    @given(half_elements(_DEGREES), half_elements(_DEGREES))
+    def test_product_matches_realization(self, f, g):
+        assert realization_agrees(f, g)
+
+    def test_monomial_products(self):
+        psis = monomials()
+        rng = random.Random(29)
+        for psi in psis:
+            assert realization_agrees(psi, rng.choice(psis))
 
 
 HALF = Coeff.from_rational(Fraction(1, 2))
