@@ -9,9 +9,19 @@ The rule: a table that exits 0 holds only finite numbers, except in the rows
 the library marks as allowed (the nan cells of evanescent `dispersion`
 rows); otherwise the first non-finite cell is refused with exit 2 as
 "<subcommand> column <C> is <V> at <key> = <value>", the key being the row's
-first column (`m-universe` for `dark-energy`).  There is one render path:
-each CSV row is one %-format built from its cell types, every float printed
-as %.12e, so identical configs give byte-identical CSV.
+first column (`m-universe` for `dark-energy`).  There is one CSV render path,
+`_render_csv`, and it works column by column; every float prints as %.12e
+(FMT), so identical configs give byte-identical CSV.  A float64 column goes
+through one numpy kernel, `_float_cells`, which writes the digits itself:
+e10 = floor(log10|v|), y = |v| 10^(12 - e10) with the power of ten parsed
+by float() (correctly rounded), m = rint(y).  Two roundings put y within
+4e-3 of its exact value, so a cell whose y is more than 0.01 from a rounding
+tie, with 1e12 <= y and m < 1e13 (a log10 off by one fails this) and
+1e-280 <= |v| <= 1e280, rounds exactly as FMT % v does; that cell is
+certified.  Every other cell (0, nan, inf, subnormals, the exponent
+extremes, near-ties, a power of ten's neighbours) is printed by FMT % v.
+Int columns print through numpy's int-to-bytes cast, and text and object
+columns cell by cell.  JSON is `tolist()` through json.dumps.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
@@ -23,7 +33,6 @@ the other subcommands start without scipy.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -61,24 +70,100 @@ def _csv_text(text):
     return text
 
 
-@functools.lru_cache(maxsize=None)
-def _row_format(types):
-    """The %-format of a CSV row whose cells have these types."""
-    return ",".join(FMT if issubclass(t, float) else "%d" if t is int
-                    else "%s" for t in types) + "\n"
+def _words(table):
+    """Rows of a uint8 table as native uint32 words, 4 bytes each."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32)
 
 
-def _render_table(header, rows, fmt):
-    """rows of floats (nan allowed), ints and text; csv or a json array of
-    objects.  A CSV row is one % against the format of its cell types."""
-    if fmt == "csv":
-        lines = [",".join(map(_csv_text, header)) + "\n"]
-        for row in rows:
-            types = tuple(map(type, row))
-            if str in types:
-                row = [_csv_text(v) if type(v) is str else v for v in row]
-            lines.append(_row_format(types) % tuple(row))
-        return "".join(lines)
+# A float cell is six words: sign, lead digit and point; three words of four
+# digits; "e" and the exponent sign; the exponent digits.  NUL bytes pad a
+# cell and are dropped from the text, so each word sits at a fixed offset.
+_POW10 = np.array([float("1e%d" % k) for k in range(-269, 294)])  # 10^(i-269)
+_DIGITS = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGIT4 = _words(_DIGITS).ravel()                   # "0000" ... "9999"
+_HEAD = _words([[s, ord("0") + d, ord("."), 0]
+                for s in (0, ord("-")) for d in range(10)]).ravel()
+_EPLUS, _EMINUS = _words([[ord("e"), ord("+"), 0, 0],
+                          [ord("e"), ord("-"), 0, 0]]).ravel()
+_EXP = _words(np.column_stack([np.where(np.arange(1000) < 100, 0,
+                                        _DIGITS[:1000, 1]),
+                               _DIGITS[:1000, 2:], np.zeros(1000)])).ravel()
+_CELL_WORDS = 6
+
+
+def _float_cells(v, words):
+    """Write FMT % v of the float64 column v into words, its (rows, 6) uint32
+    slots; the certified cells by array writes, the others by FMT %.
+    Returns how many cells took FMT %."""
+    a = np.abs(v)
+    ok = (a >= 1e-280) & (a <= 1e280)  # false for 0, nan, inf, subnormals
+    a[~ok] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    y = a * _POW10[281 - e10]
+    m = np.rint(y)
+    ok &= (np.abs(y - m) < 0.49) & (y >= 1e12) & (m < 1e13)
+    bad = np.flatnonzero(~ok)
+    m[bad] = 1e12
+    q = m.astype(np.int64)
+    q1 = q // 10000
+    q2 = q1 // 10000
+    lead = q2 // 10000
+    words[:, 0] = _HEAD[lead + 10 * np.signbit(v)]
+    words[:, 1] = _DIGIT4[q2 - lead * 10000]
+    words[:, 2] = _DIGIT4[q1 - q2 * 10000]
+    words[:, 3] = _DIGIT4[q - q1 * 10000]
+    words[:, 4] = np.where(e10 < 0, _EMINUS, _EPLUS)
+    words[:, 5] = _EXP[np.abs(e10)]
+    if bad.size:
+        words[bad] = np.array([(FMT % x).encode() for x in v[bad].tolist()],
+                              dtype="S24").view(np.uint32).reshape(-1, 6)
+    return bad.size
+
+
+def _text_cells(column):
+    """The bytes of an int column through numpy, or of a text or object
+    column cell by cell (floats as FMT, text quoted as csv.writer quotes
+    it): a fixed-width bytes array, NUL-padded."""
+    if column.dtype.kind in "iu":
+        return column.astype("S")
+    cells = [FMT % v if isinstance(v, float) else _csv_text(str(v))
+             for v in column.tolist()]
+    if any("\0" in c for c in cells):
+        raise ValueError("a CSV text cell holds a NUL byte")
+    return np.array([c.encode() for c in cells], dtype="S")
+
+
+def _render_csv(header, columns):
+    """The CSV text of a table given as columns: float64 columns (nan
+    allowed) through `_float_cells`, int, text and object columns through
+    `_text_cells`.  Each column fills a slot of whole words in a rows x
+    bytes buffer, its last byte the separator, and the NUL padding is
+    dropped from the buffer's bytes."""
+    text = ",".join(map(_csv_text, header)) + "\n"
+    rows = len(columns[0]) if columns else 0
+    if not rows:
+        return text
+    blocks = [np.asarray(c, dtype=float) if c.dtype.kind == "f"
+              else _text_cells(c) for c in columns]
+    widths = [_CELL_WORDS if b.dtype.kind == "f" else b.itemsize // 4 + 1
+              for b in blocks]
+    buf = np.zeros((rows, 4 * sum(widths)), np.uint8)
+    words = buf.view(np.uint32)
+    start = 0
+    for block, width in zip(blocks, widths):
+        if block.dtype.kind == "f":
+            _float_cells(block, words[:, start:start + width])
+        else:
+            buf[:, 4 * start:4 * start + block.itemsize] \
+                = block.view(np.uint8).reshape(rows, -1)
+        start += width
+        buf[:, 4 * start - 1] = ord(",")
+    buf[:, -1] = ord("\n")
+    return text + buf.tobytes().translate(None, b"\0").decode()
+
+
+def _render_json(header, rows):
+    """A json array of objects, one per row; nan prints as null."""
     data = [dict(zip(header, [None if isinstance(v, float) and math.isnan(v)
                               else v for v in row])) for row in rows]
     return json.dumps(data, indent=2) + "\n"
@@ -132,13 +217,18 @@ def _refuse_non_finite(command, header, cells, allowed=None):
 def _write_table(args, table, header=None, allowed=None):
     """Refuse, then render and write, a library table: a record array, whose
     fields are the columns, or a 2-D float array with the columns header."""
-    cells = table
     if table.dtype.names:
         header = table.dtype.names
-        cells = np.column_stack([table[name] for name in header])
+        columns = [table[name] for name in header]
+        cells = np.column_stack(columns)
+    else:
+        columns, cells = list(table.T), table
     _refuse_non_finite(args.subcommand, header, cells, allowed)
-    _write_output(args.output,
-                  _render_table(header, table.tolist(), args.format))
+    if args.format == "json":
+        text = _render_json(header, table.tolist())
+    else:
+        text = _render_csv(header, columns)
+    _write_output(args.output, text)
     return 0
 
 
@@ -167,20 +257,14 @@ def cmd_mu_nu(args):
     if args.gamma is not None:
         if args.gamma <= 0:
             _fail("gamma must be positive", 2)
-        beta, mu, nu = G.mu_nu_newton(args.gamma, args.c)
-    elif args.n is not None:
-        mu, nu = G.mu_nu_closed(args.n)
-        beta = G.RadialProfile.power_law(args.n)
-    else:
+    elif args.n is None:
         _fail("pass either --n (power law) or --gamma (weak field)", 2)
     if args.rmin <= 0 or args.rmax <= args.rmin or args.nodes < 2:
         _fail("need 0 < rmin < rmax and nodes >= 2", 2)
-    r = G.default_log_grid(args.rmin, args.rmax, args.nodes)
     with np.errstate(all="ignore"):  # a non-finite cell is refused
-        table = np.column_stack([r, beta(r), mu(r), nu(r),
-                                 *G.ode_residuals(beta, mu, nu, r)])
-    return _write_table(args, table,
-                        ["r", "beta", "mu", "nu", "res_mu", "res_nu"])
+        table = G.mu_nu_table(args.rmin, args.rmax, args.nodes, n=args.n,
+                              gamma=args.gamma, c=args.c)
+    return _write_table(args, table)
 
 
 def cmd_dark_energy(args):
@@ -192,7 +276,9 @@ def cmd_dark_energy(args):
     if args.format == "json":
         text = json.dumps(rep, indent=2) + "\n"
     else:
-        text = _render_table(["key", "value"], rep.items(), "csv")
+        text = _render_csv(["key", "value"],
+                           [np.array(list(rep)),
+                            np.array(list(rep.values()), dtype=object)])
     _write_output(args.output, text)
     return 0
 

@@ -100,6 +100,28 @@ class TestClosedForms:
         assert np.allclose(total, beta(r))
 
 
+class TestMuNuTable:
+    @pytest.mark.parametrize("profile", [{"n": 3.0}, {"n": 1.0},
+                                         {"gamma": 1e-3, "c": 2.0}])
+    def test_columns_are_the_profiles(self, profile):
+        table = G.mu_nu_table(0.5, 50.0, 40, **profile)
+        assert table.dtype.names == ("r", "beta", "mu", "nu", "res_mu",
+                                     "res_nu")
+        r = G.default_log_grid(0.5, 50.0, 40)
+        if "gamma" in profile:
+            beta, mu, nu = G.mu_nu_newton(profile["gamma"], profile["c"])
+        else:
+            beta = G.RadialProfile.power_law(profile["n"])
+            mu, nu = G.mu_nu_closed(profile["n"])
+        want = [r, beta(r), mu(r), nu(r), *G.ode_residuals(beta, mu, nu, r)]
+        for name, column in zip(table.dtype.names, want):
+            assert np.array_equal(table[name], column), name
+
+    def test_needs_a_profile(self):
+        with pytest.raises(ValueError, match="n or gamma"):
+            G.mu_nu_table(0.5, 50.0, 40)
+
+
 class TestNumericIntegration:
     def test_matches_n1_closed_form(self):
         mu1, nu1 = G.mu_nu_closed(1)
