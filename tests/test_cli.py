@@ -547,21 +547,16 @@ def kernel_cells(values):
     return [w.tobytes().translate(None, b"\0").decode() for w in words]
 
 
-def _ulps(x, steps):
-    """x moved by each of steps ulps."""
-    out = []
-    for n in steps:
-        y = x
-        for _ in range(abs(n)):
-            y = math.nextafter(y, math.inf if n > 0 else 0.0)
-        out.append(y)
-    return out
+def _ulp_neighbours(x):
+    """x one ulp down, x, and x one ulp up."""
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
 
 BIG = 1.7976931348623157e308
-EDGES = [0.0, math.nan, math.inf, 5e-324, BIG, *_ulps(1e280, (-1, 1)),
-         *_ulps(1e-280, (-1, 1)),
-         # a log10 rounded up to k: y lies below 1e12, its m may not
+EDGES = [0.0, math.nan, math.inf, 5e-324, BIG, *_ulp_neighbours(1e280),
+         *_ulp_neighbours(1e-280),
+         # log10 rounds up to the next power of ten: y falls below 1e12
+         # while m = rint(y) may still reach it
          9.999999999999347e-280, 9.999999999999346e+278,
          9.999999999999347e+279, 9.9999999999995e-280,
          # near-ties of the 13th digit; the last six round the wrong way
@@ -570,7 +565,7 @@ EDGES = [0.0, math.nan, math.inf, 5e-324, BIG, *_ulps(1e280, (-1, 1)),
          1.9248250419145e-238, 7.7516273578045e-175, 7.0107862920595e-63,
          4.3927571651665e+21, 8.3113355476855e+105, 2.1309694339825e+210,
          *(v for k in range(-300, 301)
-           for v in _ulps(float("1e%d" % k), (-1, 0, 1)))]
+           for v in _ulp_neighbours(float("1e%d" % k)))]
 EDGES += [-v for v in EDGES]
 DOUBLE = st.integers(0, 2 ** 64 - 1).map(
     lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
