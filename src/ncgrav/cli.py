@@ -254,11 +254,10 @@ def cmd_spectrum(args):
 
 
 def cmd_mu_nu(args):
-    if args.gamma is not None:
-        if args.gamma <= 0:
-            _fail("gamma must be positive", 2)
-    elif args.n is None:
-        _fail("pass either --n (power law) or --gamma (weak field)", 2)
+    if (args.n is None) == (args.gamma is None):
+        _fail("pass exactly one of --n (power law) or --gamma (weak field)", 2)
+    if args.gamma is not None and args.gamma <= 0:
+        _fail("gamma must be positive", 2)
     if args.rmin <= 0 or args.rmax <= args.rmin or args.nodes < 2:
         _fail("need 0 < rmin < rmax and nodes >= 2", 2)
     with np.errstate(all="ignore"):  # a non-finite cell is refused

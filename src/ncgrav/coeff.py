@@ -1,8 +1,8 @@
 """Exact coefficient ring: Gaussian-rational polynomials in the symbols lam, beta.
 
 A ``Coeff`` is a finite sum  sum_{j,k} (a_{jk} + i b_{jk}) lam^j beta^k  with
-a, b rational.  All arithmetic is exact; this is the scalar ring under the
-noncommutative spacetime algebra, so the calculus identities can be checked as
+a, b rational: an element of the scalar ring under the noncommutative
+spacetime algebra, held exactly, so the calculus identities can be checked as
 identities rather than to a tolerance.
 
 Representation: ``terms`` maps (lam_pow, beta_pow) to a pair of Python ints
@@ -12,14 +12,15 @@ the coefficient of lam^j beta^k is (re + i im) / den.  Invariant: no pair is
 is ``terms == {}`` with den 1.  The form is canonical, so equality compares
 terms and den.  ``lowest_terms`` brings int pairs over a denominator to this
 form, for ``Coeff`` and for ``exactalg.NCElement`` alike.  ``Fraction``
-appears only at the boundary: ``from_rational`` and ``scale`` given non-int
-parts, the constructor given Fraction parts, and the text of a part.
+appears only at the boundary: ``from_rational`` given non-int parts, the
+constructor given Fraction parts, and the text of a part.
 
-``Coeff`` is the type of the API boundary, not of the calculus: an
-``NCElement`` keeps its own flat (monomial, lam^j beta^k) -> (re, im) dict
-and builds a ``Coeff`` only where a caller asks for one (its constructors
-and ``scale`` take one; ``coeffs()`` and ``to_text`` return them).  The ring
-operations here serve those callers, the oracles in ``verify`` and the tests.
+``Coeff`` is the type of the API boundary, not of the calculus, and it has
+no arithmetic: an ``NCElement`` keeps its own flat (monomial, lam^j beta^k)
+-> (re, im) dict and builds a ``Coeff`` only where a caller asks for one (its
+constructors and ``scale`` take one; ``coeffs()`` and ``to_text`` return
+them).  The oracles in ``verify`` read its parts as plain int/Fraction
+symbols.
 """
 
 from __future__ import annotations
@@ -80,25 +81,8 @@ class Coeff:
         return _coeff(terms, den)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls.from_rational(1)
-
-    @classmethod
-    def lam(cls, power=1):
-        return _coeff({(power, 0): (1, 0)}, 1)
-
-    @classmethod
-    def beta(cls, power=1):
-        return _coeff({(0, power): (1, 0)}, 1)
-
-    @classmethod
-    def i_lam(cls):
-        """The ubiquitous i*lam."""
-        return _coeff({(1, 0): (0, 1)}, 1)
 
     def is_zero(self):
         return not self.terms
@@ -113,71 +97,6 @@ class Coeff:
 
     def __hash__(self):
         return hash((self.den, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        den = self.den
-        if other.den == den:
-            out = dict(self.terms)
-            items = other.terms.items()
-        else:
-            den = lcm(den, other.den)
-            fa, fb = den // self.den, den // other.den
-            out = {k: (a * fa, b * fa) for k, (a, b) in self.terms.items()}
-            items = [(k, (a * fb, b * fb)) for k, (a, b) in other.terms.items()]
-        for key, val in items:
-            cur = out.get(key)
-            if cur is None:
-                out[key] = val
-            else:
-                new = (cur[0] + val[0], cur[1] + val[1])
-                if new[0] or new[1]:
-                    out[key] = new
-                else:
-                    del out[key]
-        return _coeff(out, den)
-
-    def __neg__(self):
-        return _coeff({k: (-a, -b) for k, (a, b) in self.terms.items()},
-                      self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Coeff.from_rational(other)
-        out = {}
-        for (j1, k1), (a, b) in self.terms.items():
-            for (j2, k2), (c, d) in other.terms.items():
-                key = (j1 + j2, k1 + k2)
-                re, im = a * c - b * d, a * d + b * c
-                cur = out.get(key)
-                out[key] = ((re, im) if cur is None
-                            else (cur[0] + re, cur[1] + im))
-        return _coeff({k: v for k, v in out.items() if v[0] or v[1]},
-                      self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, re, im=0):
-        return self * Coeff.from_rational(re, im)
-
-    def div_i_lam(self, power=1):
-        """Exact division by (i*lam)**power; raises if not divisible by lam**power."""
-        out = {}
-        # 1/i = -i, so dividing by (i lam)^p multiplies by (-i)^p lam^-p
-        turn = power % 4
-        for (j, k), (a, b) in self.terms.items():
-            if j < power:
-                raise ArithmeticError(
-                    "coefficient not divisible by lam^%d: %s" % (power, self))
-            out[(j - power, k)] = ((a, b), (b, -a), (-a, -b), (-b, a))[turn]
-        return _coeff(out, self.den)
-
-    def subs_lam_zero(self):
-        """Classical limit lam -> 0."""
-        return _coeff({k: v for k, v in self.terms.items() if k[0] == 0},
-                      self.den)
 
     def lam_valuation(self):
         """Smallest power of lam appearing (None for the zero polynomial)."""

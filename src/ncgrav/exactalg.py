@@ -34,8 +34,10 @@ dt x_j = x_j dt - i lam dx_j and dx_i x_j = x_j dx_i + i lam delta_ij theta'
 (all other pairs commute): x_i passes dx_i leaving i lam theta', which then
 meets t^n as (t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own
 theta' terms sum to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt
-plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The oracle
-`verify.normal_order` applies the relations one generator at a time.
+plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The oracles in
+`verify` apply the relations one generator at a time, on plain int/Fraction
+symbols (`verify.normal_order`, `verify.mul_gen`), and read results from here
+only through `coeffs()`.
 """
 
 from __future__ import annotations
@@ -328,9 +330,6 @@ class NCOneForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return NCOneForm(self.d, {w: e.scale(c) for w, e in self.parts.items()})
-
     def lmul(self, elem):
         """elem * self (element coefficients multiply on the left: trivial)."""
         return NCOneForm(self.d, {w: elem * e for w, e in self.parts.items()})
@@ -348,8 +347,9 @@ class NCOneForm:
                             + (lam^2/2) S^+(Delta psi)] theta'
 
         Each follows from the generator relations by induction on the word
-        of a monomial (see the module docstring).  `verify.mul_gen`, which
-        pushes one generator at a time, is the oracle."""
+        of a monomial (see the module docstring).  The oracle is
+        `verify.normal_order`, which pushes one generator at a time on
+        symbols."""
         d = self.d
         up = other.shift_t(1)
         grads = {j: other.partial_x(j) for j in range(1, d + 1)}
@@ -397,9 +397,10 @@ def exterior_d(psi):
     """Exterior derivative by the direct formula: spatial gradients, d0 and
     the constant-beta wave operator contracted against theta'.
 
-    Agreement with the Leibniz-rule oracle `verify.exterior_d_leibniz` is
-    checked by the registry check `exactalg.eq-route-agreement` on every
-    monomial of degree <= 8."""
+    Agreement with the Leibniz-rule oracle `verify.exterior_d_leibniz`, which
+    works on symbols and shares no arithmetic with this module, is checked by
+    the registry check `exactalg.eq-route-agreement` on every monomial of
+    degree <= 8."""
     d = psi.d
     parts = {dx(i): psi.partial_x(i) for i in range(1, d + 1)}
     parts[DT] = psi.d0()

@@ -232,16 +232,16 @@ def mu_nu_table(r_min, r_max, nodes, n=None, gamma=None, c=1.0):
     """The mu-nu table on default_log_grid(r_min, r_max, nodes): a record
     array with one row per radius and the fields r, beta, mu, nu, res_mu and
     res_nu (`ode_residuals`).  The profiles are mu_nu_newton(gamma, c) when
-    gamma is given, else beta = 1/r^n with mu_nu_closed(n).  Each profile is
-    evaluated on the whole grid; a cell beyond the float range is inf or
-    nan, for the caller to refuse."""
+    gamma is given, else beta = 1/r^n with mu_nu_closed(n); giving both, or
+    neither, raises ValueError.  Each profile is evaluated on the whole grid;
+    a cell beyond the float range is inf or nan, for the caller to refuse."""
+    if (n is None) == (gamma is None):
+        raise ValueError("mu_nu_table takes exactly one profile: n or gamma")
     if gamma is not None:
         beta, mu, nu = mu_nu_newton(gamma, c)
-    elif n is not None:
+    else:
         mu, nu = mu_nu_closed(n)
         beta = RadialProfile.power_law(n)
-    else:
-        raise ValueError("mu_nu_table needs n or gamma")
     r = default_log_grid(r_min, r_max, nodes)
     return np.rec.fromarrays([r, beta(r), mu(r), nu(r),
                               *ode_residuals(beta, mu, nu, r)],

@@ -5,10 +5,12 @@ Each check is a function level -> (ok, measured) where level is "fast" or
 runs the registry and exits nonzero if anything fails.  The seeded sample
 generators `random_element` and `random_tf`, the monomial set `monomials` and
 the oracles are shared with the test suite.  The oracles are the second routes
-that no production module calls: the word-rewriting engine `normal_order`
-(with `mul_gen`), `exterior_d_leibniz`, the Meljanac-Stojic realization of
-the product (`realization_product`), two Delta_0 symbols and the
-hand-written weak-field operator `box_newton_oracle`.  The
+that no production module calls: the Meljanac-Stojic realization of the
+product (`realization_product`), and on its plain int/Fraction symbols the
+word reducer `normal_order` (with the generator push `mul_gen`) and the
+Leibniz-rule `exterior_d_leibniz`; production results reach them only through
+`realization_symbol` and `form_symbol`.  Two Delta_0 symbols and the
+hand-written weak-field operator `box_newton_oracle` are oracles too.  The
 effective-parameter checks `series_check` and `extrema_report` live here too,
 so scipy's optimizer loads only with the registry.
 """
@@ -21,6 +23,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -32,8 +35,7 @@ from . import spectrum as S
 from . import timeops as T
 from . import waveops as W
 from .coeff import Coeff
-from .exactalg import (DT, THETA, NCElement, NCOneForm, commutator_d, dx,
-                       exterior_d)
+from .exactalg import DT, THETA, NCElement, commutator_d, dx, exterior_d
 from .timeops import (POWER_WINDOW, TimeFunction as TF, _check_nondegenerate,
                       symbol_d0, symbol_delta0_hybrid)
 
@@ -87,118 +89,6 @@ def monomials():
             if a1 + a2 + a3 + n <= top]
 
 
-# -- exact oracles: the word-rewriting engine and the Leibniz-rule d ---------
-
-def mul_gen(form, gen):
-    """Right-multiply the one-form `form` by a generator ('t' or ('x', i)),
-    pushing it left past the basis one-form with the bimodule relations."""
-    d = form.d
-    out = NCOneForm(d)
-    for w, e in form.parts.items():
-        for u, wp, c in _push_rules(d, w, gen):
-            out = out + NCOneForm(d, {wp: (e * u).scale(c)})
-    return out
-
-
-def _push_rules(d, form, gen):
-    """Rewrite form * gen as a list of (element u, form', Coeff c) meaning
-    c * u * form'.  Implements the five bimodule relations."""
-    one = NCElement.one(d)
-    i_lam = Coeff.i_lam()
-    if gen == "t":
-        telem = NCElement.t(d)
-        if form == THETA:
-            # theta' t = (t + i lam) theta'
-            return [(telem, THETA, Coeff.one()), (one, THETA, i_lam)]
-        if form == DT:
-            # dt t = t dt - i lam dt + i lam beta theta'
-            return [(telem, DT, Coeff.one()), (one, DT, -i_lam),
-                    (one, THETA, i_lam * Coeff.beta())]
-        # [dx_i, t] = 0
-        return [(telem, form, Coeff.one())]
-    # gen = ('x', j)
-    j = gen[1]
-    xelem = NCElement.x(d, j)
-    if form == THETA:
-        return [(xelem, THETA, Coeff.one())]
-    if form == DT:
-        # dt x_j = x_j dt - i lam dx_j
-        return [(xelem, DT, Coeff.one()), (one, dx(j), -i_lam)]
-    # dx_i x_j = x_j dx_i + i lam delta_ij theta'
-    i = form[1]
-    rules = [(xelem, form, Coeff.one())]
-    if i == j:
-        rules.append((one, THETA, i_lam))
-    return rules
-
-
-class TwoFormError(ValueError):
-    """Raised when a word contains more than one basis one-form factor."""
-
-
-def _check_tag(d, g):
-    if g in ("t", DT, THETA):
-        return
-    if (isinstance(g, tuple) and len(g) == 2 and g[0] in ("x", "dx")
-            and type(g[1]) is int and 1 <= g[1] <= d):
-        return
-    raise ValueError("invalid tag %r: expected 't', 'dt', \"theta'\", ('x', i) "
-                     "or ('dx', i) with 1 <= i <= %d" % (g, d))
-
-
-def normal_order(d, word, coeff=None):
-    """Reduce a word (sequence of generator/one-form tags) to canonical form.
-
-    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  Returns NCElement if the
-    word has no one-form factor, NCOneForm if it has exactly one; raises
-    TwoFormError otherwise (no 2-form relations in this calculus).  Any other
-    tag, or an index outside 1..d, raises ValueError.
-    """
-    for g in word:
-        _check_tag(d, g)
-    nforms = sum(1 for g in word if g == DT or g == THETA
-                 or (isinstance(g, tuple) and g[0] == "dx"))
-    if nforms > 1:
-        raise TwoFormError("word contains %d one-form factors" % nforms)
-    acc = NCElement.scalar(d, Coeff.one() if coeff is None else coeff)
-    form_acc = None
-    for g in word:
-        if form_acc is None:
-            if g == "t":
-                acc = acc * NCElement.t(d)
-            elif isinstance(g, tuple) and g[0] == "x":
-                acc = acc * NCElement.x(d, g[1])
-            else:
-                form_acc = NCOneForm(d, {g: acc})
-        else:
-            form_acc = mul_gen(form_acc, g)
-    return acc if form_acc is None else form_acc
-
-
-def _monomial_word(xpow, n):
-    word = []
-    for i, p in enumerate(xpow, start=1):
-        word.extend([("x", i)] * p)
-    word.extend(["t"] * n)
-    return word
-
-
-def exterior_d_leibniz(psi):
-    """d by the Leibniz rule on each monomial word: d(g1..gk) =
-    sum_j g1..g_{j-1} d(g_j) g_{j+1}..gk, reduced to canonical form.
-
-    Oracle only: the registry and the tests compare it with `exterior_d`."""
-    d = psi.d
-    out = NCOneForm.zero(d)
-    for (xpow, n), c in psi.coeffs().items():
-        word = _monomial_word(xpow, n)
-        for j, g in enumerate(word):
-            dg = DT if g == "t" else dx(g[1])
-            new_word = word[:j] + [dg] + word[j + 1:]
-            out = out + normal_order(d, new_word, c)
-    return out
-
-
 # -- the Meljanac-Stojic realization: an oracle for the product ---------------
 # x_i acts on commuting polynomials in X_1..X_d, T as multiplication by X_i,
 # and t as T - i lam sum_j X_j d/dX_j; these operators satisfy
@@ -217,6 +107,11 @@ def realization_symbol(elem):
                 re, im = Fraction(re, c.den), Fraction(im, c.den)
             out[(*xpow, n, j, k)] = (re, im)
     return out
+
+
+def form_symbol(form):
+    """The one-form symbol {basis form: symbol} of an NCOneForm."""
+    return {w: realization_symbol(e) for w, e in form.parts.items()}
 
 
 def _symbol_add(out, key, re, im):
@@ -247,10 +142,10 @@ def realization_product(f, g, d):
         acted = g
         for _ in range(key[d]):
             acted = _realize_t(acted, d)
+        base = key[:d] + (0,) + key[d + 1:]  # t^n went into acting on g
         for k2, (r2, i2) in acted.items():
-            new = (*(a + b for a, b in zip(key[:d], k2[:d])), k2[d],
-                   key[d + 1] + k2[d + 1], key[d + 2] + k2[d + 2])
-            _symbol_add(out, new, re * r2 - im * i2, re * i2 + im * r2)
+            _symbol_add(out, tuple(map(add, base, k2)),
+                        re * r2 - im * i2, re * i2 + im * r2)
     return out
 
 
@@ -258,6 +153,132 @@ def realization_agrees(f, g):
     """True if f * g has the symbol that the realization gives."""
     return realization_symbol(f * g) == realization_product(
         realization_symbol(f), realization_symbol(g), f.d)
+
+
+# -- the Leibniz-rule d: a word reducer on symbols ----------------------------
+# A one-form symbol is {basis form: symbol} with the symbol standing to the
+# left of its form.  The reducer pushes one generator at a time past the
+# basis one-form with the five bimodule relations, and multiplies by the
+# generator through `realization_product`; nothing here uses exactalg's or
+# coeff's arithmetic.
+
+def _generator(gen, d):
+    """The symbol of the generator 't' or ('x', i)."""
+    key = [0] * (d + 3)
+    key[d if gen == "t" else gen[1] - 1] = 1
+    return {tuple(key): (1, 0)}
+
+
+def _add_form(out, form):
+    """Add the one-form symbol `form` into `out`, in place."""
+    for w, sym in form.items():
+        part = out.setdefault(w, {})
+        for key, (re, im) in sym.items():
+            _symbol_add(part, key, re, im)
+
+
+def _push_rules(form, gen):
+    """form * gen = gen * form + sum of sign i lam beta^k form', as a list of
+    (form', sign, k): the five bimodule relations."""
+    if gen == "t":
+        if form == THETA:  # theta' t = (t + i lam) theta'
+            return [(THETA, 1, 0)]
+        if form == DT:  # dt t = t dt - i lam dt + i lam beta theta'
+            return [(DT, -1, 0), (THETA, 1, 1)]
+        return []  # [dx_i, t] = 0
+    if form == DT:  # dt x_j = x_j dt - i lam dx_j
+        return [(dx(gen[1]), -1, 0)]
+    if form == dx(gen[1]):  # dx_i x_j = x_j dx_i + i lam delta_ij theta'
+        return [(THETA, 1, 0)]
+    return []  # theta' and dx_i (i != j) commute with x_j
+
+
+def mul_gen(form, gen, d):
+    """Right-multiply the one-form symbol `form` by a generator ('t' or
+    ('x', i)), pushing it left past each basis one-form."""
+    g = _generator(gen, d)
+    out = {}
+    for w, sym in form.items():
+        _add_form(out, {w: realization_product(sym, g, d)})
+        for wp, sign, k in _push_rules(w, gen):
+            part = out.setdefault(wp, {})
+            for key, (re, im) in sym.items():
+                # (re + i im) sign i lam beta^k
+                _symbol_add(part, (*key[:d + 1], key[d + 1] + 1,
+                                   key[d + 2] + k), -sign * im, sign * re)
+    return {w: sym for w, sym in out.items() if sym}
+
+
+class TwoFormError(ValueError):
+    """Raised when a word contains more than one basis one-form factor."""
+
+
+def _check_tag(d, g):
+    if g in ("t", DT, THETA):
+        return
+    if (isinstance(g, tuple) and len(g) == 2 and g[0] in ("x", "dx")
+            and type(g[1]) is int and 1 <= g[1] <= d):
+        return
+    raise ValueError("invalid tag %r: expected 't', 'dt', \"theta'\", ('x', i) "
+                     "or ('dx', i) with 1 <= i <= %d" % (g, d))
+
+
+def _is_form(g):
+    return g in (DT, THETA) or g[0] == "dx"
+
+
+def normal_order(d, word, coeff=None):
+    """Reduce a word (sequence of generator/one-form tags) to its symbol.
+
+    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  `coeff` is the symbol
+    of a scalar standing to the left of the word (default 1).  Returns a
+    symbol if the word has no one-form factor, a one-form symbol if it has
+    exactly one; raises TwoFormError otherwise (no 2-form relations in this
+    calculus).  Any other tag, or an index outside 1..d, raises ValueError.
+    """
+    for g in word:
+        _check_tag(d, g)
+    nforms = sum(1 for g in word if _is_form(g))
+    if nforms > 1:
+        raise TwoFormError("word contains %d one-form factors" % nforms)
+    acc = {(0,) * (d + 3): (1, 0)} if coeff is None else coeff
+    form = None
+    for g in word:
+        if form is not None:
+            form = mul_gen(form, g, d)
+        elif _is_form(g):
+            form = {g: acc}
+        else:
+            acc = realization_product(acc, _generator(g, d), d)
+    return acc if form is None else form
+
+
+def _monomial_word(xpow, n):
+    word = []
+    for i, p in enumerate(xpow, start=1):
+        word.extend([("x", i)] * p)
+    word.extend(["t"] * n)
+    return word
+
+
+def exterior_d_leibniz(psi, d):
+    """d of the symbol `psi` by the Leibniz rule on each monomial word:
+    d(g1..gk) = sum_j g1..g_{j-1} d(g_j) g_{j+1}..gk, summed from the left as
+    d(u g) = d(u) g + u d(g), so the one-form built so far is pushed past
+    each next generator with `mul_gen`.
+
+    Oracle only: the registry and the tests compare it with the symbol of
+    `exterior_d`."""
+    out = {}
+    for key, c in psi.items():
+        prefix = {(0,) * (d + 1) + key[d + 1:]: c}
+        form = {}
+        for g in _monomial_word(key[:d], key[d]):
+            form = mul_gen(form, g, d)
+            _add_form(form, {DT if g == "t" else dx(g[1]): prefix})
+            prefix = realization_product(prefix, _generator(g, d), d)
+        _add_form(out, form)
+    return {w: sym for w, sym in out.items() if sym}
 
 
 # -- exact calculus ----------------------------------------------------------
@@ -292,7 +313,8 @@ def _(level):
     # built from them, products of two random elements included.
     psis = monomials()
     for psi in psis:
-        if exterior_d_leibniz(psi) != exterior_d(psi):
+        if exterior_d_leibniz(realization_symbol(psi), 3) \
+                != form_symbol(exterior_d(psi)):
             return False, "monomial %s" % psi.to_text()
     return True, "%d monomials of degree <= %d" % (len(psis),
                                                     MONOMIAL_DEGREE)
@@ -326,16 +348,13 @@ def _(level):
         whole = normal_order(3, full)
         cut = rng.randrange(1, len(full))
         left, right = full[:cut], full[cut:]
-        has_form = any(g in (DT, THETA) or (isinstance(g, tuple)
-                       and g[0] == "dx") for g in left)
         part = normal_order(3, left)
-        if has_form:
+        if any(_is_form(g) for g in left):
             for g in right:
-                part = mul_gen(part, g)
-        else:
-            rest = normal_order(3, right)
-            part = part * rest if isinstance(rest, NCElement) \
-                else rest.lmul(part)
+                part = mul_gen(part, g, 3)
+        else:  # the one-form factor is in `right`
+            part = {w: realization_product(part, sym, 3)
+                    for w, sym in normal_order(3, right).items()}
         if part != whole:
             return False, "split reduction disagrees"
     return True, "%d random words" % n

@@ -90,7 +90,8 @@ def test_criterion_05_exact_calculus():
     t0 = time.perf_counter()
     ok = True
     for psi in V.monomials():
-        ok = ok and V.exterior_d_leibniz(psi) == exterior_d(psi)
+        ok = ok and V.exterior_d_leibniz(V.realization_symbol(psi), 3) \
+            == V.form_symbol(exterior_d(psi))
         ok = ok and exterior_d(psi) == commutator_d(psi)
     rng = random.Random(20260824)
     for _ in range(200):

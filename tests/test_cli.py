@@ -265,6 +265,13 @@ class TestMuNu:
         assert code == 2
         assert "--n" in err or "--gamma" in err
 
+    def test_refuses_both_profiles(self, capsys):
+        code, out, err = run_cli(capsys, "mu-nu", "--n", "3", "--gamma", "1")
+        assert (code, out) == (2, "")
+        assert "--n" in err and "--gamma" in err
+        with pytest.raises(ValueError, match="exactly one"):
+            G.mu_nu_table(0.5, 50.0, 10, n=3, gamma=1.0)
+
     @pytest.mark.parametrize("n, words", [
         ("1023", "column res_mu is inf at r = 0.5"),
         ("1e4", "column beta is inf at r = 0.5"),

@@ -14,6 +14,7 @@ import ncgrav
 SRC = Path(ncgrav.__file__).parent
 ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "TwoFormError", "_monomial_word", "exterior_d_leibniz",
+           "_generator", "_add_form", "form_symbol",
            "symbol_delta0_power", "symbol_delta0_general",
            "extrema_report", "series_check", "box_newton_oracle",
            "realization_symbol", "realization_product", "realization_agrees"}
@@ -54,6 +55,31 @@ def test_oracles_live_only_in_verify():
     for name in ("exactalg.py", "timeops.py", "effective.py", "waveops.py"):
         assert not ORACLES & _defined(trees[name]), name
     assert ORACLES <= _defined(trees["verify.py"])
+
+
+def test_exact_oracles_use_no_production_arithmetic(monkeypatch):
+    # the symbol oracles read an element only through coeffs(): with the
+    # element and one-form arithmetic refused they still reduce every word
+    from ncgrav import verify as V
+    from ncgrav.exactalg import DT, THETA, NCElement, NCOneForm, dx
+
+    def refuse(*_args):
+        raise AssertionError("an exact oracle used production arithmetic")
+
+    psis = V.monomials()[::40]
+    for cls, names in ((NCElement, ("__mul__", "_combine", "_times",
+                                    "shift_t", "partial_x")),
+                       (NCOneForm, ("__add__", "mul_elem", "lmul"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, refuse)
+    words = [["t", ("x", 1), ("x", 2)], [DT, "t", ("x", 1), "t"],
+             [("x", 2), THETA, "t"], ["t", ("x", 1), dx(1), ("x", 1)]]
+    for word in words:
+        assert V.normal_order(3, word)
+    assert V.mul_gen(V.normal_order(3, [DT, ("x", 3)]), "t", 3)
+    for psi in psis:
+        assert V.exterior_d_leibniz(V.realization_symbol(psi), 3) \
+            or psi == NCElement.one(3)
 
 
 def _uses_brentq(tree):
