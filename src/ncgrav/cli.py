@@ -18,8 +18,10 @@ by float() (correctly rounded), m = rint(y).  Two roundings put y within
 4e-3 of its exact value, so a cell whose y is more than 0.01 from a rounding
 tie, with 1e12 <= y and m < 1e13 (a log10 off by one fails this) and
 1e-280 <= |v| <= 1e280, rounds exactly as FMT % v does; that cell is
-certified.  Every other cell (0, nan, inf, subnormals, the exponent
-extremes, near-ties, a power of ten's neighbours) is printed by FMT % v.
+certified.  +-0 and nan are fixed strings, written on the same array path
+(`[-]0.000000000000e+00`, keeping the sign of -0, and `nan`).  Every other
+cell (inf, subnormals, the exponent extremes, near-ties, a power of ten's
+neighbours) is printed by FMT % v.
 Int columns print through numpy's int-to-bytes cast, and text and object
 columns cell by cell.  JSON is `tolist()` through json.dumps.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
@@ -89,21 +91,24 @@ _EXP = _words(np.column_stack([np.where(np.arange(1000) < 100, 0,
                                         _DIGITS[:1000, 1]),
                                _DIGITS[:1000, 2:], np.zeros(1000)])).ravel()
 _CELL_WORDS = 6
+_NAN = np.frombuffer(b"nan".ljust(4 * _CELL_WORDS, b"\0"), np.uint32)
 
 
 def _float_cells(v, words):
     """Write FMT % v of the float64 column v into words, its (rows, 6) uint32
-    slots; the certified cells by array writes, the others by FMT %.
-    Returns how many cells took FMT %."""
+    slots; the certified cells, +-0 and nan by array writes, the others by
+    FMT %.  Returns how many cells took FMT %."""
     a = np.abs(v)
     ok = (a >= 1e-280) & (a <= 1e280)  # false for 0, nan, inf, subnormals
+    zero, nan = a == 0, np.isnan(a)
     a[~ok] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.intp)
     y = a * _POW10[281 - e10]
     m = np.rint(y)
     ok &= (np.abs(y - m) < 0.49) & (y >= 1e12) & (m < 1e13)
-    bad = np.flatnonzero(~ok)
-    m[bad] = 1e12
+    m[~ok] = 1e12
+    m[zero] = 0.0  # with e10 = 0: [-]0.000000000000e+00
+    bad = np.flatnonzero(~(ok | zero | nan))
     q = m.astype(np.int64)
     q1 = q // 10000
     q2 = q1 // 10000
@@ -114,6 +119,7 @@ def _float_cells(v, words):
     words[:, 3] = _DIGIT4[q - q1 * 10000]
     words[:, 4] = np.where(e10 < 0, _EMINUS, _EPLUS)
     words[:, 5] = _EXP[np.abs(e10)]
+    words[nan] = _NAN
     if bad.size:
         words[bad] = np.array([(FMT % x).encode() for x in v[bad].tolist()],
                               dtype="S24").view(np.uint32).reshape(-1, 6)
@@ -296,11 +302,17 @@ def cmd_verify(args):
     return 0 if rep["n_failed"] == 0 else 1
 
 
+def _add_top_options(p):
+    """The options before the subcommand; `main` parses them again to find
+    the subcommand token."""
+    p.add_argument("--config", help="file of key=value lines; flags override")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ncgrav",
         description="Quantum-spacetime wave operators: tables and self-checks")
-    p.add_argument("--config", help="file of key=value lines; flags override")
+    _add_top_options(p)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("figure1",
@@ -374,8 +386,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        # splice config entries in as flags right after the subcommand token;
-        # explicit flags come later in argv so they win (argparse last-wins)
+        # splice config entries in as flags right after the subcommand token,
+        # the first token the top-level options leave (a config file may
+        # share the subcommand's name); explicit flags come later in argv so
+        # they win (argparse last-wins)
+        front = argparse.ArgumentParser(add_help=False)
+        _add_top_options(front)
+        front.add_argument("rest", nargs=argparse.REMAINDER)
+        pos = len(argv) - len(front.parse_args(argv).rest) + 1
         extra = []
         for key, val in _load_config(args.config).items():
             flag = "--" + key.replace("_", "-")
@@ -384,7 +402,6 @@ def main(argv=None):
                     extra.append(flag)
             else:
                 extra.extend([flag, val])
-        pos = argv.index(args.subcommand) + 1
         args = parser.parse_args(argv[:pos] + extra + argv[pos:])
     _check_constants(args)
     try:

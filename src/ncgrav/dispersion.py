@@ -2,25 +2,26 @@
 
 Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
-treated: every function here raises ValueError for it, as it does when
-omega lam is above `U_MAX` (e^{omega lam} overflows), when (c lam)^2
-underflows to 0, or when a term of the shell residual passes the float limit
-(a subnormal (c lam)^2, say).
+treated: `sweep` raises ValueError for it, as it does when omega lam is
+above `U_MAX` (e^{omega lam} overflows), when (c lam)^2 underflows to 0, or
+when a term of the shell residual passes the float limit (a subnormal
+(c lam)^2, say).
 
-`sweep` is the one producer of dispersion tables: it returns a numpy record
-array, one row per omega with the fields omega, k, vg, residual and
-evanescent, which the CLI refuses or renders as it stands; there are no
-per-omega point objects.  It solves every omega at once: `_Shell` holds one
+`sweep` is the one entry point: it returns the dispersion table, a numpy
+record array with one row per omega and the fields omega, k, vg, residual
+and evanescent, which the CLI refuses or renders as it stands; a single
+omega is a one-row sweep.  It solves every omega at once: `_Shell` holds one
 lane per omega, computes the k-free terms once per lane, and runs Brent's
 method on all propagating lanes in lockstep, step for step as scipy's
 `brentq` (brentq.c) runs it on one.  Each transcendental is a `math` call
 and each k^2 is CPython's float pow, per element, so every lane is
 bit-identical to `brentq` on the scalar residual; the tests hold that
-against scipy.
-`solve_k`, `group_velocity` and `shell_residual` are the one-omega case.
-Where the bracket end's term -k_hi^2 e^{omega lam} overflows (omega lam
-within 2 ln k_hi of `U_MAX`), that lane's bracket ends at the largest k at
-which the term is finite.
+against scipy.  An omega with no propagating mode (k^2 < 0, or a massive
+shell that is stationary there) is not an error but a row flag: its
+`evanescent` is 1 and its k, vg and residual are nan.  Where the bracket
+end's term -k_hi^2 e^{omega lam} overflows (omega lam within 2 ln k_hi of
+`U_MAX`), that lane's bracket ends at the largest k at which the term is
+finite.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ import sys
 from itertools import repeat
 
 import numpy as np
-
-
-class EvanescentModeError(ValueError):
-    """Shell has no real spatial momentum at this (omega, m)."""
 
 
 # math.exp overflows above this (about 709.78)
@@ -113,8 +110,8 @@ class _Shell:
 
     Per lane the domain check, k^2 from the closed form, e^{omega lam},
     sinh(omega lam / 2) and sinh(omega lam) are computed once, here.  A lane
-    keeps the first error it meets in `errors` (an EvanescentModeError where
-    it has no propagating mode) and leaves every later stage.  Lanes are
+    with no propagating mode is flagged in `evanescent`; a lane that fails
+    keeps its error in `errors`.  Either leaves every later stage.  Lanes are
     taken in order; at the first omega that fails the closed form the later
     ones are dropped, as a loop over omega would stop there."""
 
@@ -133,6 +130,7 @@ class _Shell:
         self.omega = np.array(omegas[:self.n], dtype=float)
         self.k2 = np.array(k2, dtype=float)
         self.alive = np.ones(self.n, dtype=bool)
+        self.evanescent = np.zeros(self.n, dtype=bool)
         u = (self.omega * lam).tolist()
         self.eu = np.array(list(map(math.exp, u)))
         self.sinh_u = np.array(list(map(math.sinh, u)))
@@ -152,11 +150,9 @@ class _Shell:
         self.alive[lanes] = False
 
     def propagating(self):
-        """The live lanes, once those with k^2 < 0 have failed."""
-        lanes = np.flatnonzero(self.alive)
-        self.fail(lanes[self.k2[lanes] < 0], lambda i: EvanescentModeError(
-            "no propagating mode at omega=%g, m=%g (k^2=%g)"
-            % (self.omega[i], self.m, self.k2[i])))
+        """The live lanes, once those with k^2 < 0 are flagged evanescent."""
+        self.evanescent |= self.alive & (self.k2 < 0)
+        self.alive &= ~self.evanescent
         return np.flatnonzero(self.alive)
 
     @_QUIET
@@ -291,7 +287,7 @@ class _Shell:
     def group_velocity(self):
         """d omega / d k per lane by implicit differentiation of the shell,
         at k from the closed form.  At the massless omega = 0 point the shell
-        is stationary; vg is its limit c.  A stationary massive lane fails as
+        is stationary; vg is its limit c.  A stationary massive lane is
         evanescent."""
         vg = np.full(self.n, math.nan)
         lanes = self.propagating()
@@ -308,13 +304,12 @@ class _Shell:
         denom = -sq * self.lam * eu + self.vg_scale * self.sinh_u[lanes]
         vg[lanes] = np.where(denom == 0, self.c, 2 * k * eu / denom)
         if self.m != 0:
-            self.fail(lanes[~bad & (denom == 0)],
-                      lambda i: EvanescentModeError(
-                          "stationary shell at omega=%g" % self.omega[i]))
+            self.evanescent[lanes[~bad & (denom == 0)]] = True
+            self.alive &= ~self.evanescent
         return vg
 
     def sweep(self):
-        """k, vg and the residual at k per lane, nan where the lane failed."""
+        """k, vg and the residual at k per lane, nan on each dead lane."""
         k = self.solve_k()
         vg = self.group_velocity()
         lanes = np.flatnonzero(self.alive)
@@ -324,48 +319,11 @@ class _Shell:
         k[dead] = vg[dead] = res[dead] = math.nan
         return k, vg, res
 
-    def raise_first(self, skip=()):
-        """Raise the error of the first failed lane, skipping the given
-        types, as a loop over omega would raise it."""
-        for i in sorted(self.errors):
-            if not isinstance(self.errors[i], skip):
-                raise self.errors[i]
-
-
-def shell_residual(omega, k, m, lam, c, hbar):
-    """Residual of -k^2 e^{omega lam} + (2/(c^2 lam^2))(cosh(omega lam) - 1)
-    = (m c / hbar)^2, normalized by the largest term."""
-    shell = _Shell([omega], m, lam, c, hbar)
-    shell.raise_first()
-    res, _ = shell.residual(np.array([0]), np.array([float(k)]))
-    shell.raise_first()
-    return float(res[0])
-
-
-def solve_k(omega, m, lam, c, hbar):
-    """Spatial momentum on the shell by Brent's method; the test suite checks
-    it against the closed form and against scipy's brentq."""
-    shell = _Shell([omega], m, lam, c, hbar)
-    k = shell.solve_k()
-    shell.raise_first()
-    return float(k[0])
-
-
-def group_velocity(omega, m, lam, c, hbar):
-    """d omega / d k by implicit differentiation of the shell.  At the
-    massless omega = 0 point the shell is stationary; vg is its limit c."""
-    shell = _Shell([omega], m, lam, c, hbar)
-    vg = shell.group_velocity()
-    shell.raise_first()
-    return float(vg[0])
-
-
-def time_of_flight_delta(omega1, omega2, distance, m, lam, c, hbar):
-    """Arrival-time difference over a common distance: L (1/v1 - 1/v2)."""
-    shell = _Shell([omega1, omega2], m, lam, c, hbar)
-    v1, v2 = shell.group_velocity().tolist()
-    shell.raise_first()
-    return distance * (1.0 / v1 - 1.0 / v2)
+    def raise_first(self):
+        """Raise the error of the first failed lane, as a loop over omega
+        would raise it."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
 
 
 class SweepTable(np.recarray):
@@ -381,11 +339,13 @@ def sweep(omegas, m, lam, c, hbar):
     """The dispersion table: a record array with one row per omega and the
     fields omega, k, vg, residual and evanescent, the int flag 1 where the
     omega has no propagating mode and k, vg and the residual are nan.  Any
-    other failure raises the error of the first omega that fails."""
+    failure raises the error of the first omega that fails (a ValueError for
+    an omega outside the domain)."""
     omegas = [float(w) for w in omegas]
     shell = _Shell(omegas, m, lam, c, hbar)
     k, vg, res = shell.sweep()
-    shell.raise_first(skip=EvanescentModeError)
-    return np.rec.fromarrays([omegas, k, vg, res, np.isnan(k).astype(int)],
+    shell.raise_first()
+    return np.rec.fromarrays([omegas, k, vg, res,
+                              shell.evanescent.astype(int)],
                              names="omega,k,vg,residual,evanescent"
                              ).view(SweepTable)

@@ -190,6 +190,8 @@ def mu_nu_newton(gamma, c):
     """
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
+    if c ** 2 == 0:
+        raise ValueError("c^2 underflows to 0 at c = %g" % c)
     inv_c2 = 1.0 / c ** 2
     beta = RadialProfile(
         lambda r: -inv_c2 * (1 + gamma / np.asarray(r, dtype=float)),

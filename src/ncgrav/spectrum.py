@@ -100,10 +100,16 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=1e-8):
         raise ValueError("solve_radial expects a uniform grid")
-    kin = hbar ** 2 / (2 * m_I * h ** 2)
-    pot = (hbar ** 2 * l * (l + 1) / (2 * m_I * grid ** 2)
-           + V0 - G * M * m_G / grid)
-    diag = 2 * kin + pot
+    with np.errstate(all="ignore"):  # a Hamiltonian out of range is refused
+        kin = hbar ** 2 / (2 * m_I * h ** 2)
+        pot = (hbar ** 2 * l * (l + 1) / (2 * m_I * grid ** 2)
+               + V0 - G * M * m_G / grid)
+        diag = 2 * kin + pot
+    if not (0 < kin < math.inf and np.isfinite(diag).all()):
+        raise ValueError(
+            "solve_radial: the Hamiltonian on the grid of spacing h = %g "
+            "leaves the float range (hbar^2/(2 m_I h^2) = %g, potential "
+            "from %g to %g)" % (h, kin, pot.min(), pot.max()))
     off = np.full(grid.size - 1, -kin)
     k = min(n_states + l, grid.size - 2)
     if return_vectors:

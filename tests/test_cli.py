@@ -229,6 +229,21 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert err.startswith("error:") and words in err
 
+    @pytest.mark.parametrize("argv, h", [
+        (("--x", "700"), "h = 7.25488e+298"),     # h^2 overflows: kin = 0
+        (("--x", "1e-8", "--G", "1e300"), "h = 1e-286"),   # kin = inf
+        (("--x", "1e-8", "--M", "1e200"), "h = 1e-186"),
+    ])
+    def test_hamiltonian_out_of_range_exit_2(self, capsys, argv, h):
+        # refused by name before the eigensolve, with no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: solve_radial: ") and h in err
+        assert err.count("\n") == 1
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
 
 class TestMuNu:
     def test_power_law_residuals_small(self, capsys):
@@ -259,6 +274,14 @@ class TestMuNu:
         _, out, _ = run_cli(capsys, "mu-nu", "--n", repr(n))
         _, rows = parse_csv(out)
         assert max(abs(float(row[3])) for row in rows) < 10
+
+    def test_c_squared_underflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "mu-nu", "--gamma", "1e-3",
+                                 "--c", "1e-200")
+        assert (code, out) == (2, "")
+        assert err == "error: c^2 underflows to 0 at c = 1e-200\n"
+        with pytest.raises(ValueError, match="underflows"):
+            G.mu_nu_newton(1e-3, 1e-200)
 
     def test_requires_profile_choice(self, capsys):
         code, _, err = run_cli(capsys, "mu-nu")
@@ -443,6 +466,19 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert "error: argument --c: expected a finite number" in err
 
+    def test_file_named_as_the_subcommand(self, capsys, tmp_path,
+                                          monkeypatch):
+        # the flags go after the token argparse took as the subcommand, not
+        # after the first token spelled like it (here the --config value)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "figure1").write_text("n = 3\n")
+        code, out, _ = run_cli(capsys, "--config", "figure1", "figure1")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
+        code, out, _ = run_cli(capsys, "--config=figure1", "figure1",
+                               "--n", "4")
+        assert len(parse_csv(out)[1]) == 4
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nope.cfg", "figure1")
         assert code == 2
@@ -581,8 +617,14 @@ DOUBLE = st.integers(0, 2 ** 64 - 1).map(
 class TestFloatKernel:
     @given(st.lists(DOUBLE, min_size=1, max_size=40))
     @example(EDGES)
+    @example([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
     def test_cells_match_fmt(self, values):
         assert kernel_cells(values) == [cli.FMT % v for v in values]
+
+    def test_zeros_and_nan_on_the_array_path(self):
+        values = np.array([0.0, -0.0, math.nan, -math.nan, 1.5])
+        words = np.zeros((len(values), cli._CELL_WORDS), np.uint32)
+        assert cli._float_cells(values, words) == 0
 
     def test_certifies_most_figure1_cells(self, monkeypatch):
         # FMT % runs only on the cells the kernel does not certify, and a
@@ -607,6 +649,8 @@ class TestRenderer:
     @given(table_rows())
     @example((["x", "y"], [[math.nan, -0.0], [math.inf, -math.inf],
                            [5e-324, 1e308]]))
+    @example((["v"], [[0.0], [-0.0], [math.nan], [-math.nan], [math.inf],
+                      [-math.inf]]))
     @example((["omega", "k", "vg", "residual", "evanescent"],
               [(0.5, math.nan, math.nan, math.nan, 1), (1.0, 0.9, 1.1, 0.0, 0)]))
     @example((["key", "value"], [("mass_density", 1.2e-27),

@@ -1,5 +1,6 @@
-"""Deformed mass shell: closed forms vs root-finder, group velocity, bounds,
-and the lockstep solver bit for bit against scipy's brentq."""
+"""Deformed mass shell through `sweep`, the one entry point: closed forms vs
+root-finder, group velocity, bounds, the evanescent row flag, and the
+lockstep solver bit for bit against scipy's brentq."""
 
 import itertools
 import math
@@ -13,7 +14,16 @@ from ncgrav import dispersion as D
 LAM, C, HBAR = 0.1, 1.0, 1.0
 
 
+def _row(omega, m, lam=LAM, c=C, hbar=HBAR):
+    """The sweep row of one omega."""
+    return D.sweep([omega], m, lam, c, hbar)[0]
+
+
 # -- oracle: the scalar residual and scipy's brentq, one omega at a time -----
+
+class _Evanescent(Exception):
+    """The oracle's outcome at an omega with no propagating mode."""
+
 
 def _oracle_shell(omega, m, lam, c, hbar):
     D._check_domain(omega, lam, c)
@@ -38,7 +48,7 @@ def _oracle_shell(omega, m, lam, c, hbar):
 def _oracle_k_squared(omega, m, lam, c, hbar):
     k2 = D.k_squared_closed(omega, m, lam, c, hbar)
     if k2 < 0:
-        raise D.EvanescentModeError("no propagating mode")
+        raise _Evanescent("no propagating mode")
     return k2
 
 
@@ -59,7 +69,7 @@ def _oracle_point(omega, m, lam, c, hbar):
     denom = -kc ** 2 * lam * eu + (2.0 / (c ** 2 * lam)) * math.sinh(u)
     if denom == 0:
         if m != 0:
-            raise D.EvanescentModeError("stationary shell")
+            raise _Evanescent("stationary shell")
         vg = c
     else:
         vg = 2 * kc * eu / denom
@@ -70,7 +80,7 @@ def _oracle_outcome(omega, m, lam, c, hbar):
     """Bits of (k, vg, residual), "evanescent", or the error type."""
     try:
         return _bits(_oracle_point(omega, m, lam, c, hbar))
-    except D.EvanescentModeError:
+    except _Evanescent:
         return "evanescent"
     except Exception as exc:  # noqa: BLE001 - the type is the outcome
         return type(exc)
@@ -89,81 +99,93 @@ def _bracket_end_overflows(omega, m, lam, c, hbar):
         return True
 
 
+class TestSurface:
+    def test_sweep_is_the_one_entry_point(self):
+        for name in ("shell_residual", "solve_k", "group_velocity",
+                     "time_of_flight_delta", "EvanescentModeError"):
+            assert not hasattr(D, name), name
+
+
+def _residual(omegas, k, m):
+    """The residual `sweep` evaluates on each row, here at a given k per
+    omega instead of the solved one."""
+    shell = D._Shell(list(omegas), m, LAM, C, HBAR)
+    res, ok = shell.residual(np.arange(len(omegas)), np.asarray(k, float))
+    assert ok.all() and not shell.errors
+    return res
+
+
 class TestShellResidual:
     def test_origin(self):
-        assert D.shell_residual(0.0, 0.0, 0.0, LAM, C, HBAR) == 0.0
+        p = _row(0.0, 0.0)
+        assert (p.k, p.residual) == (0.0, 0.0)
+        assert _residual([0.0], [0.0], 0.0)[0] == 0.0
 
     def test_massless_shell_identity(self):
-        for omega in (0.1, 0.7, 2.0):
-            k = -math.expm1(-omega * LAM) / (C * LAM)
-            assert abs(D.shell_residual(omega, k, 0.0, LAM, C, HBAR)) < 1e-12
+        omegas = [0.1, 0.7, 2.0]
+        k = [-math.expm1(-omega * LAM) / (C * LAM) for omega in omegas]
+        assert np.all(np.abs(_residual(omegas, k, 0.0)) < 1e-12)
 
     def test_classical_shell_off_by_order_lam(self):
         omega, m = 1.0, 0.3
         k = math.sqrt(omega ** 2 / C ** 2 - (m * C / HBAR) ** 2)
-        res = abs(D.shell_residual(omega, k, m, LAM, C, HBAR))
+        res = abs(_residual([omega], [k], m)[0])
         assert 1e-3 < res < 0.5
 
     def test_negative_branch_gated(self):
         with pytest.raises(ValueError):
-            D.shell_residual(-0.5, 0.1, 0.0, LAM, C, HBAR)
+            D.sweep([-0.5], 0.0, LAM, C, HBAR)
 
 
 class TestSolveK:
     def test_massless_closed_form(self):
-        for omega in np.linspace(0.05, 3.0, 50):
-            k = D.solve_k(omega, 0.0, LAM, C, HBAR)
-            want = -math.expm1(-omega * LAM) / (C * LAM)
-            assert abs(k - want) <= 1e-10 * want
+        for p in D.sweep(np.linspace(0.05, 3.0, 50), 0.0, LAM, C, HBAR):
+            want = -math.expm1(-p.omega * LAM) / (C * LAM)
+            assert abs(p.k - want) <= 1e-10 * want
 
     def test_massive_matches_closed_form(self):
-        for omega in np.linspace(0.5, 3.0, 50):
-            for m in np.linspace(0.0, 0.4, 10):
-                k2 = D.k_squared_closed(omega, m, LAM, C, HBAR)
+        for m in np.linspace(0.0, 0.4, 10):
+            for p in D.sweep(np.linspace(0.5, 3.0, 50), m, LAM, C, HBAR):
+                k2 = D.k_squared_closed(p.omega, m, LAM, C, HBAR)
                 if k2 <= 1e-6:
                     continue
-                k = D.solve_k(omega, m, LAM, C, HBAR)
-                assert abs(k - math.sqrt(k2)) <= 1e-10 * math.sqrt(k2)
+                assert abs(p.k - math.sqrt(k2)) <= 1e-10 * math.sqrt(k2)
 
     def test_classical_limit(self):
         omega, m = 1.0, 0.3
         want = math.sqrt(omega ** 2 / C ** 2 - (m * C / HBAR) ** 2)
-        ks = [D.solve_k(omega, m, lam, C, HBAR) for lam in (1e-4, 1e-5)]
+        ks = [_row(omega, m, lam=lam).k for lam in (1e-4, 1e-5)]
         assert abs(ks[1] - want) < abs(ks[0] - want)
         assert abs(ks[1] - want) < 1e-4
 
     def test_momentum_bounded(self):
         # massless k -> 1/(c lam) as omega -> infinity
-        k = D.solve_k(400.0, 0.0, LAM, C, HBAR)
-        assert abs(k - 1.0 / (C * LAM)) < 1e-8
-        for omega in np.linspace(0.1, 50, 40):
-            for m in (0.0, 0.2):
-                try:
-                    k = D.solve_k(omega, m, LAM, C, HBAR)
-                except D.EvanescentModeError:
+        assert abs(_row(400.0, 0.0).k - 1.0 / (C * LAM)) < 1e-8
+        for m in (0.0, 0.2):
+            for p in D.sweep(np.linspace(0.1, 50, 40), m, LAM, C, HBAR):
+                if p.evanescent:
                     continue
-                assert k < 1.0 / (C * LAM) + m * C / HBAR
+                assert p.k < 1.0 / (C * LAM) + m * C / HBAR
 
     def test_evanescent_reported(self):
-        with pytest.raises(D.EvanescentModeError):
-            D.solve_k(0.01, 5.0, LAM, C, HBAR)
+        p = _row(0.01, 5.0)
+        assert p.evanescent == 1
+        assert all(map(math.isnan, (p.k, p.vg, p.residual)))
 
     @pytest.mark.parametrize("lam", [1e-30, 1e-100, 1e-150])
     def test_tiny_lam_converges(self, lam):
         # the bracket is about 1/(c lam) wide, yet the root sits near k = 1:
         # brentq needs more than 100 iterations to reach xtol = 1e-12
-        for omega in (0.5, 1.0, 2.0):
-            for m in (0.0, 0.3):
-                k = D.solve_k(omega, m, lam, C, HBAR)
-                want = math.sqrt(D.k_squared_closed(omega, m, lam, C, HBAR))
-                assert abs(k - want) <= 1e-12
+        for m in (0.0, 0.3):
+            for p in D.sweep((0.5, 1.0, 2.0), m, lam, C, HBAR):
+                want = math.sqrt(D.k_squared_closed(p.omega, m, lam, C, HBAR))
+                assert abs(p.k - want) <= 1e-12
 
     def test_nan_term_passed_over_as_max_does(self):
         # (c lam)^2 is subnormal, so 2/(c lam)^2 overflows and the sinh^2
         # term is inf * 0 = nan at omega = 0; Python's max(0.0, nan, 0.0) is
         # 0.0, so the residual is 0 and k = 0 (np.maximum would give nan)
-        assert D.solve_k(0.0, 0.0, 1e-154, C, HBAR) == 0.0
-        p = D.sweep([0.0], 0.0, 1e-154, C, HBAR)[0]
+        p = _row(0.0, 0.0, lam=1e-154)
         assert (p.k, p.vg, p.residual) == (0.0, C, 0.0)
 
     @pytest.mark.parametrize("omega", [708.5, 709.0, 709.7, 709.78])
@@ -171,42 +193,40 @@ class TestSolveK:
         # -k_hi^2 e^{omega lam} overflows at k_hi = 2; the bracket ends at
         # the largest k where it is finite, and the root k ~ 1 lies inside
         assert _bracket_end_overflows(omega, 0.0, 1.0, C, HBAR)
-        k = D.solve_k(omega, 0.0, 1.0, C, HBAR)
         want = math.sqrt(D.k_squared_closed(omega, 0.0, 1.0, C, HBAR))
-        assert abs(k - want) <= 1e-12
+        assert abs(_row(omega, 0.0, lam=1.0).k - want) <= 1e-12
 
 
 class TestGroupVelocity:
     def test_massless_closed_form(self):
-        for omega in np.linspace(0.01, 2.0, 30):
-            vg = D.group_velocity(omega, 0.0, LAM, C, HBAR)
-            assert abs(vg - C * math.exp(omega * LAM)) < 1e-8
+        for p in D.sweep(np.linspace(0.01, 2.0, 30), 0.0, LAM, C, HBAR):
+            assert abs(p.vg - C * math.exp(p.omega * LAM)) < 1e-8
 
     def test_massless_low_frequency_limit(self):
-        vg = D.group_velocity(1e-8, 0.0, LAM, C, HBAR)
-        assert abs(vg - C) < 1e-6
+        assert abs(_row(1e-8, 0.0).vg - C) < 1e-6
 
     def test_superluminal_value(self):
-        vg = D.group_velocity(0.1, 0.0, 0.1, C, HBAR)  # omega lam = 0.01
+        vg = _row(0.1, 0.0, lam=0.1).vg  # omega lam = 0.01
         assert abs(vg / C - math.exp(0.01)) < 1e-10
 
     def test_monotone_in_omega(self):
-        vgs = [D.group_velocity(w, 0.0, LAM, C, HBAR)
-               for w in np.linspace(0.1, 3.0, 40)]
+        vgs = D.sweep(np.linspace(0.1, 3.0, 40), 0.0, LAM, C, HBAR).vg
         assert all(b > a for a, b in zip(vgs, vgs[1:]))
 
     def test_massless_omega_zero_limit(self):
         for c in (C, 2.0):
-            assert D.group_velocity(0.0, 0.0, LAM, c, HBAR) == c
+            assert _row(0.0, 0.0, c=c).vg == c
         p = D.sweep([0.0, 0.5], 0.0, LAM, C, HBAR)[0]
         assert p.k == 0.0 and p.vg == C
 
     def test_time_of_flight(self):
+        # arrival-time difference over a common distance, L (1/v1 - 1/v2)
         L = 100.0
-        dt = D.time_of_flight_delta(0.5, 1.5, L, 0.0, LAM, C, HBAR)
-        v1 = C * math.exp(0.5 * LAM)
-        v2 = C * math.exp(1.5 * LAM)
-        assert abs(dt - L * (1 / v1 - 1 / v2)) < 1e-10
+        v1, v2 = D.sweep([0.5, 1.5], 0.0, LAM, C, HBAR).vg
+        dt = L * (1.0 / v1 - 1.0 / v2)
+        want1 = C * math.exp(0.5 * LAM)
+        want2 = C * math.exp(1.5 * LAM)
+        assert abs(dt - L * (1 / want1 - 1 / want2)) < 1e-10
         assert dt > 0  # higher frequency arrives first here
 
 
@@ -279,11 +299,13 @@ class TestBrentqOracle:
     @pytest.mark.parametrize("lo, hi, m", CLI_GRIDS)
     def test_cli_grid_bits(self, lo, hi, m):
         omegas = np.linspace(lo, hi, 4000)
-        got = [_bits((p.k, p.vg, p.residual))
-               for p in D.sweep(omegas, m, 1.0, 1.0, 1.0)]
+        table = D.sweep(omegas, m, 1.0, 1.0, 1.0)
+        got = [_bits((p.k, p.vg, p.residual)) for p in table]
         want = [_oracle_outcome(float(w), m, 1.0, 1.0, 1.0) for w in omegas]
         nan = _bits([math.nan] * 3)
         assert got == [nan if w == "evanescent" else w for w in want]
+        assert table.evanescent.tolist() == [int(w == "evanescent")
+                                             for w in want]
 
     def test_edge_sweep(self):
         for lam, m, c in itertools.product(EDGE_LAM, EDGE_M, EDGE_C):
@@ -295,7 +317,7 @@ class TestBrentqOracle:
                 # past the first omega whose closed form fails, a lane
                 # carries that error, as a loop over omega stops there
                 err = shell.errors.get(min(i, shell.n))
-                got = "evanescent" if isinstance(err, D.EvanescentModeError) \
+                got = "evanescent" if i < shell.n and shell.evanescent[i] \
                     else type(err) if err is not None \
                     else _bits((k[i], vg[i], res[i]))
                 if got != w:  # only where the old bracket end overflowed
