@@ -3,9 +3,9 @@
 Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
 treated: `sweep` raises ValueError for it, as it does when omega lam is
-above `U_MAX` (e^{omega lam} overflows), when (c lam)^2 underflows to 0, or
-when a term of the shell residual passes the float limit (a subnormal
-(c lam)^2, say).
+above `U_MAX` (e^{omega lam} overflows), when (c lam)^2 underflows to 0 or
+overflows, when (m c / hbar)^2 overflows, or when a term of the shell
+residual passes the float limit (a subnormal (c lam)^2, say).
 
 `sweep` is the one entry point: it returns the dispersion table, a numpy
 record array with one row per omega and the fields omega, k, vg, residual
@@ -42,7 +42,12 @@ XTOL, RTOL = 1e-12, 8.9e-16
 def _check_domain(omega, lam, c):
     if omega < 0:
         raise ValueError("omega < 0 branch is not treated")
-    if (c * lam) ** 2 == 0:
+    try:
+        cl2 = (c * lam) ** 2
+    except OverflowError:
+        raise ValueError("(c lam)^2 overflows at c = %g, lam = %g"
+                         % (c, lam)) from None
+    if cl2 == 0:
         raise ValueError("(c lam)^2 underflows to 0 at c = %g, lam = %g"
                          % (c, lam))
     if omega * lam > U_MAX:
@@ -55,7 +60,12 @@ def k_squared_closed(omega, m, lam, c, hbar):
     _check_domain(omega, lam, c)
     u = omega * lam
     a = -math.expm1(-u) / (c * lam)  # (1 - e^{-u}) / (c lam), stable
-    return a * a - (m * c / hbar) ** 2 * math.exp(-u)
+    try:
+        mass2 = (m * c / hbar) ** 2
+    except OverflowError:
+        raise ValueError("(m c / hbar)^2 overflows at m = %g, c = %g, "
+                         "hbar = %g" % (m, c, hbar)) from None
+    return a * a - mass2 * math.exp(-u)
 
 
 def _squares(x):

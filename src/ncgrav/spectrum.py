@@ -65,16 +65,27 @@ def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     return out
 
 
-# default grid: GRID_NODES uniform nodes out to GRID_BOHR Bohr radii
+# default grid: GRID_NODES uniform nodes out to GRID_BOHR Bohr radii for
+# states up to n = 3; default_grid scales both for higher n, up to
+# GRID_NODES_MAX nodes (n_max = 30)
 GRID_BOHR = 40.0
 GRID_NODES = 4000
+GRID_NODES_MAX = 400_000
 # largest relative eigenvalue change allowed when check_grid doubles the grid
 DRIFT_TOL = 5e-3
 
 
-def default_grid(m_I, m_G, M, G, hbar):
-    a = bohr_radius(m_I, m_G, M, G, hbar)
-    return np.linspace(a * GRID_BOHR / GRID_NODES, a * GRID_BOHR, GRID_NODES)
+def default_grid(m_I, m_G, M, G, hbar, n_max=3):
+    """The uniform grid for states up to n_max: the box and the node count
+    are GRID_BOHR Bohr radii and GRID_NODES, both times max(1, (n_max/3)^2),
+    since the n-th state reaches out to about n^2 Bohr radii."""
+    scale = max(1.0, (n_max / 3) ** 2)
+    nodes = math.ceil(GRID_NODES * scale)
+    if nodes > GRID_NODES_MAX:
+        raise ValueError("states up to n = %d need a default grid of %d "
+                         "nodes, above %d" % (n_max, nodes, GRID_NODES_MAX))
+    box = bohr_radius(m_I, m_G, M, G, hbar) * GRID_BOHR * scale
+    return np.linspace(box / nodes, box, nodes)
 
 
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
@@ -93,7 +104,7 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
         raise ValueError("n_states must be >= 1, got %r" % n_states)
     _require_positive(m_I=m_I, hbar=hbar)
     if grid is None:
-        grid = default_grid(m_I, m_G, M, G, hbar)
+        grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2000:
         raise ValueError("grid needs >= 2000 nodes for the target accuracy")

@@ -528,9 +528,9 @@ def _(level):
 def _(level):
     grid = G.default_log_grid(0.5, 10.0, 150)
     b1, b2 = G.RadialProfile.power_law(1), G.RadialProfile.constant(0.5)
-    mu1, nu1 = G.mu_nu_numeric(b1, 1.0, 1.0, 0.0, grid, rtol=1e-12)
-    mu2, nu2 = G.mu_nu_numeric(b2, 1.0, 0.25, 0.25, grid, rtol=1e-12)
-    mu12, nu12 = G.mu_nu_numeric(b1 + b2, 1.0, 1.25, 0.25, grid, rtol=1e-12)
+    mu1, nu1 = G.mu_nu_numeric(b1, 1.0, 1.0, 0.0, grid)
+    mu2, nu2 = G.mu_nu_numeric(b2, 1.0, 0.25, 0.25, grid)
+    mu12, nu12 = G.mu_nu_numeric(b1 + b2, 1.0, 1.25, 0.25, grid)
     worst = max(np.max(np.abs(mu12(grid) - mu1(grid) - mu2(grid))),
                 np.max(np.abs(nu12(grid) - nu1(grid) - nu2(grid))))
     return worst < 1e-10, "max dev %.2e" % worst

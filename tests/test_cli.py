@@ -127,6 +127,16 @@ class TestDispersion:
         assert abs(k - want) < 1e-10
         assert abs(float(rows[-1][2]) - math.exp(omega * 0.1)) < 1e-8
 
+    @pytest.mark.parametrize("argv, msg", [
+        (("--m", "1e200"), "(m c / hbar)^2 overflows at m = 1e+200, c = 1, "
+                           "hbar = 1"),
+        (("--c", "1e200"), "(c lam)^2 overflows at c = 1e+200, lam = 1"),
+    ])
+    def test_square_overflow_exit_2(self, capsys, argv, msg):
+        # a float ** 2 that raises OverflowError is refused by name
+        code, out, err = run_cli(capsys, "dispersion", *argv, "--n", "3")
+        assert (code, out, err) == (2, "", "error: %s\n" % msg)
+
     def test_evanescent_rows_flagged(self, capsys):
         _, out, _ = run_cli(capsys, "dispersion", "--omega-max", "1",
                             "--n", "4", "--m", "0.5", "--lam", "0.1")
@@ -205,6 +215,15 @@ class TestSpectrum:
         for row in rows:
             assert float(row[4]) < 5e-3   # rel_err column
 
+    def test_five_states_reach_the_oracle(self, capsys):
+        # the default box grows with n_max^2: n = 4 and 5 are not cut off
+        code, out, _ = run_cli(capsys, "spectrum", "--x", "1e-8",
+                               "--n-states", "5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5"]
+        assert all(float(row[4]) < 1e-3 for row in rows)
+
     def test_v0_column_matches_effective(self, capsys):
         from ncgrav import effective as E
         _, out, _ = run_cli(capsys, "spectrum", "--x", "0.5",
@@ -282,6 +301,13 @@ class TestMuNu:
         assert err == "error: c^2 underflows to 0 at c = 1e-200\n"
         with pytest.raises(ValueError, match="underflows"):
             G.mu_nu_newton(1e-3, 1e-200)
+
+    def test_c_squared_overflow_exit_2(self, capsys):
+        # c ** 2 raises OverflowError; it is refused by name, not by errno
+        code, out, err = run_cli(capsys, "mu-nu", "--gamma", "1e-3",
+                                 "--c", "1e200")
+        assert (code, out) == (2, "")
+        assert err == "error: c^2 overflows at c = 1e+200\n"
 
     def test_requires_profile_choice(self, capsys):
         code, _, err = run_cli(capsys, "mu-nu")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgrav import geometry as G
+from ncgrav.timeops import POWER_WINDOW
 
 
 def log_radii(n=100):
@@ -152,12 +155,109 @@ class TestNumericIntegration:
         grid = G.default_log_grid(0.5, 10.0, 150)
         b1 = G.RadialProfile.power_law(1)
         b2 = G.RadialProfile.constant(0.5)
-        mu1, nu1 = G.mu_nu_numeric(b1, 1.0, 1.0, 0.0, grid, rtol=1e-12)
-        mu2, nu2 = G.mu_nu_numeric(b2, 1.0, 0.25, 0.25, grid, rtol=1e-12)
-        mu12, nu12 = G.mu_nu_numeric(b1 + b2, 1.0, 1.25, 0.25, grid,
-                                     rtol=1e-12)
+        mu1, nu1 = G.mu_nu_numeric(b1, 1.0, 1.0, 0.0, grid)
+        mu2, nu2 = G.mu_nu_numeric(b2, 1.0, 0.25, 0.25, grid)
+        mu12, nu12 = G.mu_nu_numeric(b1 + b2, 1.0, 1.25, 0.25, grid)
         assert np.max(np.abs(mu12(grid) - mu1(grid) - mu2(grid))) < 1e-10
         assert np.max(np.abs(nu12(grid) - nu1(grid) - nu2(grid))) < 1e-10
+
+
+# power laws n in [0.5, 5], with n = 1 and 2 themselves (the log forms) but
+# not the POWER_WINDOW around them, where mu_nu_closed takes the log forms
+POWERS = st.sampled_from([1.0, 2.0]) | st.floats(0.5, 5.0).filter(
+    lambda n: min(abs(n - 1), abs(n - 2)) >= POWER_WINDOW)
+
+
+@st.composite
+def quadrature_cases(draw):
+    """beta with its closed-form mu, nu, a grid on [0.5, 10], a pin on or off
+    it, and radii off the grid inside and outside [0.5, 10].  The pin stays
+    in [1, 4]: outward, nu of r^-n falls off faster than the homogeneous
+    1/r, so rounding in the pin data alone grows like (r / r_ref)^(n-1)
+    (mu_nu_numeric's docstring); from r_ref = 0.5, n = 5 is at 5e-11 by
+    r = 12 before any quadrature."""
+    if draw(st.booleans()):
+        n = draw(POWERS)
+        beta = G.RadialProfile.power_law(n)
+        mu, nu = G.mu_nu_closed(n)
+    else:
+        beta, mu, nu = G.mu_nu_newton(draw(st.floats(1e-3, 10.0)),
+                                      draw(st.floats(0.5, 2.0)))
+    grid = G.default_log_grid(0.5, 10.0, draw(st.integers(16, 400)))
+    inner = grid[(grid >= 1.0) & (grid <= 4.0)]
+    if draw(st.booleans()):
+        pin = float(inner[draw(st.integers(0, inner.size - 1))])
+    else:
+        pin = draw(st.floats(1.0, 4.0))
+    off = draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=8))
+    outside = draw(st.lists(st.floats(0.05, 0.5, exclude_max=True)
+                            | st.floats(10.0, 12.0, exclude_min=True),
+                            min_size=1, max_size=4))
+    return beta, mu, nu, grid, pin, np.array(off), np.array(outside)
+
+
+class TestQuadratureAccuracy:
+    @given(quadrature_cases())
+    def test_matches_closed_forms(self, case):
+        beta, mu_c, nu_c, grid, pin, off, outside = case
+        mu, nu = G.mu_nu_numeric(beta, pin, float(mu_c(pin)),
+                                 float(nu_c(pin)), grid)
+        for r in (grid, off, outside):
+            b, m, n = beta(r), mu_c(r), nu_c(r)
+            # mu vanishes where ln r does (n = 2), nu where its bracket does
+            # (n = 1, 2, Newton): each is measured against its source's size
+            scale_mu, scale_nu = np.abs(m) + np.abs(b), np.abs(n) + np.abs(m)
+            assert np.max(np.abs(mu(r) - m) / scale_mu) <= 1e-10
+            assert np.max(np.abs(nu(r) - n) / scale_nu) <= 1e-10
+            assert np.max(np.abs(mu.deriv(r) - mu_c.deriv(r)) * r
+                          / scale_mu) <= 1e-10
+            assert np.max(np.abs(nu.deriv(r) - nu_c.deriv(r)) * r
+                          / scale_nu) <= 1e-10
+
+    def test_wide_gaps_are_split(self):
+        # two nodes 20x apart: the gap takes geometric panels of ratio at
+        # most PANEL_RATIO, not one 8-node panel
+        mu_c, nu_c = G.mu_nu_closed(3.0)
+        mu, nu = G.mu_nu_numeric(G.RadialProfile.power_law(3.0), 1.0,
+                                 float(mu_c(1.0)), float(nu_c(1.0)),
+                                 [0.5, 10.0])
+        r = np.array([0.5, 0.6, 2.0, 7.0, 10.0])
+        assert np.max(np.abs(mu(r) / mu_c(r) - 1)) <= 1e-12
+        assert np.max(np.abs(nu(r) / nu_c(r) - 1)) <= 1e-12
+
+    def test_complex_constant_beta(self):
+        # mu(1) = nu(1) = 0 away from the fixed point beta/2:
+        # mu = beta/2 (1 - 1/r^2), nu = beta/2 (1 + 1/r^2) - beta/r
+        beta = 0.8 + 0.3j
+        grid = G.default_log_grid(0.5, 10.0, 100)
+        mu, nu = G.mu_nu_numeric(G.RadialProfile.constant(beta), 1.0, 0.0,
+                                 0.0, grid)
+        for r in (grid, np.array([0.3, 0.77, 3.3, 15.0])):
+            got_mu, got_nu = mu(r), nu(r)
+            assert got_mu.dtype == got_nu.dtype == complex
+            assert np.max(np.abs(got_mu - beta / 2 * (1 - r ** -2))) < 1e-14
+            assert np.max(np.abs(got_nu - (beta / 2 * (1 + r ** -2)
+                                           - beta / r))) < 1e-14
+            assert np.max(np.abs(mu.deriv(r) - beta / r ** 3)) < 1e-14
+
+    def test_on_grid_lookups_call_beta_no_more(self):
+        calls = []
+        power = G.RadialProfile.power_law(3.0)
+        beta = G.RadialProfile(lambda r: calls.append(np.size(r)) or power(r))
+        grid = G.default_log_grid(0.5, 10.0, 50)
+        mu, nu = G.mu_nu_numeric(beta, 1.0, -1.0, 0.5, grid)
+        # one beta call, on every quadrature node and the grid, in the call
+        assert len(calls) == 1 and calls[0] >= G.GL_ORDER * grid.size
+        for profile in (mu, nu):
+            profile(grid), profile.deriv(grid), profile(grid[7])
+        assert len(calls) == 1
+        mu(0.77)
+        assert len(calls) == 2
+
+    def test_grid_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            G.mu_nu_numeric(G.RadialProfile.power_law(3.0), 1.0, -1.0, 0.5,
+                            [2.0, 1.0, 3.0])
 
 
 class TestStaticMetric:

@@ -1,6 +1,7 @@
 """Source layout: each production module computes a quantity by one route, and
 the second routes (the oracles) and the check helpers live in `verify`, which
-production never imports; the table subcommands load no scipy."""
+production never imports; the table subcommands load no scipy, and neither
+does the mu/nu quadrature `geometry.mu_nu_numeric`."""
 
 import ast
 import json
@@ -127,3 +128,26 @@ def test_table_subcommands_load_no_scipy(tmp_path):
     assert rep == {"codes": [0] * len(TABLES), "scipy": []}
     assert all((tmp_path / ("%d.csv" % i)).stat().st_size
                for i in range(len(TABLES)))
+
+
+QUADRATURE_NO_SCIPY = """
+import json, sys
+import numpy as np
+from ncgrav import geometry as G
+grid = G.default_log_grid(0.5, 10.0, 50)
+mu, nu = G.mu_nu_numeric(G.RadialProfile.power_law(3.0), 1.0, -1.0, 0.5, grid)
+for r in (grid, np.array([0.3, 0.77, 12.0])):
+    for profile in (mu, nu):
+        profile(r), profile.deriv(r)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_mu_nu_quadrature_loads_no_scipy():
+    # the integrator is Gauss-Legendre on numpy; no ODE solver, no spline
+    proc = subprocess.run(
+        [sys.executable, "-c", QUADRATURE_NO_SCIPY],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -88,6 +88,22 @@ class TestSolveRadial:
                                 check_grid=True)
         assert len(states) == 2
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_default_grid_fixed_up_to_n3(self, n_max):
+        a = S.bohr_radius(M_I, M_G, M, GN, HBAR)
+        want = np.linspace(a * S.GRID_BOHR / S.GRID_NODES, a * S.GRID_BOHR,
+                           S.GRID_NODES)
+        got = S.default_grid(M_I, M_G, M, GN, HBAR, n_max=n_max)
+        assert np.array_equal(got, want)
+
+    def test_default_grid_grows_with_n_max_squared(self):
+        a = S.bohr_radius(M_I, M_G, M, GN, HBAR)
+        grid = S.default_grid(M_I, M_G, M, GN, HBAR, n_max=6)
+        assert grid.size == 4 * S.GRID_NODES
+        assert np.isclose(grid[-1], 4 * a * S.GRID_BOHR, rtol=1e-15)
+        with pytest.raises(ValueError, match="n = 31 need a default grid"):
+            S.default_grid(M_I, M_G, M, GN, HBAR, n_max=31)
+
     def test_deeper_with_larger_mG(self):
         e_small = S.solve_radial(M_I, 1.0, V0, M, GN, HBAR, n_states=1)[0].E
         e_big = S.solve_radial(M_I, 1.3, V0, M, GN, HBAR, n_states=1)[0].E
