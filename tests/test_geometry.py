@@ -226,8 +226,8 @@ class TestQuadratureAccuracy:
         assert np.max(np.abs(nu(r) / nu_c(r) - 1)) <= 1e-12
 
     def test_complex_constant_beta(self):
-        # mu(1) = nu(1) = 0 away from the fixed point beta/2:
-        # mu = beta/2 (1 - 1/r^2), nu = beta/2 (1 + 1/r^2) - beta/r
+        # pinned at mu(1) = nu(1) = 0, off the fixed point beta/2, the
+        # solution is mu = beta/2 (1 - 1/r^2), nu = beta/2 (1 + 1/r^2) - beta/r
         beta = 0.8 + 0.3j
         grid = G.default_log_grid(0.5, 10.0, 100)
         mu, nu = G.mu_nu_numeric(G.RadialProfile.constant(beta), 1.0, 0.0,
