@@ -4,8 +4,9 @@ Mode convention: e^{i k.x - i omega t} with omega >= 0; the imaginary time
 shifts then produce real factors e^{omega lam}.  The omega < 0 branch is not
 treated: `sweep` raises ValueError for it, as it does when omega lam is
 above `U_MAX` (e^{omega lam} overflows), when (c lam)^2 underflows to 0 or
-overflows, when (m c / hbar)^2 overflows, or when a term of the shell
-residual passes the float limit (a subnormal (c lam)^2, say).
+overflows, when (m c / hbar)^2 or a shell prefactor 2/(c^2 lam^p) is beyond
+the float range, or when a term of the shell residual passes the float limit
+(a subnormal (c lam)^2, say).
 
 `sweep` is the one entry point: it returns the dispersion table, a numpy
 record array with one row per omega and the fields omega, k, vg, residual
@@ -16,7 +17,10 @@ method on all propagating lanes in lockstep, step for step as scipy's
 `brentq` (brentq.c) runs it on one.  Each transcendental is a `math` call
 and each k^2 is CPython's float pow, per element, so every lane is
 bit-identical to `brentq` on the scalar residual; the tests hold that
-against scipy.  An omega with no propagating mode (k^2 < 0, or a massive
+against scipy.  The closed-form k^2 of every lane is computed on the whole
+omega array the same way (one `math.expm1` and one `math.exp` per element,
+then numpy arithmetic in the scalar's order), so it equals the scalar
+`k_squared_closed` bit for bit, and the domain is checked once per sweep.  An omega with no propagating mode (k^2 < 0, or a massive
 shell that is stationary there) is not an error but a row flag: its
 `evanescent` is 1 and its k, vg and residual are nan.  Where the bracket
 end's term -k_hi^2 e^{omega lam} overflows (omega lam within 2 ln k_hi of
@@ -68,6 +72,13 @@ def k_squared_closed(omega, m, lam, c, hbar):
     return a * a - mass2 * math.exp(-u)
 
 
+def _libm(fn, x):
+    """fn of each element of the 1-d array x, one libm call each (numpy's
+    ufuncs round differently)."""
+    values = x.tolist()
+    return np.fromiter(map(fn, values), float, len(values))
+
+
 def _squares(x):
     """x ** 2 per element by CPython's float pow (libm pow; numpy's square
     rounds differently), and the OverflowError of each element that
@@ -91,6 +102,32 @@ def _scalar(fn):
         return fn(), None
     except (ValueError, ArithmeticError) as exc:
         return math.nan, exc
+
+
+def _prefactor(name, fn, c, lam):
+    """The k-free prefactor `name` of the shell, fn(), and None; or nan and
+    a ValueError naming it where it is beyond the float range (c^2 or lam^2
+    overflows, or the divisor underflows to 0)."""
+    value, exc = _scalar(fn)
+    if exc is not None:
+        exc = ValueError("the shell prefactor %s is beyond the float range "
+                         "at c = %g, lam = %g" % (name, c, lam))
+    return value, exc
+
+
+def _first_failure(omegas, omega, u, m, lam, c, hbar):
+    """Where a loop of `k_squared_closed` over omegas would stop: the index
+    of the first omega it raises on and that error, or (len(omegas), None).
+    The omega-free checks ((c lam)^2, (m c/hbar)^2) hold for every omega
+    once they hold for the first; past it, an omega fails exactly where omega < 0 or |omega lam| > U_MAX
+    (e^{omega lam} or e^{-omega lam} overflows), so at most two omegas are
+    checked one by one."""
+    bad = np.flatnonzero((omega < 0) | (np.abs(u) > U_MAX))
+    for i in [0, *bad[:1].tolist()][:len(omegas)]:
+        _, exc = _scalar(lambda: k_squared_closed(omegas[i], m, lam, c, hbar))
+        if exc is not None:
+            return i, exc
+    return len(omegas), None
 
 
 def _term_finite(k, eu):
@@ -118,41 +155,39 @@ _QUIET = np.errstate(all="ignore")
 class _Shell:
     """The shell on an array of omegas, one lane per omega.
 
-    Per lane the domain check, k^2 from the closed form, e^{omega lam},
-    sinh(omega lam / 2) and sinh(omega lam) are computed once, here.  A lane
-    with no propagating mode is flagged in `evanescent`; a lane that fails
-    keeps its error in `errors`.  Either leaves every later stage.  Lanes are
-    taken in order; at the first omega that fails the closed form the later
-    ones are dropped, as a loop over omega would stop there."""
+    k^2 from the closed form, e^{omega lam}, sinh(omega lam / 2) and
+    sinh(omega lam) are computed once per lane, here, on the whole array.  A
+    lane with no propagating mode is flagged in `evanescent`; a lane that
+    fails keeps its error in `errors`.  Either leaves every later stage.
+    Lanes are taken in order; at the first omega that fails the closed form
+    (with the error `k_squared_closed` raises there) the later ones are
+    dropped, as a loop over omega would stop there."""
 
     @_QUIET
     def __init__(self, omegas, m, lam, c, hbar):
         self.m, self.lam, self.c, self.hbar = m, lam, c, hbar
-        self.errors = {}
-        k2 = []
-        for i, omega in enumerate(omegas):
-            try:
-                k2.append(k_squared_closed(omega, m, lam, c, hbar))
-            except (ValueError, ArithmeticError) as exc:
-                self.errors[i] = exc
-                break
-        self.n = len(k2)
-        self.omega = np.array(omegas[:self.n], dtype=float)
-        self.k2 = np.array(k2, dtype=float)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.evanescent = np.zeros(self.n, dtype=bool)
-        u = (self.omega * lam).tolist()
-        self.eu = np.array(list(map(math.exp, u)))
-        self.sinh_u = np.array(list(map(math.sinh, u)))
-        half, _ = _squares(np.array([math.sinh(v / 2) for v in u]))
-        # the k-free terms of the residual and of d omega / d k; a prefactor
-        # that overflows fails each lane that reaches it
-        scale, self.t2_error = _scalar(
-            lambda: (2.0 / (c ** 2 * lam ** 2)) * 2.0)
-        self.t2 = scale * half
+        omega = np.array(omegas, dtype=float)
+        u = omega * lam
+        self.n, exc = _first_failure(omegas, omega, u, m, lam, c, hbar)
+        self.errors = {} if exc is None else {self.n: exc}
+        self.omega, u = omega[:self.n], u[:self.n]
         # t3 fails only where k_squared_closed failed on the first lane
         self.t3, _ = _scalar(lambda: (m * c / hbar) ** 2)
-        self.vg_scale, self.vg_error = _scalar(lambda: 2.0 / (c ** 2 * lam))
+        # k^2 as k_squared_closed computes it, lane by lane
+        a = -_libm(math.expm1, -u) / (c * lam)
+        self.k2 = a * a - self.t3 * _libm(math.exp, -u)
+        self.alive = np.ones(self.n, dtype=bool)
+        self.evanescent = np.zeros(self.n, dtype=bool)
+        self.eu = _libm(math.exp, u)
+        self.sinh_u = _libm(math.sinh, u)
+        half, _ = _squares(_libm(math.sinh, u / 2))
+        # the k-free terms of the residual and of d omega / d k; a prefactor
+        # that overflows fails each lane that reaches it
+        scale, self.t2_error = _prefactor(
+            "2/(c^2 lam^2)", lambda: (2.0 / (c ** 2 * lam ** 2)) * 2.0, c, lam)
+        self.t2 = scale * half
+        self.vg_scale, self.vg_error = _prefactor(
+            "2/(c^2 lam)", lambda: 2.0 / (c ** 2 * lam), c, lam)
 
     def fail(self, lanes, exc):
         for i in lanes.tolist():

@@ -145,7 +145,7 @@ class RadialProfile:
             rows = [line.strip().split(",") for line in fh if line.strip()]
         r = np.array([float(row[0]) for row in rows])
         vals = np.array([complex(float(row[1]), float(row[2])) for row in rows])
-        if np.allclose(vals.imag, 0):
+        if np.all(vals.imag == 0):
             vals = vals.real
         return cls.from_samples(r, vals, tag=tag)
 
@@ -337,7 +337,8 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     [r_grid[0], r_grid[-1]], is solved by the same quadrature over r_grid,
     r_ref and that radius, not interpolated.  The derivatives are the ODE:
     mu' = (beta - 2 mu)/r and nu' = (mu - nu)/r.  The values are real when
-    the imaginary parts on the grid are all close to 0, complex otherwise."""
+    every imaginary part on the grid is exactly 0 (a real beta with real
+    pins), complex otherwise, however small."""
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.ndim != 1 or not r_ref > 0 or not np.all(r_grid > 0)
             or np.any(np.diff(r_grid) <= 0)):
@@ -361,7 +362,7 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
         total[pin + 1:] = _cumsum(gaps[pin:])
         total[:pin] = -_cumsum(gaps[:pin][::-1])[::-1]
     mu_at, nu_at = solution(radii, s_beta, plain)
-    real = np.allclose(mu_at.imag, 0) and np.allclose(nu_at.imag, 0)
+    real = np.all(mu_at.imag == 0) and np.all(nu_at.imag == 0)
     cast = np.real if real else np.asarray
     mu_at, nu_at = cast(mu_at), cast(nu_at)
     beta_at = cast(np.asarray(beta_at, dtype=complex))

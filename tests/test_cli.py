@@ -186,6 +186,9 @@ class TestDispersion:
         (("--lam", "1e-160", "--n", "3"),
          "omega = 1, lam = 1e-160 is not finite (a term is nan or beyond the "
          "float limit"),
+        (("--c", "1e200", "--lam", "1e-200", "--n", "3"),
+         "the shell prefactor 2/(c^2 lam^2) is beyond the float range at "
+         "c = 1e+200, lam = 1e-200"),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "dispersion", *argv)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ncgrav import dispersion as D
@@ -29,7 +31,11 @@ def _oracle_shell(omega, m, lam, c, hbar):
     D._check_domain(omega, lam, c)
     u = omega * lam
     eu = math.exp(u)
-    t2 = (2.0 / (c ** 2 * lam ** 2)) * 2.0 * math.sinh(u / 2) ** 2
+    try:
+        scale = (2.0 / (c ** 2 * lam ** 2)) * 2.0
+    except ArithmeticError:  # named, as `sweep` names it
+        raise ValueError("shell prefactor beyond the float range") from None
+    t2 = scale * math.sinh(u / 2) ** 2
     t3 = (m * c / hbar) ** 2
 
     def residual(k):
@@ -249,10 +255,12 @@ class TestSweep:
         # true when it has rows, as a list is
         assert table and not D.sweep([], 0.1, LAM, C, HBAR)
 
-    def test_domain_checked_per_omega_not_per_evaluation(self, monkeypatch):
-        # the domain check runs once per omega, and every lane shares each
-        # array evaluation of the residual: their number is that of the
-        # Brent steps, not of the omegas
+    def test_domain_checked_once_per_sweep_not_per_evaluation(
+            self, monkeypatch):
+        # the domain check runs a fixed number of times per sweep, whatever
+        # the number of omegas, and every lane shares each array evaluation
+        # of the residual: their number is that of the Brent steps, not of
+        # the omegas
         checks, evaluations = [0], [0]
         check, residual = D._check_domain, D._Shell.residual
 
@@ -271,9 +279,37 @@ class TestSweep:
             omegas = np.repeat(np.linspace(1.0, 2.0, 4), n // 4)
             pts = D.sweep(omegas, 0.3, LAM, C, HBAR)
             assert not any(math.isnan(p.k) for p in pts)
-            assert checks[0] == n
-            counts.append(evaluations[0])
-        assert 5 <= counts[0] == counts[1] <= 30
+            counts.append((checks[0], evaluations[0]))
+        assert counts[0][0] == counts[1][0] == 1
+        assert 5 <= counts[0][1] == counts[1][1] <= 30
+
+
+class TestClosedFormLanes:
+    """`_Shell` computes k^2 on the whole omega array, bit for bit as the
+    scalar `k_squared_closed`, and fails where a loop over omega would."""
+
+    @given(st.lists(st.floats(0.0, 700.0), max_size=40),
+           st.floats(0.0, 2.0), st.floats(1e-3, 1.0))
+    def test_k2_is_the_scalar_closed_form(self, omegas, m, lam):
+        shell = D._Shell(omegas, m, lam, C, HBAR)
+        assert shell.n == len(omegas) and not shell.errors
+        assert [v.hex() for v in shell.k2.tolist()] == [
+            D.k_squared_closed(w, m, lam, C, HBAR).hex() for w in omegas]
+
+    @given(st.lists(st.floats(0.0, 100.0), max_size=20), st.data())
+    def test_bad_omega_fails_its_lane(self, omegas, data):
+        # omega < 0, e^{omega lam} overflows, or (lam < 0) e^{-omega lam}
+        lam, bad = data.draw(st.sampled_from(
+            [(LAM, -0.5), (LAM, -math.inf), (LAM, 1e4), (LAM, math.inf),
+             (-LAM, 1e4)]))
+        i = data.draw(st.integers(0, len(omegas)))
+        omegas = omegas[:i] + [bad] + omegas[i:]
+        with pytest.raises((ValueError, OverflowError)) as info:
+            D.k_squared_closed(bad, 0.3, lam, C, HBAR)
+        shell = D._Shell(omegas, 0.3, lam, C, HBAR)
+        assert shell.n == i and list(shell.errors) == [i]
+        err = shell.errors[i]
+        assert (type(err), str(err)) == (type(info.value), str(info.value))
 
 
 # the omega grids of the cli-tables benchmark: 4,000 points, m = 0 and 0.5

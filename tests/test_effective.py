@@ -1,9 +1,13 @@
 """Effective masses, constant potential, extrema, Figure-1 table, dark energy."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ncgrav import effective as E
 from ncgrav import verify as V
@@ -39,6 +43,53 @@ class TestClosedForms:
         hi = E._ratios(x * (1 + 1e-12))   # double closed-form branch
         for a, b in zip(lo, hi):
             assert abs(a - b) < 1e-10
+
+
+def _mg_closed_scalar(x):
+    """The scalar closed form of m_G/m, one float at a time."""
+    den = x / 2 * math.sinh(x)
+    if math.isinf(den):
+        return (x + math.expm1(-x)) / (x / 2) / math.sinh(x)
+    return (x + math.expm1(-x)) / den
+
+
+class TestColumns:
+    def test_small_band_against_mpmath(self):
+        # the closed forms cancel about |log10 x| (m_G) and 2 |log10 x| (V0)
+        # digits, so the reference carries 50 digits beyond that
+        xs = np.geomspace(1e-150, E.SMALL_X, 300, endpoint=False)
+        got = np.column_stack([E.mG_over_mp(xs), E.V0_over_mpc2(xs)])
+        for x, row in zip(xs.tolist(), got):
+            with mpmath.workdps(50 + 2 * int(-math.log10(x))):
+                xm = mpmath.mpf(x)
+                want = (xm * (xm + mpmath.expm1(-xm))
+                        / (xm / 2 * mpmath.sinh(xm)),
+                        xm ** 2 / mpmath.sinh(xm) - xm / mpmath.cosh(xm / 2))
+                for value, ref in zip(row, want):
+                    if abs(ref) < sys.float_info.min:
+                        continue  # V0 ~ -x^3/24 is below the normal floats
+                    assert abs(value - ref) <= 1e-14 * abs(ref), (x, value)
+
+    @given(st.lists(st.floats(E.SMALL_X, E.X_MAX), min_size=1, max_size=40))
+    @example([E.SMALL_X, 704.6, 704.62, 705.0, 710.0, E.X_MAX])
+    def test_closed_band_is_the_scalar_form_bit_for_bit(self, xs):
+        want = [(x * _mg_closed_scalar(x)).hex() for x in xs]
+        assert [v.hex() for v in E.mG_over_mp(np.array(xs)).tolist()] == want
+        assert [E._mg_ratio(x).hex() for x in xs] \
+            == [_mg_closed_scalar(x).hex() for x in xs]
+
+    def test_bands_keep_order_and_shape(self):
+        xs = np.array([[2e-5, 3.0], [0.5, 5e-5]])
+        for column in (E.mG_over_mp, E.V0_over_mpc2):
+            got = column(xs)
+            assert got.shape == (2, 2)
+            assert got.ravel().tolist() == [float(column(x))
+                                            for x in xs.ravel()]
+        assert isinstance(E.mG_over_mp(2e-5), float)
+
+    def test_above_sinh_range_names_the_first_x(self):
+        with pytest.raises(ValueError, match="x = m/m_p = 800 is above"):
+            E.mG_over_mp([1e-5, 1.0, 800.0, 900.0])
 
 
 class TestSeries:

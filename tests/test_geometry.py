@@ -46,6 +46,16 @@ class TestRadialProfile:
         p.to_csv(path, grid)
         back = G.RadialProfile.from_csv(path)
         assert np.max(np.abs(back(grid) - p(grid))) < 1e-12
+        assert back(grid).dtype == np.float64
+
+    def test_csv_keeps_a_small_imaginary_part(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        grid = log_radii(64)
+        path.write_text("r,value_re,value_im\n" + "".join(
+            "%.12e,1e-9,1e-9\n" % r for r in grid))
+        back = G.RadialProfile.from_csv(path)
+        assert np.iscomplexobj(back(grid))
+        assert np.max(np.abs(back(grid) - (1e-9 + 1e-9j))) < 1e-20
 
 
 class TestClosedForms:
@@ -227,18 +237,27 @@ class TestQuadratureAccuracy:
 
     def test_complex_constant_beta(self):
         # pinned at mu(1) = nu(1) = 0, off the fixed point beta/2, the
-        # solution is mu = beta/2 (1 - 1/r^2), nu = beta/2 (1 + 1/r^2) - beta/r
-        beta = 0.8 + 0.3j
+        # solution is mu = beta/2 (1 - 1/r^2), nu = beta/2 (1 + 1/r^2) - beta/r;
+        # it stays complex however small its imaginary part
         grid = G.default_log_grid(0.5, 10.0, 100)
-        mu, nu = G.mu_nu_numeric(G.RadialProfile.constant(beta), 1.0, 0.0,
-                                 0.0, grid)
-        for r in (grid, np.array([0.3, 0.77, 3.3, 15.0])):
-            got_mu, got_nu = mu(r), nu(r)
-            assert got_mu.dtype == got_nu.dtype == complex
-            assert np.max(np.abs(got_mu - beta / 2 * (1 - r ** -2))) < 1e-14
-            assert np.max(np.abs(got_nu - (beta / 2 * (1 + r ** -2)
-                                           - beta / r))) < 1e-14
-            assert np.max(np.abs(mu.deriv(r) - beta / r ** 3)) < 1e-14
+        for beta in (0.8 + 0.3j, 1e-9 + 1e-9j):
+            mu, nu = G.mu_nu_numeric(G.RadialProfile.constant(beta), 1.0,
+                                     0.0, 0.0, grid)
+            for r in (grid, np.array([0.3, 0.77, 3.3, 15.0])):
+                got_mu, got_nu = mu(r), nu(r)
+                assert got_mu.dtype == got_nu.dtype == complex
+                assert np.max(np.abs(got_mu - beta / 2 * (1 - r ** -2))) \
+                    < 1e-14
+                assert np.max(np.abs(got_nu - (beta / 2 * (1 + r ** -2)
+                                               - beta / r))) < 1e-14
+                assert np.max(np.abs(mu.deriv(r) - beta / r ** 3)) < 1e-14
+
+    def test_real_beta_gives_real_profiles(self):
+        grid = G.default_log_grid(0.5, 10.0, 100)
+        for beta in (G.RadialProfile.constant(1e-9),
+                     G.RadialProfile.power_law(3.0)):
+            mu, nu = G.mu_nu_numeric(beta, 1.0, 1e-10, 0.0, grid)
+            assert mu(grid).dtype == nu(grid).dtype == np.float64
 
     def test_on_grid_lookups_call_beta_no_more(self):
         calls = []

@@ -151,3 +151,16 @@ def test_mu_nu_quadrature_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_figure1_columns_make_no_per_point_scalar_call(monkeypatch):
+    # both bands of the figure-1 table are whole-array code: neither the
+    # scalar m_G nor mpmath runs once per point
+    from ncgrav import effective as E
+
+    def refuse(*_args):
+        raise AssertionError("figure1 called a scalar route per point")
+    monkeypatch.setattr(E, "_mg_ratio", refuse)
+    monkeypatch.setattr(E.mpmath, "workdps", refuse)
+    for x_max, n in ((10.0, 20000), (0.9 * E.SMALL_X, 2000)):
+        assert E.figure1_data(x_max, n).shape == (n, 4)
