@@ -20,12 +20,12 @@ bit-identical to `brentq` on the scalar residual; the tests hold that
 against scipy.  The closed-form k^2 of every lane is computed on the whole
 omega array the same way (one `math.expm1` and one `math.exp` per element,
 then numpy arithmetic in the scalar's order), so it equals the scalar
-`k_squared_closed` bit for bit, and the domain is checked once per sweep.  An omega with no propagating mode (k^2 < 0, or a massive
-shell that is stationary there) is not an error but a row flag: its
-`evanescent` is 1 and its k, vg and residual are nan.  Where the bracket
-end's term -k_hi^2 e^{omega lam} overflows (omega lam within 2 ln k_hi of
-`U_MAX`), that lane's bracket ends at the largest k at which the term is
-finite.
+`k_squared_closed` bit for bit, and the domain is checked once per sweep.
+An omega with no propagating mode (k^2 < 0, or a massive shell that is
+stationary there) is not an error but a row flag: its `evanescent` is 1
+and its k, vg and residual are nan.  Where the bracket end's term
+-k_hi^2 e^{omega lam} overflows (omega lam within 2 ln k_hi of `U_MAX`),
+that lane's bracket ends at the largest k at which the term is finite.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def _first_failure(omegas, omega, u, m, lam, c, hbar):
     """Where a loop of `k_squared_closed` over omegas would stop: the index
     of the first omega it raises on and that error, or (len(omegas), None).
     The omega-free checks ((c lam)^2, (m c/hbar)^2) hold for every omega
-    once they hold for the first; past it, an omega fails exactly where omega < 0 or |omega lam| > U_MAX
-    (e^{omega lam} or e^{-omega lam} overflows), so at most two omegas are
-    checked one by one."""
+    once they hold for the first; past it, an omega fails exactly where
+    omega < 0 or |omega lam| > U_MAX (e^{omega lam} or e^{-omega lam}
+    overflows), so at most two omegas are checked one by one."""
     bad = np.flatnonzero((omega < 0) | (np.abs(u) > U_MAX))
     for i in [0, *bad[:1].tolist()][:len(omegas)]:
         _, exc = _scalar(lambda: k_squared_closed(omegas[i], m, lam, c, hbar))
