@@ -25,6 +25,15 @@ class SignatureError(ValueError):
     """beta >= 0 somewhere: the static metric loses Lorentzian signature."""
 
 
+def _tag_json(tag):
+    """The tag as JSON, a complex number as {"complex": [re, im]}."""
+    return json.dumps(tag, default=lambda z: {"complex": [z.real, z.imag]})
+
+
+def _complex_from_json(obj):
+    return complex(*obj["complex"]) if obj.keys() == {"complex"} else obj
+
+
 class RadialProfile:
     """Function of radius r > 0: closed-form, sampled, or a quadrature.
 
@@ -39,7 +48,9 @@ class RadialProfile:
     ``power_law`` and ``mu_nu_newton``'s beta set it; sampled profiles (from
     ``from_samples`` or ``from_csv``), sums and scalings leave it None and are
     evaluated pointwise.  ``tag`` only describes the profile: it is the CSV
-    header text and is never dispatched on.
+    header text and is never dispatched on.  A profile built without a
+    derivative raises ValueError, naming its tag, where that one is asked
+    for.
     """
 
     def __init__(self, fn, deriv=None, deriv2=None, tag=None, structure=None):
@@ -97,18 +108,16 @@ class RadialProfile:
         return self._fn(np.asarray(r))
 
     def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        if self._deriv is not None:
-            return self._deriv(r)
-        h = np.maximum(1e-6 * r, 1e-9)
-        return (self._fn(r + h) - self._fn(r - h)) / (2 * h)
+        return self._derivative(self._deriv, "first", r)
 
     def deriv2(self, r):
-        r = np.asarray(r, dtype=float)
-        if self._deriv2 is not None:
-            return self._deriv2(r)
-        h = np.maximum(1e-5 * r, 1e-8)
-        return (self._fn(r + h) - 2 * self._fn(r) + self._fn(r - h)) / h ** 2
+        return self._derivative(self._deriv2, "second", r)
+
+    def _derivative(self, fn, order, r):
+        if fn is None:
+            raise ValueError("the profile %s was built without a %s "
+                             "derivative" % (_tag_json(self.tag), order))
+        return fn(np.asarray(r, dtype=float))
 
     # -- linear structure --------------------------------------------
     def __add__(self, other):
@@ -130,7 +139,7 @@ class RadialProfile:
         r_grid = np.asarray(r_grid, dtype=float)
         vals = np.asarray(self(r_grid), dtype=complex)
         with open(path, "w") as fh:
-            fh.write("# %s\n" % json.dumps(self.tag))
+            fh.write("# %s\n" % _tag_json(self.tag))
             fh.write("r,value_re,value_im\n")
             for rv, v in zip(r_grid, vals):
                 fh.write("%.12e,%.12e,%.12e\n" % (rv, v.real, v.imag))
@@ -139,8 +148,9 @@ class RadialProfile:
     def from_csv(cls, path):
         with open(path) as fh:
             header = fh.readline()
-            tag = json.loads(header.lstrip("# ").strip()) if header.startswith("#") \
-                else None
+            tag = json.loads(header.lstrip("# ").strip(),
+                             object_hook=_complex_from_json) \
+                if header.startswith("#") else None
             fh.readline()  # column names
             rows = [line.strip().split(",") for line in fh if line.strip()]
         r = np.array([float(row[0]) for row in rows])

@@ -114,11 +114,9 @@ class TestSurface:
 
 def _residual(omegas, k, m):
     """The residual `sweep` evaluates on each row, here at a given k per
-    omega instead of the solved one."""
+    omega instead of the solved one (finite: it raises otherwise)."""
     shell = D._Shell(list(omegas), m, LAM, C, HBAR)
-    res, ok = shell.residual(np.arange(len(omegas)), np.asarray(k, float))
-    assert ok.all() and not shell.errors
-    return res
+    return shell.residual(np.arange(len(omegas)), np.asarray(k, float))
 
 
 class TestShellResidual:
@@ -291,25 +289,33 @@ class TestClosedFormLanes:
     @given(st.lists(st.floats(0.0, 700.0), max_size=40),
            st.floats(0.0, 2.0), st.floats(1e-3, 1.0))
     def test_k2_is_the_scalar_closed_form(self, omegas, m, lam):
-        shell = D._Shell(omegas, m, lam, C, HBAR)
-        assert shell.n == len(omegas) and not shell.errors
+        shell = D._Shell(omegas, m, lam, C, HBAR)  # it raises on a bad omega
         assert [v.hex() for v in shell.k2.tolist()] == [
             D.k_squared_closed(w, m, lam, C, HBAR).hex() for w in omegas]
 
     @given(st.lists(st.floats(0.0, 100.0), max_size=20), st.data())
     def test_bad_omega_fails_its_lane(self, omegas, data):
-        # omega < 0, e^{omega lam} overflows, or (lam < 0) e^{-omega lam}
+        # omega < 0, e^{omega lam} overflows, or lam < 0 (named)
         lam, bad = data.draw(st.sampled_from(
             [(LAM, -0.5), (LAM, -math.inf), (LAM, 1e4), (LAM, math.inf),
              (-LAM, 1e4)]))
         i = data.draw(st.integers(0, len(omegas)))
         omegas = omegas[:i] + [bad] + omegas[i:]
-        with pytest.raises((ValueError, OverflowError)) as info:
+        with pytest.raises(ValueError) as info:
             D.k_squared_closed(bad, 0.3, lam, C, HBAR)
-        shell = D._Shell(omegas, 0.3, lam, C, HBAR)
-        assert shell.n == i and list(shell.errors) == [i]
-        err = shell.errors[i]
-        assert (type(err), str(err)) == (type(info.value), str(info.value))
+        with pytest.raises(ValueError) as got:
+            D.sweep(omegas, 0.3, lam, C, HBAR)
+        assert (type(got.value), str(got.value)) == (type(info.value),
+                                                     str(info.value))
+
+    @pytest.mark.parametrize("lam, c", [(-0.1, 1.0), (0.1, -1.0), (0.0, 1.0)])
+    def test_non_positive_lam_or_c_named(self, lam, c):
+        msg = "lam and c must be positive: lam = %g, c = %g" % (lam, c)
+        for call in (lambda: D.sweep([0.5], 0.3, lam, c, HBAR),
+                     lambda: D.k_squared_closed(0.5, 0.3, lam, c, HBAR)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == msg
 
 
 # the omega grids of the cli-tables benchmark: 4,000 points, m = 0 and 0.5
@@ -347,21 +353,27 @@ class TestBrentqOracle:
         for lam, m, c in itertools.product(EDGE_LAM, EDGE_M, EDGE_C):
             args = (m, lam, c, 1.0)
             want = [_oracle_outcome(w, *args) for w in EDGE_OMEGA]
-            shell = D._Shell(EDGE_OMEGA, *args)
-            k, vg, res = shell.sweep()
-            for i, (omega, w) in enumerate(zip(EDGE_OMEGA, want)):
-                # past the first omega whose closed form fails, a lane
-                # carries that error, as a loop over omega stops there
-                err = shell.errors.get(min(i, shell.n))
-                got = "evanescent" if i < shell.n and shell.evanescent[i] \
-                    else type(err) if err is not None \
-                    else _bits((k[i], vg[i], res[i]))
-                if got != w:  # only where the old bracket end overflowed
-                    assert w is ValueError, (omega, args, got, w)
-                    assert _bracket_end_overflows(omega, *args)
-                    if isinstance(got, tuple):
-                        kc = math.sqrt(D.k_squared_closed(omega, *args))
-                        assert abs(k[i] - kc) <= 1e-12, (omega, args)
+            # each run of omegas the oracle solves is one sweep, and each
+            # omega it fails on is a sweep of its own
+            sweeps = []
+            for fails, run in itertools.groupby(
+                    zip(EDGE_OMEGA, want), lambda p: isinstance(p[1], type)):
+                run = list(run)
+                sweeps += [[p] for p in run] if fails else [run]
+            for run in sweeps:
+                try:
+                    rows = D.sweep([w for w, _ in run], *args).tolist()
+                except Exception as exc:  # noqa: BLE001 - the type is the row
+                    rows = [type(exc)]
+                for (omega, w), row in zip(run, rows):
+                    got = row if isinstance(row, type) else "evanescent" \
+                        if row[4] else _bits(row[1:4])
+                    if got != w:  # only where the old bracket end overflowed
+                        assert w is ValueError, (omega, args, got, w)
+                        assert _bracket_end_overflows(omega, *args)
+                        if isinstance(got, tuple):
+                            kc = math.sqrt(D.k_squared_closed(omega, *args))
+                            assert abs(row[1] - kc) <= 1e-12, (omega, args)
             # a whole sweep raises the error of its first failing omega
             first = next((w for w in want if isinstance(w, type)), None)
             if first is None:

@@ -48,6 +48,25 @@ class TestRadialProfile:
         assert np.max(np.abs(back(grid) - p(grid))) < 1e-12
         assert back(grid).dtype == np.float64
 
+    @pytest.mark.parametrize("profile", [
+        G.RadialProfile.constant(1e-9 + 1e-9j),
+        G.RadialProfile.power_law(2).scale(1j)])
+    def test_complex_tag_round_trip(self, tmp_path, profile):
+        path = tmp_path / "profile.csv"
+        grid = log_radii(64)
+        profile.to_csv(path, grid)
+        back = G.RadialProfile.from_csv(path)
+        assert back.tag == profile.tag
+        assert np.iscomplexobj(back(grid))
+        assert np.max(np.abs(back(grid) - profile(grid))) < 1e-12
+
+    def test_missing_derivative_named(self):
+        p = G.RadialProfile(lambda r: np.exp(-r), tag={"kind": "exp"})
+        for deriv, order in ((p.deriv, "first"), (p.deriv2, "second")):
+            with pytest.raises(ValueError, match='"kind": "exp"}.* %s '
+                               'derivative' % order):
+                deriv(np.array([1.0, 2.0]))
+
     def test_csv_keeps_a_small_imaginary_part(self, tmp_path):
         path = tmp_path / "profile.csv"
         grid = log_radii(64)

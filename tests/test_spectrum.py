@@ -88,6 +88,14 @@ class TestSolveRadial:
                                 check_grid=True)
         assert len(states) == 2
 
+    def test_grid_convergence_guard_raises(self):
+        # a node per Bohr radius resolves no state: the ground state moves
+        # by about 1.2e-1 when the grid is doubled
+        a = S.bohr_radius(M_I, M_G, M, GN, HBAR)
+        with pytest.raises(S.GridConvergenceError, match="^state n=1 drifts"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR,
+                           grid=a * np.arange(1, 2001), check_grid=True)
+
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_default_grid_fixed_up_to_n3(self, n_max):
         a = S.bohr_radius(M_I, M_G, M, GN, HBAR)
