@@ -27,9 +27,11 @@ columns cell by cell.  JSON is `tolist()` through json.dumps.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
-Only `spectrum` (its eigensolve) and `verify` load scipy: `verify` is imported
-in `cmd_verify`, and every scipy import sits in the function that uses it, so
-the other subcommands start without scipy.
+Only `verify` loads scipy, imported in `cmd_verify`: `spectrum`'s eigensolve
+calls LAPACK in the OpenBLAS numpy bundles (scipy only where numpy ships
+none), and every scipy import sits in the function that uses it, so the
+table subcommands start without scipy.  Only `spectrum` loads mpmath, for
+the effective masses below x = 1e-4.
 """
 
 from __future__ import annotations

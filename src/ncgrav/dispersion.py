@@ -21,8 +21,8 @@ An omega with no propagating mode (k^2 < 0, or a massive shell that is
 stationary there) is not an error but a row flag: its `evanescent` is 1,
 its k, vg and residual are nan, and it never fails.  Any other failure
 raises where it is found, in stage order: the domain, checked once per sweep
-(lam or c not positive, (c lam)^2 or (m c / hbar)^2 beyond the float range,
-then the first omega < 0 or with omega lam above `U_MAX`, each with the
+(lam, c or hbar not positive or nan, m negative or nan, (c lam)^2 or
+(m c / hbar)^2 beyond the float range, then the first omega < 0 or with omega lam above `U_MAX`, each with the
 ValueError `k_squared_closed` raises there); the residual at k = 0 (a
 ValueError where the prefactor 2/(c^2 lam^2) is beyond the float range or a
 term passes the float limit, as with a subnormal (c lam)^2); the bracket
@@ -47,10 +47,16 @@ U_MAX = math.log(sys.float_info.max)
 XTOL, RTOL = 1e-12, 8.9e-16
 
 
-def _check_domain(omega, lam, c):
-    if lam <= 0 or c <= 0:
+def _check_domain(omega, m, lam, c, hbar):
+    # "not x > 0" also refuses nan
+    if not (lam > 0 and c > 0):
         raise ValueError("lam and c must be positive: lam = %g, c = %g"
                          % (lam, c))
+    if not hbar > 0:
+        raise ValueError("hbar must be positive: hbar = %g" % hbar)
+    if not m >= 0:
+        raise ValueError("m must be >= 0 (a negative mass is not treated): "
+                         "m = %g" % m)
     if omega < 0:
         raise ValueError("omega < 0 branch is not treated")
     try:
@@ -68,7 +74,7 @@ def _check_domain(omega, lam, c):
 
 def k_squared_closed(omega, m, lam, c, hbar):
     """k^2 = (1 - e^{-omega lam})^2 / (c lam)^2 - (m c / hbar)^2 e^{-omega lam}."""
-    _check_domain(omega, lam, c)
+    _check_domain(omega, m, lam, c, hbar)
     u = omega * lam
     a = -math.expm1(-u) / (c * lam)  # (1 - e^{-u}) / (c lam), stable
     try:

@@ -19,12 +19,13 @@ about [1e-4, 0.5]: against 60-digit mpmath it is off by up to 5.6e-7
 relative on [1e-4, 1e-3], 5.3e-9 on [1e-3, 1e-2] and 5.1e-13 on [0.1, 0.5].
 
 `effective_params` (through `_ratios` and the scalar `_mg_ratio`) keeps the
-one mpmath fork left: a 30-digit branch below SMALL_X.  That branch loses m_G
-digits as x falls, since x + e^{-x} - 1 ~ x^2/2 cancels in 30 digits too:
-m_G/m is off by 1e-11 relative at x = 1e-10, by 21 % at 1e-15, and is 0.0
-from about 1e-16 (at x = 7.7e-20, say).  It stays because the `spectrum`
-tables are pinned byte for byte on it; ROADMAP item 3 replaces it once the
-benchmark checks values instead of bytes.
+one mpmath fork left, and the only code that imports mpmath: a 30-digit
+branch below SMALL_X.  That branch loses m_G digits as x falls, since
+x + e^{-x} - 1 ~ x^2/2 cancels in 30 digits too: m_G/m is off by 1e-11
+relative at x = 1e-10, by 21 % at 1e-15, and is 0.0 from about 1e-16 (at
+x = 7.7e-20, say).  It stays because the `spectrum` tables are pinned byte
+for byte on it; ROADMAP item 3 replaces it once the benchmark checks values
+instead of bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 SMALL_X = 1e-4
@@ -95,6 +95,7 @@ def _mg_ratio(x):
     """m_G/m at one x > 0, for `_ratios`: the 30-digit mpmath branch below
     SMALL_X, else the closed form of `mG_over_mp`."""
     if x < SMALL_X:
+        import mpmath  # here, so that only this branch loads it
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
             return float((xm + mpmath.exp(-xm) - 1)
@@ -107,6 +108,7 @@ def _ratios(x):
     SMALL_X, double closed forms above."""
     mg = _mg_ratio(x)  # checks x
     if x < SMALL_X:
+        import mpmath
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
             mi = mpmath.sinh(xm) / xm * mpmath.exp(-xm)

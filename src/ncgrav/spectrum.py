@@ -2,7 +2,9 @@
 
 The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 + (V0 - G M m_G / r) Psi.  Eigensolves use the u = r R substitution on a
-uniform grid with Dirichlet ends (symmetric tridiagonal); `spectrum_table`
+uniform grid with Dirichlet ends (symmetric tridiagonal), solved by LAPACK's
+bisection in the OpenBLAS numpy bundles (`_eigh_tridiagonal`, the calls of
+scipy's `eigh_tridiagonal`, so no scipy import); `spectrum_table`
 joins the numeric states with the closed-form oracle into the one spectrum
 table the CLI renders.  The reduction laboratory evaluates the residual of
 the same physical state at three stages:
@@ -19,7 +21,11 @@ dropped slow-variation terms.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +94,86 @@ def default_grid(m_I, m_G, M, G, hbar, n_max=3):
     return np.linspace(box / nodes, box, nodes)
 
 
+# -- LAPACK's tridiagonal bisection, from the OpenBLAS numpy loads ----------
+
+@functools.cache
+def _lapack():
+    """(dstebz, dstein) of the ILP64 OpenBLAS that numpy's wheels bundle in
+    numpy.libs beside the package, which numpy has already mapped into the
+    process; None where that library or its symbols do not resolve, and then
+    `_eigh_tridiagonal` goes through scipy."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
+        except (OSError, AttributeError):
+            continue
+        stebz.restype = stein.restype = None
+        return stebz, stein
+    return None
+
+
+_INT = ctypes.c_int64  # LAPACK's INTEGER in the ILP64 library
+
+
+def _work(count, dtype=float):
+    """A scratch array of count elements, as a LAPACK pointer argument."""
+    return np.empty(count, dtype=dtype).ctypes
+
+
+def _check_info(info, routine):
+    if info.value:
+        raise np.linalg.LinAlgError("LAPACK %s (eigh_tridiagonal) returned "
+                                    "INFO = %d" % (routine, info.value))
+
+
+def _eigh_tridiagonal(d, e, k, return_vectors):
+    """The k lowest eigenvalues (and eigenvectors, as the columns of a
+    matrix) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, by the calls scipy's `eigh_tridiagonal(d, e, select="i",
+    select_range=(0, k - 1))` makes: LAPACK dstebz (Sturm-sequence
+    bisection; RANGE = 'I', IL = 1, IU = k, ABSTOL = 0) with ORDER = 'E',
+    or with ORDER = 'B' then dstein and an argsort for the vectors.  The
+    eigenvalues are bit for bit scipy's.  A nonzero INFO raises
+    LinAlgError."""
+    routines = _lapack()
+    if routines is None:
+        from scipy.linalg import eigh_tridiagonal
+        return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                                eigvals_only=not return_vectors)
+    stebz, stein = routines
+    ref, real = ctypes.byref, ctypes.c_double
+    d = np.ascontiguousarray(d, dtype=float)
+    e = np.ascontiguousarray(e, dtype=float)
+    size = len(d)
+    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
+    w = np.empty(size)
+    iblock, isplit = np.empty((2, size), dtype=np.int64)
+    # RANGE, ORDER, N, VL, VU (both unused), IL, IU, ABSTOL, D, E, M,
+    # NSPLIT, W, IBLOCK, ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths
+    # of the two strings
+    stebz(b"I", b"B" if return_vectors else b"E", ref(n), ref(real(0.0)),
+          ref(real(1.0)), ref(_INT(1)), ref(_INT(k)), ref(real(0.0)),
+          d.ctypes, e.ctypes, ref(m), ref(nsplit), w.ctypes, iblock.ctypes,
+          isplit.ctypes, _work(4 * size), _work(3 * size, np.int64),
+          ref(info), ctypes.c_size_t(1), ctypes.c_size_t(1))
+    _check_info(info, "dstebz")
+    w = w[:m.value]
+    if not return_vectors:
+        return w
+    # N, D, E, M, W, IBLOCK, ISPLIT, Z(LDZ, M), LDZ, WORK(5N), IWORK(N),
+    # IFAIL(M), INFO; Z in Fortran order is the C-order array z.T
+    z = np.empty((m.value, size))
+    stein(ref(n), d.ctypes, e.ctypes, ref(m), w.ctypes, iblock.ctypes,
+          isplit.ctypes, z.ctypes, ref(n), _work(5 * size),
+          _work(size, np.int64), _work(m.value, np.int64), ref(info))
+    _check_info(info, "dstein")
+    # block order to ascending order, as scipy sorts it
+    order = np.argsort(w)
+    return w[order], z.T[:, order]
+
+
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
                  return_vectors=False, check_grid=False):
     """Lowest bound states below V0 at angular index l.
@@ -96,14 +182,11 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     the default grid scales with the Bohr radius, so it needs all five
     parameters positive.
 
-    The eigenvalues come from LAPACK's bisection (`eigh_tridiagonal`), so
+    The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
     the digits of E past about 1e-13 relative are its tolerance, not the
     inputs': at x = 1e-8 (`spectrum --x 1e-8`) a one-ulp rise of m_G moves
     E(n=1) from -5.416541589588577e-25 to -5.416541589588281e-25 (5.5e-14
     relative; the true change is about 4e-16)."""
-    # here, so that importing spectrum (as cli does) loads no scipy
-    from scipy.linalg import eigh_tridiagonal
-
     if l < 0:
         raise ValueError("l must be >= 0, got %r" % l)
     if n_states < 1:
@@ -130,13 +213,9 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     off = np.full(grid.size - 1, -kin)
     k = min(n_states + l, grid.size - 2)
     if return_vectors:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, k - 1))
+        vals, vecs = _eigh_tridiagonal(diag, off, k, True)
     else:
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, k - 1),
-                                eigvals_only=True)
-        vecs = None
+        vals = _eigh_tridiagonal(diag, off, k, False)
     states = []
     for j, E in enumerate(vals):
         if E >= V0:

@@ -189,6 +189,8 @@ class TestDispersion:
         (("--c", "1e200", "--lam", "1e-200", "--n", "3"),
          "the shell prefactor 2/(c^2 lam^2) is beyond the float range at "
          "c = 1e+200, lam = 1e-200"),
+        (("--m", "-20", "--omega-min", "99", "--omega-max", "100", "--n", "2",
+          "--lam", "0.1"), "m must be >= 0 (a negative mass is not treated)"),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "dispersion", *argv)

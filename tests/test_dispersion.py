@@ -28,7 +28,7 @@ class _Evanescent(Exception):
 
 
 def _oracle_shell(omega, m, lam, c, hbar):
-    D._check_domain(omega, lam, c)
+    D._check_domain(omega, m, lam, c, hbar)
     u = omega * lam
     eu = math.exp(u)
     try:
@@ -308,11 +308,22 @@ class TestClosedFormLanes:
         assert (type(got.value), str(got.value)) == (type(info.value),
                                                      str(info.value))
 
-    @pytest.mark.parametrize("lam, c", [(-0.1, 1.0), (0.1, -1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("lam, c", [(-0.1, 1.0), (0.1, -1.0), (0.0, 1.0),
+                                        (math.nan, 1.0), (0.1, math.nan)])
     def test_non_positive_lam_or_c_named(self, lam, c):
         msg = "lam and c must be positive: lam = %g, c = %g" % (lam, c)
         for call in (lambda: D.sweep([0.5], 0.3, lam, c, HBAR),
                      lambda: D.k_squared_closed(0.5, 0.3, lam, c, HBAR)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == msg
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+    def test_non_positive_hbar_named(self, hbar):
+        # hbar = 0 was a bare ZeroDivisionError from m c / hbar
+        msg = "hbar must be positive: hbar = %g" % hbar
+        for call in (lambda: D.sweep([0.5], 0.3, LAM, C, hbar),
+                     lambda: D.k_squared_closed(0.5, 0.3, LAM, C, hbar)):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == msg
@@ -327,7 +338,7 @@ CLI_GRIDS = [(lo, lo + 2.0, m) for lo in (0.0, 0.01, 0.02, 0.03)
 # huge m, and c far from 1
 EDGE_LAM = [1e-320, 1e-160, 1e-155, 1e-154, 1e-150, 5e-31, 1e-30, 1e-3, 0.1,
             1.0, 1e3, 1e300]
-EDGE_M = [0.0, -0.5, 5e-31, 0.3, 1.0, 1e100, 1.3e154]
+EDGE_M = [0.0, 5e-31, 0.3, 1.0, 1e100, 1.3e154]
 EDGE_C = [1.0, 0.5, 1e100]
 EDGE_OMEGA = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 100.0, 354.85, 708.0,
               709.0, 709.5, 709.7, 709.78, 1e4]
@@ -381,3 +392,21 @@ class TestBrentqOracle:
             with pytest.raises(Exception) as info:
                 D.sweep(EDGE_OMEGA, *args)
             assert type(info.value) is first, (args, info.value)
+
+    @pytest.mark.parametrize("m", [-0.5, -20.0, math.nan])
+    def test_edge_negative_m_refused(self, m):
+        # a negative (or nan) m is refused by name on every edge lam, c and
+        # omega, before any omega is looked at; m = -20 once made the
+        # bracket end negative and failed in math.log2
+        msg = "m must be >= 0 (a negative mass is not treated): m = %g" % m
+        for lam, c in itertools.product(EDGE_LAM, EDGE_C):
+            for omegas in ([w] for w in EDGE_OMEGA):
+                with pytest.raises(ValueError) as info:
+                    D.sweep(omegas, m, lam, c, 1.0)
+                assert str(info.value) == msg, (lam, c, omegas)
+            with pytest.raises(ValueError) as info:
+                D.k_squared_closed(0.5, m, lam, c, 1.0)
+            assert str(info.value) == msg
+        with pytest.raises(ValueError) as info:
+            D.sweep([99.0, 100.0], m, 0.1, 1.0, 1.0)
+        assert str(info.value) == msg

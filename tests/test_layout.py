@@ -1,7 +1,9 @@
 """Source layout: each production module computes a quantity by one route, and
 the second routes (the oracles) and the check helpers live in `verify`, which
-production never imports; the table subcommands load no scipy, and neither
-does the mu/nu quadrature `geometry.mu_nu_numeric`."""
+production never imports; the table subcommands load no scipy (spectrum's
+eigensolve calls LAPACK in the OpenBLAS numpy bundles), all but spectrum load
+no mpmath, and the mu/nu quadrature `geometry.mu_nu_numeric` loads no
+scipy."""
 
 import ast
 import json
@@ -103,29 +105,32 @@ def test_brentq_only_in_verify():
 
 TABLES = [["figure1"], ["dispersion"], ["dispersion", "--m", "0.5"],
           ["mu-nu", "--n", "3"], ["mu-nu", "--gamma", "1e-3"],
-          ["dark-energy"]]
+          ["dark-energy"], ["spectrum", "--x", "1e-8", "--n-states", "3"]]
 NO_SCIPY = """
 import json, os, sys
 from ncgrav import cli
 out, tables = sys.argv[1], json.loads(sys.argv[2])
-codes = [cli.main(argv + ["--output", os.path.join(out, "%d.csv" % i)])
-         for i, argv in enumerate(tables)]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")}))
+rows = []
+for i, argv in enumerate(tables):
+    code = cli.main(argv + ["--output", os.path.join(out, "%d.csv" % i)])
+    loaded = {m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath"}
+    rows.append([code, sorted(loaded)])
+print(json.dumps(rows))
 """
 
 
 def test_table_subcommands_load_no_scipy(tmp_path):
-    # one fresh interpreter for all six tables: scipy loads only with
-    # spectrum's eigensolve and the verify registry
+    # one fresh interpreter for all seven tables, in order: scipy loads
+    # only with the verify registry (and spectrum's fallback where numpy
+    # bundles no OpenBLAS), and mpmath only with spectrum's 30-digit
+    # effective masses below x = 1e-4
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, str(tmp_path), json.dumps(TABLES)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
-    rep = json.loads(proc.stdout.splitlines()[-1])
-    assert rep == {"codes": [0] * len(TABLES), "scipy": []}
+    rows = json.loads(proc.stdout.splitlines()[-1])
+    assert rows == [[0, []]] * (len(TABLES) - 1) + [[0, ["mpmath"]]]
     assert all((tmp_path / ("%d.csv" % i)).stat().st_size
                for i in range(len(TABLES)))
 
@@ -156,11 +161,13 @@ def test_mu_nu_quadrature_loads_no_scipy():
 def test_figure1_columns_make_no_per_point_scalar_call(monkeypatch):
     # both bands of the figure-1 table are whole-array code: neither the
     # scalar m_G nor mpmath runs once per point
+    import mpmath
+
     from ncgrav import effective as E
 
     def refuse(*_args):
         raise AssertionError("figure1 called a scalar route per point")
     monkeypatch.setattr(E, "_mg_ratio", refuse)
-    monkeypatch.setattr(E.mpmath, "workdps", refuse)
+    monkeypatch.setattr(mpmath, "workdps", refuse)
     for x_max, n in ((10.0, 20000), (0.9 * E.SMALL_X, 2000)):
         assert E.figure1_data(x_max, n).shape == (n, 4)

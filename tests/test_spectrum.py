@@ -1,7 +1,9 @@
-"""Bound-state spectra vs the closed-form oracle; reduction residual scaling."""
+"""Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
+scipy's eigh_tridiagonal; reduction residual scaling."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from ncgrav import effective as E
 from ncgrav import spectrum as S
@@ -120,6 +122,86 @@ class TestSolveRadial:
     def test_virial(self):
         rep = S.virial_check(M_I, M_G, V0, M, GN, HBAR)
         assert rep["virial_rel"] < 1e-2
+
+
+def _scipy(d, e, k, return_vectors):
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                            eigvals_only=not return_vectors)
+
+
+def _hamiltonians(seed, count):
+    """(diag, off, k) of seeded radial Hamiltonians as solve_radial builds
+    them: 2,000-20,000 nodes, l = 0-3, k = 1-5."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, l, k = (int(rng.integers(lo, hi)) for lo, hi in
+                   ((2000, 20001), (0, 4), (1, 6)))
+        m_I, m_G = rng.uniform(0.3, 3.0, 2)
+        GM, V0 = rng.uniform(1e-4, 1e-2), rng.uniform(-1.0, 1.0)
+        box = 40 / (m_I * GM * m_G)
+        grid = np.linspace(box / n, box, n)
+        kin = 1 / (2 * m_I * (grid[1] - grid[0]) ** 2)
+        diag = (2 * kin + l * (l + 1) / (2 * m_I * grid ** 2) + V0
+                - GM * m_G / grid)
+        yield diag, np.full(n - 1, -kin), k + l
+
+
+class TestEigensolveOracle:
+    """`_eigh_tridiagonal` calls LAPACK's dstebz (and dstein) in numpy's
+    OpenBLAS as scipy's eigh_tridiagonal does: the same bits."""
+
+    def test_seeded_hamiltonians_bit_identical(self):
+        for d, e, k in _hamiltonians(2101, 40):
+            got = S._eigh_tridiagonal(d, e, k, False)
+            assert got.tobytes() == _scipy(d, e, k, False).tobytes()
+
+    @pytest.mark.parametrize("x", ["1e-8", "2e-8", "5e-8", "1e-7"])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_spectrum_table_solves_bit_identical(self, monkeypatch, x, l):
+        # every eigensolve of the cli-tables spectrum rows (the grid and its
+        # doubling), at l = 0, 1, 2
+        calls, solve = [], S._eigh_tridiagonal
+
+        def recorded(d, e, k, return_vectors):
+            calls.append((d, e, k, solve(d, e, k, return_vectors)))
+            return calls[-1][-1]
+        monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
+        table = S.spectrum_table(float(x), 1.0, E.PlanckUnits(), l=l)
+        assert len(table) == 3 and len(calls) == 2
+        for d, e, k, got in calls:
+            assert got.tobytes() == _scipy(d, e, k, False).tobytes()
+
+    def test_eigenvectors_match_scipy(self):
+        for d, e, k in _hamiltonians(2102, 6):
+            w, v = S._eigh_tridiagonal(d, e, k, True)
+            w_ref, v_ref = _scipy(d, e, k, True)
+            assert w.tobytes() == w_ref.tobytes()
+            sign = np.sign(np.sum(v * v_ref, axis=0))
+            assert np.abs(v * sign - v_ref).max() <= 1e-12
+
+    def test_nonzero_info_raises_linalg_error(self):
+        d, e = np.arange(10.0), np.ones(9)
+        # IU = 11 > N: dstebz refuses argument 7 (INFO = -7)
+        with pytest.raises(np.linalg.LinAlgError, match="INFO = -7"):
+            S._eigh_tridiagonal(d, e, 11, False)
+        # a nan on the diagonal: bisection fails to converge (INFO > 0)
+        d[3] = np.nan
+        for return_vectors in (False, True):
+            with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
+                S._eigh_tridiagonal(d, e, 3, return_vectors)
+        assert issubclass(np.linalg.LinAlgError, ValueError)  # CLI exit 2
+
+    def test_scipy_fallback_same_bits(self, monkeypatch):
+        cases = list(_hamiltonians(2103, 4))
+        want = [S._eigh_tridiagonal(d, e, k, True) for d, e, k in cases]
+        monkeypatch.setattr(S, "_lapack", lambda: None)
+        for (d, e, k), (w, v) in zip(cases, want):
+            got = S._eigh_tridiagonal(d, e, k, False)
+            assert got.tobytes() == w.tobytes()
+            w_fb, v_fb = S._eigh_tridiagonal(d, e, k, True)
+            assert w_fb.tobytes() == w.tobytes()
+            sign = np.sign(np.sum(v * v_fb, axis=0))
+            assert np.abs(v * sign - v_fb).max() <= 1e-12
 
 
 class TestReductionResidual:
