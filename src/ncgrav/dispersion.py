@@ -22,13 +22,14 @@ stationary there) is not an error but a row flag: its `evanescent` is 1,
 its k, vg and residual are nan, and it never fails.  Any other failure
 raises where it is found, in stage order: the domain, checked once per sweep
 (lam, c or hbar not positive or nan, m negative or nan, (c lam)^2 or
-(m c / hbar)^2 beyond the float range, then the first omega < 0 or with omega lam above `U_MAX`, each with the
-ValueError `k_squared_closed` raises there); the residual at k = 0 (a
-ValueError where the prefactor 2/(c^2 lam^2) is beyond the float range or a
-term passes the float limit, as with a subnormal (c lam)^2); the bracket
-sign; brentq's iteration cap; then vg's prefactor 2/(c^2 lam).  So a sweep
-raises exactly when a loop of one-omega sweeps would, and with one fault it
-raises the same error; with several, the earliest stage's.
+(m c / hbar)^2 beyond the float range, then the first omega < 0 or with
+omega lam above `U_MAX`, each with the ValueError `k_squared_closed` raises
+there); the residual at k = 0 (a ValueError where the prefactor
+2/(c^2 lam^2) is beyond the float range or a term passes the float limit,
+as with a subnormal (c lam)^2); the bracket sign; brentq's iteration cap;
+then vg's prefactor 2/(c^2 lam).  So a sweep raises exactly when a loop of
+one-omega sweeps would, and with one fault it raises the same error; with
+several, the earliest stage's.
 """
 
 from __future__ import annotations

@@ -109,6 +109,12 @@ def _lapack():
             stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
         except (OSError, AttributeError):
             continue
+        # every Fortran argument is a pointer; dstebz's two character
+        # arguments add two hidden lengths at the end
+        ptr = ctypes.c_void_p
+        stebz.argtypes = [ctypes.c_char_p] * 2 + [ptr] * 16 \
+            + [ctypes.c_size_t] * 2
+        stein.argtypes = [ptr] * 13
         stebz.restype = stein.restype = None
         return stebz, stein
     return None
@@ -157,7 +163,7 @@ def _eigh_tridiagonal(d, e, k, return_vectors):
           ref(real(1.0)), ref(_INT(1)), ref(_INT(k)), ref(real(0.0)),
           d.ctypes, e.ctypes, ref(m), ref(nsplit), w.ctypes, iblock.ctypes,
           isplit.ctypes, _work(4 * size), _work(3 * size, np.int64),
-          ref(info), ctypes.c_size_t(1), ctypes.c_size_t(1))
+          ref(info), 1, 1)
     _check_info(info, "dstebz")
     w = w[:m.value]
     if not return_vectors:

@@ -320,7 +320,7 @@ class TestClosedFormLanes:
 
     @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
     def test_non_positive_hbar_named(self, hbar):
-        # hbar = 0 was a bare ZeroDivisionError from m c / hbar
+        # named before m c / hbar divides by it
         msg = "hbar must be positive: hbar = %g" % hbar
         for call in (lambda: D.sweep([0.5], 0.3, LAM, C, hbar),
                      lambda: D.k_squared_closed(0.5, 0.3, LAM, C, hbar)):
@@ -396,8 +396,8 @@ class TestBrentqOracle:
     @pytest.mark.parametrize("m", [-0.5, -20.0, math.nan])
     def test_edge_negative_m_refused(self, m):
         # a negative (or nan) m is refused by name on every edge lam, c and
-        # omega, before any omega is looked at; m = -20 once made the
-        # bracket end negative and failed in math.log2
+        # omega, before any omega is looked at: at m = -20 the bracket end
+        # 1/(c lam) + m c/hbar + 1 of a propagating lane is negative
         msg = "m must be >= 0 (a negative mass is not treated): m = %g" % m
         for lam, c in itertools.product(EDGE_LAM, EDGE_C):
             for omegas in ([w] for w in EDGE_OMEGA):
