@@ -28,10 +28,9 @@ Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
 Only `verify` loads scipy, imported in `cmd_verify`: `spectrum`'s eigensolve
-calls LAPACK in the OpenBLAS numpy bundles (scipy only where numpy ships
-none), and every scipy import sits in the function that uses it, so the
-table subcommands start without scipy.  Only `spectrum` loads mpmath, for
-the effective masses below x = 1e-4.
+calls LAPACK in the OpenBLAS numpy bundles and imports scipy only where
+numpy ships none, so the table subcommands start without scipy.  Only
+`spectrum` loads mpmath, for the effective masses below x = 1e-4.
 """
 
 from __future__ import annotations

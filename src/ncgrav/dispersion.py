@@ -21,10 +21,10 @@ An omega with no propagating mode (k^2 < 0, or a massive shell that is
 stationary there) is not an error but a row flag: its `evanescent` is 1,
 its k, vg and residual are nan, and it never fails.  Any other failure
 raises where it is found, in stage order: the domain, checked once per sweep
-(lam, c or hbar not positive or nan, m negative or nan, (c lam)^2 or
-(m c / hbar)^2 beyond the float range, then the first omega < 0 or with
-omega lam above `U_MAX`, each with the ValueError `k_squared_closed` raises
-there); the residual at k = 0 (a ValueError where the prefactor
+(lam, c or hbar not positive, m negative, or any of the four inf or nan;
+(c lam)^2 or (m c / hbar)^2 beyond the float range; then the first omega < 0
+or with omega lam above `U_MAX`, each with the ValueError `k_squared_closed`
+raises there); the residual at k = 0 (a ValueError where the prefactor
 2/(c^2 lam^2) is beyond the float range or a term passes the float limit,
 as with a subnormal (c lam)^2); the bracket sign; brentq's iteration cap;
 then vg's prefactor 2/(c^2 lam).  So a sweep raises exactly when a loop of
@@ -49,13 +49,13 @@ XTOL, RTOL = 1e-12, 8.9e-16
 
 
 def _check_domain(omega, m, lam, c, hbar):
-    # "not x > 0" also refuses nan
-    if not (lam > 0 and c > 0):
+    # "not 0 < x < inf" also refuses nan
+    if not (0 < lam < math.inf and 0 < c < math.inf):
         raise ValueError("lam and c must be positive: lam = %g, c = %g"
                          % (lam, c))
-    if not hbar > 0:
+    if not 0 < hbar < math.inf:
         raise ValueError("hbar must be positive: hbar = %g" % hbar)
-    if not m >= 0:
+    if not 0 <= m < math.inf:
         raise ValueError("m must be >= 0 (a negative mass is not treated): "
                          "m = %g" % m)
     if omega < 0:

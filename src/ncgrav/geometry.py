@@ -2,8 +2,8 @@
 
 The profile functions beta(r), mu(r), nu(r) and the gravitational potential
 Phi(r) all live here as ``RadialProfile`` objects: closed forms with
-analytic derivatives, sampled data with spline evaluation, or the quadrature
-solutions of ``mu_nu_numeric``.  The radial
+analytic derivatives, their sums and scalings, or the quadrature solutions
+of ``mu_nu_numeric``.  The radial
 reduction x_i d/dx_i = r d/dr is used throughout (all paper profiles are
 spherically symmetric), so the ODE system reads
 
@@ -13,7 +13,6 @@ spherically symmetric), so the ODE system reads
 from __future__ import annotations
 
 import functools
-import json
 import math
 
 import numpy as np
@@ -25,32 +24,21 @@ class SignatureError(ValueError):
     """beta >= 0 somewhere: the static metric loses Lorentzian signature."""
 
 
-def _tag_json(tag):
-    """The tag as JSON, a complex number as {"complex": [re, im]}."""
-    return json.dumps(tag, default=lambda z: {"complex": [z.real, z.imag]})
-
-
-def _complex_from_json(obj):
-    return complex(*obj["complex"]) if obj.keys() == {"complex"} else obj
-
-
 class RadialProfile:
-    """Function of radius r > 0: closed-form, sampled, or a quadrature.
+    """Function of radius r > 0: closed-form, or a quadrature.
 
-    Sampled profiles (``from_samples``, ``from_csv``) are cubic splines
-    through CSV data.  The numeric mu, nu of ``mu_nu_numeric`` are not: they
-    are quadrature solutions of the ODE, looked up on their grid and solved
-    by the same quadrature off it, with derivatives from the ODE itself.
+    The numeric mu, nu of ``mu_nu_numeric`` are quadrature solutions of the
+    ODE, looked up on their grid and solved by the same quadrature off it,
+    with derivatives from the ODE itself.
 
     ``structure`` is None or a list of (n, coef) pairs meaning the profile is
     sum coef * r^{-n} (n = 0 is the constant); it is the only thing that lets
     waveops.box_general take the closed-form Delta_0.  ``constant``,
-    ``power_law`` and ``mu_nu_newton``'s beta set it; sampled profiles (from
-    ``from_samples`` or ``from_csv``), sums and scalings leave it None and are
-    evaluated pointwise.  ``tag`` only describes the profile: it is the CSV
-    header text and is never dispatched on.  A profile built without a
-    derivative raises ValueError, naming its tag, where that one is asked
-    for.
+    ``power_law`` and ``mu_nu_newton``'s beta set it; sums and scalings leave
+    it None and are evaluated pointwise.  ``tag`` only describes the profile:
+    error messages print it, and nothing dispatches on it.  A profile built
+    without a derivative raises ValueError, naming its tag, where that one is
+    asked for.
     """
 
     def __init__(self, fn, deriv=None, deriv2=None, tag=None, structure=None):
@@ -79,30 +67,6 @@ class RadialProfile:
                    tag={"kind": "power-law", "n": n, "coef": coef},
                    structure=[(n, coef)])
 
-    @classmethod
-    def from_samples(cls, r, values, tag=None):
-        from scipy.interpolate import CubicSpline
-
-        r = np.asarray(r, dtype=float)
-        if r.size < 16:
-            raise ValueError("sampled profiles need >= 16 nodes")
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("r grid must be strictly increasing and positive")
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            sp_re = CubicSpline(r, values.real)
-            sp_im = CubicSpline(r, values.imag)
-            fn = lambda x: sp_re(x) + 1j * sp_im(x)
-            dfn = lambda x: sp_re(x, 1) + 1j * sp_im(x, 1)
-            d2fn = lambda x: sp_re(x, 2) + 1j * sp_im(x, 2)
-        else:
-            sp = CubicSpline(r, values)
-            fn = lambda x: sp(x)
-            dfn = lambda x: sp(x, 1)
-            d2fn = lambda x: sp(x, 2)
-        return cls(fn, deriv=dfn, deriv2=d2fn,
-                   tag=tag or {"kind": "sampled", "n_nodes": int(r.size)})
-
     # -- evaluation ---------------------------------------------------
     def __call__(self, r):
         return self._fn(np.asarray(r))
@@ -115,8 +79,8 @@ class RadialProfile:
 
     def _derivative(self, fn, order, r):
         if fn is None:
-            raise ValueError("the profile %s was built without a %s "
-                             "derivative" % (_tag_json(self.tag), order))
+            raise ValueError("the profile %r was built without a %s "
+                             "derivative" % (self.tag, order))
         return fn(np.asarray(r, dtype=float))
 
     # -- linear structure --------------------------------------------
@@ -133,31 +97,6 @@ class RadialProfile:
             deriv=lambda r: c * self.deriv(r),
             deriv2=lambda r: c * self.deriv2(r),
             tag={"kind": "scaled", "base": self.tag, "factor": c})
-
-    # -- CSV round trip ----------------------------------------------
-    def to_csv(self, path, r_grid):
-        r_grid = np.asarray(r_grid, dtype=float)
-        vals = np.asarray(self(r_grid), dtype=complex)
-        with open(path, "w") as fh:
-            fh.write("# %s\n" % _tag_json(self.tag))
-            fh.write("r,value_re,value_im\n")
-            for rv, v in zip(r_grid, vals):
-                fh.write("%.12e,%.12e,%.12e\n" % (rv, v.real, v.imag))
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline()
-            tag = json.loads(header.lstrip("# ").strip(),
-                             object_hook=_complex_from_json) \
-                if header.startswith("#") else None
-            fh.readline()  # column names
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        r = np.array([float(row[0]) for row in rows])
-        vals = np.array([complex(float(row[1]), float(row[2])) for row in rows])
-        if np.all(vals.imag == 0):
-            vals = vals.real
-        return cls.from_samples(r, vals, tag=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ rounds to 1 (d0 of a mode is then 0).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import sys
 from math import comb
@@ -182,16 +181,6 @@ class TimeFunction:
         diff = self - other
         scale = max(self.max_coeff(), other.max_coeff(), 1.0)
         return all(abs(c) <= tol * scale for c in diff.terms.values())
-
-    def to_json(self):
-        items = [(float(c.real), float(c.imag), p, float(s.real), float(s.imag))
-                 for (p, s), c in self.terms.items()]
-        return json.dumps(sorted(items, key=lambda item: item[2:]))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls({(p, complex(sre, sim)): complex(cre, cim)
-                    for cre, cim, p, sre, sim in json.loads(text)})
 
     def __repr__(self):
         bits = ["(%s)%s%s" % (c, "*t^%d" % p if p else "",

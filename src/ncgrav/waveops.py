@@ -11,10 +11,10 @@ Three variants of the box operator:
 For box_general the spatial finite difference Delta0 takes the closed forms
 when beta.structure lists it as a sum of power laws coef * r^{-n} (n = 0 the
 constant): each piece is timeops.delta0_power(f, lam, n) weighted by
-coef * r^{-n}.  Profiles without a structure (sampled or CSV-loaded data,
-sums, scalings), or mode = "pointwise", sample psi, beta, mu and nu on a grid
-and evaluate the varying finite difference on the whole grid at once (one
-timeops.delta0_general call on a GridField).  That is a different
+coef * r^{-n}.  Profiles without a structure (sums, scalings, quadratures,
+other closed forms), or mode = "pointwise", sample psi, beta, mu and nu on
+a grid and evaluate the varying finite difference on the whole grid at once
+(one timeops.delta0_general call on a GridField).  That is a different
 (non-resummed) object on logarithmic profiles -- see the mode flag.
 
 kg_residual subtracts the mass term from a box already applied to psi.
@@ -168,8 +168,8 @@ def _drift_profile(sp, beta):
 # ---------------------------------------------------------------------------
 
 def box_const(psi, beta, lam):
-    """Constant-beta wave operator; exact on plane-wave terms, analytic or
-    spline derivatives on radial terms."""
+    """Constant-beta wave operator; exact on plane-wave terms, the profile's
+    own derivatives on radial terms."""
     out = SeparableField()
     for sp, f in psi.terms:
         shifted = f.shift(1, lam)

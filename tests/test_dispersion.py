@@ -309,7 +309,8 @@ class TestClosedFormLanes:
                                                      str(info.value))
 
     @pytest.mark.parametrize("lam, c", [(-0.1, 1.0), (0.1, -1.0), (0.0, 1.0),
-                                        (math.nan, 1.0), (0.1, math.nan)])
+                                        (math.nan, 1.0), (0.1, math.nan),
+                                        (math.inf, 1.0), (0.1, math.inf)])
     def test_non_positive_lam_or_c_named(self, lam, c):
         msg = "lam and c must be positive: lam = %g, c = %g" % (lam, c)
         for call in (lambda: D.sweep([0.5], 0.3, lam, c, HBAR),
@@ -318,7 +319,7 @@ class TestClosedFormLanes:
                 call()
             assert str(info.value) == msg
 
-    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_hbar_named(self, hbar):
         # named before m c / hbar divides by it
         msg = "hbar must be positive: hbar = %g" % hbar
@@ -393,9 +394,9 @@ class TestBrentqOracle:
                 D.sweep(EDGE_OMEGA, *args)
             assert type(info.value) is first, (args, info.value)
 
-    @pytest.mark.parametrize("m", [-0.5, -20.0, math.nan])
+    @pytest.mark.parametrize("m", [-0.5, -20.0, math.nan, math.inf])
     def test_edge_negative_m_refused(self, m):
-        # a negative (or nan) m is refused by name on every edge lam, c and
+        # a negative (or nan or inf) m is refused by name on every edge lam, c and
         # omega, before any omega is looked at: at m = -20 the bracket end
         # 1/(c lam) + m c/hbar + 1 of a propagating lane is negative
         msg = "m must be >= 0 (a negative mass is not treated): m = %g" % m

@@ -21,16 +21,6 @@ class TestRadialProfile:
         assert np.allclose(p.deriv(r), -6.0 * r ** -4)
         assert np.allclose(p.deriv2(r), 24.0 * r ** -5)
 
-    def test_sampled_needs_enough_nodes(self):
-        r = np.linspace(1, 2, 8)
-        with pytest.raises(ValueError):
-            G.RadialProfile.from_samples(r, np.ones_like(r))
-
-    def test_sampled_grid_must_increase(self):
-        r = np.linspace(2, 1, 20)
-        with pytest.raises(ValueError):
-            G.RadialProfile.from_samples(r, np.ones_like(r))
-
     def test_sum_and_scale(self):
         a = G.RadialProfile.constant(2.0)
         b = G.RadialProfile.power_law(1)
@@ -39,42 +29,12 @@ class TestRadialProfile:
         assert np.allclose(s(r), 2.0 + 3.0 / r)
         assert np.allclose(s.deriv(r), -3.0 / r ** 2)
 
-    def test_csv_round_trip(self, tmp_path):
-        p = G.RadialProfile.power_law(2)
-        path = tmp_path / "profile.csv"
-        grid = log_radii(64)
-        p.to_csv(path, grid)
-        back = G.RadialProfile.from_csv(path)
-        assert np.max(np.abs(back(grid) - p(grid))) < 1e-12
-        assert back(grid).dtype == np.float64
-
-    @pytest.mark.parametrize("profile", [
-        G.RadialProfile.constant(1e-9 + 1e-9j),
-        G.RadialProfile.power_law(2).scale(1j)])
-    def test_complex_tag_round_trip(self, tmp_path, profile):
-        path = tmp_path / "profile.csv"
-        grid = log_radii(64)
-        profile.to_csv(path, grid)
-        back = G.RadialProfile.from_csv(path)
-        assert back.tag == profile.tag
-        assert np.iscomplexobj(back(grid))
-        assert np.max(np.abs(back(grid) - profile(grid))) < 1e-12
-
     def test_missing_derivative_named(self):
         p = G.RadialProfile(lambda r: np.exp(-r), tag={"kind": "exp"})
         for deriv, order in ((p.deriv, "first"), (p.deriv2, "second")):
-            with pytest.raises(ValueError, match='"kind": "exp"}.* %s '
-                               'derivative' % order):
+            with pytest.raises(ValueError, match="'kind': 'exp'}.* %s "
+                               "derivative" % order):
                 deriv(np.array([1.0, 2.0]))
-
-    def test_csv_keeps_a_small_imaginary_part(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        grid = log_radii(64)
-        path.write_text("r,value_re,value_im\n" + "".join(
-            "%.12e,1e-9,1e-9\n" % r for r in grid))
-        back = G.RadialProfile.from_csv(path)
-        assert np.iscomplexobj(back(grid))
-        assert np.max(np.abs(back(grid) - (1e-9 + 1e-9j))) < 1e-20
 
 
 class TestClosedForms:

@@ -2,7 +2,8 @@
 the second routes (the oracles) and the check helpers live in `verify`, which
 production never imports; the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), all but spectrum load
-no mpmath, and the mu/nu quadrature `geometry.mu_nu_numeric` loads no
+no mpmath, scipy is imported only in `verify` and in spectrum's eigensolve
+fallback, and the mu/nu quadrature `geometry.mu_nu_numeric` loads no
 scipy."""
 
 import ast
@@ -101,6 +102,38 @@ def test_brentq_only_in_verify():
     users = [p.name for p in sorted(SRC.glob("*.py"))
              if _uses_brentq(ast.parse(p.read_text(), filename=str(p)))]
     assert set(users) <= {"verify.py"}, users
+
+
+def _imports(tree):
+    """(enclosing function or None, top-level package) of every absolute
+    import in the module."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.update((scope, a.name.split(".")[0]) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                out.add((scope, child.module.split(".")[0]))
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else scope)
+    visit(tree, None)
+    return out
+
+
+def test_scipy_only_in_verify_and_the_eigensolve_fallback():
+    # every profile and time part is built in the process (closed forms,
+    # their sums and scalings, quadratures): geometry and timeops fit no
+    # spline and parse no file, and scipy is an oracle or a fallback
+    found = {p.name: _imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(SRC.glob("*.py"))}
+    users = {(name, scope) for name, imports in found.items()
+             for scope, package in imports
+             if package == "scipy" and name != "verify.py"}
+    assert users <= {("spectrum.py", "_eigh_tridiagonal")}, users
+    for name in ("geometry.py", "timeops.py"):
+        assert not {package for _, package in found[name]} \
+            & {"json", "scipy"}, name
 
 
 TABLES = [["figure1"], ["dispersion"], ["dispersion", "--m", "0.5"],

@@ -120,12 +120,6 @@ class TestTimeFunction:
     def test_add_then_sub(self, f, g):
         assert (f + g - g).isclose(f)
 
-    def test_json_round_trip(self):
-        rng = random.Random(9)
-        f = random_tf(rng, 3)
-        back = TF.from_json(f.to_json())
-        assert back.isclose(f)
-
 
 class TestShiftGroupLaw:
     @given(time_functions, shifts, shifts)

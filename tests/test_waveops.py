@@ -195,17 +195,10 @@ class TestBoxGeneral:
         assert set(got.data) == set(want.data)
         assert rel_diff(got, want) < 1e-12
 
-    def test_csv_beta_is_its_samples_not_its_header(self, tmp_path):
-        # a power_law(3) CSV with its values doubled: the header still names
-        # 1/r^3, but the profile read back is the sampled 2/r^3
-        path = tmp_path / "beta.csv"
-        G.RadialProfile.power_law(3).to_csv(
-            path, G.default_log_grid(0.4, 25.0, 2000))
-        lines = path.read_text().splitlines()
-        rows = [line.split(",") for line in lines[2:]]
-        path.write_text("\n".join(lines[:2] + ["%s,%.12e,%s" % (r, 2 * float(v), im)
-                                               for r, v, im in rows]) + "\n")
-        beta = G.RadialProfile.from_csv(path)
+    def test_structureless_beta_goes_pointwise(self):
+        # a scaled power law carries no structure, so auto mode samples it
+        # on a grid like any other beta
+        beta = G.RadialProfile.power_law(3).scale(2.0)
         mu, nu = (p.scale(2.0) for p in G.mu_nu_closed(3))
         psi = mixed_field()
         with pytest.raises(ValueError, match="grid"):
@@ -213,7 +206,7 @@ class TestBoxGeneral:
         got = W.box_general(psi, beta, mu, nu, LAM, grid=GRID)
         want = W.box_general(psi, G.RadialProfile.power_law(3, 2.0), mu, nu,
                              LAM)
-        assert rel_diff(got, want) < 1e-6
+        assert rel_diff(got, want) < 1e-12
 
     def test_degenerate_profile_reports_node(self):
         psi = W.SeparableField.time_only(TF.mode(0.5))
