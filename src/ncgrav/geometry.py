@@ -144,7 +144,7 @@ def mu_nu_newton(gamma, c):
     beta's structure [(0, -1/c^2), (1, -gamma/c^2)] (a constant plus a 1/r
     power law) lets the wave operators take Delta_0 term by term.
     """
-    if gamma <= 0 or c <= 0:
+    if not (0 < gamma < math.inf and 0 < c < math.inf):
         raise ValueError("gamma and c must be positive")
     try:
         c2 = c ** 2

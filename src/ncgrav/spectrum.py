@@ -4,10 +4,15 @@ The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 + (V0 - G M m_G / r) Psi.  Eigensolves use the u = r R substitution on a
 uniform grid with Dirichlet ends (symmetric tridiagonal), solved by LAPACK's
 bisection in the OpenBLAS numpy bundles (`_eigh_tridiagonal`, the calls of
-scipy's `eigh_tridiagonal`, so no scipy import); `spectrum_table`
-joins the numeric states with the closed-form oracle into the one spectrum
-table the CLI renders.  The reduction laboratory evaluates the residual of
-the same physical state at three stages:
+scipy's `eigh_tridiagonal`, so no scipy import).  The grid check
+(`solve_radial(check_grid=True)`) solves the grid of half the spacing on a
+second thread while the calling thread solves the grid itself: ctypes
+releases the GIL for the LAPACK calls and the two solves share no buffers,
+so the two run at once and the results are bit for bit those of the two
+solves in turn.  `spectrum_table` joins the numeric states with the
+closed-form oracle into the one spectrum table the CLI renders.  The
+reduction laboratory evaluates the residual of the same physical state at
+three stages:
 
   (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
@@ -26,6 +31,7 @@ import functools
 import glob
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +67,7 @@ def bohr_radius(m_I, m_G, M, G, hbar):
 
 def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1."""
-    if min(m_I, m_G) <= 0:
-        raise ValueError("masses must be positive")
+    _require_positive(m_I=m_I, m_G=m_G, hbar=hbar)
     out = []
     for n in range(1, n_max + 1):
         E = V0 - m_I * (G * M * m_G) ** 2 / (2 * hbar ** 2 * n ** 2)
@@ -180,32 +185,29 @@ def _eigh_tridiagonal(d, e, k, return_vectors):
     return w[order], z.T[:, order]
 
 
-def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
-                 return_vectors=False, check_grid=False):
-    """Lowest bound states below V0 at angular index l.
-
-    The coupling G M m_G may be zero on an explicit grid (no bound states);
-    the default grid scales with the Bohr radius, so it needs all five
-    parameters positive.
-
-    The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
-    the digits of E past about 1e-13 relative are its tolerance, not the
-    inputs': at x = 1e-8 (`spectrum --x 1e-8`) a one-ulp rise of m_G moves
-    E(n=1) from -5.416541589588577e-25 to -5.416541589588281e-25 (5.5e-14
-    relative; the true change is about 4e-16)."""
-    if l < 0:
-        raise ValueError("l must be >= 0, got %r" % l)
-    if n_states < 1:
-        raise ValueError("n_states must be >= 1, got %r" % n_states)
-    _require_positive(m_I=m_I, hbar=hbar)
-    if grid is None:
-        grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
-    grid = np.asarray(grid, dtype=float)
+def _grid_step(grid):
+    """The spacing h of a grid solve_radial can take, which is a uniform,
+    increasing grid of at least 2000 nodes that starts above r = 0; any
+    other grid raises ValueError."""
     if grid.size < 2000:
         raise ValueError("grid needs >= 2000 nodes for the target accuracy")
+    if not grid[0] > 0:
+        raise ValueError("solve_radial: the grid must start above r = 0, "
+                         "got r[0] = %r" % float(grid[0]))
+    steps = np.diff(grid)
+    if not (steps > 0).all():
+        raise ValueError("solve_radial: the grid must increase")
     h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=1e-8):
+    if not np.allclose(steps, h, rtol=1e-8):
         raise ValueError("solve_radial expects a uniform grid")
+    return h
+
+
+def _solve_grid(m_I, m_G, V0, M, G, hbar, l, grid, n_states, return_vectors):
+    """(states, vecs): the lowest n_states bound states below V0 on one grid,
+    and their eigenvectors as columns where return_vectors is set (else
+    None).  The grid is checked by `_grid_step`."""
+    h = _grid_step(grid)
     with np.errstate(all="ignore"):  # a Hamiltonian out of range is refused
         kin = hbar ** 2 / (2 * m_I * h ** 2)
         pot = (hbar ** 2 * l * (l + 1) / (2 * m_I * grid ** 2)
@@ -221,27 +223,90 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     if return_vectors:
         vals, vecs = _eigh_tridiagonal(diag, off, k, True)
     else:
-        vals = _eigh_tridiagonal(diag, off, k, False)
+        vals, vecs = _eigh_tridiagonal(diag, off, k, False), None
     states = []
     for j, E in enumerate(vals):
         if E >= V0:
             break
         states.append(BoundState(n=l + 1 + j, l=l, E=float(E),
                                  method="numeric"))
-    states = states[:n_states]
-    if check_grid and states:
-        fine = np.linspace(grid[0] / 2, grid[-1], grid.size * 2)
-        ref = solve_radial(m_I, m_G, V0, M, G, hbar, l=l, grid=fine,
-                           n_states=len(states))
-        for s, sr in zip(states, ref):
-            scale = abs(sr.E - V0) + 1e-300
-            if abs(s.E - sr.E) / scale > DRIFT_TOL:
-                raise GridConvergenceError(
-                    "state n=%d drifts %.2e under grid doubling"
-                    % (s.n, abs(s.E - sr.E) / scale))
-    if return_vectors:
-        return states, grid, vecs
-    return states
+    return states[:n_states], vecs
+
+
+def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
+                 return_vectors=False, check_grid=False):
+    """Lowest bound states below V0 at angular index l.
+
+    The coupling G M m_G may be zero on an explicit grid (no bound states);
+    the default grid scales with the Bohr radius, so it needs all five
+    parameters positive.  An explicit grid must be uniform and increasing,
+    start above r = 0 and hold at least 2000 nodes; any other raises
+    ValueError before a solve starts.
+
+    check_grid solves again on the grid of half the spacing over the same
+    box and raises GridConvergenceError where an energy moves by more than
+    DRIFT_TOL relative to its depth below V0.  That h/2 solve runs on a
+    second thread while this one solves at h: the LAPACK routines are called
+    through ctypes, which releases the GIL, and the two solves share no
+    buffers, so the results, errors and messages are bit for bit those of
+    solving h and then h/2 in turn.  The h/2 solve starts for n_states
+    states; where the grid h holds fewer, it is made again for that count,
+    as the sequential check does, and where it holds none its result is
+    dropped unread.  Errors come in the sequential order: the h solve's,
+    then the h/2 solve's, then GridConvergenceError.
+
+    The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
+    the digits of E past about 1e-13 relative are its tolerance, not the
+    inputs': at x = 1e-8 (`spectrum --x 1e-8`) a one-ulp rise of m_G moves
+    E(n=1) from -5.416541589588577e-25 to -5.416541589588281e-25 (5.5e-14
+    relative; the true change is about 4e-16)."""
+    if l < 0:
+        raise ValueError("l must be >= 0, got %r" % l)
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1, got %r" % n_states)
+    _require_positive(m_I=m_I, hbar=hbar)
+    if grid is None:
+        grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
+    grid = np.asarray(grid, dtype=float)
+    pars = (m_I, m_G, V0, M, G, hbar, l)
+    if not check_grid:
+        states, vecs = _solve_grid(*pars, grid, n_states, return_vectors)
+        return (states, grid, vecs) if return_vectors else states
+    # refuse a bad grid before the h/2 solve starts (`_solve_grid` checks it
+    # again), and resolve the cached LAPACK routines on this thread, so that
+    # their loader never runs on two threads at once
+    _grid_step(grid)
+    _lapack()
+    fine = np.linspace(grid[0] / 2, grid[-1], grid.size * 2)
+    check = {}
+
+    def solve_fine():
+        try:
+            check["states"] = _solve_grid(*pars, fine, n_states, False)[0]
+        except BaseException as exc:  # raised below, on the calling thread
+            check["error"] = exc
+
+    worker = threading.Thread(target=solve_fine, name="solve_radial h/2")
+    worker.start()
+    try:
+        states, vecs = _solve_grid(*pars, grid, n_states, return_vectors)
+    finally:
+        worker.join()
+    if not states:
+        ref = []  # the sequential check makes no h/2 solve
+    elif len(states) < n_states:
+        ref = _solve_grid(*pars, fine, len(states), False)[0]
+    elif "error" in check:
+        raise check["error"]
+    else:
+        ref = check["states"]
+    for s, sr in zip(states, ref):
+        scale = abs(sr.E - V0) + 1e-300
+        if abs(s.E - sr.E) / scale > DRIFT_TOL:
+            raise GridConvergenceError(
+                "state n=%d drifts %.2e under grid doubling"
+                % (s.n, abs(s.E - sr.E) / scale))
+    return (states, grid, vecs) if return_vectors else states
 
 
 def spectrum_table(x, M, units, l=0, n_states=3):

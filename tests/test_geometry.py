@@ -83,6 +83,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             G.mu_nu_newton(-1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma, c", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("nan")),
+        (1e-3, float("inf")), (1e-3, -float("inf"))])
+    def test_newton_refuses_non_finite_params(self, gamma, c):
+        with pytest.raises(ValueError, match="^gamma and c must be positive"):
+            G.mu_nu_newton(gamma, c)
+        with pytest.raises(ValueError, match="^gamma and c must be positive"):
+            G.mu_nu_table(0.5, 10, 4, gamma=gamma, c=c)
+
     def test_newton_structure_decomposition(self):
         gamma, c = 0.3, 2.0
         beta, _, _ = G.mu_nu_newton(gamma, c)

@@ -1,5 +1,8 @@
 """Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
-scipy's eigh_tridiagonal; reduction residual scaling."""
+scipy's eigh_tridiagonal; the threaded grid check against the sequential one; reduction residual
+scaling."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +32,15 @@ class TestBohrOracle:
         E = {s.n: s.E for s in states if s.l == 0}
         # subtracting V0 = -0.5 reintroduces roundoff at the 1e-9 level
         assert abs((E[1] + 0.5) / (E[2] + 0.5) - 4.0) < 1e-6
+
+    @pytest.mark.parametrize("name", ["m_I", "m_G", "hbar"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_parameter_named(self, name, value):
+        kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
+        kw[name] = value
+        with pytest.raises(ValueError, match="^%s must be positive, got "
+                           % name):
+            S.bohr_oracle(**kw)
 
     def test_effective_composition(self):
         pars = E.effective_params(1.0, E.PlanckUnits(lam=1.0))
@@ -76,6 +88,31 @@ class TestSolveRadial:
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR,
                            grid=np.geomspace(0.1, 10, 3000))
 
+    # a grid through r = 0 gave E1 = -1.07e-5 (the oracle's is -5e-7); a
+    # reversed one has an h/2 grid from R/2 down to h, and a false drift
+    BAD_GRIDS = {
+        "through-zero": (lambda a: np.linspace(-10 * a + 0.123, 40 * a, 8000),
+                         "start above r = 0, got r\\[0\\] = -9999.877$"),
+        "from-zero": (lambda a: np.linspace(0.0, 40 * a, 8000),
+                      "start above r = 0, got r\\[0\\] = 0.0$"),
+        "reversed": (lambda a: np.linspace(a / 100, 40 * a, 4000)[::-1],
+                     "increase$")}
+
+    @pytest.mark.parametrize("check_grid", [False, True])
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+    def test_bad_grid_refused_before_any_solve(self, monkeypatch, case,
+                                               check_grid):
+        make, message = self.BAD_GRIDS[case]
+        solves = []
+        monkeypatch.setattr(S, "_eigh_tridiagonal",
+                            lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match="^solve_radial: the grid must "
+                           + message):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR,
+                           grid=make(S.bohr_radius(M_I, M_G, M, GN, HBAR)),
+                           check_grid=check_grid)
+        assert solves == []
+
     @pytest.mark.parametrize("name", ["m_I", "m_G", "M", "G", "hbar"])
     @pytest.mark.parametrize("value", [0.0, float("nan")])
     def test_nonpositive_parameter_named(self, name, value):
@@ -122,6 +159,136 @@ class TestSolveRadial:
     def test_virial(self):
         rep = S.virial_check(M_I, M_G, V0, M, GN, HBAR)
         assert rep["virial_rel"] < 1e-2
+
+
+def _grid(box_bohr, nodes):
+    a = S.bohr_radius(M_I, M_G, M, GN, HBAR)
+    return np.linspace(a * box_bohr / nodes, a * box_bohr, nodes)
+
+
+def _bits(states):
+    return [(s.n, s.l, s.E.hex(), s.method) for s in states]
+
+
+def _sequential_check(grid, n_states, l=0, M=M, G=GN):
+    """The grid check made in turn: plain solves at h (n_states states) and
+    then at h/2 (as many as h found), and the drift test."""
+    pars = (M_I, M_G, V0, M, G, HBAR)
+    states = S.solve_radial(*pars, l=l, grid=grid, n_states=n_states)
+    if states:
+        fine = np.linspace(grid[0] / 2, grid[-1], grid.size * 2)
+        ref = S.solve_radial(*pars, l=l, grid=fine, n_states=len(states))
+        for s, sr in zip(states, ref):
+            drift = abs(s.E - sr.E) / (abs(sr.E - V0) + 1e-300)
+            if drift > S.DRIFT_TOL:
+                raise S.GridConvergenceError(
+                    "state n=%d drifts %.2e under grid doubling"
+                    % (s.n, drift))
+    return states
+
+
+class TestThreadedGridCheck:
+    """check_grid solves h/2 on a second thread: the same states, errors
+    and messages as `_sequential_check`, and no thread left behind."""
+
+    # (box in Bohr radii, nodes, n_states, l, M, states found): the usual
+    # branch, a box too small for the third state, and no coupling
+    BRANCHES = {"all": (40, 4000, 3, 0, M, 3), "fewer": (8, 2000, 3, 0, M, 2),
+                "none": (40, 2500, 3, 0, 0.0, 0), "l1": (40, 4000, 2, 1, M, 2)}
+
+    def _record(self, monkeypatch):
+        calls, solve = [], S._eigh_tridiagonal
+
+        def recorded(d, e, k, return_vectors):
+            calls.append((len(d), k, threading.get_ident()))
+            return solve(d, e, k, return_vectors)
+        monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
+        return calls
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_states_bit_identical(self, monkeypatch, branch):
+        box, nodes, n_states, l, mass, found = self.BRANCHES[branch]
+        grid = _grid(box, nodes)
+        want = _sequential_check(grid, n_states, l=l, M=mass)
+        calls = self._record(monkeypatch)
+        threads = threading.active_count()
+        got = S.solve_radial(M_I, M_G, V0, mass, GN, HBAR, l=l, grid=grid,
+                             n_states=n_states, check_grid=True)
+        assert threading.active_count() == threads
+        assert len(got) == found and _bits(got) == _bits(want)
+        # the sequential calls, the h/2 one on another thread for n_states;
+        # with fewer states found, h/2 is solved again for that count
+        main = threading.get_ident()
+        again = [(2 * nodes, found + l)] if 0 < found < n_states else []
+        assert [c[:2] for c in calls if c[2] == main] \
+            == [(nodes, n_states + l)] + again
+        assert [c[:2] for c in calls if c[2] != main] \
+            == [(2 * nodes, n_states + l)]
+
+    def test_convergence_error_same_message(self):
+        # one node per Bohr radius: the ground state drifts by 1.2e-1
+        grid = _grid(2000, 2000)
+        with pytest.raises(S.GridConvergenceError) as want:
+            _sequential_check(grid, 3)
+        threads = threading.active_count()
+        with pytest.raises(S.GridConvergenceError) as got:
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                           check_grid=True)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("state n=1 drifts 1.2")
+        assert threading.active_count() == threads
+
+    def test_fine_hamiltonian_out_of_range_only_with_states(self):
+        # node 0 at 1.2e-154 holds a potential near 1e308, which doubles
+        # (Coulomb, l = 0) or quadruples (centrifugal, l = 1) past the float
+        # range at half that radius, the first node of the h/2 grid
+        grid = 1.2e-154 + 10.0 * np.arange(4000)
+        fine = np.linspace(grid[0] / 2, grid[-1], grid.size * 2)
+        deep = 1e308 * grid[0]  # G with G M m_G / r0 = 1e308
+        with pytest.raises(ValueError, match="leaves the float range") as want:
+            _sequential_check(grid, 2, G=deep)
+        with pytest.raises(ValueError) as got:
+            S.solve_radial(M_I, M_G, V0, M, deep, HBAR, grid=grid,
+                           n_states=2, check_grid=True)
+        assert str(got.value) == str(want.value)
+        # at l = 1 the grid h holds no state below V0, so the h/2 solve,
+        # which is out of range, is not made
+        with pytest.raises(ValueError, match="leaves the float range"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=1, grid=fine,
+                           n_states=2)
+        assert S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=1, grid=grid,
+                              n_states=2, check_grid=True) == []
+
+    def test_h_solve_error_first_and_worker_joined(self, monkeypatch):
+        grid, solve, fine = _grid(40, 4000), S._eigh_tridiagonal, []
+
+        def failing(d, e, k, return_vectors):
+            if len(d) == grid.size:
+                raise np.linalg.LinAlgError("h solve failed")
+            fine.append(solve(d, e, k, return_vectors))
+            return fine[-1]
+        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="^h solve failed$"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                           check_grid=True)
+        assert threading.active_count() == threads
+        assert len(fine) == 1  # the worker ran to its end before the raise
+
+    def test_h_over_2_error_after_h(self, monkeypatch):
+        grid, solve = _grid(40, 4000), S._eigh_tridiagonal
+
+        def failing(d, e, k, return_vectors):
+            if len(d) == 2 * grid.size:
+                raise np.linalg.LinAlgError("h/2 solve failed")
+            return solve(d, e, k, return_vectors)
+        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^h/2 solve failed$"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                           check_grid=True)
+        # with no state at h, the failed h/2 solve is dropped unread
+        assert S.solve_radial(M_I, M_G, V0, 0.0, GN, HBAR, grid=grid,
+                              check_grid=True) == []
 
 
 def _scipy(d, e, k, return_vectors):
