@@ -198,7 +198,9 @@ def _grid_step(grid):
     if not (steps > 0).all():
         raise ValueError("solve_radial: the grid must increase")
     h = grid[1] - grid[0]
-    if not np.allclose(steps, h, rtol=1e-8):
+    # relative only: an absolute tolerance would pass any grid whose steps
+    # all lie below it, as they do in units where the Bohr radius is small
+    if not np.allclose(steps, h, rtol=1e-8, atol=0):
         raise ValueError("solve_radial expects a uniform grid")
     return h
 

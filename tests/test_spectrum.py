@@ -87,6 +87,12 @@ class TestSolveRadial:
         with pytest.raises(ValueError):
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR,
                            grid=np.geomspace(0.1, 10, 3000))
+        # a Bohr radius of 1e-9: every step of this geometric grid is below
+        # 1e-8, and it gave no bound state where E1 = -5e17
+        with pytest.raises(ValueError, match="^solve_radial expects a "
+                           "uniform grid$"):
+            S.solve_radial(M_I, M_G, V0, M, 1e9, HBAR,
+                           grid=np.geomspace(1e-11, 4e-8, 4000))
 
     # a grid through r = 0 gave E1 = -1.07e-5 (the oracle's is -5e-7); a
     # reversed one has an h/2 grid from R/2 down to h, and a false drift
