@@ -1,6 +1,6 @@
 """Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
-scipy's eigh_tridiagonal; the threaded grid check against the sequential one; reduction residual
-scaling."""
+scipy's eigh_tridiagonal; the threaded grid check vs the sequential one;
+reduction residual scaling."""
 
 import threading
 
