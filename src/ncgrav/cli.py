@@ -27,16 +27,22 @@ columns cell by cell.  JSON is `tolist()` through json.dumps.
 Physical constants default to Planck units (lam = c = hbar = G = 1) and can
 be overridden per subcommand, or via a config file of key=value lines
 (flags override the file).
-Only `verify` loads scipy, imported in `cmd_verify`: `spectrum`'s eigensolve
-calls LAPACK in the OpenBLAS numpy bundles and imports scipy only where
-numpy ships none, so the table subcommands start without scipy.  Only
-`spectrum` loads mpmath, for the effective masses below x = 1e-4.
+`build_parser` is cached: the parser is built once per process, and every
+`main` call in it parses its argv with that one parser.
+Importing this module loads, of the package, only `dispersion`,
+`effective`, `geometry` and `spectrum`, the layers the tables render.  On
+top of that `figure1`, `dispersion`, `mu-nu` and `dark-energy` load nothing,
+`spectrum` loads mpmath (the effective masses below x = 1e-4), and the JSON
+format and `verify --report` load json.  The time operators (`timeops`,
+`waveops`) load only with `verify`, imported in `cmd_verify`.  No
+subcommand loads scipy: `spectrum`'s eigensolve calls LAPACK in the
+OpenBLAS numpy bundles and imports scipy only where numpy ships none.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 
@@ -169,11 +175,17 @@ def _render_csv(header, columns):
     return text + buf.tobytes().translate(None, b"\0").decode()
 
 
+def _json_text(data):
+    """data as indented JSON text, the one use of json."""
+    import json  # here, so that the CSV tables load no json
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _render_json(header, rows):
     """A json array of objects, one per row; nan prints as null."""
     data = [dict(zip(header, [None if isinstance(v, float) and math.isnan(v)
                               else v for v in row])) for row in rows]
-    return json.dumps(data, indent=2) + "\n"
+    return _json_text(data)
 
 
 def _finite_float(text):
@@ -280,7 +292,7 @@ def cmd_dark_energy(args):
     _refuse_non_finite("dark-energy", ["m-universe", *numbers],
                        np.array([[args.m_universe, *numbers.values()]]))
     if args.format == "json":
-        text = json.dumps(rep, indent=2) + "\n"
+        text = _json_text(rep)
     else:
         text = _render_csv(["key", "value"],
                            [np.array(list(rep)),
@@ -290,7 +302,7 @@ def cmd_dark_energy(args):
 
 
 def cmd_verify(args):
-    from . import verify as V  # here, so that no table subcommand loads scipy
+    from . import verify as V  # here, so that the tables load no timeops
     level = "full" if args.full else "fast"
     rep = V.run(level)
     for c in rep["checks"]:
@@ -299,7 +311,7 @@ def cmd_verify(args):
     print("%d checks, %d failed (%s level, %.1f s)"
           % (rep["n_checks"], rep["n_failed"], level, rep["seconds"]))
     if args.report:
-        _write_output(args.report, json.dumps(rep, indent=2) + "\n")
+        _write_output(args.report, _json_text(rep))
     return 0 if rep["n_failed"] == 0 else 1
 
 
@@ -309,7 +321,11 @@ def _add_top_options(p):
     p.add_argument("--config", help="file of key=value lines; flags override")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: built on the first call and returned
+    to every later one, so no caller may change it.  Each `main` call parses
+    with it; parse_args keeps no state between argvs."""
     p = argparse.ArgumentParser(
         prog="ncgrav",
         description="Quantum-spacetime wave operators: tables and self-checks")

@@ -97,7 +97,7 @@ def _squares(x):
     """x ** 2 per element by CPython's float pow (libm pow; numpy's square
     rounds differently); an element that overflows raises OverflowError."""
     values = x.tolist()
-    return np.fromiter(map(pow, values, repeat(2)), float, len(values))
+    return np.fromiter(map(pow, values, repeat(2.0)), float, len(values))
 
 
 def _term_finite(k, eu):

@@ -41,6 +41,20 @@ SMALL_X = 1e-4
 X_MAX = math.asinh(sys.float_info.max)
 
 
+def _normal_scale(scale, what, **pars):
+    """scale(), refused with a ValueError naming `what` and pars where it is
+    not a positive normal float: it overflows, or underflows to a subnormal
+    or to 0."""
+    try:
+        value = scale()
+    except ArithmeticError:  # a square overflows, or a divisor underflows
+        value = math.nan
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError("%s leaves the normal float range at %s" % (
+            what, ", ".join("%s = %r" % item for item in pars.items())))
+    return value
+
+
 @dataclass(frozen=True)
 class PlanckUnits:
     lam: float = 1.0
@@ -49,8 +63,14 @@ class PlanckUnits:
     G: float = 1.0
 
     def __post_init__(self):
-        if min(self.lam, self.c, self.hbar, self.G) <= 0:
-            raise ValueError("units must be positive")
+        for name in ("lam", "c", "hbar", "G"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError("PlanckUnits: %s must be positive and "
+                                 "finite, got %r" % (name, value))
+        _normal_scale(lambda: self.m_p,
+                      "PlanckUnits: the Planck mass hbar/(lam c^2)",
+                      lam=self.lam, c=self.c, hbar=self.hbar)
 
     @property
     def m_p(self):

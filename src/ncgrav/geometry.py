@@ -17,7 +17,10 @@ import math
 
 import numpy as np
 
-from .timeops import POWER_WINDOW
+# n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
+# and in timeops.delta0_power: nearer than that, the generic formulas divide
+# by 1 - n or 2 - n and cancel away most of their digits.
+POWER_WINDOW = 1e-9
 
 
 class SignatureError(ValueError):
@@ -108,7 +111,7 @@ def mu_nu_closed(n):
 
     n = 1: mu = 1/r, nu = ln(r)/r;  n = 2: mu = ln(r)/r^2, nu = -(1+ln r)/r^2;
     otherwise mu = 1/((2-n) r^n), nu = 1/((2-n)(1-n) r^n).  n counts as 1 or
-    2 within timeops.POWER_WINDOW, the window delta0_power uses.  The n = 2 nu
+    2 within POWER_WINDOW, the window timeops.delta0_power uses.  The n = 2 nu
     sign is fixed by the ODE r nu' + nu = mu and by the n -> 2 limit of the
     generic family after removing the homogeneous 1/(eps r^2) piece.
     """

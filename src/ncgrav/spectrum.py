@@ -21,7 +21,9 @@ three stages:
   (iii) the effective Schrodinger residual with the closed-form parameters
 
 The gap between (i) and (iii), after units conversion, carries exactly the
-dropped slow-variation terms.
+dropped slow-variation terms.  The laboratory loads its layers (`timeops`,
+`waveops`) on first use, so that importing this module for the spectrum
+table loads neither.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import effective, timeops, waveops
+from . import effective
 from .geometry import RadialProfile
-from .timeops import TimeFunction
-from .waveops import SeparableField
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,26 @@ def _require_positive(**values):
 
 
 def bohr_radius(m_I, m_G, M, G, hbar):
+    """hbar^2/(m_I G M m_G); a radius outside the normal float range raises
+    ValueError naming the parameters."""
     _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
-    return hbar ** 2 / (m_I * G * M * m_G)
+    return effective._normal_scale(
+        lambda: hbar ** 2 / (m_I * G * M * m_G),
+        "the Bohr radius hbar^2/(m_I G M m_G)",
+        m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
 
 
 def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
-    """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1."""
+    """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1.
+    A depth below V0 outside the normal float range (0 included) raises
+    ValueError naming the parameters."""
     _require_positive(m_I=m_I, m_G=m_G, hbar=hbar)
     out = []
     for n in range(1, n_max + 1):
-        E = V0 - m_I * (G * M * m_G) ** 2 / (2 * hbar ** 2 * n ** 2)
+        E = V0 - effective._normal_scale(
+            lambda: m_I * (G * M * m_G) ** 2 / (2 * hbar ** 2 * n ** 2),
+            "bohr_oracle: the depth m_I (G M m_G)^2/(2 hbar^2 n^2) at n = %d"
+            % n, m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
         for l in range(n):
             out.append(BoundState(n=n, l=l, E=E, method="bohr-oracle"))
     return out
@@ -95,7 +105,10 @@ def default_grid(m_I, m_G, M, G, hbar, n_max=3):
     if nodes > GRID_NODES_MAX:
         raise ValueError("states up to n = %d need a default grid of %d "
                          "nodes, above %d" % (n_max, nodes, GRID_NODES_MAX))
-    box = bohr_radius(m_I, m_G, M, G, hbar) * GRID_BOHR * scale
+    a = bohr_radius(m_I, m_G, M, G, hbar)
+    box = effective._normal_scale(
+        lambda: a * GRID_BOHR * scale,
+        "the default grid out to %g Bohr radii" % (GRID_BOHR * scale), a=a)
     return np.linspace(box / nodes, box, nodes)
 
 
@@ -368,6 +381,7 @@ def _stage_two(phi_vals, lap_vals, drift_vals, r, m_t, omega, lam, gamma,
     Every factor is an operator symbol on e^{-i m~ t} (fast) or e^{-i Omega t}
     (slow); evaluated at t = 0.  beta0 = -1 in these units.
     """
+    from . import timeops  # here, so that spectrum_table loads no timeops
     beta0 = -1.0
     zeta = math.exp(m_t * lam)
     sigma = math.exp(omega * lam)
@@ -396,10 +410,12 @@ def reduction_residual(m, gamma, lam, omega, phi, grid,
     phi: RadialProfile with analytic derivatives; units hbar = c = 1, so
     m~ = m and the Compton scale is 1/m.
     """
+    from . import timeops, waveops  # here, so that spectrum_table loads neither
     grid = np.asarray(grid, dtype=float)
     m_t = m
     # stage (i): full operator via waveops
-    psi = SeparableField.single(phi, TimeFunction.mode(m_t + omega))
+    psi = waveops.SeparableField.single(phi,
+                                       timeops.TimeFunction.mode(m_t + omega))
     box = waveops.box_newton(psi, gamma, 1.0, lam)
     r_i = waveops.kg_residual(box, psi, m, 1.0, 1.0).to_grid(grid).evaluate(0.0)
 

@@ -33,6 +33,8 @@ from math import comb
 
 import numpy as np
 
+from .geometry import POWER_WINDOW
+
 TOL = 1e-12
 
 
@@ -215,12 +217,6 @@ def delta0_hybrid(f, lam):
     _check_lam("delta0_hybrid", lam)
     k = 1.0 / (1j * lam)
     return f.stencil([(-k * k, 0), (k * k, -1)], lam, [(k, 0)])
-
-
-# n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
-# and in geometry.mu_nu_closed: nearer than that, the generic formulas divide
-# by 1 - n or 2 - n and cancel away most of their digits.
-POWER_WINDOW = 1e-9
 
 
 def delta0_power(f, lam, n):

@@ -11,8 +11,9 @@ word reducer `normal_order` (with the generator push `mul_gen`) and the
 Leibniz-rule `exterior_d_leibniz`; production results reach them only through
 `realization_symbol` and `form_symbol`.  Two Delta_0 symbols and the
 hand-written weak-field operator `box_newton_oracle` are oracles too.  The
-effective-parameter checks `series_check` and `extrema_report` live here too,
-so scipy's optimizer loads only with the registry.
+effective-parameter checks `series_check` and `extrema_report` live here too;
+the latter finds its extrema by the golden-section search `_golden_min`, so
+the registry loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from fractions import Fraction
 from operator import add
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import dispersion as D
 from . import effective as E
@@ -690,21 +690,38 @@ def series_check():
             "expected": (-1.0, -1.0 / 3.0, -1.0 / 24.0)}
 
 
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _golden_min(f, lo, hi, xatol=1e-10):
+    """(x, f(x)) at the minimum of f, unimodal on [lo, hi], by golden-section
+    search: the bracket shrinks by the golden ratio per evaluation until it
+    is narrower than xatol."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    return (float(c), float(fc)) if fc < fd else (float(d), float(fd))
+
+
 def extrema_report():
     """Locations and values of the bounds/extrema on x in (0, 50]."""
-    res_v0 = minimize_scalar(E.V0_over_mpc2, bounds=(0.1, 50.0),
-                             method="bounded",
-                             options={"xatol": 1e-10})
-    res_ratio = minimize_scalar(lambda x: -E.mG_over_mI(x),
-                                bounds=(0.1, 50.0), method="bounded",
-                                options={"xatol": 1e-10})
+    v0_x, v0_min = _golden_min(E.V0_over_mpc2, 0.1, 50.0)
+    ratio_x, ratio_neg = _golden_min(lambda x: -E.mG_over_mI(x), 0.1, 50.0)
     return {
         "mI_sup_over_mp": 0.5,
         "mI_at_x10_over_mp": float(E.mI_over_mp(10.0)),
-        "V0_argmin": float(res_v0.x),
-        "V0_min_over_mpc2": float(res_v0.fun),
-        "mG_over_mI_argmax": float(res_ratio.x),
-        "mG_over_mI_peak": float(-res_ratio.fun),
+        "V0_argmin": v0_x,
+        "V0_min_over_mpc2": v0_min,
+        "mG_over_mI_argmax": ratio_x,
+        "mG_over_mI_peak": -ratio_neg,
     }
 
 

@@ -247,6 +247,12 @@ class TestSpectrum:
         (("--x", "1000"), "710.47"),
         # m_G cancels to 0.0 in effective's 30-digit branch at this x
         (("--x", "7.7e-20"), "m_G must be positive, got 0.0"),
+        # lam c^2 underflows to 0: m_p = hbar/(lam c^2) has no float value
+        (("--c", "1e-310"), "PlanckUnits: the Planck mass hbar/(lam c^2) "
+         "leaves the normal float range at lam = 1.0, c = 1e-310"),
+        # the Bohr radius hbar^2/(m_I G M m_G) underflows to 0
+        (("--lam", "1e-300"), "the Bohr radius hbar^2/(m_I G M m_G) leaves "
+         "the normal float range at m_I = "),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8", *argv)
@@ -513,6 +519,41 @@ class TestConfigFile:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nope.cfg", "figure1")
         assert code == 2
+
+
+class TestParserReuse:
+    # the one cached parser parses every argv of the process: each call
+    # behaves as in a fresh process
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flag_does_not_outlive_its_call(self, capsys):
+        _, out, _ = run_cli(capsys, "figure1", "--n", "3")
+        assert len(parse_csv(out)[1]) == 3
+        code, out, _ = run_cli(capsys, "figure1")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 500
+
+    def test_config_does_not_outlive_its_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xmax = 2.0\nn = 7\n")
+        _, out, _ = run_cli(capsys, "--config", str(cfg), "figure1")
+        assert len(parse_csv(out)[1]) == 7
+        _, out, _ = run_cli(capsys, "figure1", "--n", "4")
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert float(rows[-1][0]) == 10.0
+
+    def test_same_bytes_as_a_fresh_process(self, capsys):
+        argv = ["dispersion", "--n", "5", "--m", "0.5"]
+        run_cli(capsys, "figure1", "--n", "3", "--format", "json")
+        _, out, _ = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncgrav", *argv], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(
+                cli.__file__).parents[1])})
+        assert (proc.returncode, proc.stdout) == (0, out)
 
 
 class TestVerifyCommand:

@@ -37,6 +37,31 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             E.effective_params(0.0)
 
+    @pytest.mark.parametrize("name", ["lam", "c", "hbar", "G"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_units_refuse_bad_constant_by_name(self, name, value):
+        with pytest.raises(ValueError, match="^PlanckUnits: %s must be "
+                           "positive and finite, got %r$" % (name, value)):
+            E.PlanckUnits(**{name: value})
+
+    @pytest.mark.parametrize("kw", [
+        {"c": 1e-310},                  # lam c^2 underflows to 0
+        {"c": 1e200},                   # c^2 overflows
+        {"hbar": 1e-310},               # m_p subnormal
+        {"lam": 1e-310},                # m_p overflows
+        {"hbar": 1e300, "lam": 1e-10},  # m_p overflows
+    ])
+    def test_units_refuse_planck_mass_out_of_range(self, kw):
+        with pytest.raises(ValueError, match=r"^PlanckUnits: the Planck mass "
+                           r"hbar/\(lam c\^2\) leaves the normal float range "
+                           r"at lam = "):
+            E.PlanckUnits(**kw)
+
+    def test_units_keep_a_normal_planck_mass(self):
+        u = E.PlanckUnits(lam=1e-300)
+        assert u.m_p == 1.0 / 1e-300
+        assert E.PlanckUnits(lam=5.39e-44, c=3e8, hbar=1.05e-34).m_p > 0
+
     def test_crossover_continuity(self):
         x = E.SMALL_X
         lo = E._ratios(x * (1 - 1e-12))   # extended-precision branch
@@ -101,6 +126,26 @@ class TestSeries:
 
 
 class TestExtrema:
+    def test_matches_scipy_bounded_minimizer(self):
+        # scipy's bounded Brent to the same xatol is the oracle of the
+        # registry's golden-section search; V0's minimum is flat, so its
+        # argmin agrees to about 1e-7 and its value to about 1e-15
+        from scipy.optimize import minimize_scalar
+        rep = V.extrema_report()
+        for key, f, sign in (("V0", E.V0_over_mpc2, 1),
+                             ("mG_over_mI", E.mG_over_mI, -1)):
+            ref = minimize_scalar(lambda x: sign * f(x), bounds=(0.1, 50.0),
+                                  method="bounded", options={"xatol": 1e-10})
+            x = rep["V0_argmin" if sign > 0 else "mG_over_mI_argmax"]
+            val = rep["V0_min_over_mpc2" if sign > 0 else "mG_over_mI_peak"]
+            assert abs(x - ref.x) < 1e-6, key
+            assert abs(val - sign * ref.fun) <= 2e-15 * abs(val), key
+
+    def test_golden_search_reaches_xatol(self):
+        for x0 in (0.1 + 1e-3, 1.2345678901234, 49.9):
+            x, fx = V._golden_min(lambda x: (x - x0) ** 2, 0.1, 50.0)
+            assert abs(x - x0) < 1e-10 and fx < 1e-20
+
     def test_report(self):
         rep = V.extrema_report()
         assert rep["mI_sup_over_mp"] == 0.5

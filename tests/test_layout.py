@@ -1,8 +1,9 @@
 """Source layout: each production module computes a quantity by one route, and
 the second routes (the oracles) and the check helpers live in `verify`, which
-production never imports; the table subcommands load no scipy (spectrum's
-eigensolve calls LAPACK in the OpenBLAS numpy bundles), all but spectrum load
-no mpmath, scipy is imported only in `verify` and in spectrum's eigensolve
+production never imports; importing the CLI loads only the layers the tables
+render, the table subcommands load no scipy (spectrum's eigensolve calls
+LAPACK in the OpenBLAS numpy bundles), no time operators and no json, all
+but spectrum load no mpmath, scipy is imported only in spectrum's eigensolve
 fallback, and the mu/nu quadrature `geometry.mu_nu_numeric` loads no
 scipy."""
 
@@ -121,15 +122,15 @@ def _imports(tree):
     return out
 
 
-def test_scipy_only_in_verify_and_the_eigensolve_fallback():
+def test_scipy_only_in_the_eigensolve_fallback():
     # every profile and time part is built in the process (closed forms,
     # their sums and scalings, quadratures): geometry and timeops fit no
-    # spline and parse no file, and scipy is an oracle or a fallback
+    # spline and parse no file; the registry finds its extrema by its own
+    # golden-section search, and scipy is only the eigensolve's fallback
     found = {p.name: _imports(ast.parse(p.read_text(), filename=str(p)))
              for p in sorted(SRC.glob("*.py"))}
     users = {(name, scope) for name, imports in found.items()
-             for scope, package in imports
-             if package == "scipy" and name != "verify.py"}
+             for scope, package in imports if package == "scipy"}
     assert users <= {("spectrum.py", "_eigh_tridiagonal")}, users
     for name in ("geometry.py", "timeops.py"):
         assert not {package for _, package in found[name]} \
@@ -140,30 +141,39 @@ TABLES = [["figure1"], ["dispersion"], ["dispersion", "--m", "0.5"],
           ["mu-nu", "--n", "3"], ["mu-nu", "--gamma", "1e-3"],
           ["dark-energy"], ["spectrum", "--x", "1e-8", "--n-states", "3"]]
 NO_SCIPY = """
-import json, os, sys
+import os, sys
 from ncgrav import cli
-out, tables = sys.argv[1], json.loads(sys.argv[2])
+layers = sorted(m for m in sys.modules if m.startswith("ncgrav."))
+out, tables = sys.argv[1], sys.argv[2:]
 rows = []
 for i, argv in enumerate(tables):
-    code = cli.main(argv + ["--output", os.path.join(out, "%d.csv" % i)])
+    code = cli.main(argv.split() + ["--output",
+                                    os.path.join(out, "%d.csv" % i)])
     loaded = {m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath"}
     rows.append([code, sorted(loaded)])
-print(json.dumps(rows))
+late = sorted({"ncgrav.timeops", "ncgrav.waveops", "json"} & set(sys.modules))
+import json
+print(json.dumps([layers, rows, late]))
 """
 
 
 def test_table_subcommands_load_no_scipy(tmp_path):
-    # one fresh interpreter for all seven tables, in order: scipy loads
-    # only with the verify registry (and spectrum's fallback where numpy
-    # bundles no OpenBLAS), and mpmath only with spectrum's 30-digit
-    # effective masses below x = 1e-4
+    # one fresh interpreter for all seven tables, in order: importing the
+    # CLI loads only the layers the tables render; scipy loads only with
+    # spectrum's fallback where numpy bundles no OpenBLAS, mpmath only with
+    # spectrum's 30-digit effective masses below x = 1e-4, and the time
+    # operators and json (looked up before the script imports it) not at all
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(tmp_path), json.dumps(TABLES)],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path),
+         *map(" ".join, TABLES)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
-    rows = json.loads(proc.stdout.splitlines()[-1])
+    layers, rows, late = json.loads(proc.stdout.splitlines()[-1])
+    assert layers == ["ncgrav.%s" % name for name in (
+        "cli", "dispersion", "effective", "geometry", "spectrum")]
     assert rows == [[0, []]] * (len(TABLES) - 1) + [[0, ["mpmath"]]]
+    assert late == []
     assert all((tmp_path / ("%d.csv" % i)).stat().st_size
                for i in range(len(TABLES)))
 

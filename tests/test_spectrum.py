@@ -42,6 +42,23 @@ class TestBohrOracle:
                            % name):
             S.bohr_oracle(**kw)
 
+    @pytest.mark.parametrize("kw, n", [
+        ({"hbar": 1e-160}, 1),          # depth overflows: E was -inf
+        ({"hbar": 1e-170}, 1),          # hbar^2 underflows to 0
+        ({"G": 1e200, "M": 1e200}, 1),  # (G M m_G)^2 overflows
+        ({"hbar": 1e154}, 1),           # depth underflows to 0
+        ({"hbar": 2.3e153}, 3),         # depth subnormal from n = 3
+    ])
+    def test_depth_out_of_range_named(self, kw, n):
+        pars = dict(m_I=1.0, m_G=1.0, V0=0.0, M=1.0, G=1.0, hbar=1.0)
+        pars.update(kw)
+        with pytest.raises(ValueError) as err:
+            S.bohr_oracle(**pars)
+        assert str(err.value) == (
+            "bohr_oracle: the depth m_I (G M m_G)^2/(2 hbar^2 n^2) at n = %d "
+            "leaves the normal float range at m_I = 1.0, m_G = 1.0, M = %r, "
+            "G = %r, hbar = %r" % (n, pars["M"], pars["G"], pars["hbar"]))
+
     def test_effective_composition(self):
         pars = E.effective_params(1.0, E.PlanckUnits(lam=1.0))
         states = S.bohr_oracle(pars.m_I, pars.m_G, pars.V0, M, GN, HBAR, 1)
@@ -127,6 +144,30 @@ class TestSolveRadial:
         with pytest.raises(ValueError, match="^%s must be positive, got "
                            % name):
             S.solve_radial(**kw)
+
+    @pytest.mark.parametrize("masses, words", [
+        # m_I G M m_G overflows: the radius underflows to 0
+        ((1e200, 1e200, 1.0, 1.0), "the Bohr radius hbar^2/(m_I G M m_G) "
+         "leaves the normal float range at m_I = 1e+200, m_G = 1e+200"),
+        # m_I G M m_G underflows to 0: the radius has no float value
+        ((1e-200, 1e-200, 1e-100, 1e-100), "the Bohr radius "),
+        # a normal radius whose 40-radius box overflows
+        ((1.0, 1.0, 1e-7, 1e-300), "the default grid out to 40 Bohr radii "
+         "leaves the normal float range at a = 1.0000000000000001e+307"),
+    ])
+    def test_bohr_scale_named(self, masses, words):
+        m_I, m_G, M, G = masses
+        with pytest.raises(ValueError) as err:
+            S.solve_radial(m_I, m_G, 0.0, M, G, 1.0, check_grid=True)
+        assert str(err.value).startswith(words)
+
+    def test_spectrum_table_names_the_bohr_radius(self):
+        # at lam = 1e-300 the particle mass is 1e292 and the Bohr radius
+        # underflows to 0; the refusal names it, not the grid built from it
+        with pytest.raises(ValueError, match=r"^the Bohr radius hbar\^2/"
+                           r"\(m_I G M m_G\) leaves the normal float range "
+                           r"at m_I = 9\.9+e\+291, "):
+            S.spectrum_table(1e-8, 1.0, E.PlanckUnits(lam=1e-300))
 
     def test_grid_convergence_guard_passes(self):
         states = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, n_states=2,
