@@ -204,6 +204,8 @@ def figure1_data(x_max=10.0, n_points=500):
     """Rows (x, m_I/m_p, m_G/m_p, V0/(m_p c^2)) on a uniform x grid."""
     if x_max <= 0 or n_points < 2:
         raise ValueError("x_max > 0 and n_points >= 2 required")
+    if not math.isfinite(x_max):  # nan passes the test above
+        raise ValueError("figure1_data: x_max must be finite, got %r" % x_max)
     xs = np.linspace(x_max / n_points, x_max, n_points)
     return np.column_stack([xs, mI_over_mp(xs), mG_over_mp(xs),
                             V0_over_mpc2(xs)])

@@ -5,14 +5,14 @@ The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 uniform grid with Dirichlet ends (symmetric tridiagonal), solved by LAPACK's
 bisection in the OpenBLAS numpy bundles (`_eigh_tridiagonal`, the calls of
 scipy's `eigh_tridiagonal`, so no scipy import).  The grid check
-(`solve_radial(check_grid=True)`) solves the grid of half the spacing on a
-second thread while the calling thread solves the grid itself: ctypes
-releases the GIL for the LAPACK calls and the two solves share no buffers,
-so the two run at once and the results are bit for bit those of the two
-solves in turn.  `spectrum_table` joins the numeric states with the
-closed-form oracle into the one spectrum table the CLI renders.  The
-reduction laboratory evaluates the residual of the same physical state at
-three stages:
+(`solve_radial(check_grid=True)`) asks of the grid of half the spacing only
+whether each energy stays within DRIFT_TOL: two Sturm counts per state on
+its Hamiltonian (dstebz with RANGE = 'V') answer that without solving it,
+and the h/2 eigensolve runs only where a count cannot decide (Barth, Martin
+& Wilkinson, Numer. Math. 9 (1967) 386).  `spectrum_table` joins the
+numeric states with the closed-form oracle into the one spectrum table the
+CLI renders.  The reduction laboratory evaluates the residual of the same
+physical state at three stages:
 
   (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
@@ -33,7 +33,6 @@ import functools
 import glob
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +71,11 @@ def bohr_radius(m_I, m_G, M, G, hbar):
 
 def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1.
-    A depth below V0 outside the normal float range (0 included) raises
-    ValueError naming the parameters."""
-    _require_positive(m_I=m_I, m_G=m_G, hbar=hbar)
+    A parameter that is not positive (V0: not finite), or a depth below V0
+    outside the normal float range, raises ValueError naming it."""
+    _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
+    if not math.isfinite(V0):
+        raise ValueError("V0 must be finite, got %r" % V0)
     out = []
     for n in range(1, n_max + 1):
         E = V0 - effective._normal_scale(
@@ -152,6 +153,23 @@ def _check_info(info, routine):
                                     "INFO = %d" % (routine, info.value))
 
 
+def _stebz(stebz, d, e, range_, order, vl=0.0, vu=1.0, iu=1, abstol=0.0):
+    """One LAPACK dstebz call on the contiguous float arrays d and e, with
+    IL = 1: (W cut to the M eigenvalues found, IBLOCK, ISPLIT, INFO)."""
+    ref, real = ctypes.byref, ctypes.c_double
+    size = len(d)
+    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
+    w = np.empty(size)
+    iblock, isplit = np.empty((2, size), dtype=np.int64)
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+    # ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths of the two strings
+    stebz(range_, order, ref(n), ref(real(vl)), ref(real(vu)), ref(_INT(1)),
+          ref(_INT(iu)), ref(real(abstol)), d.ctypes, e.ctypes, ref(m),
+          ref(nsplit), w.ctypes, iblock.ctypes, isplit.ctypes,
+          _work(4 * size), _work(3 * size, np.int64), ref(info), 1, 1)
+    return w[:m.value], iblock, isplit, info
+
+
 def _eigh_tridiagonal(d, e, k, return_vectors):
     """The k lowest eigenvalues (and eigenvectors, as the columns of a
     matrix) of the symmetric tridiagonal matrix with diagonal d and
@@ -167,31 +185,21 @@ def _eigh_tridiagonal(d, e, k, return_vectors):
         return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
                                 eigvals_only=not return_vectors)
     stebz, stein = routines
-    ref, real = ctypes.byref, ctypes.c_double
     d = np.ascontiguousarray(d, dtype=float)
     e = np.ascontiguousarray(e, dtype=float)
-    size = len(d)
-    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
-    w = np.empty(size)
-    iblock, isplit = np.empty((2, size), dtype=np.int64)
-    # RANGE, ORDER, N, VL, VU (both unused), IL, IU, ABSTOL, D, E, M,
-    # NSPLIT, W, IBLOCK, ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths
-    # of the two strings
-    stebz(b"I", b"B" if return_vectors else b"E", ref(n), ref(real(0.0)),
-          ref(real(1.0)), ref(_INT(1)), ref(_INT(k)), ref(real(0.0)),
-          d.ctypes, e.ctypes, ref(m), ref(nsplit), w.ctypes, iblock.ctypes,
-          isplit.ctypes, _work(4 * size), _work(3 * size, np.int64),
-          ref(info), 1, 1)
+    w, iblock, isplit, info = _stebz(stebz, d, e, b"I",
+                                     b"B" if return_vectors else b"E", iu=k)
     _check_info(info, "dstebz")
-    w = w[:m.value]
     if not return_vectors:
         return w
     # N, D, E, M, W, IBLOCK, ISPLIT, Z(LDZ, M), LDZ, WORK(5N), IWORK(N),
     # IFAIL(M), INFO; Z in Fortran order is the C-order array z.T
-    z = np.empty((m.value, size))
-    stein(ref(n), d.ctypes, e.ctypes, ref(m), w.ctypes, iblock.ctypes,
+    ref, size, m = ctypes.byref, len(d), len(w)
+    n = _INT(size)
+    z = np.empty((m, size))
+    stein(ref(n), d.ctypes, e.ctypes, ref(_INT(m)), w.ctypes, iblock.ctypes,
           isplit.ctypes, z.ctypes, ref(n), _work(5 * size),
-          _work(size, np.int64), _work(m.value, np.int64), ref(info))
+          _work(size, np.int64), _work(m, np.int64), ref(info))
     _check_info(info, "dstein")
     # block order to ascending order, as scipy sorts it
     order = np.argsort(w)
@@ -218,10 +226,9 @@ def _grid_step(grid):
     return h
 
 
-def _solve_grid(m_I, m_G, V0, M, G, hbar, l, grid, n_states, return_vectors):
-    """(states, vecs): the lowest n_states bound states below V0 on one grid,
-    and their eigenvectors as columns where return_vectors is set (else
-    None).  The grid is checked by `_grid_step`."""
+def _hamiltonian(m_I, m_G, V0, M, G, hbar, l, grid):
+    """(diag, off): the radial Hamiltonian on a grid checked by `_grid_step`;
+    one whose entries leave the float range raises ValueError."""
     h = _grid_step(grid)
     with np.errstate(all="ignore"):  # a Hamiltonian out of range is refused
         kin = hbar ** 2 / (2 * m_I * h ** 2)
@@ -233,8 +240,14 @@ def _solve_grid(m_I, m_G, V0, M, G, hbar, l, grid, n_states, return_vectors):
             "solve_radial: the Hamiltonian on the grid of spacing h = %g "
             "leaves the float range (hbar^2/(2 m_I h^2) = %g, potential "
             "from %g to %g)" % (h, kin, pot.min(), pot.max()))
-    off = np.full(grid.size - 1, -kin)
-    k = min(n_states + l, grid.size - 2)
+    return diag, np.full(grid.size - 1, -kin)
+
+
+def _solve_grid(diag, off, V0, l, n_states, return_vectors):
+    """(states, vecs): the lowest n_states bound states below V0 of the
+    Hamiltonian (diag, off) at angular index l, and their eigenvectors as
+    columns where return_vectors is set (else None)."""
+    k = min(n_states + l, diag.size - 2)
     if return_vectors:
         vals, vecs = _eigh_tridiagonal(diag, off, k, True)
     else:
@@ -248,6 +261,65 @@ def _solve_grid(m_I, m_G, V0, M, G, hbar, l, grid, n_states, return_vectors):
     return states[:n_states], vecs
 
 
+def _sturm_count(stebz, d, e, x, bound):
+    """N(x), the number of eigenvalues <= x of the tridiagonal matrix (d, e)
+    by LAPACK's Sturm count, or None where dstebz returns INFO != 0.  bound
+    is at least |x| and the Gershgorin bound of the matrix: dstebz with
+    RANGE = 'V' counts the eigenvalues in (VL, VU] = (-2 bound, x], and an
+    ABSTOL of 4 bound is wider than that interval, so its bisection stops at
+    once and M is the count."""
+    w, _, _, info = _stebz(stebz, d, e, b"V", b"B", vl=-2 * bound, vu=x,
+                           abstol=4 * bound)
+    return None if info.value else len(w)
+
+
+def _drift_certified(diag, off, V0, states):
+    """Whether the Sturm counts on the h/2 Hamiltonian (diag, off) prove that
+    no state found at h drifts by more than DRIFT_TOL, so that check_grid
+    needs no h/2 eigensolve.  For the j-th state, E_j < V0, the drift test
+    |E_j - E'|/|E' - V0| <= DRIFT_TOL holds exactly when the j-th h/2
+    eigenvalue E' lies in [lo_j, hi_j], lo_j = (E_j - DRIFT_TOL V0)/(1 -
+    DRIFT_TOL) and hi_j = (E_j + DRIFT_TOL V0)/(1 + DRIFT_TOL); that is
+    N(lo_j + margin) <= j - 1 and N(hi_j - margin) >= j.  False, and the
+    caller solves h/2, where a count fails or does not decide, or where the
+    LAPACK routines did not load."""
+    routines = _lapack()
+    if routines is None:
+        return False
+    stebz, kin = routines[0], -float(off[0])
+    tnorm = float(np.abs(diag).max()) + 2 * kin  # the Gershgorin bound
+    # dstebz's PIVMIN, the least pivot magnitude of its Sturm counts
+    pivmin = np.finfo(float).tiny * max(1.0, kin * kin)
+    # The margin covers every rounding between the counts and the drift
+    # test.  The h/2 eigensolve (dstebz, RANGE = 'I', ABSTOL = 0) bisects
+    # with the same Sturm count until its interval is narrower than
+    # max(ulp tnorm, PIVMIN, 2 ulp |E'|) and returns the midpoint, so its E'
+    # lies within 2 ulp tnorm + PIVMIN of the point where the count steps to
+    # j; a computed count is exact for a matrix within a few ulp of tnorm;
+    # lo_j, hi_j and the drift ratio each round by a few ulp of max(|E_j|,
+    # |V0|).  1024 ulp of the largest of these scales is over a hundred
+    # times their sum, and 4 PIVMIN covers PIVMIN.  A state this close to
+    # its bound is decided by the h/2 eigensolve.
+    scale = max(tnorm, abs(V0), *(abs(s.E) for s in states))
+    margin = 1024 * np.finfo(float).eps * scale + 4 * pivmin
+    lows = [(s.E - DRIFT_TOL * V0) / (1 - DRIFT_TOL) + margin for s in states]
+    highs = [(s.E + DRIFT_TOL * V0) / (1 + DRIFT_TOL) - margin
+             for s in states]
+    bound = max(tnorm, *map(abs, lows + highs))
+    # where 4 bound overflows, or PIVMIN nears tnorm (the pivots of a count
+    # at VL = -2 bound are at least tnorm/2), the counts prove nothing
+    if not (4 * bound < math.inf and 8 * pivmin < tnorm):
+        return False
+    for j, (lo, hi) in enumerate(zip(lows, highs), 1):
+        below = _sturm_count(stebz, diag, off, lo, bound)
+        if below is None or below > j - 1:
+            return False
+        upto = _sturm_count(stebz, diag, off, hi, bound)
+        if upto is None or upto < j:
+            return False
+    return True
+
+
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
                  return_vectors=False, check_grid=False):
     """Lowest bound states below V0 at angular index l.
@@ -258,17 +330,16 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     start above r = 0 and hold at least 2000 nodes; any other raises
     ValueError before a solve starts.
 
-    check_grid solves again on the grid of half the spacing over the same
-    box and raises GridConvergenceError where an energy moves by more than
-    DRIFT_TOL relative to its depth below V0.  That h/2 solve runs on a
-    second thread while this one solves at h: the LAPACK routines are called
-    through ctypes, which releases the GIL, and the two solves share no
-    buffers, so the results, errors and messages are bit for bit those of
-    solving h and then h/2 in turn.  The h/2 solve starts for n_states
-    states; where the grid h holds fewer, it is made again for that count,
-    as the sequential check does, and where it holds none its result is
-    dropped unread.  Errors come in the sequential order: the h solve's,
-    then the h/2 solve's, then GridConvergenceError.
+    check_grid compares with the grid of half the spacing over the same box
+    and raises GridConvergenceError where an energy moves by more than
+    DRIFT_TOL relative to its depth below V0.  Where the grid h holds bound
+    states, the h/2 Hamiltonian is built (and refused out of the float
+    range), and LAPACK's Sturm counts on it certify that each h/2 eigenvalue
+    lies within DRIFT_TOL of its state (`_drift_certified`) without solving
+    for it.  Where a count cannot certify a state (it drifts, or lies within
+    a few hundred ulp of the bound), or the LAPACK routines did not load,
+    the h/2 grid is solved for as many states as h found and compared state
+    by state, so the verdict and the message are those of that comparison.
 
     The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
     the digits of E past about 1e-13 relative are its tolerance, not the
@@ -284,43 +355,19 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
         grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
     grid = np.asarray(grid, dtype=float)
     pars = (m_I, m_G, V0, M, G, hbar, l)
-    if not check_grid:
-        states, vecs = _solve_grid(*pars, grid, n_states, return_vectors)
-        return (states, grid, vecs) if return_vectors else states
-    # refuse a bad grid before the h/2 solve starts (`_solve_grid` checks it
-    # again), and resolve the cached LAPACK routines on this thread, so that
-    # their loader never runs on two threads at once
-    _grid_step(grid)
-    _lapack()
-    fine = np.linspace(grid[0] / 2, grid[-1], grid.size * 2)
-    check = {}
-
-    def solve_fine():
-        try:
-            check["states"] = _solve_grid(*pars, fine, n_states, False)[0]
-        except BaseException as exc:  # raised below, on the calling thread
-            check["error"] = exc
-
-    worker = threading.Thread(target=solve_fine, name="solve_radial h/2")
-    worker.start()
-    try:
-        states, vecs = _solve_grid(*pars, grid, n_states, return_vectors)
-    finally:
-        worker.join()
-    if not states:
-        ref = []  # the sequential check makes no h/2 solve
-    elif len(states) < n_states:
-        ref = _solve_grid(*pars, fine, len(states), False)[0]
-    elif "error" in check:
-        raise check["error"]
-    else:
-        ref = check["states"]
-    for s, sr in zip(states, ref):
-        scale = abs(sr.E - V0) + 1e-300
-        if abs(s.E - sr.E) / scale > DRIFT_TOL:
-            raise GridConvergenceError(
-                "state n=%d drifts %.2e under grid doubling"
-                % (s.n, abs(s.E - sr.E) / scale))
+    states, vecs = _solve_grid(*_hamiltonian(*pars, grid), V0, l, n_states,
+                               return_vectors)
+    if check_grid and states:
+        fine = _hamiltonian(*pars, np.linspace(grid[0] / 2, grid[-1],
+                                               grid.size * 2))
+        if not _drift_certified(*fine, V0, states):
+            ref = _solve_grid(*fine, V0, l, len(states), False)[0]
+            for s, sr in zip(states, ref):
+                scale = abs(sr.E - V0) + 1e-300
+                if abs(s.E - sr.E) / scale > DRIFT_TOL:
+                    raise GridConvergenceError(
+                        "state n=%d drifts %.2e under grid doubling"
+                        % (s.n, abs(s.E - sr.E) / scale))
     return (states, grid, vecs) if return_vectors else states
 
 

@@ -200,6 +200,22 @@ class TestFigure1:
         assert abs(data[-1, 2]) < 1e-10
         assert abs(data[-1, 3]) < 1e-6
 
+    @pytest.mark.parametrize("x_max", [float("nan"), float("inf")])
+    def test_x_max_not_finite_named(self, x_max):
+        # a nan x_max gave all-nan rows
+        with pytest.raises(ValueError) as err:
+            E.figure1_data(x_max=x_max)
+        assert str(err.value) == ("figure1_data: x_max must be finite, got %r"
+                                  % x_max)
+
+    @pytest.mark.parametrize("x_max, n_points", [
+        (0.0, 500), (-1.0, 500), (-float("inf"), 500), (1.0, 1),
+        (float("nan"), 1)])
+    def test_nonpositive_x_max_message_kept(self, x_max, n_points):
+        with pytest.raises(ValueError, match="^x_max > 0 and n_points >= 2 "
+                           "required$"):
+            E.figure1_data(x_max=x_max, n_points=n_points)
+
 
 class TestDarkEnergy:
     def test_headline_number(self):

@@ -4,8 +4,8 @@ production never imports; importing the CLI loads only the layers the tables
 render, the table subcommands load no scipy (spectrum's eigensolve calls
 LAPACK in the OpenBLAS numpy bundles), no time operators and no json, all
 but spectrum load no mpmath, scipy is imported only in spectrum's eigensolve
-fallback, and the mu/nu quadrature `geometry.mu_nu_numeric` loads no
-scipy."""
+fallback, the mu/nu quadrature `geometry.mu_nu_numeric` loads no scipy,
+and spectrum starts no thread."""
 
 import ast
 import json
@@ -135,6 +135,14 @@ def test_scipy_only_in_the_eigensolve_fallback():
     for name in ("geometry.py", "timeops.py"):
         assert not {package for _, package in found[name]} \
             & {"json", "scipy"}, name
+
+
+def test_spectrum_imports_no_threading():
+    # solve_radial's grid check certifies the grid of half the spacing by
+    # Sturm counts on the calling thread
+    tree = ast.parse((SRC / "spectrum.py").read_text())
+    assert not {package for _, package in _imports(tree)} \
+        & {"threading", "concurrent", "multiprocessing"}
 
 
 TABLES = [["figure1"], ["dispersion"], ["dispersion", "--m", "0.5"],

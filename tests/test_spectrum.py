@@ -1,11 +1,11 @@
-"""Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
-scipy's eigh_tridiagonal; the threaded grid check vs the sequential one;
-reduction residual scaling."""
-
-import threading
+"""Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve and
+Sturm count vs scipy's eigh_tridiagonal; the certified grid check vs the
+sequential one; reduction residual scaling."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from ncgrav import effective as E
@@ -41,6 +41,24 @@ class TestBohrOracle:
         with pytest.raises(ValueError, match="^%s must be positive, got "
                            % name):
             S.bohr_oracle(**kw)
+
+    @pytest.mark.parametrize("name", ["M", "G"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_coupling_not_positive_named(self, name, value):
+        # a negative M gave a bound state, E = -5e-7, for a repulsive coupling
+        kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
+        kw[name] = value
+        with pytest.raises(ValueError, match="^%s must be positive, got "
+                           % name):
+            S.bohr_oracle(**kw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_v0_not_finite_named(self, value):
+        # a nan V0 gave E = nan
+        with pytest.raises(ValueError) as err:
+            S.bohr_oracle(M_I, M_G, value, M, GN, HBAR)
+        assert str(err.value) == "V0 must be finite, got %r" % value
 
     @pytest.mark.parametrize("kw, n", [
         ({"hbar": 1e-160}, 1),          # depth overflows: E was -inf
@@ -217,7 +235,7 @@ def _bits(states):
     return [(s.n, s.l, s.E.hex(), s.method) for s in states]
 
 
-def _sequential_check(grid, n_states, l=0, M=M, G=GN):
+def _sequential_check(grid, n_states, l=0, M=M, G=GN, V0=V0):
     """The grid check made in turn: plain solves at h (n_states states) and
     then at h/2 (as many as h found), and the drift test."""
     pars = (M_I, M_G, V0, M, G, HBAR)
@@ -234,9 +252,19 @@ def _sequential_check(grid, n_states, l=0, M=M, G=GN):
     return states
 
 
-class TestThreadedGridCheck:
-    """check_grid solves h/2 on a second thread: the same states, errors
-    and messages as `_sequential_check`, and no thread left behind."""
+def _outcome(check):
+    """The states of a grid check, or the message of its
+    GridConvergenceError."""
+    try:
+        return _bits(check())
+    except S.GridConvergenceError as err:
+        return str(err)
+
+
+class TestGridCheck:
+    """check_grid certifies the h/2 drift by Sturm counts, and solves h/2
+    only where they cannot: the same states, errors and messages as
+    `_sequential_check`."""
 
     # (box in Bohr radii, nodes, n_states, l, M, states found): the usual
     # branch, a box too small for the third state, and no coupling
@@ -247,7 +275,7 @@ class TestThreadedGridCheck:
         calls, solve = [], S._eigh_tridiagonal
 
         def recorded(d, e, k, return_vectors):
-            calls.append((len(d), k, threading.get_ident()))
+            calls.append((len(d), k))
             return solve(d, e, k, return_vectors)
         monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
         return calls
@@ -258,32 +286,68 @@ class TestThreadedGridCheck:
         grid = _grid(box, nodes)
         want = _sequential_check(grid, n_states, l=l, M=mass)
         calls = self._record(monkeypatch)
-        threads = threading.active_count()
         got = S.solve_radial(M_I, M_G, V0, mass, GN, HBAR, l=l, grid=grid,
                              n_states=n_states, check_grid=True)
-        assert threading.active_count() == threads
         assert len(got) == found and _bits(got) == _bits(want)
-        # the sequential calls, the h/2 one on another thread for n_states;
-        # with fewer states found, h/2 is solved again for that count
-        main = threading.get_ident()
-        again = [(2 * nodes, found + l)] if 0 < found < n_states else []
-        assert [c[:2] for c in calls if c[2] == main] \
-            == [(nodes, n_states + l)] + again
-        assert [c[:2] for c in calls if c[2] != main] \
-            == [(2 * nodes, n_states + l)]
+        # the counts certify every state found: the solve at h is the only
+        # eigensolve
+        assert calls == [(nodes, n_states + l)]
+
+    @pytest.mark.parametrize("lapack", [True, False])
+    def test_counts_failing_solve_h_over_2(self, monkeypatch, lapack):
+        # with every count failing, or no LAPACK routines loaded (scipy
+        # solves both grids), h/2 is solved for the states h found
+        grid = _grid(8, 2000)
+        want = _sequential_check(grid, 3)
+        if lapack:
+            monkeypatch.setattr(S, "_sturm_count", lambda *args: None)
+        else:
+            monkeypatch.setattr(S, "_lapack", lambda: None)
+        calls = self._record(monkeypatch)
+        got = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                             check_grid=True)
+        assert _bits(got) == _bits(want) and len(got) == 2
+        assert calls == [(2000, 3), (4000, 2)]
+
+    def test_h_solve_error_first(self, monkeypatch):
+        grid, counts = _grid(40, 4000), []
+
+        def failing(d, e, k, return_vectors):
+            raise np.linalg.LinAlgError("h solve failed")
+        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
+        monkeypatch.setattr(S, "_sturm_count",
+                            lambda *args: counts.append(args))
+        with pytest.raises(np.linalg.LinAlgError, match="^h solve failed$"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                           check_grid=True)
+        assert counts == []
+
+    def test_h_over_2_error_propagates(self, monkeypatch):
+        grid, solve = _grid(40, 4000), S._eigh_tridiagonal
+
+        def failing(d, e, k, return_vectors):
+            if len(d) == 2 * grid.size:
+                raise np.linalg.LinAlgError("h/2 solve failed")
+            return solve(d, e, k, return_vectors)
+        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
+        # certified: no h/2 solve is made
+        assert len(S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                                  check_grid=True)) == 3
+        monkeypatch.setattr(S, "_sturm_count", lambda *args: None)
+        with pytest.raises(np.linalg.LinAlgError, match="^h/2 solve failed$"):
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
+                           check_grid=True)
 
     def test_convergence_error_same_message(self):
         # one node per Bohr radius: the ground state drifts by 1.2e-1
         grid = _grid(2000, 2000)
         with pytest.raises(S.GridConvergenceError) as want:
             _sequential_check(grid, 3)
-        threads = threading.active_count()
         with pytest.raises(S.GridConvergenceError) as got:
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
                            check_grid=True)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("state n=1 drifts 1.2")
-        assert threading.active_count() == threads
 
     def test_fine_hamiltonian_out_of_range_only_with_states(self):
         # node 0 at 1.2e-154 holds a potential near 1e308, which doubles
@@ -298,44 +362,32 @@ class TestThreadedGridCheck:
             S.solve_radial(M_I, M_G, V0, M, deep, HBAR, grid=grid,
                            n_states=2, check_grid=True)
         assert str(got.value) == str(want.value)
-        # at l = 1 the grid h holds no state below V0, so the h/2 solve,
-        # which is out of range, is not made
+        # at l = 1 the grid h holds no state below V0, so the h/2
+        # Hamiltonian, which is out of range, is not built
         with pytest.raises(ValueError, match="leaves the float range"):
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=1, grid=fine,
                            n_states=2)
         assert S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=1, grid=grid,
                               n_states=2, check_grid=True) == []
 
-    def test_h_solve_error_first_and_worker_joined(self, monkeypatch):
-        grid, solve, fine = _grid(40, 4000), S._eigh_tridiagonal, []
+    # spacings in Bohr radii at which some state's drift crosses DRIFT_TOL:
+    # about 0.15-0.4 at l = 0, 0.4-0.7 at l = 1, 1.2-2.2 at l = 2
+    SPACING = {0: 0.25, 1: 0.55, 2: 1.7}
 
-        def failing(d, e, k, return_vectors):
-            if len(d) == grid.size:
-                raise np.linalg.LinAlgError("h solve failed")
-            fine.append(solve(d, e, k, return_vectors))
-            return fine[-1]
-        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
-        threads = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="^h solve failed$"):
-            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
-                           check_grid=True)
-        assert threading.active_count() == threads
-        assert len(fine) == 1  # the worker ran to its end before the raise
-
-    def test_h_over_2_error_after_h(self, monkeypatch):
-        grid, solve = _grid(40, 4000), S._eigh_tridiagonal
-
-        def failing(d, e, k, return_vectors):
-            if len(d) == 2 * grid.size:
-                raise np.linalg.LinAlgError("h/2 solve failed")
-            return solve(d, e, k, return_vectors)
-        monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
-        with pytest.raises(np.linalg.LinAlgError, match="^h/2 solve failed$"):
-            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
-                           check_grid=True)
-        # with no state at h, the failed h/2 solve is dropped unread
-        assert S.solve_radial(M_I, M_G, V0, 0.0, GN, HBAR, grid=grid,
-                              check_grid=True) == []
+    @given(l=st.integers(0, 2), stretch=st.floats(0.6, 1.4),
+           nodes=st.integers(2000, 2200), n_states=st.integers(1, 3),
+           v0=st.sampled_from([V0, -0.5, 2e-6]))
+    @example(l=0, stretch=0.6, nodes=2000, n_states=3, v0=V0)   # passes
+    @example(l=0, stretch=1.4, nodes=2000, n_states=3, v0=V0)   # drifts
+    def test_verdict_and_message_as_sequential(self, l, stretch, nodes,
+                                               n_states, v0):
+        h = self.SPACING[l] * stretch
+        grid = _grid(h * nodes, nodes)
+        got = _outcome(lambda: S.solve_radial(
+            M_I, M_G, v0, M, GN, HBAR, l=l, grid=grid, n_states=n_states,
+            check_grid=True))
+        assert got == _outcome(lambda: _sequential_check(grid, n_states, l=l,
+                                                         V0=v0))
 
 
 def _scipy(d, e, k, return_vectors):
@@ -360,6 +412,25 @@ def _hamiltonians(seed, count):
         yield diag, np.full(n - 1, -kin), k + l
 
 
+class TestSturmCountOracle:
+    """`_sturm_count` is the number of scipy's eigenvalues <= x, also a
+    certificate margin (1024 ulp of the matrix norm) away from them."""
+
+    def test_seeded_hamiltonians(self):
+        stebz = S._lapack()[0]
+        for d, e, k in _hamiltonians(2701, 12):
+            w = _scipy(d, e, k + 1, False)
+            tnorm = np.abs(d).max() + 2 * abs(e[0])
+            gap = 1024 * np.finfo(float).eps * tnorm
+            points = np.concatenate([w - gap, w + gap, [w[0] - 1.0],
+                                     (w[:-1] + w[1:]) / 2])
+            points = points[points < w[-1] - gap]
+            for x in points:
+                bound = max(tnorm, abs(x))
+                assert S._sturm_count(stebz, d, e, x, bound) \
+                    == np.count_nonzero(w <= x)
+
+
 class TestEigensolveOracle:
     """`_eigh_tridiagonal` calls LAPACK's dstebz (and dstein) in numpy's
     OpenBLAS as scipy's eigh_tridiagonal does: the same bits."""
@@ -372,8 +443,8 @@ class TestEigensolveOracle:
     @pytest.mark.parametrize("x", ["1e-8", "2e-8", "5e-8", "1e-7"])
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_spectrum_table_solves_bit_identical(self, monkeypatch, x, l):
-        # every eigensolve of the cli-tables spectrum rows (the grid and its
-        # doubling), at l = 0, 1, 2
+        # the one eigensolve of the cli-tables spectrum rows (the Sturm
+        # counts certify the doubling), at l = 0, 1, 2
         calls, solve = [], S._eigh_tridiagonal
 
         def recorded(d, e, k, return_vectors):
@@ -381,7 +452,7 @@ class TestEigensolveOracle:
             return calls[-1][-1]
         monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
         table = S.spectrum_table(float(x), 1.0, E.PlanckUnits(), l=l)
-        assert len(table) == 3 and len(calls) == 2
+        assert len(table) == 3 and len(calls) == 1
         for d, e, k, got in calls:
             assert got.tobytes() == _scipy(d, e, k, False).tobytes()
 
