@@ -143,6 +143,8 @@ def _ratios(x):
 def effective_params(m, units=PlanckUnits()):
     if m <= 0:
         raise ValueError("m must be positive")
+    if math.isnan(m):
+        raise ValueError("effective_params: m must be a number, got nan")
     x = m * units.c ** 2 * units.lam / units.hbar  # = m / m_p
     mi, mg, v0 = _ratios(x)
     return EffectiveParams(x=x, m_I=m * mi, m_G=m * mg,
@@ -214,10 +216,18 @@ def figure1_data(x_max=10.0, n_points=500):
 def dark_energy_estimate(m_U, r_U, units=PlanckUnits()):
     """Constant-term energy density -(m_p c^2 / 2) (m_U / (4.5 m_p r_U^3)),
     i.e. a mass density of magnitude m_U / (9 r_U^3); the sign is opposite to
-    observed dark energy and is reported as such."""
+    observed dark energy and is reported as such.  A non-finite m_U or r_U,
+    or a 9 r_U^3 outside the normal float range, raises ValueError naming
+    it."""
     if m_U < 0 or r_U <= 0:
         raise ValueError("m_U >= 0 and r_U > 0 required")
-    mass_density = m_U / (9.0 * r_U ** 3)
+    for name, value in (("m_U", m_U), ("r_U", r_U)):
+        if not math.isfinite(value):
+            raise ValueError("dark_energy_estimate: %s must be finite, got %r"
+                             % (name, value))
+    mass_density = m_U / _normal_scale(lambda: 9.0 * r_U ** 3,
+                                       "dark_energy_estimate: 9 r_U^3",
+                                       r_U=r_U)
     return {
         "mass_density": mass_density,
         "energy_density": -mass_density * units.c ** 2,

@@ -7,12 +7,13 @@ bisection in the OpenBLAS numpy bundles (`_eigh_tridiagonal`, the calls of
 scipy's `eigh_tridiagonal`, so no scipy import).  The grid check
 (`solve_radial(check_grid=True)`) asks of the grid of half the spacing only
 whether each energy stays within DRIFT_TOL: two Sturm counts per state on
-its Hamiltonian (dstebz with RANGE = 'V') answer that without solving it,
-and the h/2 eigensolve runs only where a count cannot decide (Barth, Martin
-& Wilkinson, Numer. Math. 9 (1967) 386).  `spectrum_table` joins the
-numeric states with the closed-form oracle into the one spectrum table the
-CLI renders.  The reduction laboratory evaluates the residual of the same
-physical state at three stages:
+its Hamiltonian, all made by one call of dlaebz (dstebz's count kernel),
+answer that without solving it, and the h/2 eigensolve runs only where a
+count cannot decide (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
+386).  `spectrum_table` joins the numeric states with the closed-form
+oracle into the one spectrum table the CLI renders.  The reduction
+laboratory evaluates the residual of the same physical state at three
+stages:
 
   (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
@@ -117,15 +118,16 @@ def default_grid(m_I, m_G, M, G, hbar, n_max=3):
 
 @functools.cache
 def _lapack():
-    """(dstebz, dstein) of the ILP64 OpenBLAS that numpy's wheels bundle in
-    numpy.libs beside the package, which numpy has already mapped into the
-    process; None where that library or its symbols do not resolve, and then
-    `_eigh_tridiagonal` goes through scipy."""
+    """(dstebz, dstein, dlaebz) of the ILP64 OpenBLAS that numpy's wheels
+    bundle in numpy.libs beside the package, which numpy has already mapped
+    into the process; None where that library or a symbol does not resolve,
+    and then scipy solves and check_grid solves h/2."""
     libs = os.path.dirname(np.__file__) + ".libs"
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
         try:
             lib = ctypes.CDLL(path)
-            stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
+            stebz, stein, laebz = (lib.scipy_dstebz_64_, lib.scipy_dstein_64_,
+                                   lib.scipy_dlaebz_64_)
         except (OSError, AttributeError):
             continue
         # every Fortran argument is a pointer; dstebz's two character
@@ -134,8 +136,9 @@ def _lapack():
         stebz.argtypes = [ctypes.c_char_p] * 2 + [ptr] * 16 \
             + [ctypes.c_size_t] * 2
         stein.argtypes = [ptr] * 13
-        stebz.restype = stein.restype = None
-        return stebz, stein
+        laebz.argtypes = [ptr] * 20
+        stebz.restype = stein.restype = laebz.restype = None
+        return stebz, stein, laebz
     return None
 
 
@@ -153,23 +156,6 @@ def _check_info(info, routine):
                                     "INFO = %d" % (routine, info.value))
 
 
-def _stebz(stebz, d, e, range_, order, vl=0.0, vu=1.0, iu=1, abstol=0.0):
-    """One LAPACK dstebz call on the contiguous float arrays d and e, with
-    IL = 1: (W cut to the M eigenvalues found, IBLOCK, ISPLIT, INFO)."""
-    ref, real = ctypes.byref, ctypes.c_double
-    size = len(d)
-    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
-    w = np.empty(size)
-    iblock, isplit = np.empty((2, size), dtype=np.int64)
-    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
-    # ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths of the two strings
-    stebz(range_, order, ref(n), ref(real(vl)), ref(real(vu)), ref(_INT(1)),
-          ref(_INT(iu)), ref(real(abstol)), d.ctypes, e.ctypes, ref(m),
-          ref(nsplit), w.ctypes, iblock.ctypes, isplit.ctypes,
-          _work(4 * size), _work(3 * size, np.int64), ref(info), 1, 1)
-    return w[:m.value], iblock, isplit, info
-
-
 def _eigh_tridiagonal(d, e, k, return_vectors):
     """The k lowest eigenvalues (and eigenvectors, as the columns of a
     matrix) of the symmetric tridiagonal matrix with diagonal d and
@@ -184,22 +170,29 @@ def _eigh_tridiagonal(d, e, k, return_vectors):
         from scipy.linalg import eigh_tridiagonal
         return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
                                 eigvals_only=not return_vectors)
-    stebz, stein = routines
+    stebz, stein, _ = routines
     d = np.ascontiguousarray(d, dtype=float)
     e = np.ascontiguousarray(e, dtype=float)
-    w, iblock, isplit, info = _stebz(stebz, d, e, b"I",
-                                     b"B" if return_vectors else b"E", iu=k)
+    ref, real, size = ctypes.byref, ctypes.c_double, len(d)
+    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
+    w, (iblock, isplit) = np.empty(size), np.empty((2, size), np.int64)
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+    # ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths of the two strings
+    stebz(b"I", b"B" if return_vectors else b"E", ref(n), ref(real()),
+          ref(real()), ref(_INT(1)), ref(_INT(k)), ref(real()), d.ctypes,
+          e.ctypes, ref(m), ref(nsplit), w.ctypes, iblock.ctypes,
+          isplit.ctypes, _work(4 * size), _work(3 * size, np.int64),
+          ref(info), 1, 1)
     _check_info(info, "dstebz")
+    w = w[:m.value]
     if not return_vectors:
         return w
     # N, D, E, M, W, IBLOCK, ISPLIT, Z(LDZ, M), LDZ, WORK(5N), IWORK(N),
     # IFAIL(M), INFO; Z in Fortran order is the C-order array z.T
-    ref, size, m = ctypes.byref, len(d), len(w)
-    n = _INT(size)
-    z = np.empty((m, size))
-    stein(ref(n), d.ctypes, e.ctypes, ref(_INT(m)), w.ctypes, iblock.ctypes,
+    z = np.empty((m.value, size))
+    stein(ref(n), d.ctypes, e.ctypes, ref(m), w.ctypes, iblock.ctypes,
           isplit.ctypes, z.ctypes, ref(n), _work(5 * size),
-          _work(size, np.int64), _work(m, np.int64), ref(info))
+          _work(size, np.int64), _work(m.value, np.int64), ref(info))
     _check_info(info, "dstein")
     # block order to ascending order, as scipy sorts it
     order = np.argsort(w)
@@ -261,16 +254,31 @@ def _solve_grid(diag, off, V0, l, n_states, return_vectors):
     return states[:n_states], vecs
 
 
-def _sturm_count(stebz, d, e, x, bound):
-    """N(x), the number of eigenvalues <= x of the tridiagonal matrix (d, e)
-    by LAPACK's Sturm count, or None where dstebz returns INFO != 0.  bound
-    is at least |x| and the Gershgorin bound of the matrix: dstebz with
-    RANGE = 'V' counts the eigenvalues in (VL, VU] = (-2 bound, x], and an
-    ABSTOL of 4 bound is wider than that interval, so its bisection stops at
-    once and M is the count."""
-    w, _, _, info = _stebz(stebz, d, e, b"V", b"B", vl=-2 * bound, vu=x,
-                           abstol=4 * bound)
-    return None if info.value else len(w)
+def _stebz_split(d, e):
+    """(E2, PIVMIN) of dstebz for the matrix (d, e): E2 = e^2 but 0 where its
+    split test |d_j d_j+1| ulp^2 + tiny > e_j^2 finds e_j negligible, and
+    PIVMIN = tiny max(1, max E2), the least pivot of its Sturm counts."""
+    fl = np.finfo(float)
+    e2 = e * e
+    e2[np.abs(d[1:] * d[:-1]) * fl.eps ** 2 + fl.tiny > e2] = 0.0
+    return e2, fl.tiny * max(1.0, float(e2.max(initial=0.0)))
+
+
+def _sturm_counts(laebz, d, e2, pivmin, ab):
+    """N(x) for each x of the float array ab of shape (2, k), the number of
+    eigenvalues <= x of the matrix (d, `_stebz_split`), by the Sturm count
+    of dstebz's bisection: one dlaebz call, IJOB = 1; None where INFO != 0."""
+    ref, k, mout, info = ctypes.byref, ab.shape[1], _INT(), _INT()
+    nab, unread = np.empty((2, k), dtype=np.int64), np.zeros(k).ctypes
+    # IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
+    # NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO; AB and NAB, (k, 2) in
+    # Fortran order, are ab and nab.  IJOB = 1 reads only N, MMAX, MINP,
+    # PIVMIN, D, E2 and AB, so the rest point at zeros
+    laebz(ref(_INT(1)), unread, ref(_INT(len(d))), ref(_INT(k)), ref(_INT(k)),
+          unread, unread, unread, ref(ctypes.c_double(pivmin)), d.ctypes,
+          unread, e2.ctypes, unread, ab.ctypes, unread, ref(mout), nab.ctypes,
+          unread, unread, ref(info))
+    return None if info.value else nab
 
 
 def _drift_certified(diag, off, V0, states):
@@ -280,44 +288,35 @@ def _drift_certified(diag, off, V0, states):
     |E_j - E'|/|E' - V0| <= DRIFT_TOL holds exactly when the j-th h/2
     eigenvalue E' lies in [lo_j, hi_j], lo_j = (E_j - DRIFT_TOL V0)/(1 -
     DRIFT_TOL) and hi_j = (E_j + DRIFT_TOL V0)/(1 + DRIFT_TOL); that is
-    N(lo_j + margin) <= j - 1 and N(hi_j - margin) >= j.  False, and the
-    caller solves h/2, where a count fails or does not decide, or where the
-    LAPACK routines did not load."""
+    N(lo_j + margin) <= j - 1 and N(hi_j - margin) >= j, 2k counts that one
+    `_sturm_counts` call makes.  False, and the caller solves h/2, where the
+    counts fail or do not decide, or the LAPACK routines did not load.  The
+    margin argument below holds for any PIVMIN, which needs no guard."""
     routines = _lapack()
     if routines is None:
         return False
-    stebz, kin = routines[0], -float(off[0])
-    tnorm = float(np.abs(diag).max()) + 2 * kin  # the Gershgorin bound
-    # dstebz's PIVMIN, the least pivot magnitude of its Sturm counts
-    pivmin = np.finfo(float).tiny * max(1.0, kin * kin)
+    tnorm = float(np.abs(diag).max()) - 2 * float(off[0])  # Gershgorin
+    e2, pivmin = _stebz_split(diag, off)
     # The margin covers every rounding between the counts and the drift
     # test.  The h/2 eigensolve (dstebz, RANGE = 'I', ABSTOL = 0) bisects
     # with the same Sturm count until its interval is narrower than
     # max(ulp tnorm, PIVMIN, 2 ulp |E'|) and returns the midpoint, so its E'
     # lies within 2 ulp tnorm + PIVMIN of the point where the count steps to
-    # j; a computed count is exact for a matrix within a few ulp of tnorm;
-    # lo_j, hi_j and the drift ratio each round by a few ulp of max(|E_j|,
-    # |V0|).  1024 ulp of the largest of these scales is over a hundred
-    # times their sum, and 4 PIVMIN covers PIVMIN.  A state this close to
-    # its bound is decided by the h/2 eigensolve.
+    # j; a computed count is exact for a matrix within a few ulp of tnorm
+    # plus 2 PIVMIN of (diag, off), however large PIVMIN is (Demmel, Dhillon
+    # & Ren, ETNA 3 (1995) 116); lo_j, hi_j and the drift ratio each round
+    # by a few ulp of max(|E_j|, |V0|).  1024 ulp of the largest of these
+    # scales is over a hundred times their sum, and 4 PIVMIN covers 3 PIVMIN.
     scale = max(tnorm, abs(V0), *(abs(s.E) for s in states))
     margin = 1024 * np.finfo(float).eps * scale + 4 * pivmin
-    lows = [(s.E - DRIFT_TOL * V0) / (1 - DRIFT_TOL) + margin for s in states]
-    highs = [(s.E + DRIFT_TOL * V0) / (1 + DRIFT_TOL) - margin
-             for s in states]
-    bound = max(tnorm, *map(abs, lows + highs))
-    # where 4 bound overflows, or PIVMIN nears tnorm (the pivots of a count
-    # at VL = -2 bound are at least tnorm/2), the counts prove nothing
-    if not (4 * bound < math.inf and 8 * pivmin < tnorm):
+    E = np.array([s.E for s in states])
+    ab = np.array([(E - DRIFT_TOL * V0) / (1 - DRIFT_TOL) + margin,
+                   (E + DRIFT_TOL * V0) / (1 + DRIFT_TOL) - margin])
+    if not np.isfinite(ab).all():  # an end that overflows proves nothing
         return False
-    for j, (lo, hi) in enumerate(zip(lows, highs), 1):
-        below = _sturm_count(stebz, diag, off, lo, bound)
-        if below is None or below > j - 1:
-            return False
-        upto = _sturm_count(stebz, diag, off, hi, bound)
-        if upto is None or upto < j:
-            return False
-    return True
+    nab = _sturm_counts(routines[2], diag, e2, pivmin, ab)
+    return nab is not None and all(n_lo <= j < n_hi
+                                   for j, (n_lo, n_hi) in enumerate(nab.T))
 
 
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
@@ -334,12 +333,13 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     and raises GridConvergenceError where an energy moves by more than
     DRIFT_TOL relative to its depth below V0.  Where the grid h holds bound
     states, the h/2 Hamiltonian is built (and refused out of the float
-    range), and LAPACK's Sturm counts on it certify that each h/2 eigenvalue
-    lies within DRIFT_TOL of its state (`_drift_certified`) without solving
-    for it.  Where a count cannot certify a state (it drifts, or lies within
-    a few hundred ulp of the bound), or the LAPACK routines did not load,
-    the h/2 grid is solved for as many states as h found and compared state
-    by state, so the verdict and the message are those of that comparison.
+    range), and LAPACK's Sturm counts on it, one dlaebz call for all the
+    states, certify that each h/2 eigenvalue lies within DRIFT_TOL of its
+    state (`_drift_certified`) without solving for it.  Where the counts
+    cannot certify a state (it drifts, or lies within a few hundred ulp of
+    the bound), or the LAPACK routines did not load, the h/2 grid is solved
+    for as many states as h found and compared state by state, so the
+    verdict and the message are those of that comparison.
 
     The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
     the digits of E past about 1e-13 relative are its tolerance, not the

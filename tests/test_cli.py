@@ -385,6 +385,16 @@ class TestDarkEnergy:
         assert err.startswith("error: dark-energy column energy_density is "
                               "-inf at m-universe = 1e+308")
 
+    @pytest.mark.parametrize("r_universe", ["1e-200", "1e200"])
+    def test_r_cubed_out_of_range_exit_2(self, capsys, r_universe):
+        # r_U^3 underflowed ("float division by zero") or overflowed
+        # ("(34, 'Numerical result out of range')")
+        code, out, err = run_cli(capsys, "dark-energy", "--r-universe",
+                                 r_universe)
+        assert (code, out) == (2, "")
+        assert err == ("error: dark_energy_estimate: 9 r_U^3 leaves the "
+                       "normal float range at r_U = %r\n" % float(r_universe))
+
     def test_runs_as_module_from_checkout(self, capsys):
         # python -m ncgrav with only the checkout's src/ on the path
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -37,6 +37,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             E.effective_params(0.0)
 
+    def test_rejects_nan_mass_by_name(self):
+        # a nan m passed the m <= 0 test and gave all-nan parameters
+        with pytest.raises(ValueError, match="^effective_params: m must be a "
+                           "number, got nan$"):
+            E.effective_params(math.nan)
+
     @pytest.mark.parametrize("name", ["lam", "c", "hbar", "G"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_units_refuse_bad_constant_by_name(self, name, value):
@@ -231,3 +237,26 @@ class TestDarkEnergy:
         a = E.dark_energy_estimate(1e53, 1e26)["mass_density"]
         b = E.dark_energy_estimate(1e53, 2e26)["mass_density"]
         assert abs(a / b - 8.0) < 1e-12
+
+    @pytest.mark.parametrize("m_U, r_U, message", [
+        # r_U^3 underflowed to a division by zero, or overflowed
+        (1e53, 1e-200, "9 r_U^3 leaves the normal float range at "
+         "r_U = 1e-200"),
+        (1e53, 1e200, "9 r_U^3 leaves the normal float range at "
+         "r_U = 1e+200"),
+        # nan values, and a mass density of 0.0 at r_U = inf
+        (math.nan, 1e26, "m_U must be finite, got nan"),
+        (1e53, math.nan, "r_U must be finite, got nan"),
+        (1e53, math.inf, "r_U must be finite, got inf"),
+        (math.inf, 1e26, "m_U must be finite, got inf")])
+    def test_out_of_range_named(self, m_U, r_U, message):
+        with pytest.raises(ValueError) as err:
+            E.dark_energy_estimate(m_U, r_U)
+        assert str(err.value) == "dark_energy_estimate: " + message
+
+    @pytest.mark.parametrize("m_U, r_U", [
+        (-1.0, 1e26), (-math.inf, 1e26), (1e53, 0.0), (1e53, -math.inf)])
+    def test_sign_message_kept(self, m_U, r_U):
+        with pytest.raises(ValueError, match="^m_U >= 0 and r_U > 0 "
+                           "required$"):
+            E.dark_energy_estimate(m_U, r_U)

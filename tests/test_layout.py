@@ -5,7 +5,8 @@ render, the table subcommands load no scipy (spectrum's eigensolve calls
 LAPACK in the OpenBLAS numpy bundles), no time operators and no json, all
 but spectrum load no mpmath, scipy is imported only in spectrum's eigensolve
 fallback, the mu/nu quadrature `geometry.mu_nu_numeric` loads no scipy,
-and spectrum starts no thread."""
+spectrum starts no thread, and where numpy bundles its OpenBLAS, spectrum
+resolves the three LAPACK routines it calls."""
 
 import ast
 import json
@@ -163,6 +164,22 @@ late = sorted({"ncgrav.timeops", "ncgrav.waveops", "json"} & set(sys.modules))
 import json
 print(json.dumps([layers, rows, late]))
 """
+
+
+def test_spectrum_lapack_resolves_every_routine():
+    # where numpy bundles its OpenBLAS, a routine that did not resolve would
+    # send every eigensolve to scipy and every grid check to the h/2 solve
+    import numpy as np
+    import pytest
+    from ncgrav import spectrum
+
+    bundle = Path(np.__file__).parent.with_name("numpy.libs")
+    if not list(bundle.glob("libscipy_openblas64_*")):
+        pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+    routines = spectrum._lapack()
+    assert routines is not None
+    assert [r.__name__ for r in routines] == [
+        "scipy_dstebz_64_", "scipy_dstein_64_", "scipy_dlaebz_64_"]
 
 
 def test_table_subcommands_load_no_scipy(tmp_path):

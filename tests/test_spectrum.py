@@ -1,6 +1,9 @@
-"""Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve and
-Sturm count vs scipy's eigh_tridiagonal; the certified grid check vs the
-sequential one; reduction residual scaling."""
+"""Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
+scipy's eigh_tridiagonal; the batched Sturm counts vs dstebz's and scipy's
+counts; the certified grid check vs the sequential one; reduction residual
+scaling."""
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -280,18 +283,29 @@ class TestGridCheck:
         monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
         return calls
 
+    def _record_counts(self, monkeypatch):
+        calls, count = [], S._sturm_counts
+
+        def recorded(laebz, d, e2, pivmin, ab):
+            calls.append((len(d), ab.shape[1]))
+            return count(laebz, d, e2, pivmin, ab)
+        monkeypatch.setattr(S, "_sturm_counts", recorded)
+        return calls
+
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     def test_states_bit_identical(self, monkeypatch, branch):
         box, nodes, n_states, l, mass, found = self.BRANCHES[branch]
         grid = _grid(box, nodes)
         want = _sequential_check(grid, n_states, l=l, M=mass)
         calls = self._record(monkeypatch)
+        counts = self._record_counts(monkeypatch)
         got = S.solve_radial(M_I, M_G, V0, mass, GN, HBAR, l=l, grid=grid,
                              n_states=n_states, check_grid=True)
         assert len(got) == found and _bits(got) == _bits(want)
         # the counts certify every state found: the solve at h is the only
-        # eigensolve
+        # eigensolve, and one count call on the h/2 grid covers every state
         assert calls == [(nodes, n_states + l)]
+        assert counts == ([(2 * nodes, found)] if found else [])
 
     @pytest.mark.parametrize("lapack", [True, False])
     def test_counts_failing_solve_h_over_2(self, monkeypatch, lapack):
@@ -300,7 +314,7 @@ class TestGridCheck:
         grid = _grid(8, 2000)
         want = _sequential_check(grid, 3)
         if lapack:
-            monkeypatch.setattr(S, "_sturm_count", lambda *args: None)
+            monkeypatch.setattr(S, "_sturm_counts", lambda *args: None)
         else:
             monkeypatch.setattr(S, "_lapack", lambda: None)
         calls = self._record(monkeypatch)
@@ -315,7 +329,7 @@ class TestGridCheck:
         def failing(d, e, k, return_vectors):
             raise np.linalg.LinAlgError("h solve failed")
         monkeypatch.setattr(S, "_eigh_tridiagonal", failing)
-        monkeypatch.setattr(S, "_sturm_count",
+        monkeypatch.setattr(S, "_sturm_counts",
                             lambda *args: counts.append(args))
         with pytest.raises(np.linalg.LinAlgError, match="^h solve failed$"):
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
@@ -333,7 +347,7 @@ class TestGridCheck:
         # certified: no h/2 solve is made
         assert len(S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
                                   check_grid=True)) == 3
-        monkeypatch.setattr(S, "_sturm_count", lambda *args: None)
+        monkeypatch.setattr(S, "_sturm_counts", lambda *args: None)
         with pytest.raises(np.linalg.LinAlgError, match="^h/2 solve failed$"):
             S.solve_radial(M_I, M_G, V0, M, GN, HBAR, grid=grid,
                            check_grid=True)
@@ -412,12 +426,42 @@ def _hamiltonians(seed, count):
         yield diag, np.full(n - 1, -kin), k + l
 
 
+def _stebz_count(d, e, x, bound):
+    """N(x) by one LAPACK dstebz call with RANGE = 'V', the reference count
+    of `_sturm_counts`: dstebz counts the eigenvalues in (VL, VU] = (-2
+    bound, x], and an ABSTOL of 4 bound is wider than that interval, so its
+    bisection stops at once and M is the count.  bound is at least |x| and
+    the Gershgorin bound of (d, e)."""
+    stebz, ref, real = S._lapack()[0], ctypes.byref, ctypes.c_double
+    size = len(d)
+    n, m, nsplit, info = (ctypes.c_int64(v) for v in (size, 0, 0, 0))
+    w, work = np.empty(size), np.empty(4 * size)
+    ints = np.empty(5 * size, dtype=np.int64)  # IBLOCK, ISPLIT, IWORK(3N)
+    stebz(b"V", b"B", ref(n), ref(real(-2 * bound)), ref(real(x)),
+          ref(ctypes.c_int64(1)), ref(ctypes.c_int64(1)),
+          ref(real(4 * bound)), d.ctypes, e.ctypes, ref(m), ref(nsplit),
+          w.ctypes, ints.ctypes, ints[size:].ctypes, work.ctypes,
+          ints[2 * size:].ctypes, ref(info), 1, 1)
+    assert info.value == 0
+    return m.value
+
+
+def _batched(d, e, points):
+    """`_sturm_counts` at points, given once as the lower ends of the
+    intervals and once, reversed, as the upper ends: both rows of NAB in
+    the order of points."""
+    ab = np.array([points, points[::-1]])
+    nab = S._sturm_counts(S._lapack()[2], d, *S._stebz_split(d, e), ab)
+    return nab[0].tolist(), nab[1][::-1].tolist()
+
+
 class TestSturmCountOracle:
-    """`_sturm_count` is the number of scipy's eigenvalues <= x, also a
-    certificate margin (1024 ulp of the matrix norm) away from them."""
+    """`_sturm_counts` makes in one dlaebz call the counts that dstebz with
+    RANGE = 'V' makes one per call, and each is the number of scipy's
+    eigenvalues <= x, also a certificate margin (1024 ulp of the matrix
+    norm) away from them."""
 
     def test_seeded_hamiltonians(self):
-        stebz = S._lapack()[0]
         for d, e, k in _hamiltonians(2701, 12):
             w = _scipy(d, e, k + 1, False)
             tnorm = np.abs(d).max() + 2 * abs(e[0])
@@ -425,10 +469,38 @@ class TestSturmCountOracle:
             points = np.concatenate([w - gap, w + gap, [w[0] - 1.0],
                                      (w[:-1] + w[1:]) / 2])
             points = points[points < w[-1] - gap]
-            for x in points:
-                bound = max(tnorm, abs(x))
-                assert S._sturm_count(stebz, d, e, x, bound) \
-                    == np.count_nonzero(w <= x)
+            want = [np.count_nonzero(w <= x) for x in points]
+            assert [_stebz_count(d, e, x, max(tnorm, abs(x)))
+                    for x in points] == want
+            assert _batched(d, e, points) == (want, want)
+
+    # |d_1 d_2| ulp^2 = 1e40 * 4.9e-32 = 4.9e8 > 1e3^2: e_1 splits and
+    # leaves PIVMIN, which is tiny max(1, 4), not tiny 1e6; an e^2 that
+    # underflows to 0 splits too
+    @pytest.mark.parametrize("d, e, e2, pivmin", [
+        ([1, 1, -1, -1], [0.5, 1e-20, 0.5], [0.25, 0, 0.25], 1),
+        ([1, 1e20, 1e20, 1], [2, 1e3, 0.5], [4, 0, 0.25], 4),
+        ([3, 0, 3], [1e-200, 1e-200], [0, 0], 1)])
+    def test_split_rule(self, d, e, e2, pivmin):
+        got = S._stebz_split(np.array(d, float), np.array(e, float))
+        assert got[0].tolist() == e2
+        assert got[1] == pivmin * np.finfo(float).tiny
+
+    def test_split_off_diagonal(self):
+        # e_1 = 1e-20 lies below dstebz's split threshold (e_1^2 = 1e-40
+        # against |d_1 d_2| ulp^2 + tiny = 4.9e-32), so the matrix counts
+        # as the blocks with eigenvalues {0.5, 1.5} and {-1.5, -0.5}
+        d, e = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0.5, 1e-20, 0.5])
+        points = np.array([1.5, -1.5, -0.5, 0.5, 0.0, 2.0, -2.0])
+        want = [4, 1, 2, 3, 2, 4, 0]
+        assert [_stebz_count(d, e, x, 8.0) for x in points] == want
+        assert _batched(d, e, points) == (want, want)
+        # unsplit, the pivot 0 of x = 1.5 at the end of the first block
+        # becomes -PIVMIN, and 1e-40/PIVMIN drops the eigenvalue -0.5
+        pivmin = S._stebz_split(d, e)[1]
+        ab = np.array([[1.5], [1.5]])
+        assert S._sturm_counts(S._lapack()[2], d, e * e, pivmin,
+                               ab).tolist() == [[3], [3]]
 
 
 class TestEigensolveOracle:
