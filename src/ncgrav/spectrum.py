@@ -33,6 +33,7 @@ import ctypes
 import functools
 import glob
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -58,6 +59,18 @@ def _require_positive(**values):
     for name, value in values.items():
         if not value > 0:
             raise ValueError("%s must be positive, got %r" % (name, value))
+
+
+def _require_index(name, value):
+    """value as an int where operator.index takes it; a bool, which it also
+    takes, or anything else raises ValueError naming the parameter."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (name, value)) from None
 
 
 def bohr_radius(m_I, m_G, M, G, hbar):
@@ -96,6 +109,13 @@ GRID_NODES = 4000
 GRID_NODES_MAX = 400_000
 # largest relative eigenvalue change allowed when check_grid doubles the grid
 DRIFT_TOL = 5e-3
+# the off-diagonal scales hbar^2/(2 m_I h^2) the eigensolve takes.  dstebz's
+# split test drops e_j where |d_j d_j+1| ulp^2 + tiny > e_j^2: below KIN_MIN
+# e_j^2 is not a normal float and every e_j is dropped (no bound state), and
+# from KIN_MAX the kinetic diagonal 2 hbar^2/(m_I h^2) squares past the
+# float max, so that |d_j d_j+1| overflows and drops every e_j too
+KIN_MIN = math.sqrt(np.finfo(float).tiny)       # 1.5e-154
+KIN_MAX = math.sqrt(np.finfo(float).max) / 2    # 6.7e153
 
 
 def default_grid(m_I, m_G, M, G, hbar, n_max=3):
@@ -221,7 +241,9 @@ def _grid_step(grid):
 
 def _hamiltonian(m_I, m_G, V0, M, G, hbar, l, grid):
     """(diag, off): the radial Hamiltonian on a grid checked by `_grid_step`;
-    one whose entries leave the float range raises ValueError."""
+    one whose entries leave the float range raises ValueError, and so does
+    one whose off-diagonal scale hbar^2/(2 m_I h^2) lies outside [KIN_MIN,
+    KIN_MAX)."""
     h = _grid_step(grid)
     with np.errstate(all="ignore"):  # a Hamiltonian out of range is refused
         kin = hbar ** 2 / (2 * m_I * h ** 2)
@@ -233,14 +255,21 @@ def _hamiltonian(m_I, m_G, V0, M, G, hbar, l, grid):
             "solve_radial: the Hamiltonian on the grid of spacing h = %g "
             "leaves the float range (hbar^2/(2 m_I h^2) = %g, potential "
             "from %g to %g)" % (h, kin, pot.min(), pot.max()))
+    if not KIN_MIN <= kin < KIN_MAX:
+        raise ValueError(
+            "solve_radial: on the grid of spacing h = %g, hbar^2/(2 m_I h^2) "
+            "= %g lies outside [%.2g, %.2g), the scales LAPACK's bisection "
+            "can square" % (h, kin, KIN_MIN, KIN_MAX))
     return diag, np.full(grid.size - 1, -kin)
 
 
 def _solve_grid(diag, off, V0, l, n_states, return_vectors):
     """(states, vecs): the lowest n_states bound states below V0 of the
-    Hamiltonian (diag, off) at angular index l, and their eigenvectors as
-    columns where return_vectors is set (else None)."""
-    k = min(n_states + l, diag.size - 2)
+    Hamiltonian (diag, off) at angular index l, and the eigenvectors of the
+    n_states lowest eigenvalues as columns where return_vectors is set (else
+    None).  The j-th eigenvalue at l is the state n = l + 1 + j, so LAPACK
+    is asked for n_states eigenvalues."""
+    k = min(n_states, diag.size - 2)
     if return_vectors:
         vals, vecs = _eigh_tridiagonal(diag, off, k, True)
     else:
@@ -251,7 +280,7 @@ def _solve_grid(diag, off, V0, l, n_states, return_vectors):
             break
         states.append(BoundState(n=l + 1 + j, l=l, E=float(E),
                                  method="numeric"))
-    return states[:n_states], vecs
+    return states, vecs
 
 
 def _stebz_split(d, e):
@@ -260,7 +289,8 @@ def _stebz_split(d, e):
     PIVMIN = tiny max(1, max E2), the least pivot of its Sturm counts."""
     fl = np.finfo(float)
     e2 = e * e
-    e2[np.abs(d[1:] * d[:-1]) * fl.eps ** 2 + fl.tiny > e2] = 0.0
+    with np.errstate(over="ignore"):  # a product that overflows splits, too
+        e2[np.abs(d[1:] * d[:-1]) * fl.eps ** 2 + fl.tiny > e2] = 0.0
     return e2, fl.tiny * max(1.0, float(e2.max(initial=0.0)))
 
 
@@ -327,13 +357,15 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     the default grid scales with the Bohr radius, so it needs all five
     parameters positive.  An explicit grid must be uniform and increasing,
     start above r = 0 and hold at least 2000 nodes; any other raises
-    ValueError before a solve starts.
+    ValueError before a solve starts, and so does a Hamiltonian out of the
+    float range or with an off-diagonal scale hbar^2/(2 m_I h^2) outside
+    [KIN_MIN, KIN_MAX), about 1.5e-154 to 6.7e153.
 
     check_grid compares with the grid of half the spacing over the same box
     and raises GridConvergenceError where an energy moves by more than
     DRIFT_TOL relative to its depth below V0.  Where the grid h holds bound
-    states, the h/2 Hamiltonian is built (and refused out of the float
-    range), and LAPACK's Sturm counts on it, one dlaebz call for all the
+    states, the h/2 Hamiltonian is built (and refused as the grid h is),
+    and LAPACK's Sturm counts on it, one dlaebz call for all the
     states, certify that each h/2 eigenvalue lies within DRIFT_TOL of its
     state (`_drift_certified`) without solving for it.  Where the counts
     cannot certify a state (it drifts, or lies within a few hundred ulp of
@@ -341,11 +373,18 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     for as many states as h found and compared state by state, so the
     verdict and the message are those of that comparison.
 
-    The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`), so
-    the digits of E past about 1e-13 relative are its tolerance, not the
-    inputs': at x = 1e-8 (`spectrum --x 1e-8`) a one-ulp rise of m_G moves
-    E(n=1) from -5.416541589588577e-25 to -5.416541589588281e-25 (5.5e-14
-    relative; the true change is about 4e-16)."""
+    l and n_states are integers (what operator.index takes, but no bool);
+    any other value raises ValueError naming it before a solve starts.  The
+    j-th eigenvalue at l is the state n = l + 1 + j, so LAPACK is asked for
+    the n_states lowest eigenvalues, and return_vectors gives n_states
+    columns.
+
+    The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`, with
+    ABSTOL = 0), which stops at ulp ||H||, one ulp of the Hamiltonian's
+    Gershgorin norm, absolute.  So E is good to that much and no further:
+    at x = 1e-8 (`spectrum --x 1e-8`) it is 8.9e-12 to 8.0e-11 of the depth
+    |E - V0| at l = 0 (n = 1-3), and up to 5.5e-10 at l = 2 (n = 3-5)."""
+    l, n_states = _require_index("l", l), _require_index("n_states", n_states)
     if l < 0:
         raise ValueError("l must be >= 0, got %r" % l)
     if n_states < 1:

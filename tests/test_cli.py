@@ -274,6 +274,20 @@ class TestSpectrum:
         assert err.count("\n") == 1
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    @pytest.mark.parametrize("G, scale", [
+        # every off-diagonal split off: only the CSV header, exit 0
+        ("1e-100", "h = 1e+114, hbar^2/(2 m_I h^2) = 5e-221"),
+        # PIVMIN overflowed: "LAPACK dstebz (eigh_tridiagonal) returned
+        # INFO = 4"
+        ("1e100", "h = 1e-86, hbar^2/(2 m_I h^2) = 5e+179"),
+    ])
+    def test_off_diagonal_scale_exit_2(self, capsys, G, scale):
+        code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8", "--G", G)
+        assert (code, out) == (2, "")
+        assert err == ("error: solve_radial: on the grid of spacing %s lies "
+                       "outside [1.5e-154, 6.7e+153), the scales LAPACK's "
+                       "bisection can square\n" % scale)
+
 
 class TestMuNu:
     def test_power_law_residuals_small(self, capsys):
@@ -829,6 +843,8 @@ class TestErrorPolicy:
     @example(["dark-energy", "--r-universe=1e-300"])
     @example(["dispersion", "--n=3", "--lam=1e308"])
     @example(["spectrum", "--x=1e-8", "--hbar=1e-300"])
+    @example(["spectrum", "--x=1e-8", "--G=1e-100"])
+    @example(["spectrum", "--x=1e-8", "--G=1e100"])
     @example(["figure1", "--xmax=nan", "--n=3"])
     @example(["dark-energy", "--c=nan"])
     @example(["mu-nu", "--n=1023"])

@@ -1,9 +1,10 @@
 """Bound-state spectra vs the closed-form oracle; the LAPACK eigensolve vs
-scipy's eigh_tridiagonal; the batched Sturm counts vs dstebz's and scipy's
-counts; the certified grid check vs the sequential one; reduction residual
-scaling."""
+scipy's eigh_tridiagonal; the states asked of it at l > 0; the batched
+Sturm counts vs dstebz's and scipy's counts; the certified grid check vs
+the sequential one; reduction residual scaling."""
 
 import ctypes
+import math
 
 import numpy as np
 import pytest
@@ -219,6 +220,85 @@ class TestSolveRadial:
         with pytest.raises(ValueError, match="n = 31 need a default grid"):
             S.default_grid(M_I, M_G, M, GN, HBAR, n_max=31)
 
+    @pytest.mark.parametrize("kw, words", [
+        ({"l": 1.5}, "l must be an integer, got 1.5"),
+        # a bool is an integer to operator.index, but as an index it is far
+        # more likely a misplaced flag: refused
+        ({"l": True}, "l must be an integer, got True"),
+        ({"n_states": 2.0}, "n_states must be an integer, got 2.0"),
+        ({"n_states": "2"}, "n_states must be an integer, got '2'"),
+    ])
+    def test_non_integer_index_named(self, monkeypatch, kw, words):
+        # l = 1.5 gave BoundState(n=2.5, l=1.5) once LAPACK is asked for
+        # n_states eigenvalues; before, an unnamed ctypes TypeError
+        solves = []
+        monkeypatch.setattr(S, "_eigh_tridiagonal",
+                            lambda *args: solves.append(args))
+        with pytest.raises(ValueError) as err:
+            S.solve_radial(M_I, M_G, V0, M, GN, HBAR, **kw)
+        assert str(err.value) == words
+        with pytest.raises(ValueError) as err:
+            S.spectrum_table(1e-8, 1.0, E.PlanckUnits(), **kw)
+        assert str(err.value) == words
+        assert solves == []
+
+    def test_numpy_integer_index_accepted(self):
+        want = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=1, n_states=2)
+        got = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, l=np.int64(1),
+                             n_states=np.int32(2))
+        assert _bits(got) == _bits(want)
+        assert {type(s.n) for s in got} == {type(s.l) for s in got} == {int}
+
+    @staticmethod
+    def _scaled(kin):
+        """(G, grid): 4,000 nodes out to 40 Bohr radii (m_I = m_G = M = hbar
+        = 1), at the spacing whose hbar^2/(2 m_I h^2) is kin."""
+        h = (2 * kin) ** -0.5
+        return 1 / (100 * h), h * np.arange(1, 4001)
+
+    # off-diagonal scales just outside [KIN_MIN, KIN_MAX): below it every
+    # off-diagonal squares under the normal floats and was split off (no
+    # bound state, silently); above it |d_j d_j+1| overflows and splits too
+    # (no bound state), and past 1.3e154 dstebz returned INFO = 4
+    @pytest.mark.parametrize("kin", [0.99 * S.KIN_MIN, 1e-200,
+                                     1.01 * S.KIN_MAX, 1e154, 1e200])
+    @pytest.mark.parametrize("check_grid", [False, True])
+    def test_off_diagonal_scale_named(self, kin, check_grid):
+        G, grid = self._scaled(kin)
+        with pytest.raises(ValueError) as err:
+            S.solve_radial(M_I, M_G, V0, M, G, HBAR, grid=grid,
+                           check_grid=check_grid)
+        assert str(err.value) == (
+            "solve_radial: on the grid of spacing h = %g, hbar^2/(2 m_I h^2) "
+            "= %g lies outside [1.5e-154, 6.7e+153), the scales LAPACK's "
+            "bisection can square" % (grid[1] - grid[0], kin))
+
+    @pytest.mark.parametrize("kin", [1.01 * S.KIN_MIN, 0.99 * S.KIN_MAX / 4])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_off_diagonal_scale_inside_solves(self, kin, l):
+        # just inside the range, on both grids, the states are the oracle's
+        G, grid = self._scaled(kin)
+        oracle = {s.n: s.E for s in S.bohr_oracle(M_I, M_G, V0, M, G, HBAR,
+                                                  l + 2)}
+        states = S.solve_radial(M_I, M_G, V0, M, G, HBAR, l=l, grid=grid,
+                                n_states=2, check_grid=True)
+        assert [s.n for s in states] == [l + 1, l + 2]
+        for s in states:
+            assert abs(s.E - oracle[s.n]) <= 1e-3 * abs(oracle[s.n])
+
+    def test_off_diagonal_scale_of_h_over_2_only_with_states(self):
+        # 4 KIN_MAX / 4.04 at h is inside, but the h/2 grid quadruples it
+        G, grid = self._scaled(1.01 * S.KIN_MAX / 4)
+        assert len(S.solve_radial(M_I, M_G, V0, M, G, HBAR, grid=grid)) == 3
+        with pytest.raises(ValueError, match="^solve_radial: on the grid of "
+                           "spacing h = %g, " % ((grid[-1] - grid[0] / 2)
+                                                 / (2 * grid.size - 1))):
+            S.solve_radial(M_I, M_G, V0, M, G, HBAR, grid=grid,
+                           check_grid=True)
+        # no coupling, no state: the h/2 Hamiltonian is not built
+        assert S.solve_radial(M_I, M_G, V0, 0.0, G, HBAR, grid=grid,
+                              check_grid=True) == []
+
     def test_deeper_with_larger_mG(self):
         e_small = S.solve_radial(M_I, 1.0, V0, M, GN, HBAR, n_states=1)[0].E
         e_big = S.solve_radial(M_I, 1.3, V0, M, GN, HBAR, n_states=1)[0].E
@@ -304,7 +384,7 @@ class TestGridCheck:
         assert len(got) == found and _bits(got) == _bits(want)
         # the counts certify every state found: the solve at h is the only
         # eigensolve, and one count call on the h/2 grid covers every state
-        assert calls == [(nodes, n_states + l)]
+        assert calls == [(nodes, n_states)]
         assert counts == ([(2 * nodes, found)] if found else [])
 
     @pytest.mark.parametrize("lapack", [True, False])
@@ -559,6 +639,84 @@ class TestEigensolveOracle:
             assert w_fb.tobytes() == w.tobytes()
             sign = np.sign(np.sum(v * v_fb, axis=0))
             assert np.abs(v * sign - v_fb).max() <= 1e-12
+
+
+def _radial_cases(seed):
+    """(pars, l, n_states, grid) of seeded solve_radial calls, one for each
+    l = 0-3 and n_states = 1-4: 2,000-4,000 nodes out to 5 (l + n_states)^2
+    + 20 Bohr radii, so that every state asked for is bound in the box."""
+    rng = np.random.default_rng(seed)
+    for l in range(4):
+        for n_states in range(1, 5):
+            m_I, m_G = rng.uniform(0.3, 3.0, 2)
+            GM, V0 = rng.uniform(1e-4, 1e-2), rng.uniform(-1.0, 1.0)
+            nodes = int(rng.integers(2000, 4001))
+            box = (5 * (l + n_states) ** 2 + 20) / (m_I * GM * m_G)
+            yield ((m_I, m_G, V0, 1.0, GM, 1.0), l, n_states,
+                   np.linspace(box / nodes, box, nodes))
+
+
+class TestStatesAskedFor:
+    """At angular index l the j-th eigenvalue is the state n = l + 1 + j,
+    so solve_radial asks LAPACK for the n_states lowest eigenvalues, not
+    for n_states + l of them."""
+
+    ULP = np.finfo(float).eps
+
+    @staticmethod
+    def _tnorm(d, e):
+        return float(np.abs(d).max()) + 2 * abs(float(e[0]))  # Gershgorin
+
+    def test_states_are_the_n_states_lowest(self):
+        for pars, l, n_states, grid in _radial_cases(2901):
+            states = S.solve_radial(*pars, l=l, grid=grid, n_states=n_states)
+            d, e = S._hamiltonian(*pars, l, grid)
+            want = _scipy(d, e, n_states, False)
+            assert [s.E.hex() for s in states] == [w.hex() for w in want]
+            assert [s.n for s in states] == list(range(l + 1,
+                                                       l + 1 + n_states))
+            # the n_states + l solve of the parent stops its bisection at
+            # about ulp tnorm too: the two agree to within a few of that
+            old = _scipy(d, e, n_states + l, False)[:n_states]
+            bound = 4 * self.ULP * self._tnorm(d, e) + S._stebz_split(d, e)[1]
+            assert np.abs(want - old).max() <= bound
+
+    def test_vectors_n_states_columns(self):
+        # one column per state asked for, each an eigenvector to within
+        # 4 ulp tnorm (1.25 at most on these grids): |H v - E v| for |v| = 1
+        for pars, l, n_states, grid in _radial_cases(2902):
+            if l == 0:
+                continue
+            states, _, vecs = S.solve_radial(*pars, l=l, grid=grid,
+                                             n_states=n_states,
+                                             return_vectors=True)
+            assert vecs.shape == (grid.size, n_states) == (grid.size,
+                                                           len(states))
+            d, e = S._hamiltonian(*pars, l, grid)
+            hv = d[:, None] * vecs
+            hv[:-1] += e[:, None] * vecs[1:]
+            hv[1:] += e[:, None] * vecs[:-1]
+            residual = np.linalg.norm(hv - vecs * [s.E for s in states],
+                                      axis=0)
+            assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0)
+            assert residual.max() <= 4 * self.ULP * self._tnorm(d, e)
+
+    @pytest.mark.parametrize("x", ["1e-8", "2e-8", "5e-8", "1e-7"])
+    @pytest.mark.parametrize("n_states", [1, 3, 5])
+    def test_l0_call_unchanged(self, monkeypatch, x, n_states):
+        # every pinned spectrum table is l = 0, where the LAPACK call is the
+        # one it has always been: one plain solve for n_states eigenvalues
+        calls, solve = [], S._eigh_tridiagonal
+
+        def recorded(d, e, k, return_vectors):
+            calls.append((len(d), k, return_vectors))
+            return solve(d, e, k, return_vectors)
+        monkeypatch.setattr(S, "_eigh_tridiagonal", recorded)
+        table = S.spectrum_table(float(x), 1.0, E.PlanckUnits(),
+                                 n_states=n_states)
+        nodes = math.ceil(S.GRID_NODES * max(1.0, (n_states / 3) ** 2))
+        assert len(table) == n_states
+        assert calls == [(nodes, n_states, False)]
 
 
 class TestReductionResidual:
