@@ -4,7 +4,7 @@ Modules
 -------
 coeff, exactalg : exact symbolic normal ordering over Q(i)[lam, beta]
 timeops         : finite-difference time operators on shiftable functions
-geometry        : radial beta/mu/nu profiles, ODE system, weak-field checks
+geometry        : radial beta/mu/nu profiles and their ODE system
 waveops         : the assembled wave operators on separable fields
 dispersion      : deformed mass shell and group velocities
 effective       : effective inertial/gravitational masses and V0

@@ -98,12 +98,6 @@ class Coeff:
     def __hash__(self):
         return hash((self.den, frozenset(self.terms.items())))
 
-    def lam_valuation(self):
-        """Smallest power of lam appearing (None for the zero polynomial)."""
-        if not self.terms:
-            return None
-        return min(j for (j, _k) in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -41,6 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .effective import _libm
 
 # math.exp overflows above this (about 709.78)
 U_MAX = math.log(sys.float_info.max)
@@ -84,13 +85,6 @@ def k_squared_closed(omega, m, lam, c, hbar):
         raise ValueError("(m c / hbar)^2 overflows at m = %g, c = %g, "
                          "hbar = %g" % (m, c, hbar)) from None
     return a * a - mass2 * math.exp(-u)
-
-
-def _libm(fn, x):
-    """fn of each element of the 1-d array x, one libm call each (numpy's
-    ufuncs round differently)."""
-    values = x.tolist()
-    return np.fromiter(map(fn, values), float, len(values))
 
 
 def _squares(x):

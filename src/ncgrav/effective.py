@@ -86,7 +86,8 @@ class EffectiveParams:
 
 
 def _libm(fn, x):
-    """fn of each element of the 1-d array x, one libm call each."""
+    """fn of each element of the 1-d array x, one libm call each (numpy's
+    ufuncs round differently); `dispersion` shares it."""
     values = x.tolist()
     return np.fromiter(map(fn, values), float, len(values))
 
@@ -196,12 +197,6 @@ def V0_over_mpc2(x):
                    lambda x: x ** 2 / np.sinh(x) - x / np.cosh(x / 2))
 
 
-def mG_over_mI(x):
-    """= 2 e^x (x + e^{-x} - 1) / sinh^2 x."""
-    x = np.asarray(x, dtype=float)
-    return 2 * np.exp(x) * (x + np.expm1(-x)) / np.sinh(x) ** 2
-
-
 def figure1_data(x_max=10.0, n_points=500):
     """Rows (x, m_I/m_p, m_G/m_p, V0/(m_p c^2)) on a uniform x grid."""
     if x_max <= 0 or n_points < 2:
@@ -217,8 +212,8 @@ def dark_energy_estimate(m_U, r_U, units=PlanckUnits()):
     """Constant-term energy density -(m_p c^2 / 2) (m_U / (4.5 m_p r_U^3)),
     i.e. a mass density of magnitude m_U / (9 r_U^3); the sign is opposite to
     observed dark energy and is reported as such.  A non-finite m_U or r_U,
-    or a 9 r_U^3 outside the normal float range, raises ValueError naming
-    it."""
+    a 9 r_U^3 outside the normal float range, or a mass density that
+    overflows, raises ValueError naming it."""
     if m_U < 0 or r_U <= 0:
         raise ValueError("m_U >= 0 and r_U > 0 required")
     for name, value in (("m_U", m_U), ("r_U", r_U)):
@@ -228,6 +223,10 @@ def dark_energy_estimate(m_U, r_U, units=PlanckUnits()):
     mass_density = m_U / _normal_scale(lambda: 9.0 * r_U ** 3,
                                        "dark_energy_estimate: 9 r_U^3",
                                        r_U=r_U)
+    if mass_density == math.inf:
+        raise ValueError("dark_energy_estimate: the mass density m_U/(9 "
+                         "r_U^3) overflows at m_U = %r, r_U = %r"
+                         % (m_U, r_U))
     return {
         "mass_density": mass_density,
         "energy_density": -mass_density * units.c ** 2,

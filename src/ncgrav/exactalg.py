@@ -16,8 +16,9 @@ terms and den.  The structure constants lie in Z[i][lam, beta] (Sitarz, Phys.
 Lett. B 349 (1995) 42), so den is nearly always 1, and the product, the
 shifts, the derivatives and the one-form actions are int arithmetic on these
 pairs with no coefficient object per term.  ``coeff.Coeff`` is the boundary
-type: the constructors (``NCElement(d, {(xpow, n): Coeff})``, ``monomial``,
-``scalar``) and ``scale`` take it, and ``coeffs()`` and ``to_text`` build it.
+type: the constructors (``NCElement(d, {(xpow, n): Coeff})`` and
+``monomial``) and ``scale`` take it, and ``coeffs()`` and ``to_text`` build
+it.
 
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
@@ -101,12 +102,6 @@ class NCElement:
     @classmethod
     def zero(cls, d):
         return cls(d)
-
-    @classmethod
-    def scalar(cls, d, c):
-        if isinstance(c, int):
-            c = Coeff.from_rational(c)
-        return cls(d, {((0,) * d, 0): c})
 
     @classmethod
     def one(cls, d):
@@ -250,10 +245,6 @@ class NCElement:
         num = self.shift_t(1) + self.shift_t(-1) - self._times(2, 0)
         return num._times(-1, 0, -2, 1, 2)
 
-    def subs_lam_zero(self):
-        return _element(self.d, {key: v for key, v in self.terms.items()
-                                 if key[2] == 0}, self.den)
-
     def to_text(self):
         if not self.terms:
             return "0"
@@ -377,9 +368,6 @@ class NCOneForm:
         for w, e in self.parts.items():
             out = out + NCOneForm(d, {wp: e * u for wp, u in action(w).items()})
         return out
-
-    def subs_lam_zero(self):
-        return NCOneForm(self.d, {w: e.subs_lam_zero() for w, e in self.parts.items()})
 
     def to_text(self):
         if not self.parts:

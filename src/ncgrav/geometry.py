@@ -1,4 +1,4 @@
-"""Radial profiles, the mu/nu first-order ODE system and weak-field checks.
+"""Radial profiles and the mu/nu first-order ODE system.
 
 The profile functions beta(r), mu(r), nu(r) and the gravitational potential
 Phi(r) all live here as ``RadialProfile`` objects: closed forms with
@@ -8,6 +8,9 @@ reduction x_i d/dx_i = r d/dr is used throughout (all paper profiles are
 spherically symmetric), so the ODE system reads
 
     r mu' + 2 mu = beta,      r nu' + nu = mu.
+
+The static metric and the weak-field Poisson check, which only the registry
+runs, live in `verify` beside their checks.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ import numpy as np
 # and in timeops.delta0_power: nearer than that, the generic formulas divide
 # by 1 - n or 2 - n and cancel away most of their digits.
 POWER_WINDOW = 1e-9
-
-
-class SignatureError(ValueError):
-    """beta >= 0 somewhere: the static metric loses Lorentzian signature."""
 
 
 class RadialProfile:
@@ -193,8 +192,8 @@ def ode_residuals(beta, mu, nu, r):
     return np.abs(res_mu) / scale_mu, np.abs(res_nu) / scale_nu
 
 
-def mu_nu_table(r_min, r_max, nodes, n=None, gamma=None, c=1.0):
-    """The mu-nu table on default_log_grid(r_min, r_max, nodes): a record
+def mu_nu_table(rmin, rmax, nodes, n=None, gamma=None, c=1.0):
+    """The mu-nu table on default_log_grid(rmin, rmax, nodes): a record
     array with one row per radius and the fields r, beta, mu, nu, res_mu and
     res_nu (`ode_residuals`).  The profiles are mu_nu_newton(gamma, c) when
     gamma is given, else beta = 1/r^n with mu_nu_closed(n); giving both, or
@@ -207,7 +206,7 @@ def mu_nu_table(r_min, r_max, nodes, n=None, gamma=None, c=1.0):
     else:
         mu, nu = mu_nu_closed(n)
         beta = RadialProfile.power_law(n)
-    r = default_log_grid(r_min, r_max, nodes)
+    r = default_log_grid(rmin, rmax, nodes)
     return np.rec.fromarrays([r, beta(r), mu(r), nu(r),
                               *ode_residuals(beta, mu, nu, r)],
                              names="r,beta,mu,nu,res_mu,res_nu")
@@ -352,118 +351,5 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
                           tag={"kind": "numeric-nu"}))
 
 
-# ---------------------------------------------------------------------------
-# finite differences on a (possibly nonuniform) radial grid
-# ---------------------------------------------------------------------------
-
-def fd1(values, r):
-    """First derivative, 3-point nonuniform centered, one-sided at the ends."""
-    values = np.asarray(values)
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (-hp / (hm * (hm + hp)) * values[:-2]
-                 + (hp - hm) / (hm * hp) * values[1:-1]
-                 + hm / (hp * (hm + hp)) * values[2:])
-    out[0] = (values[1] - values[0]) / (r[1] - r[0])
-    out[-1] = (values[-1] - values[-2]) / (r[-1] - r[-2])
-    return out
-
-
-def fd2(values, r):
-    """Second derivative, 3-point nonuniform; copies neighbors at the ends."""
-    values = np.asarray(values)
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = 2 * (hp * values[:-2] - (hm + hp) * values[1:-1] + hm * values[2:]) \
-        / (hm * hp * (hm + hp))
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return out
-
-
-def laplacian_flat_radial(values, r):
-    """3D flat Laplacian of a radial function: f'' + (2/r) f'."""
-    return fd2(values, r) + 2.0 / np.asarray(r, dtype=float) * fd1(values, r)
-
-
-# ---------------------------------------------------------------------------
-# static metric and weak-field checks
-# ---------------------------------------------------------------------------
-
-class StaticMetric:
-    """g = (1/beta) dt x dt + dx_i x dx_i with beta < 0."""
-
-    def __init__(self, beta_profile, r_check=None):
-        self.beta = beta_profile
-        if r_check is not None:
-            b = np.asarray(self.beta(r_check)).real
-            if np.any(b >= 0):
-                raise SignatureError("beta >= 0 on the check grid")
-
-    def phi(self, r):
-        b = np.asarray(self.beta(r), dtype=complex)
-        return np.sqrt(-1.0 / b).real
-
-    def laplace_beltrami_static(self, values, r):
-        """LB operator on time-independent radial f: the conformal-factor form
-        |beta|^{1/2} d_i (|beta|^{-1/2} d_i f) on radial functions."""
-        r = np.asarray(r, dtype=float)
-        w = np.abs(np.asarray(self.beta(r)).real) ** -0.5
-        inner = w * fd1(values, r)
-        return (fd1(inner, r) + 2.0 / r * inner) / w
-
-    def laplace_beltrami_expanded(self, values, r):
-        """Same operator in expanded form: flat Laplacian minus the drift
-        (1/(2 beta)) beta' d/dr."""
-        r = np.asarray(r, dtype=float)
-        b = np.asarray(self.beta(r))
-        bp = np.asarray(self.beta.deriv(r))
-        return laplacian_flat_radial(values, r) - bp / (2 * b) * fd1(values, r)
-
-
-# nodes at each end of the grid left out of weak_field_check's maxima
-INTERIOR_MARGIN = 3
-
-
-def weak_field_check(phi_profile, rho_profile, c, G, r_grid):
-    """Compare Ricci_00 = phi LB_flat phi against LB_flat Phi and against the
-    Poisson source 4 pi G rho, by radial finite differences.
-
-    Boundary-affected nodes (INTERIOR_MARGIN at each end) are excluded from
-    the reported maxima.
-    """
-    r = np.asarray(r_grid, dtype=float)
-    Phi = np.asarray(phi_profile(r)).real
-    if np.max(np.abs(Phi)) / c ** 2 > 0.1:
-        import warnings
-        warnings.warn("Phi/c^2 not small: weak-field comparison dubious")
-    u = Phi / c ** 2
-    if np.any(1 - 2 * u <= 0):
-        raise SignatureError("beta >= 0 somewhere on the grid")
-    # phi_m = c (1 - 2u)^{-1/2}; carry only the deviation from c so that the
-    # finite differences are not quantized at the scale c * eps
-    dphi = c * np.expm1(-0.5 * np.log1p(-2 * u))
-    phi_m = c + dphi
-    sl = slice(INTERIOR_MARGIN, -INTERIOR_MARGIN)
-    ricci00 = phi_m * laplacian_flat_radial(dphi, r)
-    lap_phi = laplacian_flat_radial(Phi, r)
-    rho = np.asarray(rho_profile(r)).real
-    poisson_res = lap_phi - 4 * math.pi * G * rho
-    scale = max(np.max(np.abs(lap_phi[sl])), 4 * math.pi * G * max(np.max(np.abs(rho)), 0)
-                + 1e-300)
-    dev = np.abs(ricci00[sl] - lap_phi[sl])
-    return {
-        "max_ricci00": float(np.max(np.abs(ricci00[sl]))),
-        "max_lap_phi": float(np.max(np.abs(lap_phi[sl]))),
-        "max_rel_deviation": float(np.max(dev) / scale),
-        "max_poisson_residual": float(np.max(np.abs(poisson_res[sl]))),
-        "poisson_scale": float(scale),
-    }
-
-
-def default_log_grid(r_min, r_max, n=400):
-    return np.geomspace(r_min, r_max, n)
+def default_log_grid(rmin, rmax, n=400):
+    return np.geomspace(rmin, rmax, n)

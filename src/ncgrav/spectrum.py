@@ -2,18 +2,20 @@
 
 The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 + (V0 - G M m_G / r) Psi.  Eigensolves use the u = r R substitution on a
-uniform grid with Dirichlet ends (symmetric tridiagonal), solved by LAPACK's
-bisection in the OpenBLAS numpy bundles (`_eigh_tridiagonal`, the calls of
-scipy's `eigh_tridiagonal`, so no scipy import).  The grid check
+uniform grid with Dirichlet ends (symmetric tridiagonal), and ask only for
+eigenvalues.  Two LAPACK routines of the OpenBLAS numpy bundles serve them,
+so no scipy import: dstebz's bisection solves (`_eigh_tridiagonal`, the
+call of scipy's `eigh_tridiagonal`), and dlaebz, dstebz's count kernel,
+makes the Sturm counts of the grid check.  That check
 (`solve_radial(check_grid=True)`) asks of the grid of half the spacing only
 whether each energy stays within DRIFT_TOL: two Sturm counts per state on
-its Hamiltonian, all made by one call of dlaebz (dstebz's count kernel),
-answer that without solving it, and the h/2 eigensolve runs only where a
-count cannot decide (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
-386).  `spectrum_table` joins the numeric states with the closed-form
-oracle into the one spectrum table the CLI renders.  The reduction
-laboratory evaluates the residual of the same physical state at three
-stages:
+its Hamiltonian, all made by one dlaebz call, answer that without solving
+it, and the h/2 eigensolve runs only where a count cannot decide (Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386).  `spectrum_table` joins the
+numeric states with the closed-form oracle into the one spectrum table the
+CLI renders, and `virial_check` takes <V> from the eigenvalues by
+Hellmann-Feynman.  The reduction laboratory evaluates the residual of the
+same physical state at three stages:
 
   (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
@@ -138,16 +140,15 @@ def default_grid(m_I, m_G, M, G, hbar, n_max=3):
 
 @functools.cache
 def _lapack():
-    """(dstebz, dstein, dlaebz) of the ILP64 OpenBLAS that numpy's wheels
-    bundle in numpy.libs beside the package, which numpy has already mapped
-    into the process; None where that library or a symbol does not resolve,
-    and then scipy solves and check_grid solves h/2."""
+    """(dstebz, dlaebz) of the ILP64 OpenBLAS that numpy's wheels bundle in
+    numpy.libs beside the package, which numpy has already mapped into the
+    process; None where that library or a symbol does not resolve, and then
+    scipy solves and check_grid solves h/2."""
     libs = os.path.dirname(np.__file__) + ".libs"
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
         try:
             lib = ctypes.CDLL(path)
-            stebz, stein, laebz = (lib.scipy_dstebz_64_, lib.scipy_dstein_64_,
-                                   lib.scipy_dlaebz_64_)
+            stebz, laebz = lib.scipy_dstebz_64_, lib.scipy_dlaebz_64_
         except (OSError, AttributeError):
             continue
         # every Fortran argument is a pointer; dstebz's two character
@@ -155,10 +156,9 @@ def _lapack():
         ptr = ctypes.c_void_p
         stebz.argtypes = [ctypes.c_char_p] * 2 + [ptr] * 16 \
             + [ctypes.c_size_t] * 2
-        stein.argtypes = [ptr] * 13
         laebz.argtypes = [ptr] * 20
-        stebz.restype = stein.restype = laebz.restype = None
-        return stebz, stein, laebz
+        stebz.restype = laebz.restype = None
+        return stebz, laebz
     return None
 
 
@@ -170,53 +170,33 @@ def _work(count, dtype=float):
     return np.empty(count, dtype=dtype).ctypes
 
 
-def _check_info(info, routine):
-    if info.value:
-        raise np.linalg.LinAlgError("LAPACK %s (eigh_tridiagonal) returned "
-                                    "INFO = %d" % (routine, info.value))
-
-
-def _eigh_tridiagonal(d, e, k, return_vectors):
-    """The k lowest eigenvalues (and eigenvectors, as the columns of a
-    matrix) of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, by the calls scipy's `eigh_tridiagonal(d, e, select="i",
-    select_range=(0, k - 1))` makes: LAPACK dstebz (Sturm-sequence
-    bisection; RANGE = 'I', IL = 1, IU = k, ABSTOL = 0) with ORDER = 'E',
-    or with ORDER = 'B' then dstein and an argsort for the vectors.  The
-    eigenvalues are bit for bit scipy's.  A nonzero INFO raises
-    LinAlgError."""
+def _eigh_tridiagonal(d, e, k):
+    """The k lowest eigenvalues of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by the call scipy's `eigh_tridiagonal(d,
+    e, select="i", select_range=(0, k - 1), eigvals_only=True)` makes:
+    LAPACK dstebz (Sturm-sequence bisection; RANGE = 'I', IL = 1, IU = k,
+    ABSTOL = 0, ORDER = 'E').  They are bit for bit scipy's.  A nonzero
+    INFO raises LinAlgError."""
     routines = _lapack()
     if routines is None:
         from scipy.linalg import eigh_tridiagonal
         return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-                                eigvals_only=not return_vectors)
-    stebz, stein, _ = routines
+                                eigvals_only=True)
+    stebz = routines[0]
     d = np.ascontiguousarray(d, dtype=float)
     e = np.ascontiguousarray(e, dtype=float)
     ref, real, size = ctypes.byref, ctypes.c_double, len(d)
-    n, m, nsplit, info = _INT(size), _INT(), _INT(), _INT()
-    w, (iblock, isplit) = np.empty(size), np.empty((2, size), np.int64)
+    m, nsplit, info, w = _INT(), _INT(), _INT(), np.empty(size)
     # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
     # ISPLIT, WORK(4N), IWORK(3N), INFO, and the lengths of the two strings
-    stebz(b"I", b"B" if return_vectors else b"E", ref(n), ref(real()),
-          ref(real()), ref(_INT(1)), ref(_INT(k)), ref(real()), d.ctypes,
-          e.ctypes, ref(m), ref(nsplit), w.ctypes, iblock.ctypes,
-          isplit.ctypes, _work(4 * size), _work(3 * size, np.int64),
-          ref(info), 1, 1)
-    _check_info(info, "dstebz")
-    w = w[:m.value]
-    if not return_vectors:
-        return w
-    # N, D, E, M, W, IBLOCK, ISPLIT, Z(LDZ, M), LDZ, WORK(5N), IWORK(N),
-    # IFAIL(M), INFO; Z in Fortran order is the C-order array z.T
-    z = np.empty((m.value, size))
-    stein(ref(n), d.ctypes, e.ctypes, ref(m), w.ctypes, iblock.ctypes,
-          isplit.ctypes, z.ctypes, ref(n), _work(5 * size),
-          _work(size, np.int64), _work(m.value, np.int64), ref(info))
-    _check_info(info, "dstein")
-    # block order to ascending order, as scipy sorts it
-    order = np.argsort(w)
-    return w[order], z.T[:, order]
+    stebz(b"I", b"E", ref(_INT(size)), ref(real()), ref(real()),
+          ref(_INT(1)), ref(_INT(k)), ref(real()), d.ctypes, e.ctypes, ref(m),
+          ref(nsplit), w.ctypes, _work(size, np.int64), _work(size, np.int64),
+          _work(4 * size), _work(3 * size, np.int64), ref(info), 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError("LAPACK dstebz (eigh_tridiagonal) "
+                                    "returned INFO = %d" % info.value)
+    return w[:m.value]
 
 
 def _grid_step(grid):
@@ -263,24 +243,18 @@ def _hamiltonian(m_I, m_G, V0, M, G, hbar, l, grid):
     return diag, np.full(grid.size - 1, -kin)
 
 
-def _solve_grid(diag, off, V0, l, n_states, return_vectors):
-    """(states, vecs): the lowest n_states bound states below V0 of the
-    Hamiltonian (diag, off) at angular index l, and the eigenvectors of the
-    n_states lowest eigenvalues as columns where return_vectors is set (else
-    None).  The j-th eigenvalue at l is the state n = l + 1 + j, so LAPACK
-    is asked for n_states eigenvalues."""
-    k = min(n_states, diag.size - 2)
-    if return_vectors:
-        vals, vecs = _eigh_tridiagonal(diag, off, k, True)
-    else:
-        vals, vecs = _eigh_tridiagonal(diag, off, k, False), None
+def _solve_grid(diag, off, V0, l, n_states):
+    """The lowest n_states bound states below V0 of the Hamiltonian (diag,
+    off) at angular index l.  The j-th eigenvalue at l is the state
+    n = l + 1 + j, so LAPACK is asked for n_states eigenvalues."""
     states = []
-    for j, E in enumerate(vals):
+    for j, E in enumerate(_eigh_tridiagonal(diag, off,
+                                            min(n_states, diag.size - 2))):
         if E >= V0:
             break
         states.append(BoundState(n=l + 1 + j, l=l, E=float(E),
                                  method="numeric"))
-    return states, vecs
+    return states
 
 
 def _stebz_split(d, e):
@@ -344,13 +318,13 @@ def _drift_certified(diag, off, V0, states):
                    (E + DRIFT_TOL * V0) / (1 + DRIFT_TOL) - margin])
     if not np.isfinite(ab).all():  # an end that overflows proves nothing
         return False
-    nab = _sturm_counts(routines[2], diag, e2, pivmin, ab)
+    nab = _sturm_counts(routines[1], diag, e2, pivmin, ab)
     return nab is not None and all(n_lo <= j < n_hi
                                    for j, (n_lo, n_hi) in enumerate(nab.T))
 
 
 def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
-                 return_vectors=False, check_grid=False):
+                 check_grid=False):
     """Lowest bound states below V0 at angular index l.
 
     The coupling G M m_G may be zero on an explicit grid (no bound states);
@@ -376,8 +350,7 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     l and n_states are integers (what operator.index takes, but no bool);
     any other value raises ValueError naming it before a solve starts.  The
     j-th eigenvalue at l is the state n = l + 1 + j, so LAPACK is asked for
-    the n_states lowest eigenvalues, and return_vectors gives n_states
-    columns.
+    the n_states lowest eigenvalues.
 
     The eigenvalues come from LAPACK's bisection (`_eigh_tridiagonal`, with
     ABSTOL = 0), which stops at ulp ||H||, one ulp of the Hamiltonian's
@@ -394,20 +367,19 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
         grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
     grid = np.asarray(grid, dtype=float)
     pars = (m_I, m_G, V0, M, G, hbar, l)
-    states, vecs = _solve_grid(*_hamiltonian(*pars, grid), V0, l, n_states,
-                               return_vectors)
+    states = _solve_grid(*_hamiltonian(*pars, grid), V0, l, n_states)
     if check_grid and states:
         fine = _hamiltonian(*pars, np.linspace(grid[0] / 2, grid[-1],
                                                grid.size * 2))
         if not _drift_certified(*fine, V0, states):
-            ref = _solve_grid(*fine, V0, l, len(states), False)[0]
+            ref = _solve_grid(*fine, V0, l, len(states))
             for s, sr in zip(states, ref):
                 scale = abs(sr.E - V0) + 1e-300
                 if abs(s.E - sr.E) / scale > DRIFT_TOL:
                     raise GridConvergenceError(
                         "state n=%d drifts %.2e under grid doubling"
                         % (s.n, abs(s.E - sr.E) / scale))
-    return (states, grid, vecs) if return_vectors else states
+    return states
 
 
 def spectrum_table(x, M, units, l=0, n_states=3):
@@ -429,19 +401,22 @@ def spectrum_table(x, M, units, l=0, n_states=3):
         ("rel_err", float), ("V0", float)]).view(np.recarray)
 
 
-def virial_check(m_I, m_G, V0, M, G, hbar, grid=None):
-    """2<T> + <V - V0> on the numeric ground state (Coulomb virial)."""
-    states, grid, vecs = solve_radial(m_I, m_G, V0, M, G, hbar,
-                                      return_vectors=True, n_states=1,
-                                      grid=grid)
-    u = vecs[:, 0]
-    h = grid[1] - grid[0]
-    norm = np.trapezoid(u * u, dx=h)
-    V = np.trapezoid((-G * M * m_G / grid) * u * u, dx=h) / norm
-    # kinetic energy consistent with the discrete Hamiltonian: E = T + V0 + V
-    T = states[0].E - V0 - V
-    return {"T": float(T), "V": float(V), "E1": states[0].E,
-            "virial_rel": float(abs(2 * T + V) / abs(V))}
+def virial_check(m_I, m_G, V0, M, G, hbar):
+    """2<T> + <V - V0> on the numeric ground state (Coulomb virial).
+
+    <V - V0> = G dE/dG by Hellmann-Feynman, as H depends on G only through
+    V - V0 = -G M m_G / r: the central difference of E at G (1 +- 1e-3), all
+    three solves on the default grid at G, so that it is the derivative of
+    the discrete Hamiltonian's E.  The kinetic energy is the rest, <T> = E -
+    V0 - <V - V0>."""
+    grid = default_grid(m_I, m_G, M, G, hbar, n_max=1)
+    step = 1e-3
+    E1, lo, hi = (solve_radial(m_I, m_G, V0, M, g, hbar, grid=grid,
+                               n_states=1)[0].E
+                  for g in (G, G * (1 - step), G * (1 + step)))
+    V = (hi - lo) / (2 * step)
+    T = E1 - V0 - V
+    return {"T": T, "V": V, "E1": E1, "virial_rel": abs(2 * T + V) / abs(V)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ stencil [(1, a)].  With k = 1/(i lam), and f' taps applied to d/dt f:
 Every operator refuses lam below LAM_MIN = 1/sqrt(float max), about 7.5e-155,
 where k^2 overflows.  Above it the taps still cancel: on a mode e^{-i omega t}
 d0 loses its digits once omega lam is below about 1e-16, where e^{-omega lam}
-rounds to 1 (d0 of a mode is then 0).
+rounds to 1 (d0 of a mode is then 0).  The convergence report of the
+classical limit lam -> 0, which only the registry runs, is
+`verify.classical_limit_check`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from math import comb
 import numpy as np
 
 from .geometry import POWER_WINDOW
-
-TOL = 1e-12
 
 
 class DegenerateProfileError(ValueError):
@@ -179,11 +179,6 @@ class TimeFunction:
     def max_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def isclose(self, other, tol=TOL):
-        diff = self - other
-        scale = max(self.max_coeff(), other.max_coeff(), 1.0)
-        return all(abs(c) <= tol * scale for c in diff.terms.values())
-
     def __repr__(self):
         bits = ["(%s)%s%s" % (c, "*t^%d" % p if p else "",
                               "*e^(%s t)" % s if s != 0 else "")
@@ -290,29 +285,3 @@ def symbol_delta0_const(omega, lam, beta):
 def symbol_delta0_hybrid(omega, lam):
     return (1.0 / (1j * lam)) * (-1j * omega
                                  - (1 - cmath.exp(-omega * lam)) / (1j * lam))
-
-
-# ---------------------------------------------------------------------------
-# classical-limit convergence report
-# ---------------------------------------------------------------------------
-
-LIMIT_T_SAMPLES = np.linspace(-1.0, 1.0, 21)
-
-
-def classical_limit_check(op, f, lambdas, target):
-    """Error of op(f; lam) against the classical target on LIMIT_T_SAMPLES,
-    per lam, with the convergence order fitted from the error decay.
-
-    op: callable f, lam -> TimeFunction;  target: TimeFunction.
-    """
-    errors = np.asarray([max(abs((op(f, lam) - target).evaluate(complex(tv)))
-                             for tv in LIMIT_T_SAMPLES) for lam in lambdas])
-    lams = np.asarray([float(x) for x in lambdas])
-    if np.all(errors < 1e-14):
-        order = float("inf")
-    else:
-        mask = errors > 1e-14
-        order = float(np.polyfit(np.log(lams[mask]), np.log(errors[mask]), 1)[0]) \
-            if mask.sum() >= 2 else float("nan")
-    return {"lambdas": list(lams), "errors": [float(e) for e in errors],
-            "fitted_order": order}

@@ -11,9 +11,12 @@ word reducer `normal_order` (with the generator push `mul_gen`) and the
 Leibniz-rule `exterior_d_leibniz`; production results reach them only through
 `realization_symbol` and `form_symbol`.  Two Delta_0 symbols and the
 hand-written weak-field operator `box_newton_oracle` are oracles too.  The
-effective-parameter checks `series_check` and `extrema_report` live here too;
-the latter finds its extrema by the golden-section search `_golden_min`, so
-the registry loads no scipy.
+code only the checks use lives here beside them: the effective-parameter
+reports `series_check` and `extrema_report` (with `mG_over_mI`; it finds
+its extrema by the golden-section search `_golden_min`, so the registry
+loads no scipy), `lam_valuation`, `classical_limit_check`, and the static
+metric `StaticMetric` with the weak-field Poisson check `weak_field_check`
+and their finite differences.
 """
 
 from __future__ import annotations
@@ -360,13 +363,18 @@ def _(level):
     return True, "%d random words" % n
 
 
+def lam_valuation(c):
+    """The smallest power of lam in the Coeff c (None for zero)."""
+    return min((j for j, _k in c.terms), default=None)
+
+
 @check("exactalg.classical-limit-theta-divisible")
 def _(level):
     rng = random.Random(4)
     for _ in range(20):
         theta_part = exterior_d(random_element(rng)).coeff(THETA)
         for c in theta_part.coeffs().values():
-            if c.lam_valuation() < 1:
+            if lam_valuation(c) < 1:
                 return False, "theta' coefficient survives lam -> 0"
     return True, "20 elements"
 
@@ -479,13 +487,35 @@ def _(level):
     return worst < 1e-12, "max dev %.2e" % worst
 
 
+LIMIT_T_SAMPLES = np.linspace(-1.0, 1.0, 21)
+
+
+def classical_limit_check(op, f, lambdas, target):
+    """Error of op(f; lam) against the classical target on LIMIT_T_SAMPLES,
+    per lam, with the convergence order fitted from the error decay.
+
+    op: callable f, lam -> TimeFunction;  target: TimeFunction.
+    """
+    errors = np.asarray([max(abs((op(f, lam) - target).evaluate(complex(tv)))
+                             for tv in LIMIT_T_SAMPLES) for lam in lambdas])
+    lams = np.asarray([float(x) for x in lambdas])
+    if np.all(errors < 1e-14):
+        order = float("inf")
+    else:
+        mask = errors > 1e-14
+        order = float(np.polyfit(np.log(lams[mask]), np.log(errors[mask]), 1)[0]) \
+            if mask.sum() >= 2 else float("nan")
+    return {"lambdas": list(lams), "errors": [float(e) for e in errors],
+            "fitted_order": order}
+
+
 @check("timeops.classical-limit-orders")
 def _(level):
-    rep1 = T.classical_limit_check(lambda g, lam: T.d0(g, lam),
-                                   TF.monomial(3), [0.1, 0.05, 0.025],
-                                   TF.monomial(3).deriv())
+    rep1 = classical_limit_check(lambda g, lam: T.d0(g, lam),
+                                 TF.monomial(3), [0.1, 0.05, 0.025],
+                                 TF.monomial(3).deriv())
     f = TF.mode(1.0)
-    rep2 = T.classical_limit_check(
+    rep2 = classical_limit_check(
         lambda g, lam: T.delta0_const(g, lam, 1.0), f,
         [0.1, 0.05, 0.025], f.deriv().deriv().scale(0.5))
     ok = 0.8 < rep1["fitted_order"] < 1.3 and rep2["fitted_order"] >= 1
@@ -536,10 +566,113 @@ def _(level):
     return worst < 1e-10, "max dev %.2e" % worst
 
 
+# -- the static metric and the weak-field Poisson check -----------------------
+
+def fd1(values, r):
+    """First derivative, 3-point nonuniform centered, one-sided at the ends."""
+    values = np.asarray(values)
+    r = np.asarray(r, dtype=float)
+    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    out[1:-1] = (-hp / (hm * (hm + hp)) * values[:-2]
+                 + (hp - hm) / (hm * hp) * values[1:-1]
+                 + hm / (hp * (hm + hp)) * values[2:])
+    out[0] = (values[1] - values[0]) / (r[1] - r[0])
+    out[-1] = (values[-1] - values[-2]) / (r[-1] - r[-2])
+    return out
+
+
+def fd2(values, r):
+    """Second derivative, 3-point nonuniform; copies neighbors at the ends."""
+    values = np.asarray(values)
+    r = np.asarray(r, dtype=float)
+    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    out[1:-1] = 2 * (hp * values[:-2] - (hm + hp) * values[1:-1] + hm * values[2:]) \
+        / (hm * hp * (hm + hp))
+    out[0] = out[1]
+    out[-1] = out[-2]
+    return out
+
+
+def laplacian_flat_radial(values, r):
+    """3D flat Laplacian of a radial function: f'' + (2/r) f'."""
+    return fd2(values, r) + 2.0 / np.asarray(r, dtype=float) * fd1(values, r)
+
+
+class StaticMetric:
+    """g = (1/beta) dt x dt + dx_i x dx_i with beta < 0."""
+
+    def __init__(self, beta_profile):
+        self.beta = beta_profile
+
+    def laplace_beltrami_static(self, values, r):
+        """LB operator on time-independent radial f: the conformal-factor form
+        |beta|^{1/2} d_i (|beta|^{-1/2} d_i f) on radial functions."""
+        r = np.asarray(r, dtype=float)
+        w = np.abs(np.asarray(self.beta(r)).real) ** -0.5
+        inner = w * fd1(values, r)
+        return (fd1(inner, r) + 2.0 / r * inner) / w
+
+    def laplace_beltrami_expanded(self, values, r):
+        """Same operator in expanded form: flat Laplacian minus the drift
+        (1/(2 beta)) beta' d/dr."""
+        r = np.asarray(r, dtype=float)
+        b = np.asarray(self.beta(r))
+        bp = np.asarray(self.beta.deriv(r))
+        return laplacian_flat_radial(values, r) - bp / (2 * b) * fd1(values, r)
+
+
+class SignatureError(ValueError):
+    """beta >= 0 somewhere: the static metric loses Lorentzian signature."""
+
+
+# nodes at each end of the grid left out of weak_field_check's maxima
+INTERIOR_MARGIN = 3
+
+
+def weak_field_check(phi_profile, rho_profile, c, G, r_grid):
+    """Compare Ricci_00 = phi LB_flat phi against LB_flat Phi and against the
+    Poisson source 4 pi G rho, by radial finite differences.
+
+    Boundary-affected nodes (INTERIOR_MARGIN at each end) are excluded from
+    the reported maxima.
+    """
+    r = np.asarray(r_grid, dtype=float)
+    Phi = np.asarray(phi_profile(r)).real
+    if np.max(np.abs(Phi)) / c ** 2 > 0.1:
+        import warnings
+        warnings.warn("Phi/c^2 not small: weak-field comparison dubious")
+    u = Phi / c ** 2
+    if np.any(1 - 2 * u <= 0):
+        raise SignatureError("beta >= 0 somewhere on the grid")
+    # phi_m = c (1 - 2u)^{-1/2}; carry only the deviation from c so that the
+    # finite differences are not quantized at the scale c * eps
+    dphi = c * np.expm1(-0.5 * np.log1p(-2 * u))
+    phi_m = c + dphi
+    sl = slice(INTERIOR_MARGIN, -INTERIOR_MARGIN)
+    ricci00 = phi_m * laplacian_flat_radial(dphi, r)
+    lap_phi = laplacian_flat_radial(Phi, r)
+    rho = np.asarray(rho_profile(r)).real
+    poisson_res = lap_phi - 4 * math.pi * G * rho
+    scale = max(np.max(np.abs(lap_phi[sl])), 4 * math.pi * G * max(np.max(np.abs(rho)), 0)
+                + 1e-300)
+    dev = np.abs(ricci00[sl] - lap_phi[sl])
+    return {
+        "max_ricci00": float(np.max(np.abs(ricci00[sl]))),
+        "max_lap_phi": float(np.max(np.abs(lap_phi[sl]))),
+        "max_rel_deviation": float(np.max(dev) / scale),
+        "max_poisson_residual": float(np.max(np.abs(poisson_res[sl]))),
+        "poisson_scale": float(scale),
+    }
+
+
 @check("geometry.laplace-beltrami-forms")
 def _(level):
     beta, _, _ = G.mu_nu_newton(1e-3, 1.0)
-    met = G.StaticMetric(beta)
+    met = StaticMetric(beta)
     r = np.geomspace(0.5, 5.0, 3000 if level == "full" else 1500)
     vals = r * np.exp(-r)
     a = met.laplace_beltrami_static(vals, r)
@@ -557,7 +690,7 @@ def _(level):
         lambda r: 3 * M * a ** 2
         / (4 * np.pi * (np.asarray(r, dtype=float) ** 2 + a ** 2) ** 2.5))
     grid = np.geomspace(2e5, 2e8, 6000 if level == "full" else 3000)
-    rep = G.weak_field_check(phi, rho, c, Gn, grid)
+    rep = weak_field_check(phi, rho, c, Gn, grid)
     ok = rep["max_poisson_residual"] / rep["poisson_scale"] < 1e-5 \
         and rep["max_rel_deviation"] < 1e-6
     return ok, "poisson %.2e, ricci dev %.2e" % (
@@ -711,10 +844,16 @@ def _golden_min(f, lo, hi, xatol=1e-10):
     return (float(c), float(fc)) if fc < fd else (float(d), float(fd))
 
 
+def mG_over_mI(x):
+    """= 2 e^x (x + e^{-x} - 1) / sinh^2 x."""
+    x = np.asarray(x, dtype=float)
+    return 2 * np.exp(x) * (x + np.expm1(-x)) / np.sinh(x) ** 2
+
+
 def extrema_report():
     """Locations and values of the bounds/extrema on x in (0, 50]."""
     v0_x, v0_min = _golden_min(E.V0_over_mpc2, 0.1, 50.0)
-    ratio_x, ratio_neg = _golden_min(lambda x: -E.mG_over_mI(x), 0.1, 50.0)
+    ratio_x, ratio_neg = _golden_min(lambda x: -mG_over_mI(x), 0.1, 50.0)
     return {
         "mI_sup_over_mp": 0.5,
         "mI_at_x10_over_mp": float(E.mI_over_mp(10.0)),

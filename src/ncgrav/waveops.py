@@ -22,14 +22,10 @@ kg_residual subtracts the mass term from a box already applied to psi.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import timeops
 from .geometry import RadialProfile, mu_nu_newton
-
-WEAK_FIELD_WARN = 0.3
 
 
 class PlaneWave:
@@ -53,10 +49,6 @@ class SeparableField:
     @classmethod
     def single(cls, spatial, time_part):
         return cls([(spatial, time_part)])
-
-    @classmethod
-    def time_only(cls, time_part):
-        return cls([(RadialProfile.constant(1.0), time_part)])
 
     def __add__(self, other):
         return SeparableField(self.terms + other.terms)
@@ -224,7 +216,7 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
         psi.to_grid(grid), lam, mu(grid), nu(grid), beta(grid)).scale(2.0)
 
 
-def box_newton(psi, gamma, c, lam, r_min=None):
+def box_newton(psi, gamma, c, lam):
     """Weak-field operator for beta = -(1/c^2)(1 + gamma/r): box_general on
     geometry.mu_nu_newton's beta, whose structure (a constant plus a 1/r
     power law) gives the constant-beta part, the radial drift
@@ -233,9 +225,6 @@ def box_newton(psi, gamma, c, lam, r_min=None):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive (use box_const for gamma=0)")
-    if r_min is not None and gamma / r_min > WEAK_FIELD_WARN:
-        warnings.warn("gamma/r = %.3g exceeds the weak-field regime"
-                      % (gamma / r_min))
     if any(isinstance(sp, PlaneWave) for sp, _ in psi.terms):
         raise ValueError("box_newton needs radial spatial parts")
     return box_general(psi, *mu_nu_newton(gamma, c), lam)

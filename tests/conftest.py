@@ -1,5 +1,10 @@
 from hypothesis import settings
 
+from ncgrav.coeff import Coeff
+from ncgrav.exactalg import NCElement, NCOneForm
+from ncgrav.geometry import RadialProfile
+from ncgrav.waveops import SeparableField
+
 # Fixed examples and no time limit: the property tests give the same verdict
 # on every run and machine.
 settings.register_profile("ncgrav", derandomize=True, deadline=None,
@@ -14,3 +19,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# -- helpers the tests share -------------------------------------------------
+
+def tf_isclose(a, b, tol=1e-12):
+    """Whether the TimeFunctions a and b agree term by term to tol times
+    their largest coefficient (at least 1)."""
+    scale = max(a.max_coeff(), b.max_coeff(), 1.0)
+    return all(abs(c) <= tol * scale for c in (a - b).terms.values())
+
+
+def time_only(time_part):
+    """The SeparableField of time_part with the constant spatial part 1."""
+    return SeparableField.single(RadialProfile.constant(1.0), time_part)
+
+
+def subs_lam_zero(x):
+    """The NCElement or NCOneForm x at lam = 0: every lam^j term with j != 0
+    dropped, read through coeffs()."""
+    if isinstance(x, NCOneForm):
+        return NCOneForm(x.d, {w: subs_lam_zero(e)
+                               for w, e in x.parts.items()})
+    return NCElement(x.d, {key: Coeff.from_parts(
+        {jk: v for jk, v in c.terms.items() if jk[0] == 0}, c.den)
+        for key, c in x.coeffs().items()})

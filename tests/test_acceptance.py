@@ -211,7 +211,7 @@ def _battery():
     for omega in (0.3, 0.8, 1.5):
         fields.append(W.SeparableField.single(exp_prof(), TF.mode(omega)))
         fields.append(W.SeparableField.single(gauss(1.5), TF.mode(omega)))
-    fields.append(W.SeparableField.time_only(TF.mode(0.6)))
+    fields.append(conftest.time_only(TF.mode(0.6)))
     fields.append(W.SeparableField.single(exp_prof(), TF.monomial(2)))
     fields.append(W.SeparableField.single(gauss(2.0), TF.constant(1.0)))
     fields.append(W.SeparableField.single(exp_prof(), TF.mode(0.4))

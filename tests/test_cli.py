@@ -609,6 +609,33 @@ class TestRegistryDirect:
     def test_check_count(self):
         assert len(verify.CHECKS) >= 25
 
+    # every check, in registry order: a check that a move drops or renames
+    # fails here, not only a count below 25
+    CHECK_NAMES = [
+        "exactalg.leibniz-product-rule", "exactalg.inner-form-property",
+        "exactalg.eq-route-agreement", "exactalg.realization-oracle",
+        "exactalg.normal-order-confluence",
+        "exactalg.classical-limit-theta-divisible",
+        "timeops.leibniz-constant", "timeops.leibniz-hybrid",
+        "timeops.symbol-consistency", "timeops.power-special-case-continuity",
+        "timeops.general-reduces-to-const", "timeops.classical-limit-orders",
+        "geometry.closed-form-ode-residuals", "geometry.newton-ode-residuals",
+        "geometry.numeric-matches-closed", "geometry.mu-nu-linearity",
+        "geometry.laplace-beltrami-forms", "geometry.weak-field-poisson",
+        "waveops.massless-shell-residual", "waveops.general-const-coherence",
+        "waveops.newton-general-coherence", "waveops.linearity",
+        "dispersion.solve-k-oracle", "dispersion.vg-massless-closed-form",
+        "dispersion.momentum-bounded", "effective.figure1-x1-row",
+        "effective.extrema", "effective.series-coefficients",
+        "effective.bounds", "effective.dark-energy-order",
+        "spectrum.numeric-vs-bohr", "spectrum.virial",
+        "spectrum.reduction-gap-quadratic",
+        "spectrum.reduction-ablation-linear"]
+
+    def test_check_names_pinned(self):
+        assert len(self.CHECK_NAMES) == 34
+        assert [name for name, _ in verify.CHECKS] == self.CHECK_NAMES
+
     def test_exception_is_failure_not_abort(self, monkeypatch):
         def boom(level):
             raise RuntimeError("boom")

@@ -139,7 +139,7 @@ class TestExtrema:
         from scipy.optimize import minimize_scalar
         rep = V.extrema_report()
         for key, f, sign in (("V0", E.V0_over_mpc2, 1),
-                             ("mG_over_mI", E.mG_over_mI, -1)):
+                             ("mG_over_mI", V.mG_over_mI, -1)):
             ref = minimize_scalar(lambda x: sign * f(x), bounds=(0.1, 50.0),
                                   method="bounded", options={"xatol": 1e-10})
             x = rep["V0_argmin" if sign > 0 else "mG_over_mI_argmax"]
@@ -253,6 +253,16 @@ class TestDarkEnergy:
         with pytest.raises(ValueError) as err:
             E.dark_energy_estimate(m_U, r_U)
         assert str(err.value) == "dark_energy_estimate: " + message
+
+    def test_mass_density_overflow_named(self):
+        # 9 r_U^3 = 1.1e-306 is normal, but m_U over it passes the float
+        # max: the mass density was inf and the energy density -inf
+        with pytest.raises(ValueError) as err:
+            E.dark_energy_estimate(1e53, 5e-103)
+        assert str(err.value) == (
+            "dark_energy_estimate: the mass density m_U/(9 r_U^3) overflows "
+            "at m_U = 1e+53, r_U = 5e-103")
+        assert E.dark_energy_estimate(0.0, 5e-103)["mass_density"] == 0.0
 
     @pytest.mark.parametrize("m_U, r_U", [
         (-1.0, 1e26), (-math.inf, 1e26), (1e53, 0.0), (1e53, -math.inf)])

@@ -1,4 +1,5 @@
-"""Radial profiles, mu/nu ODE system, static metric and weak-field checks."""
+"""Radial profiles and the mu/nu ODE system; the static metric and the
+weak-field check that `verify` keeps beside its registry checks."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncgrav import geometry as G
+from ncgrav import verify as V
 from ncgrav.timeops import POWER_WINDOW
 
 
@@ -269,17 +271,16 @@ class TestQuadratureAccuracy:
 
 class TestStaticMetric:
     def test_signature_guard(self):
-        grid = log_radii(50)
-        with pytest.raises(G.SignatureError):
-            G.StaticMetric(G.RadialProfile.constant(1.0), r_check=grid)
-
-    def test_phi_from_beta(self):
-        m = G.StaticMetric(G.RadialProfile.constant(-0.25))
-        assert np.isclose(float(m.phi(1.0)), 2.0)
+        # Phi/c^2 = 1/2 at r = 0.5, where beta = -(1 - 2 Phi/c^2)/c^2 is 0
+        phi = G.RadialProfile(lambda r: 0.25 / np.asarray(r, dtype=float))
+        with pytest.raises(V.SignatureError, match="^beta >= 0 somewhere"), \
+                pytest.warns(UserWarning, match="Phi/c\\^2 not small"):
+            V.weak_field_check(phi, G.RadialProfile.constant(0.0), 1.0, 1.0,
+                               log_radii(50))
 
     def test_laplace_beltrami_forms_agree(self):
         beta, _, _ = G.mu_nu_newton(1e-3, 1.0)
-        m = G.StaticMetric(beta)
+        m = V.StaticMetric(beta)
         r = np.geomspace(0.5, 5.0, 1500)
         vals = r * np.exp(-r)
         a = m.laplace_beltrami_static(vals, r)
@@ -294,7 +295,7 @@ class TestFiniteDifferences:
         for n in (200, 400, 800):
             r = np.geomspace(1.0, 10.0, n)
             f = np.sin(r)
-            e = np.max(np.abs(G.fd2(f, r)[3:-3] + np.sin(r)[3:-3]))
+            e = np.max(np.abs(V.fd2(f, r)[3:-3] + np.sin(r)[3:-3]))
             errs.append(e)
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[2] > 8  # ~second order on smooth data
@@ -316,7 +317,7 @@ class TestWeakField:
             lambda r: -Gn * M / np.asarray(r, dtype=float))
         rho = G.RadialProfile.constant(0.0)
         grid = G.default_log_grid(6.4e6, 6.4e8, 20000)
-        res = G.weak_field_check(phi, rho, c, Gn, grid)
+        res = V.weak_field_check(phi, rho, c, Gn, grid)
         # 1/r is harmonic: both sides are FD truncation noise, small against
         # the curvature scale GM/r^3 at the inner edge
         surface_scale = Gn * M / grid[0] ** 3
@@ -327,7 +328,7 @@ class TestWeakField:
         Gn, c, M, a = 6.674e-11, 3e8, 5.97e24, 2e6
         phi, rho = self.plummer(Gn, M, a)
         grid = np.geomspace(2e5, 2e8, 3000)
-        res = G.weak_field_check(phi, rho, c, Gn, grid)
+        res = V.weak_field_check(phi, rho, c, Gn, grid)
         assert res["max_poisson_residual"] / res["poisson_scale"] < 1e-5
         assert res["max_rel_deviation"] < 1e-6
 
@@ -336,7 +337,7 @@ class TestWeakField:
         Gn, M, a = 6.674e-11, 5.97e24, 2e6
         phi, rho = self.plummer(Gn, M, a)
         grid = np.geomspace(2e5, 2e8, 3000)
-        devs = [G.weak_field_check(phi, rho, c, Gn, grid)["max_rel_deviation"]
+        devs = [V.weak_field_check(phi, rho, c, Gn, grid)["max_rel_deviation"]
                 for c in (3e7, 3e7 * np.sqrt(10))]
         ratio = devs[0] / devs[1]
         assert 3 < ratio < 30
@@ -347,5 +348,5 @@ class TestWeakField:
             lambda r: 2 * np.pi * Gn * rho0 * np.asarray(r, dtype=float) ** 2 / 3)
         rho = G.RadialProfile.constant(rho0)
         grid = np.linspace(1e3, 1e6, 2000)
-        res = G.weak_field_check(phi, rho, c, Gn, grid)
+        res = V.weak_field_check(phi, rho, c, Gn, grid)
         assert res["max_poisson_residual"] / res["poisson_scale"] < 1e-8

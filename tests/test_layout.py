@@ -1,12 +1,14 @@
 """Source layout: each production module computes a quantity by one route, and
 the second routes (the oracles) and the check helpers live in `verify`, which
-production never imports; importing the CLI loads only the layers the tables
-render, the table subcommands load no scipy (spectrum's eigensolve calls
-LAPACK in the OpenBLAS numpy bundles), no time operators and no json, all
-but spectrum load no mpmath, scipy is imported only in spectrum's eigensolve
-fallback, the mu/nu quadrature `geometry.mu_nu_numeric` loads no scipy,
-spectrum starts no thread, and where numpy bundles its OpenBLAS, spectrum
-resolves the three LAPACK routines it calls."""
+production never imports; every public member of a production module other
+than `verify` is referenced from `src/`; importing the CLI loads only the
+layers the tables render, the table subcommands load no scipy (spectrum's
+eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
+and no json, all but spectrum load no mpmath, scipy is imported only in
+spectrum's eigensolve fallback, the mu/nu quadrature
+`geometry.mu_nu_numeric` loads no scipy, spectrum starts no thread, and
+where numpy bundles its OpenBLAS, spectrum resolves exactly the two LAPACK
+routines it calls, dstebz and dlaebz."""
 
 import ast
 import json
@@ -24,6 +26,11 @@ ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "symbol_delta0_power", "symbol_delta0_general",
            "extrema_report", "series_check", "box_newton_oracle",
            "realization_symbol", "realization_product", "realization_agrees"}
+# the code that only the registry's checks call
+CHECK_HELPERS = {"StaticMetric", "SignatureError", "INTERIOR_MARGIN",
+                 "weak_field_check", "fd1", "fd2", "laplacian_flat_radial",
+                 "classical_limit_check", "LIMIT_T_SAMPLES", "mG_over_mI",
+                 "lam_valuation"}
 
 
 def _imports_verify(tree):
@@ -57,10 +64,100 @@ def test_oracles_live_only_in_verify():
              for p in sorted(SRC.glob("*.py"))}
     assert [name for name, tree in trees.items()
             if _imports_verify(tree)] == ["cli.py"]
-    # ast.walk reaches the methods, so NCOneForm.mul_gen would show here too
+    # ast.walk reaches the methods, so NCOneForm.mul_gen or
+    # Coeff.lam_valuation would show here too
     for name in ("exactalg.py", "timeops.py", "effective.py", "waveops.py"):
         assert not ORACLES & _defined(trees[name]), name
-    assert ORACLES <= _defined(trees["verify.py"])
+    for name, tree in trees.items():
+        if name != "verify.py":
+            assert not CHECK_HELPERS & _defined(tree), name
+    assert ORACLES | CHECK_HELPERS <= _defined(trees["verify.py"])
+
+
+def _public_members(tree):
+    """(qualified name, name) of each public function, class and module
+    constant of the module, and of each public method of its public
+    classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        out += [(name, name) for name in names if not name.startswith("_")]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [("%s.%s" % (node.name, sub.name), sub.name)
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)
+                    and not sub.name.startswith("_")]
+    return out
+
+
+def _references(tree):
+    """Every name the module reads, as a name or an attribute, or imports,
+    except inside a definition of that same name: a method that calls its
+    namesake on another class, or a function that calls itself, does not
+    reference it."""
+    out = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name is not None and name not in inside:
+                out.add(name)
+            if isinstance(child, ast.ImportFrom):
+                out.update(a.name for a in child.names)
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, inside | {child.name})
+            else:
+                visit(child, inside)
+    visit(tree, frozenset())
+    return out
+
+
+def _unreferenced(trees):
+    """"module:member" for each public member of a module other than
+    verify.py that no module of trees references."""
+    found = set().union(*map(_references, trees.values()))
+    return ["%s:%s" % (name, qual) for name, tree in trees.items()
+            if name != "verify.py"
+            for qual, member in _public_members(tree) if member not in found]
+
+
+UNUSED = """
+UNUSED_LIMIT = 3
+def unused_entry():
+    return unused_helper()
+def unused_helper(limit=UNUSED_LIMIT):
+    return limit
+def unused_recursion(n):
+    return unused_recursion(n - 1) if n else 0
+class UnusedThing:
+    def unused_method(self):
+        return self.other.unused_method()
+    def _private(self):
+        pass
+"""
+
+
+def test_public_members_have_a_caller_in_src():
+    # a public member that only the tests reach belongs in a test helper,
+    # and one that only the registry's checks reach belongs in verify
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced(trees) == []
+    # the check fires: nothing references the entry point or the class, and
+    # the recursion and the method reference only themselves
+    trees["unused.py"] = ast.parse(UNUSED)
+    assert _unreferenced(trees) == [
+        "unused.py:unused_entry", "unused.py:unused_recursion",
+        "unused.py:UnusedThing", "unused.py:UnusedThing.unused_method"]
 
 
 def test_exact_oracles_use_no_production_arithmetic(monkeypatch):
@@ -168,7 +265,8 @@ print(json.dumps([layers, rows, late]))
 
 def test_spectrum_lapack_resolves_every_routine():
     # where numpy bundles its OpenBLAS, a routine that did not resolve would
-    # send every eigensolve to scipy and every grid check to the h/2 solve
+    # send every eigensolve to scipy and every grid check to the h/2 solve;
+    # the eigensolve asks for eigenvalues only, so dstein is not bound
     import numpy as np
     import pytest
     from ncgrav import spectrum
@@ -178,8 +276,8 @@ def test_spectrum_lapack_resolves_every_routine():
         pytest.skip("numpy bundles no ILP64 OpenBLAS here")
     routines = spectrum._lapack()
     assert routines is not None
-    assert [r.__name__ for r in routines] == [
-        "scipy_dstebz_64_", "scipy_dstein_64_", "scipy_dlaebz_64_"]
+    assert [r.__name__ for r in routines] == ["scipy_dstebz_64_",
+                                              "scipy_dlaebz_64_"]
 
 
 def test_table_subcommands_load_no_scipy(tmp_path):

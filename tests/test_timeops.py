@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import tf_isclose
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
 from ncgrav.waveops import GridField
-from ncgrav.verify import random_tf, symbol_delta0_general, symbol_delta0_power
+from ncgrav.verify import (classical_limit_check, random_tf,
+                           symbol_delta0_general, symbol_delta0_power)
 
 LAM = 0.3
 
@@ -86,23 +88,23 @@ class TestTimeFunction:
         f = TF.monomial(2)
         got = f.shift(1, LAM)
         want = TF({(2, 0j): 1.0, (1, 0j): 2j * LAM, (0, 0j): -LAM ** 2})
-        assert got.isclose(want)
+        assert tf_isclose(got, want)
 
     def test_shift_mode(self):
         omega = 0.7
         f = TF.mode(omega)
         got = f.shift(1, LAM)
         want = TF.mode(omega, cmath.exp(omega * LAM))
-        assert got.isclose(want)
+        assert tf_isclose(got, want)
 
     def test_shift_constant(self):
         f = TF.constant(3 + 1j)
-        assert f.shift(2.5, LAM).isclose(f)
+        assert tf_isclose(f.shift(2.5, LAM), f)
 
     def test_shift_composes(self):
         rng = random.Random(3)
         f = random_tf(rng, 3)
-        assert f.shift(1, LAM).shift(-1, LAM).isclose(f)
+        assert tf_isclose(f.shift(1, LAM).shift(-1, LAM), f)
 
     @given(time_functions, time_functions)
     def test_mul_matches_pointwise(self, f, g):
@@ -118,40 +120,41 @@ class TestTimeFunction:
 
     @given(time_functions, time_functions)
     def test_add_then_sub(self, f, g):
-        assert (f + g - g).isclose(f)
+        assert tf_isclose(f + g - g, f)
 
 
 class TestShiftGroupLaw:
     @given(time_functions, shifts, shifts)
     def test_time_function(self, f, a, b):
         # registry tolerance: 1e-12 relative to the largest coefficient
-        assert f.shift(a, LAM).shift(b, LAM).isclose(f.shift(a + b, LAM))
+        assert tf_isclose(f.shift(a, LAM).shift(b, LAM), f.shift(a + b, LAM))
 
 
 class TestStencilsMatchReference:
-    # 1e-12 relative to the largest coefficient (TimeFunction.isclose)
+    # 1e-12 relative to the largest coefficient (tf_isclose)
 
     @given(time_functions, shifts, lams)
     def test_shift(self, f, a, lam):
-        assert f.shift(a, lam).isclose(ref_shift(f, a, lam))
+        assert tf_isclose(f.shift(a, lam), ref_shift(f, a, lam))
 
     @given(time_functions, lams, st.floats(-2.0, 2.0))
     def test_constant_beta_operators(self, f, lam, beta):
         before = dict(f.terms)
-        assert T.d0(f, lam).isclose(ref_d0(f, lam))
-        assert T.delta0_const(f, lam, beta).isclose(
-            ref_delta0_const(f, lam, beta))
-        assert T.delta0_hybrid(f, lam).isclose(ref_delta0_hybrid(f, lam))
+        assert tf_isclose(T.d0(f, lam), ref_d0(f, lam))
+        assert tf_isclose(T.delta0_const(f, lam, beta),
+                          ref_delta0_const(f, lam, beta))
+        assert tf_isclose(T.delta0_hybrid(f, lam), ref_delta0_hybrid(f, lam))
         assert f.terms == before
 
     @given(time_functions, lams, powers)
     def test_delta0_power(self, f, lam, n):
-        assert T.delta0_power(f, lam, n).isclose(ref_delta0_power(f, lam, n))
+        assert tf_isclose(T.delta0_power(f, lam, n),
+                          ref_delta0_power(f, lam, n))
 
     @given(time_functions, lams, profile_values)
     def test_delta0_general(self, f, lam, profile):
-        assert T.delta0_general(f, lam, *profile).isclose(
-            ref_delta0_general(f, lam, *profile))
+        assert tf_isclose(T.delta0_general(f, lam, *profile),
+                          ref_delta0_general(f, lam, *profile))
 
     @given(time_functions, lams,
            st.lists(st.tuples(st.floats(0.5, 2.0), profile_values),
@@ -166,7 +169,7 @@ class TestStencilsMatchReference:
         for j in range(amp.size):
             want = ref_delta0_general(f.scale(amp[j]), lam, mu[j], nu[j],
                                       beta[j])
-            assert TF({k: v[j] for k, v in got.data.items()}).isclose(want)
+            assert tf_isclose(TF({k: v[j] for k, v in got.data.items()}), want)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -261,16 +264,16 @@ class TestOperatorExamples:
     def test_d0_t_squared(self):
         got = T.d0(TF.monomial(2), LAM)
         want = TF({(1, 0j): 2.0, (0, 0j): -1j * LAM})
-        assert got.isclose(want)
+        assert tf_isclose(got, want)
 
     def test_d0_constant(self):
-        assert T.d0(TF.constant(4.2), LAM).isclose(TF.zero())
+        assert tf_isclose(T.d0(TF.constant(4.2), LAM), TF.zero())
 
     def test_d0_mode(self):
         omega = 0.9
         got = T.d0(TF.mode(omega), LAM)
         fac = (1 - cmath.exp(-omega * LAM)) / (1j * LAM)
-        assert got.isclose(TF.mode(omega, fac))
+        assert tf_isclose(got, TF.mode(omega, fac))
 
     def test_d0_rejects_lam_zero(self):
         with pytest.raises(ValueError):
@@ -279,36 +282,38 @@ class TestOperatorExamples:
     def test_delta0_const_t_squared(self):
         beta = -2.0
         got = T.delta0_const(TF.monomial(2), LAM, beta)
-        assert got.isclose(TF.constant(beta))
+        assert tf_isclose(got, TF.constant(beta))
 
     def test_delta0_const_kills_affine(self):
         f = TF({(1, 0j): 1.5, (0, 0j): -0.3})
-        assert T.delta0_const(f, LAM, 1.0).isclose(TF.zero())
+        assert tf_isclose(T.delta0_const(f, LAM, 1.0), TF.zero())
 
     def test_delta0_const_mode(self):
         omega, beta = 0.6, -1.0
         got = T.delta0_const(TF.mode(omega), LAM, beta)
         fac = -(beta / LAM ** 2) * (cmath.cosh(omega * LAM) - 1)
-        assert got.isclose(TF.mode(omega, fac))
+        assert tf_isclose(got, TF.mode(omega, fac))
 
     def test_delta0_hybrid_t_squared(self):
-        assert T.delta0_hybrid(TF.monomial(2), LAM).isclose(TF.constant(1.0))
+        assert tf_isclose(T.delta0_hybrid(TF.monomial(2), LAM),
+                          TF.constant(1.0))
 
     def test_delta0_hybrid_kills_affine(self):
         f = TF({(1, 0j): 2.0, (0, 0j): 1.0})
-        assert T.delta0_hybrid(f, LAM).isclose(TF.zero())
+        assert tf_isclose(T.delta0_hybrid(f, LAM), TF.zero())
 
     def test_delta0_power_constant(self):
-        assert T.delta0_power(TF.constant(1.0), LAM, 3).isclose(TF.zero())
+        assert tf_isclose(T.delta0_power(TF.constant(1.0), LAM, 3), TF.zero())
 
     def test_delta0_power_n0_is_const(self):
         # the constant term of a beta structure is the n = 0 power law
         f = TF({(2, 0j): 1.0, (0, -0.7j): 0.5})
-        assert T.delta0_power(f, LAM, 0).isclose(T.delta0_const(f, LAM, 1.0))
+        assert tf_isclose(T.delta0_power(f, LAM, 0),
+                          T.delta0_const(f, LAM, 1.0))
 
     def test_delta0_power_n1_t_squared(self):
         part = T.delta0_power(TF.monomial(2), LAM, 1)
-        assert part.isclose(TF.constant(1.0))
+        assert tf_isclose(part, TF.constant(1.0))
 
     def test_delta0_power_n3_mode(self):
         omega = 0.5
@@ -317,17 +322,17 @@ class TestOperatorExamples:
         # weights (1, 1-n, -(2-n)) = (1, -2, 1) at shifts (1, n-1, n)
         fac = (e(omega * LAM) - 2 * e(2 * omega * LAM) + e(3 * omega * LAM)) \
             / ((1j * LAM) ** 2 * (2 - 3) * (1 - 3))
-        assert part.isclose(TF.mode(omega, fac))
+        assert tf_isclose(part, TF.mode(omega, fac))
 
     def test_delta0_general_constant_f(self):
-        assert T.delta0_general(TF.constant(2.0), LAM, 0.5, 0.25, 1.0) \
-            .isclose(TF.zero())
+        assert tf_isclose(
+            T.delta0_general(TF.constant(2.0), LAM, 0.5, 0.25, 1.0), TF.zero())
 
     def test_delta0_general_reduces_to_const(self):
         beta = -1.3
         f = TF.monomial(2)
         got = T.delta0_general(f, LAM, beta / 2, beta / 2, beta)
-        assert got.isclose(T.delta0_const(f, LAM, beta))
+        assert tf_isclose(got, T.delta0_const(f, LAM, beta))
 
     def test_delta0_general_matches_power_n3(self):
         # closed-form profiles for 1/r^3 at r = 2
@@ -339,7 +344,7 @@ class TestOperatorExamples:
         got = T.delta0_general(f, LAM, mu, nu, beta)
         part = T.delta0_power(f, LAM, n)
         want = part.scale(r ** -n)
-        assert got.isclose(want, tol=1e-12)
+        assert tf_isclose(got, want, tol=1e-12)
 
     def test_delta0_general_degenerate(self):
         with pytest.raises(T.DegenerateProfileError):
@@ -358,7 +363,7 @@ class TestLeibniz:
             rhs = (T.delta0_const(f, LAM, 1.0) * g.shift(1, LAM)
                    + f.shift(-1, LAM) * T.delta0_const(g, LAM, 1.0)
                    + T.d0(f, LAM) * T.d0(g, LAM).shift(1, LAM))
-            assert lhs.isclose(rhs, tol=1e-12)
+            assert tf_isclose(lhs, rhs, tol=1e-12)
 
     def test_hybrid_identity(self):
         rng = random.Random(23)
@@ -368,7 +373,7 @@ class TestLeibniz:
             rhs = (T.delta0_hybrid(f, LAM) * g
                    + f.shift(-1, LAM) * T.delta0_hybrid(g, LAM)
                    + T.d0(f, LAM) * g.deriv())
-            assert lhs.isclose(rhs, tol=1e-12)
+            assert tf_isclose(lhs, rhs, tol=1e-12)
 
 
 class TestSymbols:
@@ -393,7 +398,7 @@ class TestSymbols:
                  T.delta0_general(mode, LAM, 0.4, 0.3, 0.9)),
             ]
             for sym, applied in checks:
-                assert applied.isclose(TF.mode(omega, sym), tol=1e-12)
+                assert tf_isclose(applied, TF.mode(omega, sym), tol=1e-12)
 
     def test_special_case_continuity(self):
         rng = random.Random(37)
@@ -402,14 +407,14 @@ class TestSymbols:
                 f = random_tf(rng)
                 near = T.delta0_power(f, LAM, n0 + eps)
                 exact = T.delta0_power(f, LAM, n0)
-                assert near.isclose(exact, tol=1e-5)
+                assert tf_isclose(near, exact, tol=1e-5)
 
 
 class TestClassicalLimit:
     def test_delta0_const_second_order(self):
         f = TF.mode(1.0)
         target = f.deriv().deriv().scale(0.5)  # (beta/2) f'' with beta = 1
-        rep = T.classical_limit_check(
+        rep = classical_limit_check(
             lambda g, lam: T.delta0_const(g, lam, 1.0), f,
             [0.1, 0.05, 0.025], target)
         assert rep["errors"][0] > rep["errors"][-1]
@@ -417,12 +422,12 @@ class TestClassicalLimit:
 
     def test_d0_first_order(self):
         f = TF.monomial(3)
-        rep = T.classical_limit_check(
+        rep = classical_limit_check(
             lambda g, lam: T.d0(g, lam), f, [0.1, 0.05, 0.025], f.deriv())
         assert 0.8 < rep["fitted_order"] < 1.3
 
     def test_constant_exact(self):
         f = TF.constant(2.0)
-        rep = T.classical_limit_check(
+        rep = classical_limit_check(
             lambda g, lam: T.d0(g, lam), f, [0.1, 0.05], TF.zero())
         assert max(rep["errors"]) < 1e-14
