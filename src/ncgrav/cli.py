@@ -24,9 +24,12 @@ cell (inf, subnormals, the exponent extremes, near-ties, a power of ten's
 neighbours) is printed by FMT % v.
 Int columns print through numpy's int-to-bytes cast, and text and object
 columns cell by cell.  JSON is `tolist()` through json.dumps.
-Physical constants default to Planck units (lam = c = hbar = G = 1) and can
-be overridden per subcommand, or via a config file of key=value lines
-(flags override the file).
+Physical constants default to Planck units (lam = c = hbar = G = 1).  A
+subcommand takes a flag only for the constants it reads: `spectrum` all
+four, `dispersion` --lam --c --hbar, `mu-nu` (the weak-field profiles) and
+`dark-energy` --c, `figure1` none; any other is an unrecognized argument
+(exit 2).  Flags can also come from a config file of key=value lines (flags
+override the file).
 `build_parser` is cached: the parser is built once per process, and every
 `main` call in it parses its argv with that one parser.
 Importing this module loads, of the package, only `dispersion`,
@@ -201,15 +204,14 @@ def _finite_float(text):
     return value
 
 
-def _add_common(sub, constants=True):
+def _add_common(sub, *constants):
+    """--output, --format, and a flag for each physical constant (of lam, c,
+    hbar and G) that the subcommand reads."""
     sub.add_argument("--output", "-o", default="-",
                      help="output path, - for stdout (default)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    if constants:
-        sub.add_argument("--lam", type=_finite_float, default=1.0)
-        sub.add_argument("--c", type=_finite_float, default=1.0)
-        sub.add_argument("--hbar", type=_finite_float, default=1.0)
-        sub.add_argument("--G", type=_finite_float, default=1.0)
+    for name in constants:
+        sub.add_argument("--" + name, type=_finite_float, default=1.0)
 
 
 def _check_constants(args):
@@ -286,8 +288,8 @@ def cmd_mu_nu(args):
 
 
 def cmd_dark_energy(args):
-    units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
-    rep = E.dark_energy_estimate(args.m_universe, args.r_universe, units)
+    rep = E.dark_energy_estimate(args.m_universe, args.r_universe,
+                                 E.PlanckUnits(c=args.c))
     numbers = {k: v for k, v in rep.items() if isinstance(v, float)}
     _refuse_non_finite("dark-energy", ["m-universe", *numbers],
                        np.array([[args.m_universe, *numbers.values()]]))
@@ -336,7 +338,7 @@ def build_parser():
                        help="effective mass / potential table vs x")
     s.add_argument("--xmax", type=_finite_float, default=10.0)
     s.add_argument("--n", type=int, default=500)
-    _add_common(s, constants=False)
+    _add_common(s)
     s.set_defaults(func=cmd_figure1)
 
     s = sub.add_parser("dispersion", help="deformed mass-shell sweep")
@@ -344,7 +346,7 @@ def build_parser():
     s.add_argument("--omega-max", type=_finite_float, default=2.0)
     s.add_argument("--n", type=int, default=100)
     s.add_argument("--m", type=_finite_float, default=0.0)
-    _add_common(s)
+    _add_common(s, "lam", "c", "hbar")
     s.set_defaults(func=cmd_dispersion)
 
     s = sub.add_parser("spectrum",
@@ -354,7 +356,7 @@ def build_parser():
     s.add_argument("--M", type=_finite_float, default=1.0, help="central mass")
     s.add_argument("--l", type=int, default=0)
     s.add_argument("--n-states", type=int, default=3)
-    _add_common(s)
+    _add_common(s, "lam", "c", "hbar", "G")
     s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("mu-nu", help="metric coefficient profiles + residuals")
@@ -364,13 +366,13 @@ def build_parser():
     s.add_argument("--rmin", type=_finite_float, default=0.5)
     s.add_argument("--rmax", type=_finite_float, default=50.0)
     s.add_argument("--nodes", type=int, default=200)
-    _add_common(s)
+    _add_common(s, "c")
     s.set_defaults(func=cmd_mu_nu)
 
     s = sub.add_parser("dark-energy", help="constant-term density estimate")
     s.add_argument("--m-universe", type=_finite_float, default=1e53)
     s.add_argument("--r-universe", type=_finite_float, default=1e26)
-    _add_common(s)
+    _add_common(s, "c")
     s.set_defaults(func=cmd_dark_energy)
 
     s = sub.add_parser("verify", help="run the named invariant registry")

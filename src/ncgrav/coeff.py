@@ -84,9 +84,6 @@ class Coeff:
     def one(cls):
         return cls.from_rational(1)
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

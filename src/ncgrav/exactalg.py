@@ -108,16 +108,6 @@ class NCElement:
         return cls.monomial(d, (0,) * d, 0)
 
     @classmethod
-    def x(cls, d, i):
-        xpow = [0] * d
-        xpow[i - 1] = 1
-        return cls.monomial(d, xpow, 0)
-
-    @classmethod
-    def t(cls, d):
-        return cls.monomial(d, (0,) * d, 1)
-
-    @classmethod
     def monomial(cls, d, xpow, tpow, c=None):
         if c is None:
             return _element(d, {(tuple(xpow), tpow, 0, 0): (1, 0)})
@@ -301,9 +291,6 @@ class NCOneForm:
 
     def __eq__(self, other):
         return isinstance(other, NCOneForm) and self.parts == other.parts
-
-    def is_zero(self):
-        return not self.parts
 
     def __add__(self, other):
         out = dict(self.parts)

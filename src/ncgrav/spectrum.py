@@ -1,4 +1,4 @@
-"""Bound states of the reduced radial problem and the reduction residuals.
+"""Bound states of the reduced radial problem.
 
 The effective equation is i hbar dPsi/dt = -(hbar^2/2 m_I) lap Psi
 + (V0 - G M m_G / r) Psi.  Eigensolves use the u = r R substitution on a
@@ -13,20 +13,8 @@ its Hamiltonian, all made by one dlaebz call, answer that without solving
 it, and the h/2 eigensolve runs only where a count cannot decide (Barth,
 Martin & Wilkinson, Numer. Math. 9 (1967) 386).  `spectrum_table` joins the
 numeric states with the closed-form oracle into the one spectrum table the
-CLI renders, and `virial_check` takes <V> from the eigenvalues by
-Hellmann-Feynman.  The reduction laboratory evaluates the residual of the
-same physical state at three stages:
-
-  (i)   the full noncommutative Klein-Gordon residual of psi = Psi e^{-i m~ t}
-  (ii)  the identical quantity re-expanded by the finite-difference Leibniz
-        identities into slow-mode symbols (a bookkeeping identity: (ii) == (i)
-        to roundoff, with every term explicit and individually ablatable)
-  (iii) the effective Schrodinger residual with the closed-form parameters
-
-The gap between (i) and (iii), after units conversion, carries exactly the
-dropped slow-variation terms.  The laboratory loads its layers (`timeops`,
-`waveops`) on first use, so that importing this module for the spectrum
-table loads neither.
+CLI renders.  The code only the registry runs on these states, the virial
+balance and the reduction-residual laboratory, lives in `verify`.
 """
 
 from __future__ import annotations
@@ -42,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import effective
-from .geometry import RadialProfile
 
 
 @dataclass(frozen=True)
@@ -400,122 +387,3 @@ def spectrum_table(x, M, units, l=0, n_states=3):
         ("n", int), ("l", int), ("E_numeric", float), ("E_oracle", float),
         ("rel_err", float), ("V0", float)]).view(np.recarray)
 
-
-def virial_check(m_I, m_G, V0, M, G, hbar):
-    """2<T> + <V - V0> on the numeric ground state (Coulomb virial).
-
-    <V - V0> = G dE/dG by Hellmann-Feynman, as H depends on G only through
-    V - V0 = -G M m_G / r: the central difference of E at G (1 +- 1e-3), all
-    three solves on the default grid at G, so that it is the derivative of
-    the discrete Hamiltonian's E.  The kinetic energy is the rest, <T> = E -
-    V0 - <V - V0>."""
-    grid = default_grid(m_I, m_G, M, G, hbar, n_max=1)
-    step = 1e-3
-    E1, lo, hi = (solve_radial(m_I, m_G, V0, M, g, hbar, grid=grid,
-                               n_states=1)[0].E
-                  for g in (G, G * (1 - step), G * (1 + step)))
-    V = (hi - lo) / (2 * step)
-    T = E1 - V0 - V
-    return {"T": T, "V": V, "E1": E1, "virial_rel": abs(2 * T + V) / abs(V)}
-
-
-# ---------------------------------------------------------------------------
-# reduction residual laboratory (units hbar = c = 1 internally)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReductionScales:
-    omega: float
-    spatial_scale: float
-    norm_i: float
-    norm_ii: float
-    norm_iii: float
-    gap_i_ii: float       # bookkeeping identity, roundoff-level
-    gap_i_iii: float      # dropped slow-variation terms, after conversion
-    conversion: float
-
-
-def _stage_two(phi_vals, lap_vals, drift_vals, r, m_t, omega, lam, gamma,
-               ablate_gamma_psidot=False):
-    """Fast-mode/slow-mode expansion of the weak-field operator residual.
-
-    Every factor is an operator symbol on e^{-i m~ t} (fast) or e^{-i Omega t}
-    (slow); evaluated at t = 0.  beta0 = -1 in these units.
-    """
-    from . import timeops  # here, so that spectrum_table loads no timeops
-    beta0 = -1.0
-    zeta = math.exp(m_t * lam)
-    sigma = math.exp(omega * lam)
-    c_f = timeops.symbol_delta0_const(m_t, lam, beta0)
-    c_g = timeops.symbol_delta0_const(omega, lam, beta0)
-    p0_f = timeops.symbol_d0(m_t, lam)
-    p0_g = timeops.symbol_d0(omega, lam)
-    h_f = timeops.symbol_delta0_hybrid(m_t, lam)
-    h_g = timeops.symbol_delta0_hybrid(omega, lam)
-
-    out = zeta * sigma * (lap_vals + drift_vals)
-    out = out + 2 * phi_vals * (c_f * sigma + c_g / zeta
-                                + beta0 * p0_f * p0_g * sigma)
-    hybrid = h_f + h_g / zeta
-    if not ablate_gamma_psidot:
-        hybrid = hybrid + p0_f * (-1j * omega)
-    out = out - (2 * gamma / r) * phi_vals * zeta * sigma * hybrid
-    out = out - m_t ** 2 * phi_vals
-    return out
-
-
-def reduction_residual(m, gamma, lam, omega, phi, grid,
-                       ablate_gamma_psidot=False):
-    """Residual norms of Psi = phi(r) e^{-i omega t} at the three stages.
-
-    phi: RadialProfile with analytic derivatives; units hbar = c = 1, so
-    m~ = m and the Compton scale is 1/m.
-    """
-    from . import timeops, waveops  # here, so that spectrum_table loads neither
-    grid = np.asarray(grid, dtype=float)
-    m_t = m
-    # stage (i): full operator via waveops
-    psi = waveops.SeparableField.single(phi,
-                                       timeops.TimeFunction.mode(m_t + omega))
-    box = waveops.box_newton(psi, gamma, 1.0, lam)
-    r_i = waveops.kg_residual(box, psi, m, 1.0, 1.0).to_grid(grid).evaluate(0.0)
-
-    # stage (ii): identical operator, term-by-term symbol bookkeeping
-    phi_vals = np.asarray(phi(grid), dtype=complex)
-    lap_vals = phi.deriv2(grid) + 2.0 / grid * phi.deriv(grid)
-    drift_vals = gamma / (2 * grid ** 2 * (1 + gamma / grid)) * phi.deriv(grid)
-    r_ii = _stage_two(phi_vals, lap_vals, drift_vals, grid, m_t, omega, lam,
-                      gamma, ablate_gamma_psidot=ablate_gamma_psidot)
-
-    # stage (iii): effective Schrodinger residual with closed-form parameters
-    units = effective.PlanckUnits(lam=lam)
-    pars = effective.effective_params(m, units)
-    GMmG = gamma / 2 * pars.m_G  # gamma = 2 G M / c^2
-    r_iii = (omega * phi_vals + lap_vals / (2 * pars.m_I)
-             - (pars.V0 - GMmG / grid) * phi_vals)
-
-    x = m_t * lam
-    K = (1.0 / (2 * m)) * (x / math.sinh(x))
-    norm = lambda v: float(np.max(np.abs(v)))
-    scale_iii = max(norm(omega * phi_vals), norm(lap_vals / (2 * pars.m_I)),
-                    norm(GMmG / grid * phi_vals), 1e-300)
-    return ReductionScales(
-        omega=omega,
-        spatial_scale=float(1.0 / np.max(np.abs(phi.deriv(grid)
-                                                / phi_vals.real))),
-        norm_i=norm(r_i),
-        norm_ii=norm(r_ii),
-        norm_iii=norm(r_iii) / scale_iii,
-        gap_i_ii=norm(r_i - r_ii) / max(norm(r_i), 1e-300),
-        gap_i_iii=norm(K * r_i - r_iii),
-        conversion=K,
-    )
-
-
-def exp_orbital(a):
-    """phi = e^{-r/a} with analytic derivatives (hydrogen-like shape)."""
-    return RadialProfile(
-        lambda r: np.exp(-np.asarray(r, dtype=float) / a),
-        deriv=lambda r: -np.exp(-r / a) / a,
-        deriv2=lambda r: np.exp(-r / a) / a ** 2,
-        tag={"kind": "exp-orbital", "a": a})

@@ -21,8 +21,9 @@ stencil [(1, a)].  With k = 1/(i lam), and f' taps applied to d/dt f:
 Every operator refuses lam below LAM_MIN = 1/sqrt(float max), about 7.5e-155,
 where k^2 overflows.  Above it the taps still cancel: on a mode e^{-i omega t}
 d0 loses its digits once omega lam is below about 1e-16, where e^{-omega lam}
-rounds to 1 (d0 of a mode is then 0).  The convergence report of the
-classical limit lam -> 0, which only the registry runs, is
+rounds to 1 (d0 of a mode is then 0).  The closed-form symbols of these
+operators on a mode e^{-i omega t} are oracles in `verify`, and so is the
+convergence report of the classical limit lam -> 0,
 `verify.classical_limit_check`.
 """
 
@@ -105,10 +106,6 @@ class TimeFunction:
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(0, 0j): c})
 
     @classmethod
     def monomial(cls, p, c=1.0):
@@ -264,24 +261,3 @@ def delta0_general(f, lam, mu, nu, beta):
     return f.stencil([(w * nu, 1), (w * mu, a_mu), (-w * (nu + mu), a_sum)],
                      lam)
 
-
-# ---------------------------------------------------------------------------
-# operator symbols on the pure mode e^{-i omega t}
-# ---------------------------------------------------------------------------
-# Written as independent closed forms (not by applying the operators), so the
-# symbol-consistency tests are a genuine cross-check.  `spectrum` uses these
-# three; the power-law and general symbols are oracles in `verify`.
-
-def symbol_d0(omega, lam):
-    return (1 - cmath.exp(-omega * lam)) / (1j * lam)
-
-
-def symbol_delta0_const(omega, lam, beta):
-    # -(beta/lam^2)(cosh(omega lam) - 1), written via sinh^2 for stability
-    u = omega * lam
-    return -(beta / lam ** 2) * 2 * math.sinh(u / 2) ** 2
-
-
-def symbol_delta0_hybrid(omega, lam):
-    return (1.0 / (1j * lam)) * (-1j * omega
-                                 - (1 - cmath.exp(-omega * lam)) / (1j * lam))

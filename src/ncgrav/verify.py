@@ -9,14 +9,17 @@ that no production module calls: the Meljanac-Stojic realization of the
 product (`realization_product`), and on its plain int/Fraction symbols the
 word reducer `normal_order` (with the generator push `mul_gen`) and the
 Leibniz-rule `exterior_d_leibniz`; production results reach them only through
-`realization_symbol` and `form_symbol`.  Two Delta_0 symbols and the
+`realization_symbol` and `form_symbol`.  The five closed-form operator
+symbols on a mode (`symbol_d0` ... `symbol_delta0_general`) and the
 hand-written weak-field operator `box_newton_oracle` are oracles too.  The
 code only the checks use lives here beside them: the effective-parameter
 reports `series_check` and `extrema_report` (with `mG_over_mI`; it finds
 its extrema by the golden-section search `_golden_min`, so the registry
-loads no scipy), `lam_valuation`, `classical_limit_check`, and the static
+loads no scipy), `lam_valuation`, `classical_limit_check`, the static
 metric `StaticMetric` with the weak-field Poisson check `weak_field_check`
-and their finite differences.
+and their finite differences, the test orbital `exp_orbital`, the spectrum's
+`virial_check`, and the reduction-residual laboratory (`reduction_residual`
+with `_stage_two` and its `ReductionScales`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -39,8 +43,7 @@ from . import timeops as T
 from . import waveops as W
 from .coeff import Coeff
 from .exactalg import DT, THETA, NCElement, commutator_d, dx, exterior_d
-from .timeops import (POWER_WINDOW, TimeFunction as TF, _check_nondegenerate,
-                      symbol_d0, symbol_delta0_hybrid)
+from .timeops import POWER_WINDOW, TimeFunction as TF, _check_nondegenerate
 
 CHECKS = []
 
@@ -415,6 +418,26 @@ def _(level):
     return worst < 1e-12, "max rel dev %.2e over %d pairs" % (worst, n)
 
 
+# The operator symbols on the pure mode e^{-i omega t}, written as closed
+# forms (not by applying the operators), so that timeops.symbol-consistency
+# is a genuine cross-check; the reduction laboratory expands its stage (ii)
+# in the first three.
+
+def symbol_d0(omega, lam):
+    return (1 - cmath.exp(-omega * lam)) / (1j * lam)
+
+
+def symbol_delta0_const(omega, lam, beta):
+    # -(beta/lam^2)(cosh(omega lam) - 1), written via sinh^2 for stability
+    u = omega * lam
+    return -(beta / lam ** 2) * 2 * math.sinh(u / 2) ** 2
+
+
+def symbol_delta0_hybrid(omega, lam):
+    return (1.0 / (1j * lam)) * (-1j * omega
+                                 - (1 - cmath.exp(-omega * lam)) / (1j * lam))
+
+
 def symbol_delta0_power(omega, lam, n):
     if abs(n - 1) < POWER_WINDOW:
         return symbol_delta0_hybrid(omega, lam) * cmath.exp(omega * lam)
@@ -446,10 +469,10 @@ def _(level):
         w = rng.uniform(-2, 2)
         mode = TF.mode(w)
         pairs = [
-            (T.symbol_d0(w, lam), T.d0(mode, lam)),
-            (T.symbol_delta0_const(w, lam, -1.0),
+            (symbol_d0(w, lam), T.d0(mode, lam)),
+            (symbol_delta0_const(w, lam, -1.0),
              T.delta0_const(mode, lam, -1.0)),
-            (T.symbol_delta0_hybrid(w, lam), T.delta0_hybrid(mode, lam)),
+            (symbol_delta0_hybrid(w, lam), T.delta0_hybrid(mode, lam)),
             (symbol_delta0_power(w, lam, 3),
              T.delta0_power(mode, lam, 3)),
             (symbol_delta0_general(w, lam, 0.4, 0.3, 0.9),
@@ -703,6 +726,15 @@ def _(level):
 _GRID = G.default_log_grid(0.5, 20.0, 80)
 
 
+def exp_orbital(a):
+    """phi = e^{-r/a} with analytic derivatives (hydrogen-like shape)."""
+    return G.RadialProfile(
+        lambda r: np.exp(-np.asarray(r, dtype=float) / a),
+        deriv=lambda r: -np.exp(-r / a) / a,
+        deriv2=lambda r: np.exp(-r / a) / a ** 2,
+        tag={"kind": "exp-orbital", "a": a})
+
+
 @check("waveops.massless-shell-residual")
 def _(level):
     lam, c = 0.05, 1.0
@@ -719,7 +751,7 @@ def _(level):
 @check("waveops.general-const-coherence")
 def _(level):
     lam, beta0 = 0.05, -1.0
-    psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.8))
+    psi = W.SeparableField.single(exp_orbital(1.0), TF.mode(0.8))
     bc = W.box_const(psi, beta0, lam)
     half = G.RadialProfile.constant(beta0 / 2)
     bg = W.box_general(psi, G.RadialProfile.constant(beta0), half, half, lam,
@@ -756,7 +788,7 @@ def _(level):
     n_fields = 10 if level == "full" else 4
     for i in range(n_fields):
         w = 0.3 + 0.2 * i
-        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(w))
+        psi = W.SeparableField.single(exp_orbital(1.0), TF.mode(w))
         d, s = W.field_max_diff(W.box_newton(psi, gamma, c, lam),
                                 box_newton_oracle(psi, gamma, c, lam), _GRID)
         worst = max(worst, d / s)
@@ -766,8 +798,8 @@ def _(level):
 @check("waveops.linearity")
 def _(level):
     lam = 0.05
-    f1 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
-    f2 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(1.0))
+    f1 = W.SeparableField.single(exp_orbital(1.0), TF.mode(0.4))
+    f2 = W.SeparableField.single(exp_orbital(1.0), TF.mode(1.0))
     combo = f1 + f2.scale(2.5)
     lhs = W.box_newton(combo, 1e-3, 1.0, lam)
     rhs = W.box_newton(f1, 1e-3, 1.0, lam) \
@@ -931,10 +963,115 @@ def _(level):
     return worst < tol, "max rel dev %.2e (%d nodes)" % (worst, n_nodes)
 
 
+def virial_check(m_I, m_G, V0, M, Gn, hbar):
+    """2<T> + <V - V0> on the numeric ground state (Coulomb virial).
+
+    <V - V0> = G dE/dG by Hellmann-Feynman, as H depends on G only through
+    V - V0 = -G M m_G / r: the central difference of E at G (1 +- 1e-3), all
+    three solves on the default grid at G, so that it is the derivative of
+    the discrete Hamiltonian's E.  The kinetic energy is the rest, <T> = E -
+    V0 - <V - V0>."""
+    grid = S.default_grid(m_I, m_G, M, Gn, hbar, n_max=1)
+    step = 1e-3
+    E1, lo, hi = (S.solve_radial(m_I, m_G, V0, M, g, hbar, grid=grid,
+                                 n_states=1)[0].E
+                  for g in (Gn, Gn * (1 - step), Gn * (1 + step)))
+    pot = (hi - lo) / (2 * step)
+    kin = E1 - V0 - pot
+    return {"T": kin, "V": pot, "E1": E1,
+            "virial_rel": abs(2 * kin + pot) / abs(pot)}
+
+
 @check("spectrum.virial")
 def _(level):
-    rep = S.virial_check(1.0, 1.0, 0.0, 1.0, 1e-3, 1.0)
+    rep = virial_check(1.0, 1.0, 0.0, 1.0, 1e-3, 1.0)
     return rep["virial_rel"] < 1e-2, "2T+V over |V|: %.2e" % rep["virial_rel"]
+
+
+# -- the reduction residual laboratory (units hbar = c = 1) -------------------
+# The residual of one physical state at three stages:
+#   (i)   the full noncommutative Klein-Gordon residual of
+#         psi = Psi e^{-i m~ t}
+#   (ii)  the identical quantity re-expanded by the finite-difference Leibniz
+#         identities into slow-mode symbols (a bookkeeping identity: (ii) ==
+#         (i) to roundoff, with every term explicit and individually ablatable)
+#   (iii) the effective Schrodinger residual with the closed-form parameters
+# The gap between (i) and (iii), after units conversion, carries exactly the
+# dropped slow-variation terms.
+
+@dataclass(frozen=True)
+class ReductionScales:
+    norm_iii: float
+    gap_i_ii: float       # bookkeeping identity, roundoff-level
+    gap_i_iii: float      # dropped slow-variation terms, after conversion
+
+
+def _stage_two(phi_vals, lap_vals, drift_vals, r, m_t, omega, lam, gamma,
+               ablate_gamma_psidot=False):
+    """Fast-mode/slow-mode expansion of the weak-field operator residual.
+
+    Every factor is an operator symbol on e^{-i m~ t} (fast) or e^{-i Omega t}
+    (slow); evaluated at t = 0.  beta0 = -1 in these units.
+    """
+    beta0 = -1.0
+    zeta = math.exp(m_t * lam)
+    sigma = math.exp(omega * lam)
+    c_f = symbol_delta0_const(m_t, lam, beta0)
+    c_g = symbol_delta0_const(omega, lam, beta0)
+    p0_f = symbol_d0(m_t, lam)
+    p0_g = symbol_d0(omega, lam)
+    h_f = symbol_delta0_hybrid(m_t, lam)
+    h_g = symbol_delta0_hybrid(omega, lam)
+
+    out = zeta * sigma * (lap_vals + drift_vals)
+    out = out + 2 * phi_vals * (c_f * sigma + c_g / zeta
+                                + beta0 * p0_f * p0_g * sigma)
+    hybrid = h_f + h_g / zeta
+    if not ablate_gamma_psidot:
+        hybrid = hybrid + p0_f * (-1j * omega)
+    out = out - (2 * gamma / r) * phi_vals * zeta * sigma * hybrid
+    out = out - m_t ** 2 * phi_vals
+    return out
+
+
+def reduction_residual(m, gamma, lam, omega, phi, grid,
+                       ablate_gamma_psidot=False):
+    """The ReductionScales of Psi = phi(r) e^{-i omega t}: stage (iii)'s
+    residual relative to its terms, and the gaps (i)-(ii) and (i)-(iii).
+
+    phi: RadialProfile with analytic derivatives; units hbar = c = 1, so
+    m~ = m and the Compton scale is 1/m.
+    """
+    grid = np.asarray(grid, dtype=float)
+    m_t = m
+    # stage (i): full operator via waveops
+    psi = W.SeparableField.single(phi, TF.mode(m_t + omega))
+    box = W.box_newton(psi, gamma, 1.0, lam)
+    r_i = W.kg_residual(box, psi, m, 1.0, 1.0).to_grid(grid).evaluate(0.0)
+
+    # stage (ii): identical operator, term-by-term symbol bookkeeping
+    phi_vals = np.asarray(phi(grid), dtype=complex)
+    lap_vals = phi.deriv2(grid) + 2.0 / grid * phi.deriv(grid)
+    drift_vals = gamma / (2 * grid ** 2 * (1 + gamma / grid)) * phi.deriv(grid)
+    r_ii = _stage_two(phi_vals, lap_vals, drift_vals, grid, m_t, omega, lam,
+                      gamma, ablate_gamma_psidot=ablate_gamma_psidot)
+
+    # stage (iii): effective Schrodinger residual with closed-form parameters
+    pars = E.effective_params(m, E.PlanckUnits(lam=lam))
+    GMmG = gamma / 2 * pars.m_G  # gamma = 2 G M / c^2
+    r_iii = (omega * phi_vals + lap_vals / (2 * pars.m_I)
+             - (pars.V0 - GMmG / grid) * phi_vals)
+
+    x = m_t * lam
+    K = (1.0 / (2 * m)) * (x / math.sinh(x))
+    norm = lambda v: float(np.max(np.abs(v)))
+    scale_iii = max(norm(omega * phi_vals), norm(lap_vals / (2 * pars.m_I)),
+                    norm(GMmG / grid * phi_vals), 1e-300)
+    return ReductionScales(
+        norm_iii=norm(r_iii) / scale_iii,
+        gap_i_ii=norm(r_i - r_ii) / max(norm(r_i), 1e-300),
+        gap_i_iii=norm(K * r_i - r_iii),
+    )
 
 
 @check("spectrum.reduction-gap-quadratic")
@@ -945,8 +1082,8 @@ def _(level):
     for s in ladder:
         a = 1e3 / s
         grid = np.linspace(a, 6 * a, 300)
-        gaps.append(S.reduction_residual(m, gamma, lam, 1e-2 * s,
-                                         S.exp_orbital(a), grid).gap_i_iii)
+        gaps.append(reduction_residual(m, gamma, lam, 1e-2 * s,
+                                       exp_orbital(a), grid).gap_i_iii)
     ratios = [hi / lo for hi, lo in zip(gaps, gaps[1:])]
     ok = all(2.8 < r < 5.2 for r in ratios)
     return ok, "ratios " + ", ".join("%.2f" % r for r in ratios)
@@ -956,8 +1093,8 @@ def _(level):
 def _(level):
     m, lam = 1.0, 0.05
     grid = np.linspace(1e3, 6e3, 300)
-    devs = [S.reduction_residual(m, g, lam, 1e-2, S.exp_orbital(1e3), grid,
-                                 ablate_gamma_psidot=True).gap_i_ii
+    devs = [reduction_residual(m, g, lam, 1e-2, exp_orbital(1e3), grid,
+                               ablate_gamma_psidot=True).gap_i_ii
             for g in (1e-2, 2e-2)]
     r = devs[1] / devs[0]
     return 1.8 < r < 2.2, "doubling gamma scales deviation by %.3f" % r

@@ -3,6 +3,7 @@ from hypothesis import settings
 from ncgrav.coeff import Coeff
 from ncgrav.exactalg import NCElement, NCOneForm
 from ncgrav.geometry import RadialProfile
+from ncgrav.timeops import TimeFunction
 from ncgrav.waveops import SeparableField
 
 # Fixed examples and no time limit: the property tests give the same verdict
@@ -28,6 +29,28 @@ def tf_isclose(a, b, tol=1e-12):
     their largest coefficient (at least 1)."""
     scale = max(a.max_coeff(), b.max_coeff(), 1.0)
     return all(abs(c) <= tol * scale for c in (a - b).terms.values())
+
+
+def tf_constant(c):
+    """The TimeFunction of the constant c."""
+    return TimeFunction({(0, 0j): c})
+
+
+def gen_x(d, i):
+    """The generator x_i of the d-dimensional algebra, as an NCElement."""
+    xpow = [0] * d
+    xpow[i - 1] = 1
+    return NCElement.monomial(d, xpow, 0)
+
+
+def gen_t(d):
+    """The generator t of the d-dimensional algebra, as an NCElement."""
+    return NCElement.monomial(d, (0,) * d, 1)
+
+
+def is_zero(x):
+    """Whether the Coeff, NCElement or NCOneForm x holds no term."""
+    return not (x.parts if isinstance(x, NCOneForm) else x.terms)
 
 
 def time_only(time_part):

@@ -213,7 +213,8 @@ def _battery():
         fields.append(W.SeparableField.single(gauss(1.5), TF.mode(omega)))
     fields.append(conftest.time_only(TF.mode(0.6)))
     fields.append(W.SeparableField.single(exp_prof(), TF.monomial(2)))
-    fields.append(W.SeparableField.single(gauss(2.0), TF.constant(1.0)))
+    fields.append(W.SeparableField.single(gauss(2.0),
+                                          conftest.tf_constant(1.0)))
     fields.append(W.SeparableField.single(exp_prof(), TF.mode(0.4))
                   + W.SeparableField.single(gauss(1.0), TF.mode(1.1)))
     return fields
@@ -253,7 +254,7 @@ def test_criterion_09_spectrum():
     fine = np.linspace(a * 40 / 8000, a * 40, 8000)
     for s in S.solve_radial(m_I, m_G, V0, M, Gn, hbar, grid=fine, n_states=3):
         ok = ok and abs(s.E - oracle[(s.n, 0)]) / abs(oracle[(s.n, 0)]) < 1e-3
-    ok = ok and S.virial_check(m_I, m_G, V0, M, Gn, hbar)["virial_rel"] < 1e-2
+    ok = ok and V.virial_check(m_I, m_G, V0, M, Gn, hbar)["virial_rel"] < 1e-2
     ok = ok and time.perf_counter() - t0 < 30.0
     report(9, "bound-state energies vs closed-form oracle, virial balance",
            ok)
@@ -266,11 +267,11 @@ def test_criterion_10_reduction_scaling():
     for s in (1.0, 0.5, 0.25, 0.125):
         a = 1e3 / s
         grid = np.linspace(a, 6 * a, 300)
-        gaps.append(S.reduction_residual(m, gamma, lam, 1e-2 * s,
-                                         S.exp_orbital(a), grid).gap_i_iii)
+        gaps.append(V.reduction_residual(m, gamma, lam, 1e-2 * s,
+                                         V.exp_orbital(a), grid).gap_i_iii)
     ok = all(4 * 0.7 < hi / lo < 4 * 1.3 for hi, lo in zip(gaps, gaps[1:]))
     grid = np.linspace(1e3, 6e3, 300)
-    devs = [S.reduction_residual(m, g, lam, 1e-2, S.exp_orbital(1e3), grid,
+    devs = [V.reduction_residual(m, g, lam, 1e-2, V.exp_orbital(1e3), grid,
                                  ablate_gamma_psidot=True).gap_i_ii
             for g in (1e-2, 2e-2, 4e-2)]
     ok = ok and 1.8 < devs[1] / devs[0] < 2.2 \

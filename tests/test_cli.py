@@ -830,12 +830,12 @@ CONSTANTS = {"lam": EDGE, "c": EDGE, "hbar": EDGE, "G": EDGE}
 TABLE_FLAGS = {
     "figure1": {"xmax": EDGE, "n": SIZE},
     "dispersion": {"omega-min": EDGE, "omega-max": EDGE, "n": SIZE, "m": EDGE,
-                   **CONSTANTS},
+                   "lam": EDGE, "c": EDGE, "hbar": EDGE},
     "spectrum": {"x": EDGE, "M": EDGE, "l": st.integers(0, 3).map(str),
                  "n-states": st.integers(1, 5).map(str), **CONSTANTS},
     "mu-nu": {"n": EDGE, "gamma": EDGE, "rmin": EDGE, "rmax": EDGE,
-              "nodes": SIZE, **CONSTANTS},
-    "dark-energy": {"m-universe": EDGE, "r-universe": EDGE, **CONSTANTS},
+              "nodes": SIZE, "c": EDGE},
+    "dark-energy": {"m-universe": EDGE, "r-universe": EDGE, "c": EDGE},
 }
 
 
@@ -858,6 +858,15 @@ class TestErrorPolicy:
         monkeypatch.setattr(E, "dark_energy_estimate", overflow)
         code, out, err = run_cli(capsys, "dark-energy")
         assert (code, out, err) == (2, "", "error: OverflowError\n")
+
+    @pytest.mark.parametrize("argv", [["dispersion", "--G", "1"],
+                                      ["mu-nu", "--n", "3", "--lam", "1"],
+                                      ["dark-energy", "--hbar", "1"]])
+    def test_unread_constant_is_unrecognized(self, capsys, argv):
+        # a subcommand takes only the constants it reads
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in err
 
     def test_grid_convergence_exit_1(self, capsys, monkeypatch):
         def unconverged(*args, **kwargs):

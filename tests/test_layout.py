@@ -5,10 +5,10 @@ than `verify` is referenced from `src/`; importing the CLI loads only the
 layers the tables render, the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
 and no json, all but spectrum load no mpmath, scipy is imported only in
-spectrum's eigensolve fallback, the mu/nu quadrature
-`geometry.mu_nu_numeric` loads no scipy, spectrum starts no thread, and
-where numpy bundles its OpenBLAS, spectrum resolves exactly the two LAPACK
-routines it calls, dstebz and dlaebz."""
+spectrum's eigensolve fallback, every import made inside a function is
+listed here, the mu/nu quadrature `geometry.mu_nu_numeric` loads no scipy,
+spectrum starts no thread, and where numpy bundles its OpenBLAS, spectrum
+resolves exactly the two LAPACK routines it calls, dstebz and dlaebz."""
 
 import ast
 import json
@@ -23,6 +23,7 @@ SRC = Path(ncgrav.__file__).parent
 ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
            "TwoFormError", "_monomial_word", "exterior_d_leibniz",
            "_generator", "_add_form", "form_symbol",
+           "symbol_d0", "symbol_delta0_const", "symbol_delta0_hybrid",
            "symbol_delta0_power", "symbol_delta0_general",
            "extrema_report", "series_check", "box_newton_oracle",
            "realization_symbol", "realization_product", "realization_agrees"}
@@ -30,7 +31,8 @@ ORACLES = {"normal_order", "_push_rules", "mul_gen", "_check_tag",
 CHECK_HELPERS = {"StaticMetric", "SignatureError", "INTERIOR_MARGIN",
                  "weak_field_check", "fd1", "fd2", "laplacian_flat_radial",
                  "classical_limit_check", "LIMIT_T_SAMPLES", "mG_over_mI",
-                 "lam_valuation"}
+                 "lam_valuation", "exp_orbital", "virial_check",
+                 "ReductionScales", "_stage_two", "reduction_residual"}
 
 
 def _imports_verify(tree):
@@ -66,11 +68,9 @@ def test_oracles_live_only_in_verify():
             if _imports_verify(tree)] == ["cli.py"]
     # ast.walk reaches the methods, so NCOneForm.mul_gen or
     # Coeff.lam_valuation would show here too
-    for name in ("exactalg.py", "timeops.py", "effective.py", "waveops.py"):
-        assert not ORACLES & _defined(trees[name]), name
     for name, tree in trees.items():
         if name != "verify.py":
-            assert not CHECK_HELPERS & _defined(tree), name
+            assert not (ORACLES | CHECK_HELPERS) & _defined(tree), name
     assert ORACLES | CHECK_HELPERS <= _defined(trees["verify.py"])
 
 
@@ -204,8 +204,9 @@ def test_brentq_only_in_verify():
 
 
 def _imports(tree):
-    """(enclosing function or None, top-level package) of every absolute
-    import in the module."""
+    """(enclosing function or None, top-level package) of every import in
+    the module; a relative import names its module with a leading dot
+    (".verify" for `from . import verify`)."""
     out = set()
 
     def visit(node, scope):
@@ -214,10 +215,34 @@ def _imports(tree):
                 out.update((scope, a.name.split(".")[0]) for a in child.names)
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 out.add((scope, child.module.split(".")[0]))
+            elif isinstance(child, ast.ImportFrom):
+                out.update((scope, "." + (child.module or a.name))
+                           for a in child.names)
             visit(child, child.name if isinstance(child, ast.FunctionDef)
                   else scope)
     visit(tree, None)
     return out
+
+
+# every import made inside a function, as (module, function, package): each
+# defers a load to the path that needs it, and a new one needs its line here
+FUNCTION_IMPORTS = [
+    ("cli.py", "_json_text", "json"),
+    ("cli.py", "cmd_verify", ".verify"),
+    ("effective.py", "_mg_ratio", "mpmath"),
+    ("effective.py", "_ratios", "mpmath"),
+    ("spectrum.py", "_eigh_tridiagonal", "scipy"),
+    ("verify.py", "weak_field_check", "warnings"),
+]
+
+
+def test_function_level_imports_are_listed():
+    found = sorted((p.name, scope, package)
+                   for p in sorted(SRC.glob("*.py"))
+                   for scope, package in _imports(
+                       ast.parse(p.read_text(), filename=str(p)))
+                   if scope is not None)
+    assert found == FUNCTION_IMPORTS
 
 
 def test_scipy_only_in_the_eigensolve_fallback():

@@ -14,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ncgrav import effective as E
 from ncgrav import spectrum as S
+from ncgrav import verify as V
 
 M_I = M_G = 1.0
 V0 = 0.0
@@ -304,7 +305,7 @@ class TestSolveRadial:
         assert e_big < e_small
 
     def test_virial(self):
-        rep = S.virial_check(M_I, M_G, V0, M, GN, HBAR)
+        rep = V.virial_check(M_I, M_G, V0, M, GN, HBAR)
         assert rep["virial_rel"] < 1e-2
 
     @pytest.mark.parametrize("kin", [1e145, 1e150])
@@ -312,7 +313,7 @@ class TestSolveRadial:
         # hbar^2/(2 m_I h^2) = kin on the default grid; the eigenvector of
         # dstein's inverse iteration was all nan from kin = 1e145, and so
         # were T, V and virial_rel
-        rep = S.virial_check(M_I, M_G, V0, M, math.sqrt(kin / 5000), HBAR)
+        rep = V.virial_check(M_I, M_G, V0, M, math.sqrt(kin / 5000), HBAR)
         assert all(math.isfinite(v) for v in rep.values())
         assert rep["virial_rel"] < 1e-2
 
@@ -702,8 +703,8 @@ class TestReductionResidual:
     def test_bookkeeping_identity(self):
         a = 1e3
         grid = np.linspace(a, 6 * a, 300)
-        res = S.reduction_residual(self.M_SCALE, 1e-2, self.LAM, 1e-2,
-                                   S.exp_orbital(a), grid)
+        res = V.reduction_residual(self.M_SCALE, 1e-2, self.LAM, 1e-2,
+                                   V.exp_orbital(a), grid)
         assert res.gap_i_ii < 1e-8
 
     def test_eigenstate_stage_three_vanishes(self):
@@ -712,8 +713,8 @@ class TestReductionResidual:
         aB = S.bohr_radius(pars.m_I, pars.m_G, 1.0, gamma / 2, 1.0)
         E1 = pars.V0 - pars.m_I * (gamma / 2 * pars.m_G) ** 2 / 2
         grid = np.linspace(aB / 10, 8 * aB, 400)
-        res = S.reduction_residual(self.M_SCALE, gamma, self.LAM, E1,
-                                   S.exp_orbital(aB), grid)
+        res = V.reduction_residual(self.M_SCALE, gamma, self.LAM, E1,
+                                   V.exp_orbital(aB), grid)
         assert res.norm_iii < 1e-8
 
     def test_gap_quadratic_in_slow_scales(self):
@@ -722,8 +723,8 @@ class TestReductionResidual:
         for s in (1.0, 0.5, 0.25, 0.125):
             a = a0 / s
             grid = np.linspace(a, 6 * a, 300)
-            res = S.reduction_residual(self.M_SCALE, gamma, self.LAM, om0 * s,
-                                       S.exp_orbital(a), grid)
+            res = V.reduction_residual(self.M_SCALE, gamma, self.LAM, om0 * s,
+                                       V.exp_orbital(a), grid)
             gaps.append(res.gap_i_iii)
         for hi, lo in zip(gaps, gaps[1:]):
             assert 4 * 0.7 < hi / lo < 4 * 1.3
@@ -733,8 +734,8 @@ class TestReductionResidual:
         grid = np.linspace(a0, 6 * a0, 300)
         devs = []
         for gamma in (1e-2, 2e-2, 4e-2):
-            res = S.reduction_residual(self.M_SCALE, gamma, self.LAM, om0,
-                                       S.exp_orbital(a0), grid,
+            res = V.reduction_residual(self.M_SCALE, gamma, self.LAM, om0,
+                                       V.exp_orbital(a0), grid,
                                        ablate_gamma_psidot=True)
             devs.append(res.gap_i_ii)
         assert 1.8 < devs[1] / devs[0] < 2.2

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tf_isclose
+from conftest import tf_constant, tf_isclose
 from ncgrav import timeops as T
 from ncgrav.timeops import TimeFunction as TF
 from ncgrav.waveops import GridField
-from ncgrav.verify import (classical_limit_check, random_tf,
-                           symbol_delta0_general, symbol_delta0_power)
+from ncgrav.verify import (classical_limit_check, random_tf, symbol_d0,
+                           symbol_delta0_const, symbol_delta0_general,
+                           symbol_delta0_hybrid, symbol_delta0_power)
 
 LAM = 0.3
 
@@ -98,7 +99,7 @@ class TestTimeFunction:
         assert tf_isclose(got, want)
 
     def test_shift_constant(self):
-        f = TF.constant(3 + 1j)
+        f = tf_constant(3 + 1j)
         assert tf_isclose(f.shift(2.5, LAM), f)
 
     def test_shift_composes(self):
@@ -267,7 +268,7 @@ class TestOperatorExamples:
         assert tf_isclose(got, want)
 
     def test_d0_constant(self):
-        assert tf_isclose(T.d0(TF.constant(4.2), LAM), TF.zero())
+        assert tf_isclose(T.d0(tf_constant(4.2), LAM), TF.zero())
 
     def test_d0_mode(self):
         omega = 0.9
@@ -282,7 +283,7 @@ class TestOperatorExamples:
     def test_delta0_const_t_squared(self):
         beta = -2.0
         got = T.delta0_const(TF.monomial(2), LAM, beta)
-        assert tf_isclose(got, TF.constant(beta))
+        assert tf_isclose(got, tf_constant(beta))
 
     def test_delta0_const_kills_affine(self):
         f = TF({(1, 0j): 1.5, (0, 0j): -0.3})
@@ -296,14 +297,14 @@ class TestOperatorExamples:
 
     def test_delta0_hybrid_t_squared(self):
         assert tf_isclose(T.delta0_hybrid(TF.monomial(2), LAM),
-                          TF.constant(1.0))
+                          tf_constant(1.0))
 
     def test_delta0_hybrid_kills_affine(self):
         f = TF({(1, 0j): 2.0, (0, 0j): 1.0})
         assert tf_isclose(T.delta0_hybrid(f, LAM), TF.zero())
 
     def test_delta0_power_constant(self):
-        assert tf_isclose(T.delta0_power(TF.constant(1.0), LAM, 3), TF.zero())
+        assert tf_isclose(T.delta0_power(tf_constant(1.0), LAM, 3), TF.zero())
 
     def test_delta0_power_n0_is_const(self):
         # the constant term of a beta structure is the n = 0 power law
@@ -313,7 +314,7 @@ class TestOperatorExamples:
 
     def test_delta0_power_n1_t_squared(self):
         part = T.delta0_power(TF.monomial(2), LAM, 1)
-        assert tf_isclose(part, TF.constant(1.0))
+        assert tf_isclose(part, tf_constant(1.0))
 
     def test_delta0_power_n3_mode(self):
         omega = 0.5
@@ -326,7 +327,7 @@ class TestOperatorExamples:
 
     def test_delta0_general_constant_f(self):
         assert tf_isclose(
-            T.delta0_general(TF.constant(2.0), LAM, 0.5, 0.25, 1.0), TF.zero())
+            T.delta0_general(tf_constant(2.0), LAM, 0.5, 0.25, 1.0), TF.zero())
 
     def test_delta0_general_reduces_to_const(self):
         beta = -1.3
@@ -383,10 +384,10 @@ class TestSymbols:
             omega = rng.uniform(-2, 2)
             mode = TF.mode(omega)
             checks = [
-                (T.symbol_d0(omega, LAM), T.d0(mode, LAM)),
-                (T.symbol_delta0_const(omega, LAM, -1.0),
+                (symbol_d0(omega, LAM), T.d0(mode, LAM)),
+                (symbol_delta0_const(omega, LAM, -1.0),
                  T.delta0_const(mode, LAM, -1.0)),
-                (T.symbol_delta0_hybrid(omega, LAM),
+                (symbol_delta0_hybrid(omega, LAM),
                  T.delta0_hybrid(mode, LAM)),
                 (symbol_delta0_power(omega, LAM, 3),
                  T.delta0_power(mode, LAM, 3)),
@@ -427,7 +428,7 @@ class TestClassicalLimit:
         assert 0.8 < rep["fitted_order"] < 1.3
 
     def test_constant_exact(self):
-        f = TF.constant(2.0)
+        f = tf_constant(2.0)
         rep = classical_limit_check(
             lambda g, lam: T.d0(g, lam), f, [0.1, 0.05], TF.zero())
         assert max(rep["errors"]) < 1e-14

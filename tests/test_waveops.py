@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tf_isclose, time_only
+from conftest import tf_constant, tf_isclose, time_only
 from ncgrav import geometry as G
-from ncgrav import spectrum as S
 from ncgrav import timeops as T
+from ncgrav import verify as V
 from ncgrav import waveops as W
 from ncgrav.timeops import TimeFunction as TF
 from ncgrav.verify import box_newton_oracle
@@ -33,15 +33,15 @@ def field_battery():
     """Ten separable fields mixing profiles and time behavior."""
     fields = []
     for omega in (0.3, 0.8, 1.5):
-        fields.append(W.SeparableField.single(S.exp_orbital(1.0),
+        fields.append(W.SeparableField.single(V.exp_orbital(1.0),
                                               TF.mode(omega)))
         fields.append(W.SeparableField.single(gaussian_profile(1.5),
                                               TF.mode(omega)))
     fields.append(time_only(TF.mode(0.6)))
-    fields.append(W.SeparableField.single(S.exp_orbital(1.0), TF.monomial(2)))
+    fields.append(W.SeparableField.single(V.exp_orbital(1.0), TF.monomial(2)))
     fields.append(W.SeparableField.single(gaussian_profile(2.0),
-                                          TF.constant(1.0)))
-    fields.append(W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
+                                          tf_constant(1.0)))
+    fields.append(W.SeparableField.single(V.exp_orbital(1.0), TF.mode(0.4))
                   + W.SeparableField.single(gaussian_profile(1.0),
                                             TF.mode(1.1)))
     return fields
@@ -78,7 +78,7 @@ def box_general_node_loop(psi, beta, mu, nu, lam, grid):
 def mixed_field():
     """Two radial terms with powers of t up to 2 and nonzero exponents."""
     return (W.SeparableField.single(
-                S.exp_orbital(1.0),
+                V.exp_orbital(1.0),
                 TF({(0, -0.8j): 1.0, (1, -0.5j): 0.3 + 0.1j, (2, 0j): 0.1,
                     (2, 0.2 - 1.1j): -0.05j}))
             + W.SeparableField.single(gaussian_profile(1.5), TF.mode(1.1)))
@@ -88,7 +88,7 @@ class TestGridFieldShift:
     def test_matches_time_function_shift_node_by_node(self):
         f = TF({(0, -0.8j): 1.0, (1, 0.3 - 0.5j): 0.4 + 0.2j, (2, 0j): -0.7,
                 (2, 0.25j): 0.5j})
-        phi = S.exp_orbital(1.0)
+        phi = V.exp_orbital(1.0)
         grid = GRID[:16]
         sp_v = phi(grid)
         g = W.SeparableField.single(phi, f).to_grid(grid)
@@ -121,17 +121,17 @@ class TestBoxConst:
         psi = W.SeparableField.single(W.PlaneWave(k), TF.mode(omega))
         box = W.box_const(psi, beta, LAM)
         sym = (-k ** 2 * np.exp(omega * LAM)
-               + 2 * T.symbol_delta0_const(omega, LAM, beta))
+               + 2 * V.symbol_delta0_const(omega, LAM, beta))
         got = sum(f.evaluate(0.0) for _, f in box.terms)
         assert abs(got - sym) < 1e-12 * abs(sym)
 
     def test_constant_field_killed(self):
-        psi = time_only(TF.constant(2.0))
+        psi = time_only(tf_constant(2.0))
         box = W.box_const(psi, -1.0, LAM)
         assert rel_diff(box, time_only(TF.zero())) < 1e-14
 
     def test_classical_limit_first_order(self):
-        phi = S.exp_orbital(1.0)
+        phi = V.exp_orbital(1.0)
         omega, beta = 0.8, -1.0
         psi = W.SeparableField.single(phi, TF.mode(omega))
         r = GRID
@@ -150,7 +150,7 @@ class TestBoxConst:
 class TestBoxGeneral:
     def test_const_profile_equals_box_const_both_modes(self):
         beta0 = -1.0 / C ** 2
-        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.8))
+        psi = W.SeparableField.single(V.exp_orbital(1.0), TF.mode(0.8))
         bc = W.box_const(psi, beta0, LAM)
         prof = G.RadialProfile.constant(beta0)
         half = G.RadialProfile.constant(beta0 / 2)
@@ -172,8 +172,8 @@ class TestBoxGeneral:
 
     def test_time_independent_drift_visible(self):
         # for beta = 1/r the drift is +(1/2r) d/dr
-        phi = S.exp_orbital(1.0)
-        psi = W.SeparableField.single(phi, TF.constant(1.0))
+        phi = V.exp_orbital(1.0)
+        psi = W.SeparableField.single(phi, tf_constant(1.0))
         beta = G.RadialProfile.power_law(1)
         mu, nu = G.mu_nu_closed(1)
         got = W.box_general(psi, beta, mu, nu, LAM, grid=GRID,
@@ -241,7 +241,7 @@ class TestBoxGeneral:
                                deriv=lambda r: -np.ones(np.shape(r)),
                                structure=[(0, 1.0), (-1, -1.0)])
         half = G.RadialProfile.constant(-0.5)
-        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
+        psi = W.SeparableField.single(V.exp_orbital(1.0), TF.mode(0.5))
         with pytest.raises(ValueError, match=r"beta, which is 0 at "
                            r"node\(s\) \[1\] \(r = \[1\.0\]\)"):
             box = W.box_general(psi, beta, half, half, LAM, grid=nodes,
@@ -257,7 +257,7 @@ class TestBoxNewton:
             W.box_newton(psi, 1e-3, C, LAM)
 
     def test_gamma_zero_rejected_use_const(self):
-        psi = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.5))
+        psi = W.SeparableField.single(V.exp_orbital(1.0), TF.mode(0.5))
         with pytest.raises(ValueError):
             W.box_newton(psi, 0.0, C, LAM)
 
@@ -281,7 +281,7 @@ class TestCoherenceAndLinearity:
     def test_variant_linearity(self):
         gamma = 1e-3
         beta, mu, nu = G.mu_nu_newton(gamma, C)
-        f1 = W.SeparableField.single(S.exp_orbital(1.0), TF.mode(0.4))
+        f1 = W.SeparableField.single(V.exp_orbital(1.0), TF.mode(0.4))
         f2 = W.SeparableField.single(gaussian_profile(1.5), TF.mode(1.0))
         combo = f1 + f2.scale(2.5)
         for apply_op in (
@@ -305,7 +305,7 @@ class TestKGResidual:
         assert abs(total) < 1e-12
 
     def test_massless_constant_zero(self):
-        psi = time_only(TF.constant(1.0))
+        psi = time_only(tf_constant(1.0))
         res = W.kg_residual(W.box_const(psi, -1 / C ** 2, LAM), psi, 0.0, 1.0,
                             C)
         assert rel_diff(res, time_only(TF.zero())) < 1e-14
