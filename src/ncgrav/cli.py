@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 verification/solver failure, 2 IO or config error
 or an input outside the domain (a ValueError or ArithmeticError out of the
 library, reported by `main` as "error: ..." with no traceback).
-Each table subcommand checks its arguments, makes one library call and hands
-the table to `_write_table`, which applies the one refusal rule and renders.
+Each domain rule lives in the library function that owns the quantity, and
+the CLI checks only flags and files.  Each table subcommand makes one
+library call and hands the table to `_write_table`, which applies the one
+refusal rule and renders.
 The rule: a table that exits 0 holds only finite numbers, except in the rows
 the library marks as allowed (the nan cells of evanescent `dispersion`
 rows); otherwise the first non-finite cell is refused with exit 2 as
@@ -214,12 +216,6 @@ def _add_common(sub, *constants):
         sub.add_argument("--" + name, type=_finite_float, default=1.0)
 
 
-def _check_constants(args):
-    for name in ("lam", "c", "hbar", "G"):
-        if hasattr(args, name) and getattr(args, name) <= 0:
-            _fail("%s must be positive" % name, 2)
-
-
 def _refuse_non_finite(command, header, cells, allowed=None):
     """The one non-finite refusal of the tables: a ValueError (exit 2) naming
     the first non-finite cell, row by row, outside the rows that `allowed`
@@ -268,8 +264,6 @@ def cmd_dispersion(args):
 
 def cmd_spectrum(args):
     units = E.PlanckUnits(lam=args.lam, c=args.c, hbar=args.hbar, G=args.G)
-    if args.x <= 0 or args.M <= 0:
-        _fail("x and M must be positive", 2)
     return _write_table(args, S.spectrum_table(args.x, args.M, units, l=args.l,
                                                n_states=args.n_states))
 
@@ -277,19 +271,13 @@ def cmd_spectrum(args):
 def cmd_mu_nu(args):
     if (args.n is None) == (args.gamma is None):
         _fail("pass exactly one of --n (power law) or --gamma (weak field)", 2)
-    if args.gamma is not None and args.gamma <= 0:
-        _fail("gamma must be positive", 2)
-    if args.rmin <= 0 or args.rmax <= args.rmin or args.nodes < 2:
-        _fail("need 0 < rmin < rmax and nodes >= 2", 2)
-    with np.errstate(all="ignore"):  # a non-finite cell is refused
-        table = G.mu_nu_table(args.rmin, args.rmax, args.nodes, n=args.n,
-                              gamma=args.gamma, c=args.c)
-    return _write_table(args, table)
+    return _write_table(args, G.mu_nu_table(args.rmin, args.rmax, args.nodes,
+                                            n=args.n, gamma=args.gamma,
+                                            c=args.c))
 
 
 def cmd_dark_energy(args):
-    rep = E.dark_energy_estimate(args.m_universe, args.r_universe,
-                                 E.PlanckUnits(c=args.c))
+    rep = E.dark_energy_estimate(args.m_universe, args.r_universe, args.c)
     numbers = {k: v for k, v in rep.items() if isinstance(v, float)}
     _refuse_non_finite("dark-energy", ["m-universe", *numbers],
                        np.array([[args.m_universe, *numbers.values()]]))
@@ -422,7 +410,6 @@ def main(argv=None):
             else:
                 extra.extend([flag, val])
         args = parser.parse_args(argv[:pos] + extra + argv[pos:])
-    _check_constants(args)
     try:
         return args.func(args)
     except S.GridConvergenceError as exc:

@@ -18,9 +18,9 @@ At and above SMALL_X, m_G is the closed form with one `math.expm1` and one
 about [1e-4, 0.5]: against 60-digit mpmath it is off by up to 5.6e-7
 relative on [1e-4, 1e-3], 5.3e-9 on [1e-3, 1e-2] and 5.1e-13 on [0.1, 0.5].
 
-`effective_params` (through `_ratios` and the scalar `_mg_ratio`) keeps the
-one mpmath fork left, and the only code that imports mpmath: a 30-digit
-branch below SMALL_X.  That branch loses m_G digits as x falls, since
+`effective_params` (through the scalar `_ratios`) keeps the one mpmath fork
+left, and the only code that imports mpmath: one 30-digit block below
+SMALL_X for all three ratios.  It loses m_G digits as x falls, since
 x + e^{-x} - 1 ~ x^2/2 cancels in 30 digits too: m_G/m is off by 1e-11
 relative at x = 1e-10, by 21 % at 1e-15, and is 0.0 from about 1e-16 (at
 x = 7.7e-20, say).  It stays because the `spectrum` tables are pinned byte
@@ -112,29 +112,20 @@ def _mg_closed(x):
     return out
 
 
-def _mg_ratio(x):
-    """m_G/m at one x > 0, for `_ratios`: the 30-digit mpmath branch below
-    SMALL_X, else the closed form of `mG_over_mp`."""
+def _ratios(x):
+    """(m_I/m, m_G/m, V0/(m c^2)) at one x > 0: 30-digit mpmath below
+    SMALL_X, double closed forms above, m_G by `_mg_closed` (which refuses
+    an x above X_MAX)."""
     if x < SMALL_X:
         import mpmath  # here, so that only this branch loads it
         with mpmath.workdps(30):
             xm = mpmath.mpf(x)
-            return float((xm + mpmath.exp(-xm) - 1)
-                         / (xm / 2 * mpmath.sinh(xm)))
-    return float(_mg_closed(np.array([x], dtype=float))[0])
-
-
-def _ratios(x):
-    """(m_I/m, m_G/m, V0/(m c^2)) at one x > 0: 30-digit mpmath below
-    SMALL_X, double closed forms above."""
-    mg = _mg_ratio(x)  # checks x
-    if x < SMALL_X:
-        import mpmath
-        with mpmath.workdps(30):
-            xm = mpmath.mpf(x)
-            mi = mpmath.sinh(xm) / xm * mpmath.exp(-xm)
-            v0 = xm / mpmath.sinh(xm) * (1 - mpmath.sinh(xm / 2) / (xm / 2))
-            return float(mi), mg, float(v0)
+            sinh = mpmath.sinh(xm)
+            mi = sinh / xm * mpmath.exp(-xm)
+            mg = (xm + mpmath.exp(-xm) - 1) / (xm / 2 * sinh)
+            v0 = xm / sinh * (1 - mpmath.sinh(xm / 2) / (xm / 2))
+            return float(mi), float(mg), float(v0)
+    mg = float(_mg_closed(np.array([x], dtype=float))[0])
     x = float(x)
     mi = math.sinh(x) / x * math.exp(-x)
     v0 = x / math.sinh(x) * (1 - math.sinh(x / 2) / (x / 2))
@@ -146,7 +137,8 @@ def effective_params(m, units=PlanckUnits()):
         raise ValueError("m must be positive")
     if math.isnan(m):
         raise ValueError("effective_params: m must be a number, got nan")
-    x = m * units.c ** 2 * units.lam / units.hbar  # = m / m_p
+    x = _normal_scale(lambda: m * units.c ** 2 * units.lam / units.hbar,
+                      "effective_params: x = m/m_p", m=m, units=units)
     mi, mg, v0 = _ratios(x)
     return EffectiveParams(x=x, m_I=m * mi, m_G=m * mg,
                            V0=m * units.c ** 2 * v0)
@@ -208,18 +200,23 @@ def figure1_data(x_max=10.0, n_points=500):
                             V0_over_mpc2(xs)])
 
 
-def dark_energy_estimate(m_U, r_U, units=PlanckUnits()):
+def dark_energy_estimate(m_U, r_U, c=1.0):
     """Constant-term energy density -(m_p c^2 / 2) (m_U / (4.5 m_p r_U^3)),
     i.e. a mass density of magnitude m_U / (9 r_U^3); the sign is opposite to
-    observed dark energy and is reported as such.  A non-finite m_U or r_U,
-    a 9 r_U^3 outside the normal float range, or a mass density that
-    overflows, raises ValueError naming it."""
+    observed dark energy and is reported as such; m_p cancels, so c is the
+    one constant read.  A non-finite m_U or r_U, a c that is not positive and
+    finite or whose square overflows, a 9 r_U^3 outside the normal floats, a
+    mass density that overflows, or (m_U > 0) an energy density that
+    underflows raises ValueError naming it; one that overflows is -inf."""
     if m_U < 0 or r_U <= 0:
         raise ValueError("m_U >= 0 and r_U > 0 required")
     for name, value in (("m_U", m_U), ("r_U", r_U)):
         if not math.isfinite(value):
             raise ValueError("dark_energy_estimate: %s must be finite, got %r"
                              % (name, value))
+    if not 0 < c < math.inf:
+        raise ValueError("dark_energy_estimate: c must be positive and "
+                         "finite, got %r" % c)
     mass_density = m_U / _normal_scale(lambda: 9.0 * r_U ** 3,
                                        "dark_energy_estimate: 9 r_U^3",
                                        r_U=r_U)
@@ -227,9 +224,18 @@ def dark_energy_estimate(m_U, r_U, units=PlanckUnits()):
         raise ValueError("dark_energy_estimate: the mass density m_U/(9 "
                          "r_U^3) overflows at m_U = %r, r_U = %r"
                          % (m_U, r_U))
+    try:
+        energy_density = -mass_density * c ** 2
+    except OverflowError:
+        raise ValueError("dark_energy_estimate: c^2 overflows at c = %r"
+                         % c) from None
+    if m_U > 0 and -energy_density < sys.float_info.min:
+        raise ValueError("dark_energy_estimate: the energy density -m_U c^2/"
+                         "(9 r_U^3) underflows at m_U = %r, r_U = %r, c = %r"
+                         % (m_U, r_U, c))
     return {
         "mass_density": mass_density,
-        "energy_density": -mass_density * units.c ** 2,
+        "energy_density": energy_density,
         "sign": "negative (opposite to observed dark energy)",
         "assumes": "all ordinary mass at the V0 minimum depth m_p c^2 / 2 "
                    "per 4.5 m_p of constituent mass",

@@ -197,19 +197,25 @@ def mu_nu_table(rmin, rmax, nodes, n=None, gamma=None, c=1.0):
     array with one row per radius and the fields r, beta, mu, nu, res_mu and
     res_nu (`ode_residuals`).  The profiles are mu_nu_newton(gamma, c) when
     gamma is given, else beta = 1/r^n with mu_nu_closed(n); giving both, or
-    neither, raises ValueError.  Each profile is evaluated on the whole grid;
-    a cell beyond the float range is inf or nan, for the caller to refuse."""
+    neither, or a grid outside 0 < rmin < rmax < inf, nodes >= 2, raises
+    ValueError.  Each profile is evaluated on the whole grid; a cell beyond
+    the float range is inf or nan, unwarned, for the caller to refuse."""
     if (n is None) == (gamma is None):
         raise ValueError("mu_nu_table takes exactly one profile: n or gamma")
+    if not (0 < rmin < rmax < math.inf and nodes >= 2):
+        raise ValueError("mu_nu_table needs 0 < rmin < rmax < inf and nodes "
+                         ">= 2, got rmin = %r, rmax = %r, nodes = %r"
+                         % (rmin, rmax, nodes))
     if gamma is not None:
         beta, mu, nu = mu_nu_newton(gamma, c)
     else:
         mu, nu = mu_nu_closed(n)
         beta = RadialProfile.power_law(n)
     r = default_log_grid(rmin, rmax, nodes)
-    return np.rec.fromarrays([r, beta(r), mu(r), nu(r),
-                              *ode_residuals(beta, mu, nu, r)],
-                             names="r,beta,mu,nu,res_mu,res_nu")
+    with np.errstate(all="ignore"):
+        return np.rec.fromarrays([r, beta(r), mu(r), nu(r),
+                                  *ode_residuals(beta, mu, nu, r)],
+                                 names="r,beta,mu,nu,res_mu,res_nu")
 
 
 # Gauss-Legendre order of mu_nu_numeric's panels, and the widest panel (as

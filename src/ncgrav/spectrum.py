@@ -373,7 +373,9 @@ def spectrum_table(x, M, units, l=0, n_states=3):
     """The spectrum table of a particle of mass x m_p about a central mass M:
     a record array with one row per numeric state (grid doubling checked)
     and the fields n, l, E_numeric, E_oracle (bohr_oracle at that n), rel_err
-    = |E_numeric - E_oracle| / |E_oracle - V0| and V0."""
+    = |E_numeric - E_oracle| / |E_oracle - V0| and V0.  An x or M that is
+    not positive raises ValueError naming it."""
+    _require_positive(x=x, M=M)
     pars = effective.effective_params(x * units.m_p, units)
     states = solve_radial(pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
                           l=l, n_states=n_states, check_grid=True)

@@ -222,11 +222,9 @@ def box_newton(psi, gamma, c, lam):
     power law) gives the constant-beta part, the radial drift
     (gamma / (2 r^2 (1 + gamma/r))) d/dr on psi(t+il), and the hybrid term
     -(2 gamma/(c^2 r)) Delta0^hybrid psi(t+il), timeops.delta0_power at n = 1.
+    mu_nu_newton refuses a gamma that is not positive (box_const is the
+    gamma = 0 operator), and box_general a PlaneWave term.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive (use box_const for gamma=0)")
-    if any(isinstance(sp, PlaneWave) for sp, _ in psi.terms):
-        raise ValueError("box_newton needs radial spatial parts")
     return box_general(psi, *mu_nu_newton(gamma, c), lam)
 
 

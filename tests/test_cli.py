@@ -409,6 +409,15 @@ class TestDarkEnergy:
         assert err == ("error: dark_energy_estimate: 9 r_U^3 leaves the "
                        "normal float range at r_U = %r\n" % float(r_universe))
 
+    @pytest.mark.parametrize("c", ["1e-150", "1e-141"])
+    def test_energy_density_underflow_exit_2(self, capsys, c):
+        # printed -0.000000000000e+00 (1e-150) or a subnormal (1e-141)
+        code, out, err = run_cli(capsys, "dark-energy", "--c", c)
+        assert (code, out) == (2, "")
+        assert err == ("error: dark_energy_estimate: the energy density "
+                       "-m_U c^2/(9 r_U^3) underflows at m_U = 1e+53, "
+                       "r_U = 1e+26, c = %r\n" % float(c))
+
     def test_runs_as_module_from_checkout(self, capsys):
         # python -m ncgrav with only the checkout's src/ on the path
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -867,6 +876,48 @@ class TestErrorPolicy:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dispersion", "--n", "3", "--lam", "-1"],
+         "lam and c must be positive: lam = -1, c = 1"),
+        (["dispersion", "--n", "3", "--c", "0"],
+         "lam and c must be positive: lam = 1, c = 0"),
+        (["dispersion", "--n", "3", "--hbar", "-2"],
+         "hbar must be positive: hbar = -2"),
+        (["spectrum", "--x", "1e-8", "--lam", "-1"],
+         "PlanckUnits: lam must be positive and finite, got -1.0"),
+        (["spectrum", "--x", "1e-8", "--G", "0"],
+         "PlanckUnits: G must be positive and finite, got 0.0"),
+        (["spectrum", "--x", "0"], "x must be positive, got 0.0"),
+        (["spectrum", "--x", "1e-8", "--M", "-3"],
+         "M must be positive, got -3.0"),
+        (["mu-nu", "--gamma", "0"], "gamma and c must be positive"),
+        (["mu-nu", "--gamma", "1", "--c", "-1"],
+         "gamma and c must be positive"),
+        (["mu-nu", "--n", "3", "--rmin", "10", "--rmax", "1"],
+         "mu_nu_table needs 0 < rmin < rmax < inf and nodes >= 2, got "
+         "rmin = 10.0, rmax = 1.0, nodes = 200"),
+        (["mu-nu", "--n", "3", "--rmin", "-1"],
+         "mu_nu_table needs 0 < rmin < rmax < inf and nodes >= 2, got "
+         "rmin = -1.0, rmax = 50.0, nodes = 200"),
+        (["mu-nu", "--n", "3", "--nodes", "1"],
+         "mu_nu_table needs 0 < rmin < rmax < inf and nodes >= 2, got "
+         "rmin = 0.5, rmax = 50.0, nodes = 1"),
+        (["dark-energy", "--c", "0"],
+         "dark_energy_estimate: c must be positive and finite, got 0.0"),
+        (["dark-energy", "--c", "-1"],
+         "dark_energy_estimate: c must be positive and finite, got -1.0"),
+    ])
+    def test_domain_refused_by_its_producer(self, capsys, argv, message):
+        # the CLI checks no domain rule itself: the library function that
+        # owns the quantity refuses it, naming the parameter
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+    def test_unread_c_is_not_checked(self, capsys):
+        # the power-law profiles do not read c
+        code, out, _ = run_cli(capsys, "mu-nu", "--n", "3", "--c", "-1")
+        assert (code, out) == (0, run_cli(capsys, "mu-nu", "--n", "3")[1])
 
     def test_grid_convergence_exit_1(self, capsys, monkeypatch):
         def unconverged(*args, **kwargs):

@@ -43,6 +43,18 @@ class TestClosedForms:
                            "number, got nan$"):
             E.effective_params(math.nan)
 
+    @pytest.mark.parametrize("m, units", [
+        # x underflowed to 0, and the 30-digit branch divided by it
+        (5e-324, E.PlanckUnits(lam=5e-324, hbar=5e-324)),
+        (1e-310, E.PlanckUnits()),              # a subnormal x
+        (1e308, E.PlanckUnits(lam=10.0))])      # x overflowed
+    def test_x_out_of_normal_range_named(self, m, units):
+        with pytest.raises(ValueError) as err:
+            E.effective_params(m, units)
+        assert str(err.value) == ("effective_params: x = m/m_p leaves the "
+                                  "normal float range at m = %r, units = %r"
+                                  % (m, units))
+
     @pytest.mark.parametrize("name", ["lam", "c", "hbar", "G"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_units_refuse_bad_constant_by_name(self, name, value):
@@ -106,7 +118,7 @@ class TestColumns:
     def test_closed_band_is_the_scalar_form_bit_for_bit(self, xs):
         want = [(x * _mg_closed_scalar(x)).hex() for x in xs]
         assert [v.hex() for v in E.mG_over_mp(np.array(xs)).tolist()] == want
-        assert [E._mg_ratio(x).hex() for x in xs] \
+        assert [E._ratios(x)[1].hex() for x in xs] \
             == [_mg_closed_scalar(x).hex() for x in xs]
 
     def test_bands_keep_order_and_shape(self):
@@ -231,7 +243,10 @@ class TestDarkEnergy:
         assert rep["energy_density"] < 0
 
     def test_zero_mass(self):
-        assert E.dark_energy_estimate(0.0, 1e26)["mass_density"] == 0.0
+        # a zero density is not refused where m_U c^2 would underflow
+        for c in (1.0, 1e-150, 1e-160):
+            rep = E.dark_energy_estimate(0.0, 1e26, c=c)
+            assert rep["mass_density"] == 0.0 == rep["energy_density"]
 
     def test_r_cubed_scaling(self):
         a = E.dark_energy_estimate(1e53, 1e26)["mass_density"]
@@ -263,6 +278,32 @@ class TestDarkEnergy:
             "dark_energy_estimate: the mass density m_U/(9 r_U^3) overflows "
             "at m_U = 1e+53, r_U = 5e-103")
         assert E.dark_energy_estimate(0.0, 5e-103)["mass_density"] == 0.0
+
+    def test_energy_density_scales_with_c_squared(self):
+        rep = E.dark_energy_estimate(1e53, 1e26, c=3.0)
+        assert rep["energy_density"] == -rep["mass_density"] * 9.0
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_c_refused_by_name(self, c):
+        with pytest.raises(ValueError) as err:
+            E.dark_energy_estimate(1e53, 1e26, c=c)
+        assert str(err.value) == ("dark_energy_estimate: c must be positive "
+                                  "and finite, got %r" % c)
+
+    def test_c_squared_overflow_named(self):
+        with pytest.raises(ValueError) as err:
+            E.dark_energy_estimate(1e53, 1e26, c=1e160)
+        assert str(err.value) == ("dark_energy_estimate: c^2 overflows at "
+                                  "c = 1e+160")
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-141, 1e-155, 1e-160])
+    def test_energy_density_underflow_named(self, c):
+        # -m_U c^2/(9 r_U^3) was -0.0 (c = 1e-150) or subnormal (1e-141)
+        with pytest.raises(ValueError) as err:
+            E.dark_energy_estimate(1e53, 1e26, c=c)
+        assert str(err.value) == (
+            "dark_energy_estimate: the energy density -m_U c^2/(9 r_U^3) "
+            "underflows at m_U = 1e+53, r_U = 1e+26, c = %r" % c)
 
     @pytest.mark.parametrize("m_U, r_U", [
         (-1.0, 1e26), (-math.inf, 1e26), (1e53, 0.0), (1e53, -math.inf)])

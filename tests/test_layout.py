@@ -5,10 +5,11 @@ than `verify` is referenced from `src/`; importing the CLI loads only the
 layers the tables render, the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
 and no json, all but spectrum load no mpmath, scipy is imported only in
-spectrum's eigensolve fallback, every import made inside a function is
-listed here, the mu/nu quadrature `geometry.mu_nu_numeric` loads no scipy,
-spectrum starts no thread, and where numpy bundles its OpenBLAS, spectrum
-resolves exactly the two LAPACK routines it calls, dstebz and dlaebz."""
+spectrum's eigensolve fallback, every import made inside a function and
+every refusal the CLI makes itself is listed here, the mu/nu quadrature
+`geometry.mu_nu_numeric` loads no scipy, spectrum starts no thread, and
+where numpy bundles its OpenBLAS, spectrum resolves exactly the two LAPACK
+routines it calls, dstebz and dlaebz."""
 
 import ast
 import json
@@ -229,7 +230,6 @@ def _imports(tree):
 FUNCTION_IMPORTS = [
     ("cli.py", "_json_text", "json"),
     ("cli.py", "cmd_verify", ".verify"),
-    ("effective.py", "_mg_ratio", "mpmath"),
     ("effective.py", "_ratios", "mpmath"),
     ("spectrum.py", "_eigh_tridiagonal", "scipy"),
     ("verify.py", "weak_field_check", "warnings"),
@@ -243,6 +243,32 @@ def test_function_level_imports_are_listed():
                        ast.parse(p.read_text(), filename=str(p)))
                    if scope is not None)
     assert found == FUNCTION_IMPORTS
+
+
+# every `_fail` call in cli.py, as (function, message, exit code): the CLI
+# refuses only what concerns its flags and files, and each domain rule lives
+# in the library function that owns the quantity; a rule added back to the
+# CLI needs its line here
+CLI_REFUSALS = [
+    ("_write_output", "'cannot write %s: %s' % (path, exc)", "2"),
+    ("cmd_dispersion", "'need 0 <= omega-min < omega-max and n >= 2'", "2"),
+    ("cmd_mu_nu",
+     "'pass exactly one of --n (power law) or --gamma (weak field)'", "2"),
+    ("_load_config", "'%s:%d: expected key=value' % (path, lineno)", "2"),
+    ("_load_config", "'cannot read config: %s' % exc", "2"),
+    ("main", "str(exc)", "1"),
+    ("main", "str(exc) or type(exc).__name__", "2"),
+]
+
+
+def test_cli_refusals_are_listed():
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(fn.name, *map(ast.unparse, call.args))
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == "_fail"]
+    assert sorted(found) == sorted(CLI_REFUSALS)
 
 
 def test_scipy_only_in_the_eigensolve_fallback():
@@ -358,7 +384,7 @@ def test_figure1_columns_make_no_per_point_scalar_call(monkeypatch):
 
     def refuse(*_args):
         raise AssertionError("figure1 called a scalar route per point")
-    monkeypatch.setattr(E, "_mg_ratio", refuse)
+    monkeypatch.setattr(E, "_ratios", refuse)
     monkeypatch.setattr(mpmath, "workdps", refuse)
     for x_max, n in ((10.0, 20000), (0.9 * E.SMALL_X, 2000)):
         assert E.figure1_data(x_max, n).shape == (n, 4)

@@ -253,7 +253,7 @@ class TestBoxGeneral:
 class TestBoxNewton:
     def test_plane_wave_rejected(self):
         psi = W.SeparableField.single(W.PlaneWave(0.3), TF.mode(0.5))
-        with pytest.raises(ValueError, match="box_newton needs radial"):
+        with pytest.raises(ValueError, match="box_general needs radial"):
             W.box_newton(psi, 1e-3, C, LAM)
 
     def test_gamma_zero_rejected_use_const(self):
