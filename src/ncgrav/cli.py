@@ -30,10 +30,11 @@ Physical constants default to Planck units (lam = c = hbar = G = 1).  A
 subcommand takes a flag only for the constants it reads: `spectrum` all
 four, `dispersion` --lam --c --hbar, `mu-nu` (the weak-field profiles) and
 `dark-energy` --c, `figure1` none; any other is an unrecognized argument
-(exit 2).  Flags can also come from a config file of key=value lines (flags
-override the file).
+(exit 2).  Flags, required ones too, can also come from a config file of
+key=value lines (flags override the file).
 `build_parser` is cached: the parser is built once per process, and every
-`main` call in it parses its argv with that one parser.
+`main` call in it parses its argv, the config file's flags spliced in,
+once with that one parser.
 Importing this module loads, of the package, only `dispersion`,
 `effective`, `geometry` and `spectrum`, the layers the tables render.  On
 top of that `figure1`, `dispersion`, `mu-nu` and `dark-energy` load nothing,
@@ -306,9 +307,20 @@ def cmd_verify(args):
 
 
 def _add_top_options(p):
-    """The options before the subcommand; `main` parses them again to find
-    the subcommand token."""
+    """The options before the subcommand, which `_front_parser` reads too."""
     p.add_argument("--config", help="file of key=value lines; flags override")
+
+
+@functools.cache
+def _front_parser():
+    """The top-level options, and as `rest` argv from the subcommand token
+    on, the first token they leave (a config file may share the
+    subcommand's name): `_with_config` reads --config with it before the
+    one full parse, which reports any ArgumentError it raises."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_top_options(p)
+    p.add_argument("rest", nargs=argparse.REMAINDER)
+    return p
 
 
 @functools.cache
@@ -388,28 +400,32 @@ def _load_config(path):
     return out
 
 
+def _with_config(argv):
+    """argv with the --config file's entries spliced in as flags right after
+    the subcommand token, so that they may supply a required flag and the
+    explicit flags, later in argv, win (argparse last-wins).  Without a
+    subcommand token the file is not read, and the full parse says so."""
+    try:
+        front = _front_parser().parse_known_args(argv)[0]
+    except argparse.ArgumentError:
+        return argv
+    if not (front.config and front.rest):
+        return argv
+    pos = len(argv) - len(front.rest) + 1
+    extra = []
+    for key, val in _load_config(front.config).items():
+        flag = "--" + key.replace("_", "-")
+        if val.lower() in ("true", "false"):
+            if val.lower() == "true":
+                extra.append(flag)
+        else:
+            extra.extend([flag, val])
+    return argv[:pos] + extra + argv[pos:]
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # splice config entries in as flags right after the subcommand token,
-        # the first token the top-level options leave (a config file may
-        # share the subcommand's name); explicit flags come later in argv so
-        # they win (argparse last-wins)
-        front = argparse.ArgumentParser(add_help=False)
-        _add_top_options(front)
-        front.add_argument("rest", nargs=argparse.REMAINDER)
-        pos = len(argv) - len(front.parse_args(argv).rest) + 1
-        extra = []
-        for key, val in _load_config(args.config).items():
-            flag = "--" + key.replace("_", "-")
-            if val.lower() in ("true", "false"):
-                if val.lower() == "true":
-                    extra.append(flag)
-            else:
-                extra.extend([flag, val])
-        args = parser.parse_args(argv[:pos] + extra + argv[pos:])
+    args = build_parser().parse_args(_with_config(argv))
     try:
         return args.func(args)
     except S.GridConvergenceError as exc:

@@ -31,6 +31,7 @@ instead of bytes.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,18 @@ def _normal_scale(scale, what, **pars):
         raise ValueError("%s leaves the normal float range at %s" % (
             what, ", ".join("%s = %r" % item for item in pars.items())))
     return value
+
+
+def _require_index(name, value):
+    """value as an int where operator.index takes it; a bool, which it also
+    takes, or anything else raises ValueError naming the parameter."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (name, value)) from None
 
 
 @dataclass(frozen=True)
@@ -189,8 +202,10 @@ def V0_over_mpc2(x):
                    lambda x: x ** 2 / np.sinh(x) - x / np.cosh(x / 2))
 
 
-def figure1_data(x_max=10.0, n_points=500):
-    """Rows (x, m_I/m_p, m_G/m_p, V0/(m_p c^2)) on a uniform x grid."""
+def figure1_data(x_max, n_points):
+    """Rows (x, m_I/m_p, m_G/m_p, V0/(m_p c^2)) on a uniform x grid of
+    n_points, an integer; any other n_points raises ValueError naming it."""
+    n_points = _require_index("n_points", n_points)
     if x_max <= 0 or n_points < 2:
         raise ValueError("x_max > 0 and n_points >= 2 required")
     if not math.isfinite(x_max):  # nan passes the test above
@@ -205,9 +220,10 @@ def dark_energy_estimate(m_U, r_U, c=1.0):
     i.e. a mass density of magnitude m_U / (9 r_U^3); the sign is opposite to
     observed dark energy and is reported as such; m_p cancels, so c is the
     one constant read.  A non-finite m_U or r_U, a c that is not positive and
-    finite or whose square overflows, a 9 r_U^3 outside the normal floats, a
-    mass density that overflows, or (m_U > 0) an energy density that
-    underflows raises ValueError naming it; one that overflows is -inf."""
+    finite, a 9 r_U^3 outside the normal floats, a mass density that
+    overflows, or (m_U > 0) an energy density that underflows raises
+    ValueError naming it; one that overflows is -inf.  Where c^2 overflows
+    (c above about 1.34e154) the density is multiplied by c twice."""
     if m_U < 0 or r_U <= 0:
         raise ValueError("m_U >= 0 and r_U > 0 required")
     for name, value in (("m_U", m_U), ("r_U", r_U)):
@@ -226,9 +242,8 @@ def dark_energy_estimate(m_U, r_U, c=1.0):
                          % (m_U, r_U))
     try:
         energy_density = -mass_density * c ** 2
-    except OverflowError:
-        raise ValueError("dark_energy_estimate: c^2 overflows at c = %r"
-                         % c) from None
+    except OverflowError:  # c^2 overflows; the energy density need not
+        energy_density = -(mass_density * c) * c
     if m_U > 0 and -energy_density < sys.float_info.min:
         raise ValueError("dark_energy_estimate: the energy density -m_U c^2/"
                          "(9 r_U^3) underflows at m_U = %r, r_U = %r, c = %r"

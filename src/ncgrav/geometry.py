@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .effective import _require_index
+
 # n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
 # and in timeops.delta0_power: nearer than that, the generic formulas divide
 # by 1 - n or 2 - n and cancel away most of their digits.
@@ -33,21 +35,21 @@ class RadialProfile:
     ODE, looked up on their grid and solved by the same quadrature off it,
     with derivatives from the ODE itself.
 
-    ``structure`` is None or a list of (n, coef) pairs meaning the profile is
-    sum coef * r^{-n} (n = 0 is the constant); it is the only thing that lets
-    waveops.box_general take the closed-form Delta_0.  ``constant``,
-    ``power_law`` and ``mu_nu_newton``'s beta set it; sums and scalings leave
-    it None and are evaluated pointwise.  ``tag`` only describes the profile:
-    error messages print it, and nothing dispatches on it.  A profile built
-    without a derivative raises ValueError, naming its tag, where that one is
-    asked for.
+    A profile converts r once: its functions receive np.asarray(r,
+    dtype=float), so a radius given as ints or a list reaches them as
+    float64.  ``structure`` is None or a list of (n, coef) pairs meaning the
+    profile is sum coef * r^{-n} (n = 0 is the constant); it is the only
+    thing that lets waveops.box_general take the closed-form Delta_0.
+    ``constant``, ``power_law`` and ``mu_nu_newton``'s beta set it; sums and
+    scalings leave it None and are evaluated pointwise.  A profile built
+    without a derivative raises ValueError, naming the order, where that one
+    is asked for.
     """
 
-    def __init__(self, fn, deriv=None, deriv2=None, tag=None, structure=None):
+    def __init__(self, fn, deriv=None, deriv2=None, structure=None):
         self._fn = fn
         self._deriv = deriv
         self._deriv2 = deriv2
-        self.tag = tag or {"kind": "closed-form"}
         self.structure = structure
 
     # -- constructors -------------------------------------------------
@@ -56,22 +58,19 @@ class RadialProfile:
         return cls(lambda r: np.full_like(np.asarray(r, dtype=complex), value),
                    deriv=lambda r: np.zeros_like(np.asarray(r, dtype=complex)),
                    deriv2=lambda r: np.zeros_like(np.asarray(r, dtype=complex)),
-                   tag={"kind": "constant", "value": value},
                    structure=[(0, value)])
 
     @classmethod
     def power_law(cls, n, coef=1.0):
         """coef * r^{-n}."""
-        return cls(lambda r: coef * np.asarray(r, dtype=float) ** (-n),
-                   deriv=lambda r: -n * coef * np.asarray(r, dtype=float) ** (-n - 1),
-                   deriv2=lambda r: n * (n + 1) * coef
-                   * np.asarray(r, dtype=float) ** (-n - 2),
-                   tag={"kind": "power-law", "n": n, "coef": coef},
+        return cls(lambda r: coef * r ** (-n),
+                   deriv=lambda r: -n * coef * r ** (-n - 1),
+                   deriv2=lambda r: n * (n + 1) * coef * r ** (-n - 2),
                    structure=[(n, coef)])
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, r):
-        return self._fn(np.asarray(r))
+        return self._fn(np.asarray(r, dtype=float))
 
     def deriv(self, r):
         return self._derivative(self._deriv, "first", r)
@@ -81,8 +80,8 @@ class RadialProfile:
 
     def _derivative(self, fn, order, r):
         if fn is None:
-            raise ValueError("the profile %r was built without a %s "
-                             "derivative" % (self.tag, order))
+            raise ValueError("the profile was built without a %s derivative"
+                             % order)
         return fn(np.asarray(r, dtype=float))
 
     # -- linear structure --------------------------------------------
@@ -90,15 +89,13 @@ class RadialProfile:
         return RadialProfile(
             lambda r: self(r) + other(r),
             deriv=lambda r: self.deriv(r) + other.deriv(r),
-            deriv2=lambda r: self.deriv2(r) + other.deriv2(r),
-            tag={"kind": "sum"})
+            deriv2=lambda r: self.deriv2(r) + other.deriv2(r))
 
     def scale(self, c):
         return RadialProfile(
             lambda r: c * self(r),
             deriv=lambda r: c * self.deriv(r),
-            deriv2=lambda r: c * self.deriv2(r),
-            tag={"kind": "scaled", "base": self.tag, "factor": c})
+            deriv2=lambda r: c * self.deriv2(r))
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +113,14 @@ def mu_nu_closed(n):
     """
     if abs(n - 1) < POWER_WINDOW:
         mu = RadialProfile.power_law(1)
-        nu = RadialProfile(
-            lambda r: np.log(np.asarray(r, dtype=float)) / np.asarray(r, dtype=float),
-            deriv=lambda r: (1 - np.log(r)) / np.asarray(r, dtype=float) ** 2,
-            tag={"kind": "log-over-r"})
+        nu = RadialProfile(lambda r: np.log(r) / r,
+                           deriv=lambda r: (1 - np.log(r)) / r ** 2)
         return mu, nu
     if abs(n - 2) < POWER_WINDOW:
-        mu = RadialProfile(
-            lambda r: np.log(np.asarray(r, dtype=float)) / np.asarray(r, dtype=float) ** 2,
-            deriv=lambda r: (1 - 2 * np.log(r)) / np.asarray(r, dtype=float) ** 3,
-            tag={"kind": "log-over-r2"})
-        nu = RadialProfile(
-            lambda r: -(1 + np.log(np.asarray(r, dtype=float)))
-            / np.asarray(r, dtype=float) ** 2,
-            deriv=lambda r: (1 + 2 * np.log(r)) / np.asarray(r, dtype=float) ** 3,
-            tag={"kind": "neg-one-plus-log-over-r2"})
+        mu = RadialProfile(lambda r: np.log(r) / r ** 2,
+                           deriv=lambda r: (1 - 2 * np.log(r)) / r ** 3)
+        nu = RadialProfile(lambda r: -(1 + np.log(r)) / r ** 2,
+                           deriv=lambda r: (1 + 2 * np.log(r)) / r ** 3)
         return mu, nu
     mu = RadialProfile.power_law(n, 1.0 / (2 - n))
     nu = RadialProfile.power_law(n, 1.0 / ((2 - n) * (1 - n)))
@@ -156,29 +146,23 @@ def mu_nu_newton(gamma, c):
         raise ValueError("c^2 underflows to 0 at c = %g" % c)
     inv_c2 = 1.0 / c2
     beta = RadialProfile(
-        lambda r: -inv_c2 * (1 + gamma / np.asarray(r, dtype=float)),
-        deriv=lambda r: inv_c2 * gamma / np.asarray(r, dtype=float) ** 2,
-        deriv2=lambda r: -2 * inv_c2 * gamma / np.asarray(r, dtype=float) ** 3,
-        tag={"kind": "newtonian-beta", "gamma": gamma, "c": c},
+        lambda r: -inv_c2 * (1 + gamma / r),
+        deriv=lambda r: inv_c2 * gamma / r ** 2,
+        deriv2=lambda r: -2 * inv_c2 * gamma / r ** 3,
         structure=[(0, -1 / c2), (1, -gamma / c2)])
-    mu = RadialProfile(
-        lambda r: -inv_c2 * (0.5 + gamma / np.asarray(r, dtype=float)),
-        deriv=lambda r: inv_c2 * gamma / np.asarray(r, dtype=float) ** 2,
-        tag={"kind": "newtonian-mu", "gamma": gamma, "c": c})
+    mu = RadialProfile(lambda r: -inv_c2 * (0.5 + gamma / r),
+                       deriv=lambda r: inv_c2 * gamma / r ** 2)
 
     def nu_fn(r):
-        r = np.asarray(r, dtype=float)
         g = gamma / r
         return -inv_c2 * (0.5 - g * np.log(g))
 
     def nu_deriv(r):
-        r = np.asarray(r, dtype=float)
         g = gamma / r
         # d/dr [g ln g] = -(g/r)(ln g + 1)
         return -inv_c2 * (g / r) * (np.log(g) + 1)
 
-    nu = RadialProfile(nu_fn, deriv=nu_deriv,
-                       tag={"kind": "newtonian-nu", "gamma": gamma, "c": c})
+    nu = RadialProfile(nu_fn, deriv=nu_deriv)
     return beta, mu, nu
 
 
@@ -197,11 +181,13 @@ def mu_nu_table(rmin, rmax, nodes, n=None, gamma=None, c=1.0):
     array with one row per radius and the fields r, beta, mu, nu, res_mu and
     res_nu (`ode_residuals`).  The profiles are mu_nu_newton(gamma, c) when
     gamma is given, else beta = 1/r^n with mu_nu_closed(n); giving both, or
-    neither, or a grid outside 0 < rmin < rmax < inf, nodes >= 2, raises
-    ValueError.  Each profile is evaluated on the whole grid; a cell beyond
-    the float range is inf or nan, unwarned, for the caller to refuse."""
+    neither, or a grid outside 0 < rmin < rmax < inf, nodes >= 2, or a
+    nodes that is not an integer, raises ValueError.  Each profile is
+    evaluated on the whole grid; a cell beyond the float range is inf or
+    nan, unwarned, for the caller to refuse."""
     if (n is None) == (gamma is None):
         raise ValueError("mu_nu_table takes exactly one profile: n or gamma")
+    nodes = _require_index("nodes", nodes)
     if not (0 < rmin < rmax < math.inf and nodes >= 2):
         raise ValueError("mu_nu_table needs 0 < rmin < rmax < inf and nodes "
                          ">= 2, got rmin = %r, rmax = %r, nodes = %r"
@@ -326,7 +312,6 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
 
     def solve(r):
         """mu, nu and beta at r: looked up on the grid, solved off it."""
-        r = np.asarray(r, dtype=float)
         flat = r.ravel()
         k = np.minimum(np.searchsorted(radii, flat), radii.size - 1)
         off = radii[k] != flat
@@ -345,17 +330,15 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
 
     def d_mu(r):
         mu, _, b = solve(r)
-        return (b - 2 * mu) / np.asarray(r, dtype=float)
+        return (b - 2 * mu) / r
 
     def d_nu(r):
         mu, nu, _ = solve(r)
-        return (mu - nu) / np.asarray(r, dtype=float)
+        return (mu - nu) / r
 
-    return (RadialProfile(lambda r: solve(r)[0], deriv=d_mu,
-                          tag={"kind": "numeric-mu"}),
-            RadialProfile(lambda r: solve(r)[1], deriv=d_nu,
-                          tag={"kind": "numeric-nu"}))
+    return (RadialProfile(lambda r: solve(r)[0], deriv=d_mu),
+            RadialProfile(lambda r: solve(r)[1], deriv=d_nu))
 
 
-def default_log_grid(rmin, rmax, n=400):
+def default_log_grid(rmin, rmax, n):
     return np.geomspace(rmin, rmax, n)

@@ -23,7 +23,6 @@ import ctypes
 import functools
 import glob
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ class BoundState:
     n: int
     l: int
     E: float
-    method: str  # "numeric" | "bohr-oracle"
 
 
 class GridConvergenceError(RuntimeError):
@@ -48,18 +46,6 @@ def _require_positive(**values):
     for name, value in values.items():
         if not value > 0:
             raise ValueError("%s must be positive, got %r" % (name, value))
-
-
-def _require_index(name, value):
-    """value as an int where operator.index takes it; a bool, which it also
-    takes, or anything else raises ValueError naming the parameter."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r"
-                         % (name, value)) from None
 
 
 def bohr_radius(m_I, m_G, M, G, hbar):
@@ -74,9 +60,11 @@ def bohr_radius(m_I, m_G, M, G, hbar):
 
 def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1.
-    A parameter that is not positive (V0: not finite), or a depth below V0
-    outside the normal float range, raises ValueError naming it."""
+    A parameter that is not positive (V0: not finite), an n_max that is not
+    an integer, or a depth below V0 outside the normal float range, raises
+    ValueError naming it."""
     _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
+    n_max = effective._require_index("n_max", n_max)
     if not math.isfinite(V0):
         raise ValueError("V0 must be finite, got %r" % V0)
     out = []
@@ -86,7 +74,7 @@ def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
             "bohr_oracle: the depth m_I (G M m_G)^2/(2 hbar^2 n^2) at n = %d"
             % n, m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
         for l in range(n):
-            out.append(BoundState(n=n, l=l, E=E, method="bohr-oracle"))
+            out.append(BoundState(n=n, l=l, E=E))
     return out
 
 
@@ -107,7 +95,7 @@ KIN_MIN = math.sqrt(np.finfo(float).tiny)       # 1.5e-154
 KIN_MAX = math.sqrt(np.finfo(float).max) / 2    # 6.7e153
 
 
-def default_grid(m_I, m_G, M, G, hbar, n_max=3):
+def default_grid(m_I, m_G, M, G, hbar, n_max):
     """The uniform grid for states up to n_max: the box and the node count
     are GRID_BOHR Bohr radii and GRID_NODES, both times max(1, (n_max/3)^2),
     since the n-th state reaches out to about n^2 Bohr radii."""
@@ -239,8 +227,7 @@ def _solve_grid(diag, off, V0, l, n_states):
                                             min(n_states, diag.size - 2))):
         if E >= V0:
             break
-        states.append(BoundState(n=l + 1 + j, l=l, E=float(E),
-                                 method="numeric"))
+        states.append(BoundState(n=l + 1 + j, l=l, E=float(E)))
     return states
 
 
@@ -344,7 +331,8 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
     Gershgorin norm, absolute.  So E is good to that much and no further:
     at x = 1e-8 (`spectrum --x 1e-8`) it is 8.9e-12 to 8.0e-11 of the depth
     |E - V0| at l = 0 (n = 1-3), and up to 5.5e-10 at l = 2 (n = 3-5)."""
-    l, n_states = _require_index("l", l), _require_index("n_states", n_states)
+    l = effective._require_index("l", l)
+    n_states = effective._require_index("n_states", n_states)
     if l < 0:
         raise ValueError("l must be >= 0, got %r" % l)
     if n_states < 1:

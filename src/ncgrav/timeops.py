@@ -108,8 +108,8 @@ class TimeFunction:
         return cls()
 
     @classmethod
-    def monomial(cls, p, c=1.0):
-        return cls({(p, 0j): c})
+    def monomial(cls, p):
+        return cls({(p, 0j): 1.0})
 
     @classmethod
     def mode(cls, omega, c=1.0):

@@ -233,21 +233,21 @@ def _is_form(g):
     return g in (DT, THETA) or g[0] == "dx"
 
 
-def normal_order(d, word, coeff=None):
+def normal_order(d, word):
     """Reduce a word (sequence of generator/one-form tags) to its symbol.
 
-    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  `coeff` is the symbol
-    of a scalar standing to the left of the word (default 1).  Returns a
-    symbol if the word has no one-form factor, a one-form symbol if it has
-    exactly one; raises TwoFormError otherwise (no 2-form relations in this
-    calculus).  Any other tag, or an index outside 1..d, raises ValueError.
+    Tags: ('x', i), 't', ('dx', i), 'dt', "theta'".  The word is read from
+    the symbol of 1 on its left.  Returns a symbol if the word has no
+    one-form factor, a one-form symbol if it has exactly one; raises
+    TwoFormError otherwise (no 2-form relations in this calculus).  Any
+    other tag, or an index outside 1..d, raises ValueError.
     """
     for g in word:
         _check_tag(d, g)
     nforms = sum(1 for g in word if _is_form(g))
     if nforms > 1:
         raise TwoFormError("word contains %d one-form factors" % nforms)
-    acc = {(0,) * (d + 3): (1, 0)} if coeff is None else coeff
+    acc = {(0,) * (d + 3): (1, 0)}
     form = None
     for g in word:
         if form is not None:
@@ -707,11 +707,9 @@ def _(level):
 @check("geometry.weak-field-poisson")
 def _(level):
     Gn, c, M, a = 6.674e-11, 3e8, 5.97e24, 2e6
-    phi = G.RadialProfile(
-        lambda r: -Gn * M / np.sqrt(np.asarray(r, dtype=float) ** 2 + a ** 2))
+    phi = G.RadialProfile(lambda r: -Gn * M / np.sqrt(r ** 2 + a ** 2))
     rho = G.RadialProfile(
-        lambda r: 3 * M * a ** 2
-        / (4 * np.pi * (np.asarray(r, dtype=float) ** 2 + a ** 2) ** 2.5))
+        lambda r: 3 * M * a ** 2 / (4 * np.pi * (r ** 2 + a ** 2) ** 2.5))
     grid = np.geomspace(2e5, 2e8, 6000 if level == "full" else 3000)
     rep = weak_field_check(phi, rho, c, Gn, grid)
     ok = rep["max_poisson_residual"] / rep["poisson_scale"] < 1e-5 \
@@ -728,11 +726,9 @@ _GRID = G.default_log_grid(0.5, 20.0, 80)
 
 def exp_orbital(a):
     """phi = e^{-r/a} with analytic derivatives (hydrogen-like shape)."""
-    return G.RadialProfile(
-        lambda r: np.exp(-np.asarray(r, dtype=float) / a),
-        deriv=lambda r: -np.exp(-r / a) / a,
-        deriv2=lambda r: np.exp(-r / a) / a ** 2,
-        tag={"kind": "exp-orbital", "a": a})
+    return G.RadialProfile(lambda r: np.exp(-r / a),
+                           deriv=lambda r: -np.exp(-r / a) / a,
+                           deriv2=lambda r: np.exp(-r / a) / a ** 2)
 
 
 @check("waveops.massless-shell-residual")
@@ -770,13 +766,12 @@ def box_newton_oracle(psi, gamma, c, lam):
             raise ValueError("box_newton needs radial spatial parts")
         shifted = f.shift(1, lam)
         drift = G.RadialProfile(
-            lambda r, _sp=sp: gamma
-            / (2 * np.asarray(r, dtype=float) ** 2
-               * (1 + gamma / np.asarray(r, dtype=float))) * _sp.deriv(r))
+            lambda r, _sp=sp: gamma / (2 * r ** 2 * (1 + gamma / r))
+            * _sp.deriv(r))
         out.terms.append((drift, shifted))
         hyb_weight = G.RadialProfile(
-            lambda r, _sp=sp: -(2 * gamma / c ** 2)
-            / np.asarray(r, dtype=float) * np.asarray(_sp(r), dtype=complex))
+            lambda r, _sp=sp: -(2 * gamma / c ** 2) / r
+            * np.asarray(_sp(r), dtype=complex))
         out.terms.append((hyb_weight, T.delta0_power(f, lam, 1)))
     return out
 
@@ -858,13 +853,13 @@ def series_check():
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def _golden_min(f, lo, hi, xatol=1e-10):
+def _golden_min(f, lo, hi):
     """(x, f(x)) at the minimum of f, unimodal on [lo, hi], by golden-section
     search: the bracket shrinks by the golden ratio per evaluation until it
-    is narrower than xatol."""
+    is narrower than 1e-10."""
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > xatol:
+    while hi - lo > 1e-10:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)

@@ -137,8 +137,7 @@ def field_max_diff(a, b, r):
 
 def _lap_profile(sp):
     """Flat 3D Laplacian of a radial profile as a new profile."""
-    return RadialProfile(
-        lambda r: sp.deriv2(r) + 2.0 / np.asarray(r, dtype=float) * sp.deriv(r))
+    return RadialProfile(lambda r: sp.deriv2(r) + 2.0 / r * sp.deriv(r))
 
 
 def _drift_profile(sp, beta):
@@ -179,8 +178,7 @@ def _delta0_closed_terms(sp, f, lam, structure):
     timeops.delta0_power per power law, weighted by coef r^{-n}; separability
     is preserved."""
     return [(RadialProfile(lambda r, _n=n, _c=coef:
-                           _c * np.asarray(r, dtype=float) ** (-_n)
-                           * np.asarray(sp(r), dtype=complex)),
+                           _c * r ** (-_n) * np.asarray(sp(r), dtype=complex)),
              timeops.delta0_power(f, lam, n).scale(2.0))
             for n, coef in structure]
 

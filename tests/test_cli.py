@@ -311,7 +311,9 @@ class TestMuNu:
     def test_special_case_window_shared(self, capsys, n0, eps):
         # mu_nu_closed and delta0_power take the closed family at the same n
         n = n0 + eps
-        assert G.mu_nu_closed(n)[1].tag == G.mu_nu_closed(n0)[1].tag
+        r = np.array([0.3, 1.0, 2.5, 40.0])
+        assert (G.mu_nu_closed(n)[1](r).tobytes()
+                == G.mu_nu_closed(n0)[1](r).tobytes())
         f = T.TimeFunction.mode(0.7)
         assert (T.delta0_power(f, 0.3, n).terms
                 == T.delta0_power(f, 0.3, n0).terms)
@@ -548,6 +550,16 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "--config=figure1", "figure1",
                                "--n", "4")
         assert len(parse_csv(out)[1]) == 4
+
+    def test_config_supplies_a_required_flag(self, capsys, tmp_path):
+        # the file is spliced in before the one full parse, so it can give
+        # spectrum's required --x: the run exited 2 ("the following
+        # arguments are required: --x")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 1e-8\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "spectrum")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "spectrum", "--x", "1e-8")[1]
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nope.cfg", "figure1")

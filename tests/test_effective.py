@@ -10,6 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncgrav import effective as E
+from ncgrav import geometry as G
+from ncgrav import spectrum as S
 from ncgrav import verify as V
 
 
@@ -222,7 +224,7 @@ class TestFigure1:
     def test_x_max_not_finite_named(self, x_max):
         # a nan x_max gave all-nan rows
         with pytest.raises(ValueError) as err:
-            E.figure1_data(x_max=x_max)
+            E.figure1_data(x_max=x_max, n_points=500)
         assert str(err.value) == ("figure1_data: x_max must be finite, got %r"
                                   % x_max)
 
@@ -290,11 +292,13 @@ class TestDarkEnergy:
         assert str(err.value) == ("dark_energy_estimate: c must be positive "
                                   "and finite, got %r" % c)
 
-    def test_c_squared_overflow_named(self):
-        with pytest.raises(ValueError) as err:
-            E.dark_energy_estimate(1e53, 1e26, c=1e160)
-        assert str(err.value) == ("dark_energy_estimate: c^2 overflows at "
-                                  "c = 1e+160")
+    def test_c_squared_overflow_finite(self):
+        # c^2 overflows at c = 1e160, where the energy density is finite:
+        # it was refused as "c^2 overflows"
+        rep = E.dark_energy_estimate(1e53, 1e26, c=1e160)
+        assert rep["energy_density"] == -1.1111111111111108e+294
+        assert E.dark_energy_estimate(1e53, 1e26, c=1e170)[
+            "energy_density"] == -math.inf
 
     @pytest.mark.parametrize("c", [1e-150, 1e-141, 1e-155, 1e-160])
     def test_energy_density_underflow_named(self, c):
@@ -311,3 +315,15 @@ class TestDarkEnergy:
         with pytest.raises(ValueError, match="^m_U >= 0 and r_U > 0 "
                            "required$"):
             E.dark_energy_estimate(m_U, r_U)
+
+
+@pytest.mark.parametrize("name, produce", [
+    ("nodes", lambda: G.mu_nu_table(0.5, 50, 2.5, n=3)),
+    ("n_points", lambda: E.figure1_data(10, 2.5)),
+    ("n_max", lambda: S.bohr_oracle(1, 1, 0, 1, 1e-3, 1, n_max=2.5)),
+])
+def test_non_integral_count_named(name, produce):
+    # each count raised a bare TypeError out of numpy or range
+    with pytest.raises(ValueError) as err:
+        produce()
+    assert str(err.value) == "%s must be an integer, got 2.5" % name

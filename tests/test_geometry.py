@@ -34,11 +34,24 @@ class TestRadialProfile:
         assert np.allclose(s.deriv(r), -3.0 / r ** 2)
 
     def test_missing_derivative_named(self):
-        p = G.RadialProfile(lambda r: np.exp(-r), tag={"kind": "exp"})
+        p = G.RadialProfile(lambda r: np.exp(-r))
         for deriv, order in ((p.deriv, "first"), (p.deriv2, "second")):
-            with pytest.raises(ValueError, match="'kind': 'exp'}.* %s "
-                               "derivative" % order):
+            with pytest.raises(ValueError, match="without a %s derivative"
+                               % order):
                 deriv(np.array([1.0, 2.0]))
+
+    def test_functions_get_float_radii(self):
+        # the profile converts r once, so its functions see float64 even
+        # where the caller passes a list of ints
+        seen = []
+
+        def record(r):
+            seen.append(r.dtype)
+            return r
+        p = G.RadialProfile(record, deriv=record, deriv2=record)
+        for call in (p, p.deriv, p.deriv2):
+            call([1, 2])
+        assert seen == [np.float64] * 3
 
 
 class TestClosedForms:

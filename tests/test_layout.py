@@ -5,11 +5,12 @@ than `verify` is referenced from `src/`; importing the CLI loads only the
 layers the tables render, the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
 and no json, all but spectrum load no mpmath, scipy is imported only in
-spectrum's eigensolve fallback, every import made inside a function and
-every refusal the CLI makes itself is listed here, the mu/nu quadrature
-`geometry.mu_nu_numeric` loads no scipy, spectrum starts no thread, and
-where numpy bundles its OpenBLAS, spectrum resolves exactly the two LAPACK
-routines it calls, dstebz and dlaebz."""
+spectrum's eigensolve fallback, every import made inside a function, every
+parameter with a default of the public API and every refusal the CLI makes
+itself is listed here, the mu/nu quadrature `geometry.mu_nu_numeric` loads
+no scipy, spectrum starts no thread, and where numpy bundles its OpenBLAS,
+spectrum resolves exactly the two LAPACK routines it calls, dstebz and
+dlaebz."""
 
 import ast
 import json
@@ -269,6 +270,78 @@ def test_cli_refusals_are_listed():
              for call in ast.walk(fn) if isinstance(call, ast.Call)
              and getattr(call.func, "id", None) == "_fail"]
     assert sorted(found) == sorted(CLI_REFUSALS)
+
+
+def _defaulted(fn):
+    """The parameters of fn that have a default, positional then keyword."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    return ([p.arg for p in pos[len(pos) - len(a.defaults):]] if a.defaults
+            else []) + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                        if d is not None]
+
+
+def _options(tree):
+    """(qualified name, parameter) of each parameter with a default of the
+    module's public functions, its public classes' public methods and their
+    __init__."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [(node.name, arg) for arg in _defaulted(node)]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [("%s.%s" % (node.name, sub.name), arg)
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)
+                    and (sub.name == "__init__" or not sub.name.startswith("_"))
+                    for arg in _defaulted(sub)]
+    return out
+
+
+# every parameter with a default of the public API, as (module, qualified
+# name, parameter): each is a knob some caller in src/, tests/ or perfbench/
+# sets or relies on, and a new one needs its line here
+OPTIONS = [
+    ("cli.py", "main", "argv"),
+    ("coeff.py", "Coeff.__init__", "terms"),
+    ("coeff.py", "Coeff.from_rational", "im"),
+    ("effective.py", "effective_params", "units"),
+    ("effective.py", "dark_energy_estimate", "c"),
+    ("exactalg.py", "NCElement.__init__", "terms"),
+    ("exactalg.py", "NCElement.monomial", "c"),
+    ("exactalg.py", "NCOneForm.__init__", "parts"),
+    ("geometry.py", "RadialProfile.__init__", "deriv"),
+    ("geometry.py", "RadialProfile.__init__", "deriv2"),
+    ("geometry.py", "RadialProfile.__init__", "structure"),
+    ("geometry.py", "RadialProfile.power_law", "coef"),
+    ("geometry.py", "mu_nu_table", "n"),
+    ("geometry.py", "mu_nu_table", "gamma"),
+    ("geometry.py", "mu_nu_table", "c"),
+    ("spectrum.py", "bohr_oracle", "n_max"),
+    ("spectrum.py", "solve_radial", "l"),
+    ("spectrum.py", "solve_radial", "grid"),
+    ("spectrum.py", "solve_radial", "n_states"),
+    ("spectrum.py", "solve_radial", "check_grid"),
+    ("spectrum.py", "spectrum_table", "l"),
+    ("spectrum.py", "spectrum_table", "n_states"),
+    ("timeops.py", "stencil_terms", "out"),
+    ("timeops.py", "TimeFunction.__init__", "terms"),
+    ("timeops.py", "TimeFunction.mode", "c"),
+    ("timeops.py", "TimeFunction.stencil", "deriv_taps"),
+    ("verify.py", "random_tf", "nterms"),
+    ("verify.py", "reduction_residual", "ablate_gamma_psidot"),
+    ("verify.py", "run", "level"),
+    ("waveops.py", "SeparableField.__init__", "terms"),
+    ("waveops.py", "GridField.__init__", "data"),
+    ("waveops.py", "box_general", "grid"),
+    ("waveops.py", "box_general", "mode"),
+]
+
+
+def test_options_are_listed():
+    found = [(p.name, *option) for p in sorted(SRC.glob("*.py"))
+             for option in _options(ast.parse(p.read_text(),
+                                              filename=str(p)))]
+    assert found == OPTIONS
 
 
 def test_scipy_only_in_the_eigensolve_fallback():

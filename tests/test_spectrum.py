@@ -324,7 +324,7 @@ def _grid(box_bohr, nodes):
 
 
 def _bits(states):
-    return [(s.n, s.l, s.E.hex(), s.method) for s in states]
+    return [(s.n, s.l, s.E.hex()) for s in states]
 
 
 def _sequential_check(grid, n_states, l=0, M=M, G=GN, V0=V0):
