@@ -16,11 +16,15 @@ appears only at the boundary: ``from_rational`` given non-int parts, the
 constructor given Fraction parts, and the text of a part.
 
 ``Coeff`` is the type of the API boundary, not of the calculus, and it has
-no arithmetic: an ``NCElement`` keeps its own flat (monomial, lam^j beta^k)
--> (re, im) dict and builds a ``Coeff`` only where a caller asks for one (its
+no arithmetic: an ``NCElement`` keeps its own flat dict from packed keys to
+(re, im) pairs and builds a ``Coeff`` only where a caller asks for one (its
 constructors and ``scale`` take one; ``coeffs()`` and ``to_text`` return
-them).  The oracles in ``verify`` read its parts as plain int/Fraction
-symbols.
+them).  A packed key is one int of 8-bit fields for beta^k, lam^j, t^n and
+x_1..x_d, lowest first; every exponent stays below 64, and one that would
+reach it raises ``exactalg.ExponentOverflowError`` instead of carrying into
+the next field (the ``exactalg`` docstring has the layout, and how
+``exterior_d`` and ``mul_elem`` compute each shift S^+- psi once).  The
+oracles in ``verify`` read its parts as plain int/Fraction symbols.
 """
 
 from __future__ import annotations

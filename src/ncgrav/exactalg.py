@@ -7,7 +7,7 @@ one-forms dx_1..dx_d, dt and the extra direction theta' (constant beta).
 Elements are kept in canonical normal order: spatial powers to the left of
 time powers, function coefficients to the left of basis one-forms.
 
-An element is one flat dict ``terms`` mapping (xpow, n, j, k) to a pair of
+An element is one flat dict ``terms`` mapping a packed key to a pair of
 Python ints (re, im), and one positive int ``den`` shared by the whole
 element: the coefficient of x^xpow t^n lam^j beta^k is (re + i im) / den.
 Invariant: no pair is (0, 0), and den is 1 or shares no common factor with
@@ -20,14 +20,32 @@ type: the constructors (``NCElement(d, {(xpow, n): Coeff})`` and
 ``monomial``) and ``scale`` take it, and ``coeffs()`` and ``to_text`` build
 it.
 
+Packed keys.  The key of x^xpow t^n lam^j beta^k is one int of d + 3
+fields of FIELD_BITS = 8 bits, lowest first: k, j, n, then x_1..x_d, so the
+element's d sets the layout, and ``int.from_bytes``/``int.to_bytes`` pack and
+unpack it.  Every exponent of a stored key lies below EXPONENT_LIMIT = 2^6 =
+64; the top two bits of each field are headroom.  The operations are key
+arithmetic: the product adds two keys, ``partial_x`` subtracts one unit of
+field i, ``_times`` adds a constant, and ``shift_t`` and the product add the
+offsets p (lam unit - t unit) of the cached table ``_shift_offsets``, which
+is ``_t_power_shifted`` in key form.  A field of a result is at most the sum
+of three exponents below the limit (the product's lam field j1 + j2 + p, with
+p <= n), which stays below 2^8, so no field carries into the next; an
+exponent that reaches the limit sets a headroom bit, and the operation
+raises ``ExponentOverflowError`` (an ``OverflowError``) instead of storing
+it.  A factor with no x and no t is central, and the product multiplies by it
+through ``_times``.  Keys are unpacked only at the boundary: the
+constructors, and ``coeffs()``, which ``to_text`` reads and which keeps its
+result on the element (an element never changes).
+
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
 
     theta' psi = (S^+ psi) theta'
-    dx_i psi   = psi dx_i + i lam S^+(d_i psi) theta'
+    dx_i psi   = psi dx_i + i lam d_i(S^+ psi) theta'
     dt psi     = (S^- psi) dt - i lam sum_j (d_j psi) dx_j
                  + [(beta/2)(S^+ psi - S^- psi)
-                    + (lam^2/2) S^+(Delta psi)] theta'
+                    + (lam^2/2) Delta(S^+ psi)] theta'
 
 Each follows by induction on the word x^a t^n from the generator relations
 theta' t = (t + i lam) theta', dt t = (t - i lam) dt + i lam beta theta',
@@ -35,23 +53,101 @@ dt x_j = x_j dt - i lam dx_j and dx_i x_j = x_j dx_i + i lam delta_ij theta'
 (all other pairs commute): x_i passes dx_i leaving i lam theta', which then
 meets t^n as (t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own
 theta' terms sum to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt
-plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The oracles in
-`verify` apply the relations one generator at a time, on plain int/Fraction
-symbols (`verify.normal_order`, `verify.mul_gen`), and read results from here
-only through `coeffs()`.
+plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The shift acts on t
+only and d_j on x only, so d_j S^+ = S^+ d_j: the code shifts psi once and
+differentiates the shifted element.  The oracles in `verify` apply the
+relations one generator at a time, on plain int/Fraction symbols
+(`verify.normal_order`, `verify.mul_gen`), and read results from here only
+through `coeffs()`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, lcm
-from operator import add
+from operator import or_
 
 from .coeff import Coeff, lowest_terms
 
 # one-form basis tags
 DT = "dt"
 THETA = "theta'"
+
+# packed-key layout (see the module docstring): one byte per field
+FIELD_BITS = 8
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 2)
+_J, _N, _X = FIELD_BITS, 2 * FIELD_BITS, 3 * FIELD_BITS  # field shifts
+_FIELD = (1 << FIELD_BITS) - 1
+_J_MASK = _FIELD << _J
+_J_UNIT, _N_UNIT = 1 << _J, 1 << _N
+_JK_MASK = _N_UNIT - 1
+
+
+class ExponentOverflowError(OverflowError):
+    """An exponent reached EXPONENT_LIMIT, the most a packed key holds."""
+
+
+def _overflow(what, e):
+    return ExponentOverflowError(
+        "the power of %s reaches %d: packed keys hold exponents below %d "
+        "(%d-bit fields with two bits of headroom)"
+        % (what, e, EXPONENT_LIMIT, FIELD_BITS))
+
+
+def _field_names(d):
+    return ("beta", "lam", "t") + tuple("x%d" % i for i in range(1, d + 1))
+
+
+@lru_cache(maxsize=4096)
+def _pack(d, xpow, n, j, k):
+    """The key of x^xpow t^n lam^j beta^k, for a tuple xpow and exponents
+    >= 0.  Cached: an element's monomials recur."""
+    fields = (k, j, n, *xpow)
+    if len(fields) != d + 3:
+        raise ValueError("xpow %r has %d powers, the algebra has d = %d"
+                         % (tuple(xpow), len(fields) - 3, d))
+    try:
+        key = int.from_bytes(bytes(fields), "little")
+    except ValueError:  # a field outside 0..255
+        key = _headroom(d)
+    if key & _headroom(d):
+        for what, e in zip(_field_names(d), fields):
+            if e < 0:
+                raise ValueError("the power of %s is %d < 0" % (what, e))
+            if e >= EXPONENT_LIMIT:
+                raise _overflow(what, e)
+    return key
+
+
+@lru_cache(maxsize=4096)
+def _x_degree(x):
+    """x_1 + .. + x_d of the spatial fields x = key >> _X of a key."""
+    return sum(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+
+
+@lru_cache(maxsize=16)
+def _monomial_table(d):
+    """The dict m -> (xpow, n) that `coeffs` fills, for the monomial fields
+    m = key >> _N of the keys of one d."""
+    return {}
+
+
+_MONOMIAL_TABLE_MAX = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _headroom(d):
+    """The headroom bits of every field of a d-dimensional key."""
+    return int.from_bytes(bytes([_FIELD ^ (EXPONENT_LIMIT - 1)]) * (d + 3),
+                          "little")
+
+
+def _refuse_exponents(keys, d):
+    """Raise ExponentOverflowError for the first exponent at the limit."""
+    for key in keys:
+        for what, e in zip(_field_names(d), key.to_bytes(d + 3, "little")):
+            if e >= EXPONENT_LIMIT:
+                raise _overflow(what, e)
 
 
 def dx(i):
@@ -67,33 +163,29 @@ def _form_name(form):
 
 
 def _element(d, terms, den=1):
-    """NCElement from flat int pairs without (0, 0) over den > 0, reduced to
-    the invariant.  The dict is adopted, not copied."""
+    """NCElement from packed keys to int pairs without (0, 0) over den > 0,
+    reduced to the invariant.  The dict is adopted, not copied."""
     if den != 1:
         terms, den = lowest_terms(terms, den)
     out = object.__new__(NCElement)
-    out.d, out.terms, out.den = d, terms, den
+    out.d, out.terms, out.den, out._coeffs = d, terms, den, None
     return out
-
-
-def _nonzero(terms):
-    return {k: v for k, v in terms.items() if v[0] or v[1]}
 
 
 class NCElement:
     """Canonical sum of monomials x^xpow t^n lam^j beta^k with Gaussian
-    rational coefficients: ``terms`` maps (xpow, n, j, k) to an int pair
-    (re, im) over the element's one denominator ``den``."""
+    rational coefficients: ``terms`` maps the packed key of (xpow, n, j, k)
+    to an int pair (re, im) over the element's one denominator ``den``."""
 
-    __slots__ = ("d", "terms", "den")
+    __slots__ = ("d", "terms", "den", "_coeffs")
 
     def __init__(self, d, terms=None):
         # terms: {(xpow, n): Coeff}, brought over one denominator; each Coeff
         # is in lowest terms, so their lcm is too
         coeffs = [(key, c) for key, c in (terms or {}).items() if c]
         den = lcm(*(c.den for _key, c in coeffs))
-        self.d = d
-        self.terms = {(xpow, n, j, k): (re * f, im * f)
+        self.d, self._coeffs = d, None
+        self.terms = {_pack(d, xpow, n, j, k): (re * f, im * f)
                       for (xpow, n), c in coeffs for f in [den // c.den]
                       for (j, k), (re, im) in c.terms.items()}
         self.den = den
@@ -101,7 +193,7 @@ class NCElement:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, d):
-        return cls(d)
+        return _element(d, {})
 
     @classmethod
     def one(cls, d):
@@ -109,16 +201,35 @@ class NCElement:
 
     @classmethod
     def monomial(cls, d, xpow, tpow, c=None):
+        xpow = tuple(xpow)
         if c is None:
-            return _element(d, {(tuple(xpow), tpow, 0, 0): (1, 0)})
-        return cls(d, {(tuple(xpow), tpow): c})
+            return _element(d, {_pack(d, xpow, tpow, 0, 0): (1, 0)})
+        # c is in lowest terms, so its pairs and den are the element's
+        return _element(d, {_pack(d, xpow, tpow, j, k): v
+                            for (j, k), v in c.terms.items()}, c.den)
 
     def coeffs(self):
-        """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n."""
+        """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n.
+        An element does not change, so the first call keeps the unpacked
+        dict and every call returns a copy of it."""
+        if self._coeffs is not None:
+            return dict(self._coeffs)
         parts = {}
-        for (xpow, n, j, k), v in self.terms.items():
-            parts.setdefault((xpow, n), {})[(j, k)] = v
-        return {key: Coeff.from_parts(p, self.den) for key, p in parts.items()}
+        for key, v in self.terms.items():
+            # group by the fields n, x_1..x_d; divmod splits off (j, k)
+            jk = divmod(key & _JK_MASK, _J_UNIT)
+            parts.setdefault(key >> _N, {})[jk] = v
+        table, width, den = _monomial_table(self.d), self.d + 1, self.den
+        out = self._coeffs = {}
+        for m, p in parts.items():
+            mono = table.get(m)
+            if mono is None:  # unpack the fields n, x_1..x_d once
+                if len(table) >= _MONOMIAL_TABLE_MAX:
+                    table.clear()
+                n_x = m.to_bytes(width, "little")
+                mono = table[m] = (tuple(n_x[1:]), n_x[0])
+            out[mono] = Coeff.from_parts(p, den)
+        return dict(out)
 
     # -- ring structure ----------------------------------------------
     def __eq__(self, other):
@@ -162,42 +273,68 @@ class NCElement:
 
     def _times(self, re, im, dj=0, dk=0, den=1):
         """self * (re + i im) lam^dj beta^dk / den, for a nonzero Gaussian
-        integer re + i im and den > 0.  A negative dj divides by lam^-dj,
-        which must divide every term."""
-        out = {}
-        for (xpow, n, j, k), (a, b) in self.terms.items():
-            if j + dj < 0:
-                raise ArithmeticError("element not divisible by lam^%d: %s"
-                                      % (-dj, self.to_text()))
-            out[(xpow, n, j + dj, k + dk)] = (a * re - b * im, a * im + b * re)
+        integer re + i im and den > 0.  A negative dj (dk) divides by lam^-dj
+        (beta^-dk), which must divide every term."""
+        if dj >= EXPONENT_LIMIT:
+            raise _overflow("lam", dj)
+        if dk >= EXPONENT_LIMIT:
+            raise _overflow("beta", dk)
+        if dj < 0 or dk < 0:
+            for key in self.terms:
+                if key & _J_MASK < -dj << _J:
+                    raise ArithmeticError("element not divisible by lam^%d: "
+                                          "%s" % (-dj, self.to_text()))
+                if key & _FIELD < -dk:
+                    raise ArithmeticError("element not divisible by beta^%d: "
+                                          "%s" % (-dk, self.to_text()))
+        off = (dj << _J) + dk
+        out = {key + off: (a * re - b * im, a * im + b * re)
+               for key, (a, b) in self.terms.items()}
+        if (dj > 0 or dk > 0) and reduce(or_, out, 0) & _headroom(self.d):
+            _refuse_exponents(out, self.d)
         return _element(self.d, out, self.den * den)
+
+    def _times_scalar(self, c):
+        """self * c for an element c with no x and no t: c is central, so
+        this is one `_times` per term of c."""
+        parts = [self._times(re, im, kc >> _J, kc & _FIELD, c.den)
+                 for kc, (re, im) in c.terms.items()]
+        return sum(parts[1:], parts[0])
 
     def scale(self, c):
         """self * c for an int or Coeff c."""
         if isinstance(c, int):
             c = Coeff.from_rational(c)
-        parts = [self._times(re, im, j, k, c.den)
-                 for (j, k), (re, im) in c.terms.items()]
-        return sum(parts[1:], parts[0]) if parts else NCElement(self.d)
+        return self * NCElement.monomial(self.d, (0,) * self.d, 0, c)
 
     def __mul__(self, other):
-        """Normal-ordered product.  Uses t^n x^b = x^b (t - i lam |b|)^n."""
-        right = [(b, m, j, k, re, im, -sum(b))
-                 for (b, m, j, k), (re, im) in other.terms.items()]
+        """Normal-ordered product.  Uses t^n x^b = x^b (t - i lam |b|)^n.  A
+        factor with no x and no t is central and goes to `_times_scalar`."""
+        if not self.terms or not other.terms:
+            return _element(self.d, {})
+        if max(other.terms) < _N_UNIT:
+            return self._times_scalar(other)
+        if max(self.terms) < _N_UNIT:
+            return other._times_scalar(self)
+        right = [(kb, re, im, -_x_degree(kb >> _X))
+                 for kb, (re, im) in other.terms.items()]
         out = {}
         get = out.get
-        for (a, n, j1, k1), (r1, i1) in self.terms.items():
-            for b, m, j2, k2, r2, i2, s in right:
-                xpow = tuple(map(add, a, b))
+        for ka, (r1, i1) in self.terms.items():
+            n = (ka >> _N) & _FIELD
+            for kb, r2, i2, s in right:
+                base = ka + kb
                 re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-                j, k = j1 + j2, k1 + k2
-                for q, p, sr, si in _t_power_shifted(n, s):
-                    key = (xpow, q + m, j + p, k)
+                for off, sr, si in _shift_offsets(n, s):
+                    key = base + off
                     vr, vi = re * sr - im * si, re * si + im * sr
                     cur = get(key)
                     out[key] = ((vr, vi) if cur is None
                                 else (cur[0] + vr, cur[1] + vi))
-        return _element(self.d, _nonzero(out), self.den * other.den)
+        out = {k: v for k, v in out.items() if v[0] or v[1]}
+        if reduce(or_, out, 0) & _headroom(self.d):
+            _refuse_exponents(out, self.d)
+        return _element(self.d, out, self.den * other.den)
 
     # -- calculus helpers ---------------------------------------------
     def shift_t(self, s):
@@ -206,34 +343,45 @@ class NCElement:
             raise TypeError("shift_t takes an int shift, got %r" % (s,))
         out = {}
         get = out.get
-        for (xpow, n, j, k), (re, im) in self.terms.items():
-            for q, p, sr, si in _t_power_shifted(n, s):
-                key = (xpow, q, j + p, k)
+        for key, (re, im) in self.terms.items():
+            for off, sr, si in _shift_offsets((key >> _N) & _FIELD, s):
+                key2 = key + off
                 vr, vi = re * sr - im * si, re * si + im * sr
-                cur = get(key)
-                out[key] = ((vr, vi) if cur is None
-                            else (cur[0] + vr, cur[1] + vi))
-        return _element(self.d, _nonzero(out), self.den)
-
-    def partial_x(self, i):
-        out = {}
-        for (xpow, n, j, k), (re, im) in self.terms.items():
-            p = xpow[i - 1]
-            if p:
-                out[(xpow[:i - 1] + (p - 1,) + xpow[i:], n, j, k)] = (re * p,
-                                                                      im * p)
+                cur = get(key2)
+                out[key2] = ((vr, vi) if cur is None
+                             else (cur[0] + vr, cur[1] + vi))
+        out = {k: v for k, v in out.items() if v[0] or v[1]}
+        if reduce(or_, out, 0) & _headroom(self.d):
+            _refuse_exponents(out, self.d)
         return _element(self.d, out, self.den)
 
-    def d0(self):
-        """Finite-difference time derivative (f(t) - f(t - i lam)) / (i lam)."""
-        # 1 / (i lam) = -i lam^-1
-        return (self - self.shift_t(-1))._times(0, -1, -1)
+    def partial_x(self, i):
+        if not 1 <= i <= self.d:
+            raise ValueError("partial_x takes 1 <= i <= %d, got %r"
+                             % (self.d, i))
+        shift = _X + (i - 1) * FIELD_BITS
+        unit = 1 << shift
+        out = {}
+        for key, (re, im) in self.terms.items():
+            p = (key >> shift) & _FIELD
+            if p:
+                out[key - unit] = (re * p, im * p)
+        return _element(self.d, out, self.den)
 
-    def delta0_const(self):
-        """(beta/2) (f(t+i lam) + f(t-i lam) - 2 f(t)) / (i lam)^2."""
-        # (beta/2) / (i lam)^2 = -beta lam^-2 / 2
-        num = self.shift_t(1) + self.shift_t(-1) - self._times(2, 0)
-        return num._times(-1, 0, -2, 1, 2)
+    def _laplacian(self):
+        """Delta self = sum_i d_i^2 self, in one pass over the terms."""
+        d = self.d
+        out = {}
+        get = out.get
+        for key, (re, im) in self.terms.items():
+            for i, p in enumerate((key >> _X).to_bytes(d, "little")):
+                if p > 1:
+                    key2, f = key - (2 << (_X + i * FIELD_BITS)), p * (p - 1)
+                    cur = get(key2)
+                    out[key2] = ((re * f, im * f) if cur is None
+                                 else (cur[0] + re * f, cur[1] + im * f))
+        return _element(d, {k: v for k, v in out.items() if v[0] or v[1]},
+                        self.den)
 
     def to_text(self):
         if not self.terms:
@@ -266,6 +414,15 @@ def _t_power_shifted(n, s):
             re_im = ((val, 0), (0, val), (-val, 0), (0, -val))[p % 4]
             out.append((q, p) + re_im)
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _shift_offsets(n, s):
+    """`_t_power_shifted(n, s)` as ((off, re, im), ...): lam^p t^(n-p) is
+    the key of t^n plus off = p (lam unit - t unit)."""
+    step = _J_UNIT - _N_UNIT
+    return tuple((p * step, re, im)
+                 for _q, p, re, im in _t_power_shifted(n, s))
 
 
 class NCOneForm:
@@ -319,36 +476,34 @@ class NCOneForm:
         whole of psi (S^+- = shift_t(+-1), Delta = sum_j d_j^2):
 
             theta' psi = (S^+ psi) theta'
-            dx_i psi   = psi dx_i + i lam S^+(d_i psi) theta'
+            dx_i psi   = psi dx_i + i lam d_i(S^+ psi) theta'
             dt psi     = (S^- psi) dt - i lam sum_j (d_j psi) dx_j
                          + [(beta/2)(S^+ psi - S^- psi)
-                            + (lam^2/2) S^+(Delta psi)] theta'
+                            + (lam^2/2) Delta(S^+ psi)] theta'
 
         Each follows from the generator relations by induction on the word
-        of a monomial (see the module docstring).  The oracle is
+        of a monomial (see the module docstring).  d_i(S^+ psi) equals
+        S^+(d_i psi) because the shift acts on t only and d_i on x only, so
+        psi is shifted once for all the forms.  The oracle is
         `verify.normal_order`, which pushes one generator at a time on
         symbols."""
         d = self.d
         up = other.shift_t(1)
-        grads = {j: other.partial_x(j) for j in range(1, d + 1)}
 
         def action(w):
             """w psi as {basis one-form: coefficient}."""
             if w == THETA:
                 return {THETA: up}
             if w != DT:
-                # i lam S^+(d_i psi)
-                return {w: other,
-                        THETA: grads[w[1]].shift_t(1)._times(0, 1, 1)}
+                # i lam d_i(S^+ psi)
+                return {w: other, THETA: up.partial_x(w[1])._times(0, 1, 1)}
             down = other.shift_t(-1)
-            lap = NCElement.zero(d)
-            for j, g in grads.items():
-                lap = lap + g.partial_x(j)
-            act = {dx(j): g._times(0, -1, 1) for j, g in grads.items()}
+            act = {dx(j): other.partial_x(j)._times(0, -1, 1)
+                   for j in range(1, d + 1)}
             act[DT] = down
-            # (beta/2)(S^+ - S^-) psi + (lam^2/2) S^+(Delta psi)
+            # (beta/2)(S^+ - S^-) psi + (lam^2/2) Delta(S^+ psi)
             act[THETA] = ((up - down)._times(1, 0, 0, 1, 2)
-                          + lap.shift_t(1)._times(1, 0, 2, 0, 2))
+                          + up._laplacian()._times(1, 0, 2, 0, 2))
             return act
 
         out = NCOneForm.zero(d)
@@ -370,20 +525,27 @@ class NCOneForm:
 
 def exterior_d(psi):
     """Exterior derivative by the direct formula: spatial gradients, d0 and
-    the constant-beta wave operator contracted against theta'.
+    the constant-beta wave operator contracted against theta'.  With
+    S^+- psi = psi(t +- i lam), each computed once:
+
+        d0 psi = (psi - S^- psi) / (i lam)
+        box psi = sum_i d_i^2 (S^+ psi)
+                  + beta (S^+ psi + S^- psi - 2 psi) / (i lam)^2
+
+    and the theta' part is (i lam / 2) box psi.
 
     Agreement with the Leibniz-rule oracle `verify.exterior_d_leibniz`, which
     works on symbols and shares no arithmetic with this module, is checked by
     the registry check `exactalg.eq-route-agreement` on every monomial of
     degree <= 8."""
     d = psi.d
+    up, down = psi.shift_t(1), psi.shift_t(-1)
     parts = {dx(i): psi.partial_x(i) for i in range(1, d + 1)}
-    parts[DT] = psi.d0()
-    # box^{beta=const} psi = sum_i d^2/dx_i^2 psi(t + i lam) + 2 Delta_0 psi
-    box = psi.delta0_const()._times(2, 0)
-    shifted = psi.shift_t(1)
-    for i in range(1, d + 1):
-        box = box + shifted.partial_x(i).partial_x(i)
+    # 1 / (i lam) = -i lam^-1
+    parts[DT] = (psi - down)._times(0, -1, -1)
+    # the second difference is 2 Delta_0 psi; beta / (i lam)^2 = -beta lam^-2
+    box = ((up + down - psi._times(2, 0))._times(-1, 0, -2, 1)
+           + up._laplacian())
     parts[THETA] = box._times(0, 1, 1, 0, 2)  # times i lam / 2
     return NCOneForm(d, parts)
 
@@ -391,7 +553,7 @@ def exterior_d(psi):
 def commutator_d(psi):
     """(i/lam) [theta, psi] with theta = dt - beta theta'; must equal d psi."""
     d = psi.d
-    minus_beta = _element(d, {((0,) * d, 0, 0, 1): (-1, 0)})
+    minus_beta = _element(d, {_pack(d, (0,) * d, 0, 0, 1): (-1, 0)})
     theta = NCOneForm(d, {DT: NCElement.one(d), THETA: minus_beta})
     comm = theta.mul_elem(psi) - theta.lmul(psi)
     # (i/lam) z = i z lam^-1

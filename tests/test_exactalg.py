@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen_t, gen_x, is_zero, subs_lam_zero
@@ -439,6 +439,168 @@ class TestNoCoeffInsideTheCalculus:
         assert "_coeff" in built
 
 
+LIMIT = exactalg.EXPONENT_LIMIT
+OVERFLOW = exactalg.ExponentOverflowError
+# central factors: 1, -beta, a two-term scalar 2 + 3i lam beta, and lam/2
+CENTRAL = [Coeff.from_rational(1), Coeff.from_parts({(0, 1): (-1, 0)}, 1),
+           Coeff.from_parts({(0, 0): (2, 0), (1, 1): (0, 3)}, 1),
+           Coeff.from_parts({(1, 0): (1, 0)}, 2)]
+
+
+def lam_power(j):
+    return Coeff.from_parts({(j, 0): (1, 0)}, 1)
+
+
+@st.composite
+def coeff_dicts(draw, d):
+    """{(xpow, n): Coeff} in d dimensions with every exponent (of the x_i,
+    t, lam and beta) anywhere in 0..LIMIT - 1."""
+    exps = st.integers(0, LIMIT - 1)
+    monos = draw(st.lists(st.tuples(st.tuples(*[exps] * d), exps),
+                          unique=True, max_size=4))
+    out = {}
+    for mono in monos:
+        c = Coeff(draw(st.dictionaries(st.tuples(exps, exps),
+                                       st.tuples(_fracs, _fracs),
+                                       min_size=1, max_size=3)))
+        if c:
+            out[mono] = c
+    return out
+
+
+@st.composite
+def d_elements(draw, d):
+    """Elements of the d-dimensional algebra: up to three terms of degree
+    <= 2 in each generator, half-integer Gaussian coefficients times
+    lam^j beta^k."""
+    low = st.integers(0, 2)
+    out = NCElement.zero(d)
+    for xpow, n, re_, im, j, k in draw(st.lists(st.tuples(
+            st.tuples(*[low] * d), low, st.integers(-5, 5),
+            st.integers(-5, 5), low, low), max_size=3)):
+        c = Coeff.from_parts({(j, k): (re_, im)} if re_ or im else {}, 2)
+        out = out + NCElement.monomial(d, xpow, n, c)
+    return out
+
+
+class TestPackedKeys:
+    """Keys are fixed-width fields; an exponent at the field limit raises
+    instead of carrying into the next field."""
+
+    def test_exponents_below_the_limit_round_trip(self):
+        top = LIMIT - 1
+        c = Coeff.from_parts({(top, top): (1, -1)}, 1)
+        psi = elem((top, 0, top), top, c)
+        assert psi.coeffs() == {((top, 0, top), top): c}
+
+    @pytest.mark.parametrize("xpow, n, jk", [
+        ((LIMIT, 0, 0), 0, (0, 0)), ((0, 0, LIMIT), 0, (0, 0)),
+        ((0, 0, 0), LIMIT, (0, 0)), ((0, 0, 0), 0, (LIMIT, 0)),
+        ((0, 0, 0), 0, (0, LIMIT))], ids=["x1", "x3", "t", "lam", "beta"])
+    def test_monomial_at_the_limit_raises(self, xpow, n, jk):
+        with pytest.raises(OVERFLOW, match="8-bit fields") as err:
+            elem(xpow, n, Coeff.from_parts({jk: (1, 0)}, 1))
+        assert isinstance(err.value, OverflowError)
+        assert "reaches %d" % LIMIT in str(err.value)
+
+    def test_product_reaching_the_limit_raises(self):
+        half = LIMIT // 2
+        x, t = elem((0, half, 0), 0), elem((0, 0, 0), half)
+        assert (x * elem((0, half - 1, 0), 0)).coeffs() == \
+            {((0, LIMIT - 1, 0), 0): Coeff.from_rational(1)}
+        with pytest.raises(OVERFLOW, match="power of x2 reaches %d" % LIMIT):
+            x * x
+        with pytest.raises(OVERFLOW, match="power of t reaches %d" % LIMIT):
+            t * t
+
+    def test_lam_power_reaching_the_limit_raises(self):
+        # lam^(LIMIT-1) t: one more lam from _times, or from the i lam of
+        # the shift t -> t + i lam, reaches the limit
+        psi = elem((0, 0, 0), 1, lam_power(LIMIT - 1))
+        with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
+            psi._times(1, 0, 1)
+        with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
+            psi.shift_t(1)
+        assert psi.shift_t(0) == psi and psi._times(1, 0, -1).coeffs() == \
+            {((0, 0, 0), 1): lam_power(LIMIT - 2)}
+
+    def test_division_by_lam_still_checked(self):
+        with pytest.raises(ArithmeticError, match="not divisible by lam"):
+            NCElement.one(D)._times(0, 1, -1)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @settings(derandomize=True, max_examples=40)
+    @given(data=st.data())
+    def test_coefficients_round_trip(self, d, data):
+        c = data.draw(coeff_dicts(d))
+        assert NCElement(d, c).coeffs() == c
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @settings(derandomize=True, max_examples=30)
+    @given(data=st.data())
+    def test_product_matches_realization(self, d, data):
+        f, g = data.draw(d_elements(d)), data.draw(d_elements(d))
+        assert realization_agrees(f, g)
+        for c in CENTRAL:  # central factors go through _times
+            z = NCElement.monomial(d, (0,) * d, 0, c)
+            assert realization_agrees(z, f) and realization_agrees(f, z)
+
+
+class TestWorkCounts:
+    """The work the calculus does per identity, in calls: S^+- psi is
+    computed once per use, and central factors skip the product loop."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_exterior_d_shifts_twice(self, monkeypatch):
+        rng = random.Random(37)
+        psis = [random_element(rng) for _ in range(10)]
+        calls = self.spy(monkeypatch, NCElement, "shift_t")
+        for psi in psis:
+            calls.clear()
+            exterior_d(psi)
+            assert len(calls) == 2
+
+    def test_mul_elem_shifts_at_most_twice(self, monkeypatch):
+        rng = random.Random(41)
+        pairs = [(exterior_d(random_element(rng)), random_element(rng))
+                 for _ in range(10)]
+        calls = self.spy(monkeypatch, NCElement, "shift_t")
+        for omega, psi in pairs:
+            calls.clear()
+            omega.mul_elem(psi)
+            assert 1 <= len(calls) <= 2
+
+    def test_commutator_d_multiplies_central_factors_by_times(
+            self, monkeypatch):
+        rng = random.Random(43)
+        psis = [random_element(rng) for _ in range(10)]
+        loop = self.spy(monkeypatch, exactalg, "_x_degree")
+        central = self.spy(monkeypatch, NCElement, "_times_scalar")
+        products = self.spy(monkeypatch, NCElement, "__mul__")
+        for psi in psis:
+            central.clear()
+            products.clear()
+            commutator_d(psi)
+            # theta = dt - beta theta': up to D + 3 products in mul_elem and
+            # 2 in lmul, each with a factor 1 or -beta
+            nonzero = [p for p in products if not any(map(is_zero, p))]
+            assert 2 <= len(central) == len(nonzero) <= D + 5
+        assert loop == []
+        random_element(rng) * random_element(rng)  # the spy sees the loop
+        assert loop
+
+
 class TestProductProperties:
     @given(small_elements(), small_elements(), small_elements())
     def test_element_product_associative(self, f, g, h):
@@ -470,7 +632,8 @@ class TestClassicalLimit:
         psi = NCElement.zero(D)
         for (*xpow, n), (c, _ref) in terms:
             psi = psi + elem(xpow, n, c)
-        assert subs_lam_zero(psi.d0()) == classical_dt(subs_lam_zero(psi))
+        assert subs_lam_zero(exterior_d(psi).coeff(DT)) == \
+            classical_dt(subs_lam_zero(psi))
 
 
 class TestExteriorD:
