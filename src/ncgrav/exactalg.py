@@ -34,9 +34,10 @@ p <= n), which stays below 2^8, so no field carries into the next; an
 exponent that reaches the limit sets a headroom bit, and the operation
 raises ``ExponentOverflowError`` (an ``OverflowError``) instead of storing
 it.  A factor with no x and no t is central, and the product multiplies by it
-through ``_times``.  Keys are unpacked only at the boundary: the
-constructors, and ``coeffs()``, which ``to_text`` reads and which keeps its
-result on the element (an element never changes).
+through ``_times``; a factor 1 gives the other factor itself.  Keys are
+unpacked only at the boundary: the constructors, and ``coeffs()``, which
+``to_text`` reads and which keeps its result on the element.  An element
+never changes, so results may share elements and keep what they compute.
 
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
@@ -54,11 +55,28 @@ dt x_j = x_j dt - i lam dx_j and dx_i x_j = x_j dx_i + i lam delta_ij theta'
 meets t^n as (t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own
 theta' terms sum to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt
 plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The shift acts on t
-only and d_j on x only, so d_j S^+ = S^+ d_j: the code shifts psi once and
-differentiates the shifted element.  The oracles in `verify` apply the
-relations one generator at a time, on plain int/Fraction symbols
-(`verify.normal_order`, `verify.mul_gen`), and read results from here only
-through `coeffs()`.
+only and d_j on x only, so d_j S^+ = S^+ d_j: the theta' and dx_i actions
+share one S^+ psi and differentiate it.
+
+One pass per term.  ``exterior_d`` and the dt action build no intermediate
+element (no S^+- psi, no difference, no Laplacian): ``_one_pass`` reads each
+term c x^a t^n of psi once and writes it straight into the dt, dx_i and
+theta' parts of the result, through three small tables for t^n
+(``_d_tables`` for d, ``_dt_action_tables`` for dt psi; each built from
+``_t_power_shifted`` and cached for every n < EXPONENT_LIMIT).  The dt table
+holds the shifted powers, the beta table the even (for d) or odd (for dt)
+powers of lam in S^+ t^n, and the Laplacian table S^+ t^n times i lam (for
+d) or lam^2 (for dt), applied at the key of x^a t^n minus 2 units of x_i
+with weight a_i (a_i - 1)/2.  The 1/2 of (i lam/2) box and of (beta/2),
+(lam^2/2) cancels against a 2 in each table, so every entry is a Gaussian
+integer and the theta' part sits over psi's own den, with no division check.
+An exponent is checked only on the result, so psi = lam^63 t has
+d psi = lam^63 dt, while lam^63 t^2 raises (d psi holds lam^64).
+
+The oracles in `verify` apply the relations one generator at a time, on
+plain int/Fraction symbols (`verify.normal_order`, `verify.mul_gen`,
+`verify.exterior_d_leibniz`), and read results from here only through
+`coeffs()`.
 """
 
 from __future__ import annotations
@@ -81,6 +99,7 @@ _FIELD = (1 << FIELD_BITS) - 1
 _J_MASK = _FIELD << _J
 _J_UNIT, _N_UNIT = 1 << _J, 1 << _N
 _JK_MASK = _N_UNIT - 1
+_ONE = {0: (1, 0)}  # the terms of the element 1
 
 
 class ExponentOverflowError(OverflowError):
@@ -296,7 +315,9 @@ class NCElement:
 
     def _times_scalar(self, c):
         """self * c for an element c with no x and no t: c is central, so
-        this is one `_times` per term of c."""
+        this is one `_times` per term of c, and c = 1 gives self itself."""
+        if c.terms == _ONE and c.den == 1:
+            return self
         parts = [self._times(re, im, kc >> _J, kc & _FIELD, c.den)
                  for kc, (re, im) in c.terms.items()]
         return sum(parts[1:], parts[0])
@@ -368,21 +389,6 @@ class NCElement:
                 out[key - unit] = (re * p, im * p)
         return _element(self.d, out, self.den)
 
-    def _laplacian(self):
-        """Delta self = sum_i d_i^2 self, in one pass over the terms."""
-        d = self.d
-        out = {}
-        get = out.get
-        for key, (re, im) in self.terms.items():
-            for i, p in enumerate((key >> _X).to_bytes(d, "little")):
-                if p > 1:
-                    key2, f = key - (2 << (_X + i * FIELD_BITS)), p * (p - 1)
-                    cur = get(key2)
-                    out[key2] = ((re * f, im * f) if cur is None
-                                 else (cur[0] + re * f, cur[1] + im * f))
-        return _element(d, {k: v for k, v in out.items() if v[0] or v[1]},
-                        self.den)
-
     def to_text(self):
         if not self.terms:
             return "0"
@@ -425,6 +431,114 @@ def _shift_offsets(n, s):
                  for _q, p, re, im in _t_power_shifted(n, s))
 
 
+# The tables of `_one_pass` for t^n (see the module docstring): the dt, the
+# beta and the Laplacian table, each ((off, re, im), ...) meaning (re + i im)
+# times the term at its key + off.
+
+@lru_cache(maxsize=EXPONENT_LIMIT)
+def _d_tables(n):
+    """`exterior_d`'s tables for t^n.  With S^+- t^n = sum_p up_p/down_p
+    lam^p t^(n-p), read from `_t_power_shifted`:
+
+        dt:     (1 - S^-) t^n / (i lam)       -> i down_p lam^(p-1), p >= 1
+        beta:   (i lam / 2) beta (S^+ + S^- - 2) t^n / (i lam)^2
+                                              -> -i beta up_p lam^(p-1),
+                                                 p >= 2 even
+        Delta:  (i lam / 2) d_i^2 S^+         -> i up_p lam^(p+1), with
+                                                 weight a_i (a_i - 1)/2"""
+    step = _J_UNIT - _N_UNIT
+    dt = tuple((p * step - _J_UNIT, -im, re)
+               for _q, p, re, im in _t_power_shifted(n, -1) if p)
+    up = _t_power_shifted(n, 1)
+    beta = tuple((p * step - _J_UNIT + 1, im, -re)
+                 for _q, p, re, im in up if p and p % 2 == 0)
+    lap = tuple((p * step + _J_UNIT, -im, re) for _q, p, re, im in up)
+    return dt, beta, lap
+
+
+@lru_cache(maxsize=EXPONENT_LIMIT)
+def _dt_action_tables(n):
+    """The tables of dt t^n in `NCOneForm.mul_elem`, as `_d_tables`:
+
+        dt:     S^- t^n                       -> down_p lam^p
+        beta:   (beta / 2)(S^+ - S^-) t^n     -> beta up_p lam^p, p odd
+        Delta:  (lam^2 / 2) d_i^2 S^+         -> up_p lam^(p+2), with
+                                                 weight a_i (a_i - 1)/2"""
+    step = _J_UNIT - _N_UNIT
+    dt = tuple((p * step, re, im)
+               for _q, p, re, im in _t_power_shifted(n, -1))
+    up = _t_power_shifted(n, 1)
+    beta = tuple((p * step + 1, re, im) for _q, p, re, im in up if p % 2)
+    lap = tuple((p * step + 2 * _J_UNIT, re, im) for _q, p, re, im in up)
+    return dt, beta, lap
+
+
+@lru_cache(maxsize=4096)
+def _x_units(x):
+    """((i, a_i, unit of field x_(i+1)), ...) for the nonzero powers of the
+    spatial fields x = key >> _X of a key."""
+    return tuple((i, a, 1 << (_X + i * FIELD_BITS))
+                 for i, a in enumerate(x.to_bytes((x.bit_length() + 7) // 8,
+                                                  "little")) if a)
+
+
+def _one_pass(psi, tables, grad_off, gre, gim):
+    """The parts {basis one-form: element} of the one-form that `tables`
+    (`_d_tables` or `_dt_action_tables`) make of psi, in one pass over its
+    terms: the dt and theta' parts from the tables, and the dx_i part
+    (gre + i gim) d_i psi at key + grad_off.  An exponent of the result at
+    EXPONENT_LIMIT raises; intermediate sums are never stored."""
+    d, den = psi.d, psi.den
+    dt_part, theta = {}, {}
+    grads = [{} for _ in range(d)]
+    dget, tget = dt_part.get, theta.get
+    for key, (re, im) in psi.terms.items():
+        dt_tab, beta_tab, lap_tab = tables((key >> _N) & _FIELD)
+        for off, sr, si in dt_tab:
+            k2 = key + off
+            vr, vi = re * sr - im * si, re * si + im * sr
+            cur = dget(k2)
+            dt_part[k2] = (vr, vi) if cur is None else (cur[0] + vr,
+                                                        cur[1] + vi)
+        for off, sr, si in beta_tab:
+            k2 = key + off
+            vr, vi = re * sr - im * si, re * si + im * sr
+            cur = tget(k2)
+            theta[k2] = (vr, vi) if cur is None else (cur[0] + vr,
+                                                      cur[1] + vi)
+        x = key >> _X
+        if not x:
+            continue
+        gr, gi = re * gre - im * gim, re * gim + im * gre
+        for i, a, unit in _x_units(x):
+            # one term of psi per key: the dx_i part has no collisions
+            grads[i][key - unit + grad_off] = (gr * a, gi * a)
+            if a > 1:  # d_i^2 x_i^a = 2 C(a, 2) x_i^(a-2)
+                base, f = key - 2 * unit, a * (a - 1) // 2
+                fr, fi = re * f, im * f
+                for off, sr, si in lap_tab:
+                    k2 = base + off
+                    vr, vi = fr * sr - fi * si, fr * si + fi * sr
+                    cur = tget(k2)
+                    theta[k2] = (vr, vi) if cur is None else (cur[0] + vr,
+                                                              cur[1] + vi)
+    dt_part = {k: v for k, v in dt_part.items() if v[0] or v[1]}
+    theta = {k: v for k, v in theta.items() if v[0] or v[1]}
+    outs = (dt_part, theta, *grads)
+    bits = 0
+    for out in outs:
+        bits = reduce(or_, out, bits)
+    if bits & _headroom(d):
+        _refuse_exponents([k for out in outs for k in out], d)
+    parts = {dx(i): _element(d, g, den)
+             for i, g in enumerate(grads, start=1) if g}
+    if dt_part:
+        parts[DT] = _element(d, dt_part, den)
+    if theta:
+        parts[THETA] = _element(d, theta, den)
+    return parts
+
+
 class NCOneForm:
     """Sum over the basis {dx_1..dx_d, dt, theta'} with NCElement coefficients
     standing to the left."""
@@ -438,10 +552,6 @@ class NCOneForm:
             for w, e in parts.items():
                 if not e.is_zero():
                     self.parts[w] = e
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d)
 
     def coeff(self, form):
         return self.parts.get(form, NCElement.zero(self.d))
@@ -482,34 +592,28 @@ class NCOneForm:
                             + (lam^2/2) Delta(S^+ psi)] theta'
 
         Each follows from the generator relations by induction on the word
-        of a monomial (see the module docstring).  d_i(S^+ psi) equals
-        S^+(d_i psi) because the shift acts on t only and d_i on x only, so
-        psi is shifted once for all the forms.  The oracle is
-        `verify.normal_order`, which pushes one generator at a time on
-        symbols."""
-        d = self.d
-        up = other.shift_t(1)
-
-        def action(w):
-            """w psi as {basis one-form: coefficient}."""
-            if w == THETA:
-                return {THETA: up}
-            if w != DT:
-                # i lam d_i(S^+ psi)
-                return {w: other, THETA: up.partial_x(w[1])._times(0, 1, 1)}
-            down = other.shift_t(-1)
-            act = {dx(j): other.partial_x(j)._times(0, -1, 1)
-                   for j in range(1, d + 1)}
-            act[DT] = down
-            # (beta/2)(S^+ - S^-) psi + (lam^2/2) Delta(S^+ psi)
-            act[THETA] = ((up - down)._times(1, 0, 0, 1, 2)
-                          + up._laplacian()._times(1, 0, 2, 0, 2))
-            return act
-
-        out = NCOneForm.zero(d)
+        of a monomial (see the module docstring).  dt psi is one pass over
+        psi's terms through `_dt_action_tables`; the theta' and dx_i actions
+        share S^+ psi, computed once when the first of them comes, and use
+        d_i(S^+ psi) = S^+(d_i psi) (the shift acts on t only and d_i on x
+        only).  The oracle is `verify.normal_order`, which pushes one
+        generator at a time on symbols."""
+        up = None
+        out = {}
         for w, e in self.parts.items():
-            out = out + NCOneForm(d, {wp: e * u for wp, u in action(w).items()})
-        return out
+            if w == DT:
+                # -i lam d_j psi at key - unit_j + lam unit
+                act = _one_pass(other, _dt_action_tables, _J_UNIT, 0, -1)
+            else:
+                if up is None:
+                    up = other.shift_t(1)
+                # i lam d_i(S^+ psi)
+                act = ({THETA: up} if w == THETA else
+                       {w: other, THETA: up.partial_x(w[1])._times(0, 1, 1)})
+            for wp, u in act.items():
+                v = e * u
+                out[wp] = out[wp] + v if wp in out else v
+        return NCOneForm(self.d, out)
 
     def to_text(self):
         if not self.parts:
@@ -526,28 +630,20 @@ class NCOneForm:
 def exterior_d(psi):
     """Exterior derivative by the direct formula: spatial gradients, d0 and
     the constant-beta wave operator contracted against theta'.  With
-    S^+- psi = psi(t +- i lam), each computed once:
+    S^+- psi = psi(t +- i lam):
 
         d0 psi = (psi - S^- psi) / (i lam)
         box psi = sum_i d_i^2 (S^+ psi)
                   + beta (S^+ psi + S^- psi - 2 psi) / (i lam)^2
 
-    and the theta' part is (i lam / 2) box psi.
+    and the theta' part is (i lam / 2) box psi.  All of it is one pass over
+    psi's terms through `_d_tables` (see the module docstring).
 
     Agreement with the Leibniz-rule oracle `verify.exterior_d_leibniz`, which
     works on symbols and shares no arithmetic with this module, is checked by
     the registry check `exactalg.eq-route-agreement` on every monomial of
     degree <= 8."""
-    d = psi.d
-    up, down = psi.shift_t(1), psi.shift_t(-1)
-    parts = {dx(i): psi.partial_x(i) for i in range(1, d + 1)}
-    # 1 / (i lam) = -i lam^-1
-    parts[DT] = (psi - down)._times(0, -1, -1)
-    # the second difference is 2 Delta_0 psi; beta / (i lam)^2 = -beta lam^-2
-    box = ((up + down - psi._times(2, 0))._times(-1, 0, -2, 1)
-           + up._laplacian())
-    parts[THETA] = box._times(0, 1, 1, 0, 2)  # times i lam / 2
-    return NCOneForm(d, parts)
+    return NCOneForm(psi.d, _one_pass(psi, _d_tables, 0, 1, 0))
 
 
 def commutator_d(psi):

@@ -524,6 +524,18 @@ class TestPackedKeys:
         assert psi.shift_t(0) == psi and psi._times(1, 0, -1).coeffs() == \
             {((0, 0, 0), 1): lam_power(LIMIT - 2)}
 
+    def test_exterior_d_checks_only_its_result(self):
+        # d(lam^63 t) = lam^63 dt fits, though S^+ psi holds lam^64; the
+        # d of lam^63 t^2 holds -i lam^64 dt and raises
+        psi = elem((0, 0, 0), 1, lam_power(LIMIT - 1))
+        got = exterior_d(psi)
+        assert got == NCOneForm(D, {DT: elem((0, 0, 0), 0,
+                                             lam_power(LIMIT - 1))})
+        assert form_symbol(got) == \
+            exterior_d_leibniz(realization_symbol(psi), D)
+        with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
+            exterior_d(elem((0, 0, 0), 2, lam_power(LIMIT - 1)))
+
     def test_division_by_lam_still_checked(self):
         with pytest.raises(ArithmeticError, match="not divisible by lam"):
             NCElement.one(D)._times(0, 1, -1)
@@ -547,8 +559,9 @@ class TestPackedKeys:
 
 
 class TestWorkCounts:
-    """The work the calculus does per identity, in calls: S^+- psi is
-    computed once per use, and central factors skip the product loop."""
+    """The work the calculus does per identity, in calls: exterior_d and
+    the dt action build no intermediate element, S^+ psi is computed at most
+    once, and central factors skip the product loop."""
 
     @staticmethod
     def spy(monkeypatch, owner, name):
@@ -562,43 +575,101 @@ class TestWorkCounts:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
-    def test_exterior_d_shifts_twice(self, monkeypatch):
+    def test_exterior_d_builds_no_intermediate_element(self, monkeypatch):
+        # one pass over psi's terms: no shift, sum, scalar factor or
+        # product, and one element built per part of the result
         rng = random.Random(37)
         psis = [random_element(rng) for _ in range(10)]
-        calls = self.spy(monkeypatch, NCElement, "shift_t")
+        spies = [self.spy(monkeypatch, NCElement, name) for name in
+                 ("shift_t", "_combine", "_times", "__mul__", "partial_x")]
+        built = self.spy(monkeypatch, exactalg, "_element")
         for psi in psis:
-            calls.clear()
-            exterior_d(psi)
-            assert len(calls) == 2
+            built.clear()
+            dpsi = exterior_d(psi)
+            assert spies == [[]] * len(spies)
+            assert len(built) == len(dpsi.parts)
 
-    def test_mul_elem_shifts_at_most_twice(self, monkeypatch):
+    def test_mul_elem_shifts_at_most_once(self, monkeypatch):
+        # the dt action shifts nothing; S^+ psi is shared by the theta' and
+        # dx actions
         rng = random.Random(41)
         pairs = [(exterior_d(random_element(rng)), random_element(rng))
                  for _ in range(10)]
+        pairs += [(NCOneForm(D, {DT: NCElement.one(D)}), psi)
+                  for _omega, psi in pairs[:3]]
         calls = self.spy(monkeypatch, NCElement, "shift_t")
         for omega, psi in pairs:
             calls.clear()
             omega.mul_elem(psi)
-            assert 1 <= len(calls) <= 2
+            assert len(calls) == (set(omega.parts) != {DT})
 
     def test_commutator_d_multiplies_central_factors_by_times(
             self, monkeypatch):
         rng = random.Random(43)
         psis = [random_element(rng) for _ in range(10)]
+        dt = NCOneForm(D, {DT: NCElement.one(D)})
+        dt_parts = [len(dt.mul_elem(psi).parts) for psi in psis]
         loop = self.spy(monkeypatch, exactalg, "_x_degree")
         central = self.spy(monkeypatch, NCElement, "_times_scalar")
         products = self.spy(monkeypatch, NCElement, "__mul__")
-        for psi in psis:
+        for psi, n_dt in zip(psis, dt_parts):
             central.clear()
             products.clear()
             commutator_d(psi)
-            # theta = dt - beta theta': up to D + 3 products in mul_elem and
-            # 2 in lmul, each with a factor 1 or -beta
+            # theta = dt - beta theta': 1 times each part of dt psi and
+            # -beta times S^+ psi in mul_elem, psi and -beta psi in lmul
             nonzero = [p for p in products if not any(map(is_zero, p))]
-            assert 2 <= len(central) == len(nonzero) <= D + 5
+            assert len(central) == len(nonzero) == n_dt + 3 <= D + 5
         assert loop == []
         random_element(rng) * random_element(rng)  # the spy sees the loop
         assert loop
+
+    def test_factor_one_returns_the_element_itself(self):
+        one, psi = NCElement.one(D), random_element(random.Random(47))
+        assert one * psi is psi and psi * one is psi
+        two = one._times(2, 0)
+        assert psi * two is not psi and psi * two == psi + psi
+
+
+def scaled_symbol(form, c):
+    """The one-form symbol `form` times the coefficient c = (re, im)
+    lam^j beta^k, given as the (j, k) part of a symbol key and a pair."""
+    (j, k), (re, im) = c
+    return {w: {(*key[:-2], key[-2] + j, key[-1] + k):
+                (a * re - b * im, a * im + b * re)
+                for key, (a, b) in sym.items()}
+            for w, sym in form.items()}
+
+
+class TestOneFormsAgainstTheOracles:
+    """exterior_d and the bimodule action on multi-term elements with
+    denominator 2 and lam/beta powers, against the symbol oracles, which
+    share no arithmetic with exactalg.  psi is drawn as a product f g, whose
+    terms share monomials, so that the results sum over several terms of
+    psi at one key."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @settings(derandomize=True, max_examples=40)
+    @given(data=st.data())
+    def test_exterior_d_matches_leibniz(self, d, data):
+        psi = data.draw(d_elements(d)) * data.draw(d_elements(d))
+        assert form_symbol(exterior_d(psi)) == \
+            exterior_d_leibniz(realization_symbol(psi), d)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @settings(derandomize=True, max_examples=40)
+    @given(data=st.data())
+    def test_basis_forms_match_normal_order(self, d, data):
+        psi = data.draw(d_elements(d)) * data.draw(d_elements(d))
+        for w in [DT, THETA] + [dx(i) for i in range(1, d + 1)]:
+            want = {}
+            for key, c in realization_symbol(psi).items():
+                word = [w] + _monomial_word(key[:d], key[d])
+                verify._add_form(want, scaled_symbol(
+                    normal_order(d, word), (key[d + 1:], c)))
+            want = {wp: sym for wp, sym in want.items() if sym}
+            got = NCOneForm(d, {w: NCElement.one(d)}).mul_elem(psi)
+            assert form_symbol(got) == want
 
 
 class TestProductProperties:

@@ -96,23 +96,44 @@ def _public_members(tree):
     return out
 
 
+def _module_aliases(tree):
+    """{name bound in the module: file name} of each module it imports."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                path = a.name.split(".")
+                out[a.asname or path[0]] = (path[-1] if a.asname
+                                            else path[0]) + ".py"
+        elif isinstance(node, ast.ImportFrom) and not node.module:
+            out.update((a.asname or a.name, a.name + ".py")
+                       for a in node.names)
+    return out
+
+
 def _references(tree):
-    """Every name the module reads, as a name or an attribute, or imports,
-    except inside a definition of that same name: a method that calls its
-    namesake on another class, or a function that calls itself, does not
-    reference it."""
+    """Every reference the module makes, except inside a definition of that
+    same name (a method that calls its namesake on another class, or a
+    function that calls itself, does not reference it): "name" for a name
+    it reads or imports, "file:name" for an attribute of an imported module
+    (`T.d0` in a module that imports timeops as T is "timeops.py:d0"), and
+    ".name" for any other attribute."""
+    modules = _module_aliases(tree)
     out = set()
 
     def visit(node, inside):
         for child in ast.iter_child_nodes(node):
+            ref = None
             if isinstance(child, ast.Name):
-                name = child.id
+                ref = name = child.id
             elif isinstance(child, ast.Attribute):
-                name = child.attr
-            else:
-                name = None
-            if name is not None and name not in inside:
-                out.add(name)
+                name, value = child.attr, child.value
+                if isinstance(value, ast.Name) and value.id in modules:
+                    ref = "%s:%s" % (modules[value.id], name)
+                else:
+                    ref = "." + name
+            if ref is not None and name not in inside:
+                out.add(ref)
             if isinstance(child, ast.ImportFrom):
                 out.update(a.name for a in child.names)
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -125,17 +146,22 @@ def _references(tree):
 
 def _unreferenced(trees):
     """"module:member" for each public member of a module other than
-    verify.py that no module of trees references."""
+    verify.py that no module of trees references: a module-level member by
+    its name or as an attribute of its own module, a method as an attribute
+    of anything but a module."""
     found = set().union(*map(_references, trees.values()))
     return ["%s:%s" % (name, qual) for name, tree in trees.items()
             if name != "verify.py"
-            for qual, member in _public_members(tree) if member not in found]
+            for qual, member in _public_members(tree)
+            if not ({"." + member} if "." in qual else
+                    {member, "%s:%s" % (name, member)}) & found]
 
 
 UNUSED = """
+import math
 UNUSED_LIMIT = 3
 def unused_entry():
-    return unused_helper()
+    return unused_helper() + math.floor(0.5)
 def unused_helper(limit=UNUSED_LIMIT):
     return limit
 def unused_recursion(n):
@@ -143,6 +169,10 @@ def unused_recursion(n):
 class UnusedThing:
     def unused_method(self):
         return self.other.unused_method()
+    def unused_helper(self):
+        pass
+    def floor(self):
+        pass
     def _private(self):
         pass
 """
@@ -154,12 +184,15 @@ def test_public_members_have_a_caller_in_src():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced(trees) == []
-    # the check fires: nothing references the entry point or the class, and
-    # the recursion and the method reference only themselves
+    # the check fires: nothing references the entry point or the class, the
+    # recursion and the method reference only themselves, and a call of the
+    # module function unused_helper or of math.floor is no call of the
+    # methods of the same names
     trees["unused.py"] = ast.parse(UNUSED)
     assert _unreferenced(trees) == [
         "unused.py:unused_entry", "unused.py:unused_recursion",
-        "unused.py:UnusedThing", "unused.py:UnusedThing.unused_method"]
+        "unused.py:UnusedThing", "unused.py:UnusedThing.unused_method",
+        "unused.py:UnusedThing.unused_helper", "unused.py:UnusedThing.floor"]
 
 
 def test_exact_oracles_use_no_production_arithmetic(monkeypatch):
