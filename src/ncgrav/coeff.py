@@ -18,15 +18,14 @@ constructor given Fraction parts, and the text of a part.
 ``Coeff`` is the type of the API boundary, not of the calculus, and it has
 no arithmetic: an ``NCElement`` keeps its own flat dict from packed keys to
 (re, im) pairs and builds a ``Coeff`` only where a caller asks for one (its
-constructors and ``scale`` take one; ``coeffs()`` and ``to_text`` return
-them).  A packed key is one int of 8-bit fields for beta^k, lam^j, t^n and
-x_1..x_d, lowest first; every exponent stays below 64, and one that would
-reach it raises ``exactalg.ExponentOverflowError`` instead of carrying into
-the next field.  The ``exactalg`` docstring has the layout, and how
-``exterior_d`` and the dt action of ``mul_elem`` read each term of psi once
-and write it into the result through small per-t-degree tables, building no
-S^+- psi.  The oracles in ``verify`` read its parts as plain int/Fraction
-symbols.
+constructors take one; ``coeffs()`` and ``to_text`` return them).  A packed
+key is one int of 8-bit fields for beta^k, lam^j, t^n and x_1..x_d, lowest
+first; every exponent stays below 64, and one that would reach it raises
+``exactalg.ExponentOverflowError`` instead of carrying into the next field.
+The ``exactalg`` docstring has the layout, and how ``exterior_d`` and
+``mul_elem`` read each term of psi once and write it into the result through
+small per-t-degree tables, building no S^+- psi.  The oracles in ``verify``
+read its parts as plain int/Fraction symbols.
 """
 
 from __future__ import annotations

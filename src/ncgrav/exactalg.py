@@ -17,27 +17,27 @@ Lett. B 349 (1995) 42), so den is nearly always 1, and the product, the
 shifts, the derivatives and the one-form actions are int arithmetic on these
 pairs with no coefficient object per term.  ``coeff.Coeff`` is the boundary
 type: the constructors (``NCElement(d, {(xpow, n): Coeff})`` and
-``monomial``) and ``scale`` take it, and ``coeffs()`` and ``to_text`` build
-it.
+``monomial``) take it, and ``coeffs()`` and ``to_text`` build it.
 
 Packed keys.  The key of x^xpow t^n lam^j beta^k is one int of d + 3
 fields of FIELD_BITS = 8 bits, lowest first: k, j, n, then x_1..x_d, so the
 element's d sets the layout, and ``int.from_bytes``/``int.to_bytes`` pack and
 unpack it.  Every exponent of a stored key lies below EXPONENT_LIMIT = 2^6 =
 64; the top two bits of each field are headroom.  The operations are key
-arithmetic: the product adds two keys, ``partial_x`` subtracts one unit of
-field i, ``_times`` adds a constant, and ``shift_t`` and the product add the
-offsets p (lam unit - t unit) of the cached table ``_shift_offsets``, which
-is ``_t_power_shifted`` in key form.  A field of a result is at most the sum
-of three exponents below the limit (the product's lam field j1 + j2 + p, with
-p <= n), which stays below 2^8, so no field carries into the next; an
-exponent that reaches the limit sets a headroom bit, and the operation
-raises ``ExponentOverflowError`` (an ``OverflowError``) instead of storing
-it.  A factor with no x and no t is central, and the product multiplies by it
-through ``_times``; a factor 1 gives the other factor itself.  Keys are
-unpacked only at the boundary: the constructors, and ``coeffs()``, which
-``to_text`` reads and which keeps its result on the element.  An element
-never changes, so results may share elements and keep what they compute.
+arithmetic: the product adds two keys, ``_times`` adds a constant, the
+one-form actions subtract units of the x_i fields, and the product and the
+S^+- shifts add the offsets p (lam unit - t unit) of the cached table
+``_shift_offsets``, which is ``_t_power_shifted`` in key form.  A field of
+a result is at most the sum of three exponents below the limit (the
+product's lam field j1 + j2 + p, with p <= n), which stays below 2^8, so no
+field carries into the next; an exponent that reaches the limit sets a
+headroom bit, and the operation raises ``ExponentOverflowError`` (an
+``OverflowError``) instead of storing it.  A factor with no x and no t is
+central, and the product multiplies by it through ``_times``; a factor 1
+gives the other factor itself.  Keys are unpacked only at the boundary: the
+constructors, and ``coeffs()``, which ``to_text`` reads and which keeps its
+result on the element.  An element never changes, so results may share
+elements and keep what they compute.
 
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
@@ -56,22 +56,26 @@ meets t^n as (t + i lam)^n; x_j passes dt leaving -i lam dx_j, whose own
 theta' terms sum to (lam^2/2) Delta; and t^n passes dt as (t - i lam)^n dt
 plus (beta/2)((t + i lam)^n - (t - i lam)^n) theta'.  The shift acts on t
 only and d_j on x only, so d_j S^+ = S^+ d_j: the theta' and dx_i actions
-share one S^+ psi and differentiate it.
+share the terms of one S^+ psi, and the dx_i actions differentiate them.
 
-One pass per term.  ``exterior_d`` and the dt action build no intermediate
-element (no S^+- psi, no difference, no Laplacian): ``_one_pass`` reads each
-term c x^a t^n of psi once and writes it straight into the dt, dx_i and
-theta' parts of the result, through three small tables for t^n
-(``_d_tables`` for d, ``_dt_action_tables`` for dt psi; each built from
-``_t_power_shifted`` and cached for every n < EXPONENT_LIMIT).  The dt table
-holds the shifted powers, the beta table the even (for d) or odd (for dt)
-powers of lam in S^+ t^n, and the Laplacian table S^+ t^n times i lam (for
-d) or lam^2 (for dt), applied at the key of x^a t^n minus 2 units of x_i
-with weight a_i (a_i - 1)/2.  The 1/2 of (i lam/2) box and of (beta/2),
-(lam^2/2) cancels against a 2 in each table, so every entry is a Gaussian
-integer and the theta' part sits over psi's own den, with no division check.
-An exponent is checked only on the result, so psi = lam^63 t has
-d psi = lam^63 dt, while lam^63 t^2 raises (d psi holds lam^64).
+One pass per term.  The one-form actions build no intermediate element (no
+S^+- psi element, no difference, no Laplacian): each reads every term
+c x^a t^n of psi once and writes it into the parts of the result through
+small tables for t^n, built from ``_t_power_shifted`` and cached for every
+n < EXPONENT_LIMIT.  ``_s_plus_pass`` sums the terms of S^+ psi through
+``_shift_offsets(n, 1)``: they are the theta' part of theta' psi, and each
+at its key minus one unit of x_i plus one lam unit, with weight i a_i, is
+one term of the theta' part of dx_i psi.  ``_one_pass`` writes d psi and
+dt psi through three tables each (``_d_tables``, ``_dt_action_tables``):
+the dt table holds the shifted powers, the beta table the even (for d) or
+odd (for dt) powers of lam in S^+ t^n, and the Laplacian table S^+ t^n
+times i lam (for d) or lam^2 (for dt), applied at the key of x^a t^n minus
+2 units of x_i with weight a_i (a_i - 1)/2.  The 1/2 of (i lam/2) box and
+of (beta/2), (lam^2/2) cancels against a 2 in each table, so every entry is
+a Gaussian integer and the theta' part sits over psi's own den, with no
+division check.  An exponent is checked only on the result, so d(lam^63 t)
+= lam^63 dt and dx_1 (lam^63 x_2 t) = lam^63 x_2 t dx_1, though S^+ psi
+holds lam^64, while d(lam^63 t^2) raises (it holds lam^64).
 
 The oracles in `verify` apply the relations one generator at a time, on
 plain int/Fraction symbols (`verify.normal_order`, `verify.mul_gen`,
@@ -322,12 +326,6 @@ class NCElement:
                  for kc, (re, im) in c.terms.items()]
         return sum(parts[1:], parts[0])
 
-    def scale(self, c):
-        """self * c for an int or Coeff c."""
-        if isinstance(c, int):
-            c = Coeff.from_rational(c)
-        return self * NCElement.monomial(self.d, (0,) * self.d, 0, c)
-
     def __mul__(self, other):
         """Normal-ordered product.  Uses t^n x^b = x^b (t - i lam |b|)^n.  A
         factor with no x and no t is central and goes to `_times_scalar`."""
@@ -356,38 +354,6 @@ class NCElement:
         if reduce(or_, out, 0) & _headroom(self.d):
             _refuse_exponents(out, self.d)
         return _element(self.d, out, self.den * other.den)
-
-    # -- calculus helpers ---------------------------------------------
-    def shift_t(self, s):
-        """Exact substitution t -> t + s i lam, s an int."""
-        if type(s) is not int:  # a rational s would leave non-int parts
-            raise TypeError("shift_t takes an int shift, got %r" % (s,))
-        out = {}
-        get = out.get
-        for key, (re, im) in self.terms.items():
-            for off, sr, si in _shift_offsets((key >> _N) & _FIELD, s):
-                key2 = key + off
-                vr, vi = re * sr - im * si, re * si + im * sr
-                cur = get(key2)
-                out[key2] = ((vr, vi) if cur is None
-                             else (cur[0] + vr, cur[1] + vi))
-        out = {k: v for k, v in out.items() if v[0] or v[1]}
-        if reduce(or_, out, 0) & _headroom(self.d):
-            _refuse_exponents(out, self.d)
-        return _element(self.d, out, self.den)
-
-    def partial_x(self, i):
-        if not 1 <= i <= self.d:
-            raise ValueError("partial_x takes 1 <= i <= %d, got %r"
-                             % (self.d, i))
-        shift = _X + (i - 1) * FIELD_BITS
-        unit = 1 << shift
-        out = {}
-        for key, (re, im) in self.terms.items():
-            p = (key >> shift) & _FIELD
-            if p:
-                out[key - unit] = (re * p, im * p)
-        return _element(self.d, out, self.den)
 
     def to_text(self):
         if not self.terms:
@@ -522,21 +488,48 @@ def _one_pass(psi, tables, grad_off, gre, gim):
                     cur = tget(k2)
                     theta[k2] = (vr, vi) if cur is None else (cur[0] + vr,
                                                               cur[1] + vi)
-    dt_part = {k: v for k, v in dt_part.items() if v[0] or v[1]}
-    theta = {k: v for k, v in theta.items() if v[0] or v[1]}
-    outs = (dt_part, theta, *grads)
+    return _checked_parts(d, den, {DT: dt_part, THETA: theta}, {
+        dx(i): g for i, g in enumerate(grads, start=1)})
+
+
+def _s_plus_pass(psi, forms):
+    """The nonzero theta' parts {w: element} of w psi for the theta' and
+    dx_i among `forms`, from one pass over psi's terms through
+    `_shift_offsets(n, 1)`, which sums the terms of S^+ psi: theta' takes
+    them, and dx_i takes i lam d_i(S^+ psi), each term at its key minus one
+    unit of x_i plus one lam unit with weight i a_i (one term per key)."""
+    up = {}
+    uget = up.get
+    for key, (re, im) in psi.terms.items():
+        for off, sr, si in _shift_offsets((key >> _N) & _FIELD, 1):
+            k2 = key + off
+            vr, vi = re * sr - im * si, re * si + im * sr
+            cur = uget(k2)
+            up[k2] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+    up = {k: v for k, v in up.items() if v[0] or v[1]}
+    parts = {THETA: up} if THETA in forms else {}
+    wants = [w[1] - 1 for w in forms if w != DT and w != THETA]
+    if wants:
+        grads = [{} if i in wants else None for i in range(psi.d)]
+        for key, (re, im) in up.items():
+            for i, a, unit in _x_units(key >> _X):
+                if grads[i] is not None:
+                    grads[i][key - unit + _J_UNIT] = (-im * a, re * a)
+        parts.update((dx(i + 1), grads[i]) for i in wants)
+    return _checked_parts(psi.d, psi.den, {}, parts)
+
+
+def _checked_parts(d, den, sums, parts):
+    """{w: element over den} of the nonempty parts and sums {w: terms}, with
+    the (0, 0) of sums dropped; an exponent at EXPONENT_LIMIT raises."""
+    for w, out in sums.items():
+        parts[w] = {k: v for k, v in out.items() if v[0] or v[1]}
     bits = 0
-    for out in outs:
+    for out in parts.values():
         bits = reduce(or_, out, bits)
     if bits & _headroom(d):
-        _refuse_exponents([k for out in outs for k in out], d)
-    parts = {dx(i): _element(d, g, den)
-             for i, g in enumerate(grads, start=1) if g}
-    if dt_part:
-        parts[DT] = _element(d, dt_part, den)
-    if theta:
-        parts[THETA] = _element(d, theta, den)
-    return parts
+        _refuse_exponents([k for out in parts.values() for k in out], d)
+    return {w: _element(d, out, den) for w, out in parts.items() if out}
 
 
 class NCOneForm:
@@ -583,7 +576,7 @@ class NCOneForm:
         """Right-multiply by an NCElement psi.
 
         omega psi = sum_w e_w (w psi), where each basis one-form w acts on the
-        whole of psi (S^+- = shift_t(+-1), Delta = sum_j d_j^2):
+        whole of psi (S^+- psi = psi(t +- i lam), Delta = sum_j d_j^2):
 
             theta' psi = (S^+ psi) theta'
             dx_i psi   = psi dx_i + i lam d_i(S^+ psi) theta'
@@ -592,24 +585,22 @@ class NCOneForm:
                             + (lam^2/2) Delta(S^+ psi)] theta'
 
         Each follows from the generator relations by induction on the word
-        of a monomial (see the module docstring).  dt psi is one pass over
-        psi's terms through `_dt_action_tables`; the theta' and dx_i actions
-        share S^+ psi, computed once when the first of them comes, and use
-        d_i(S^+ psi) = S^+(d_i psi) (the shift acts on t only and d_i on x
-        only).  The oracle is `verify.normal_order`, which pushes one
-        generator at a time on symbols."""
-        up = None
+        of a monomial (see the module docstring).  dt psi is one `_one_pass`
+        over psi's terms, and the theta' parts of every theta' and dx_i
+        action omega has are one `_s_plus_pass`: no element is built before
+        the products but the parts of the actions.  The oracle is
+        `verify.normal_order`, which pushes one generator at a time."""
+        thetas = (_s_plus_pass(other, self.parts)
+                  if self.parts.keys() - {DT} else {})
         out = {}
         for w, e in self.parts.items():
             if w == DT:
                 # -i lam d_j psi at key - unit_j + lam unit
                 act = _one_pass(other, _dt_action_tables, _J_UNIT, 0, -1)
             else:
-                if up is None:
-                    up = other.shift_t(1)
-                # i lam d_i(S^+ psi)
-                act = ({THETA: up} if w == THETA else
-                       {w: other, THETA: up.partial_x(w[1])._times(0, 1, 1)})
+                act = {} if w == THETA else {w: other}
+                if w in thetas:
+                    act[THETA] = thetas[w]
             for wp, u in act.items():
                 v = e * u
                 out[wp] = out[wp] + v if wp in out else v
@@ -647,14 +638,14 @@ def exterior_d(psi):
 
 
 def commutator_d(psi):
-    """(i/lam) [theta, psi] with theta = dt - beta theta'; must equal d psi."""
+    """(i/lam) [theta, psi] with theta = dt - beta theta'; must equal d psi.
+    Its domain is narrower than `exterior_d`'s: [theta, psi] holds one more
+    power of lam before the division by lam, so lam^63 t, whose d is
+    lam^63 dt, raises ExponentOverflowError here."""
     d = psi.d
     minus_beta = _element(d, {_pack(d, (0,) * d, 0, 0, 1): (-1, 0)})
     theta = NCOneForm(d, {DT: NCElement.one(d), THETA: minus_beta})
     comm = theta.mul_elem(psi) - theta.lmul(psi)
     # (i/lam) z = i z lam^-1
-    try:
-        return NCOneForm(d, {w: e._times(0, 1, -1)
-                             for w, e in comm.parts.items()})
-    except ArithmeticError as exc:  # pragma: no cover - mul_elem bug guard
-        raise AssertionError("[theta, psi] not divisible by lam: %s" % exc)
+    return NCOneForm(d, {w: e._times(0, 1, -1)
+                         for w, e in comm.parts.items()})

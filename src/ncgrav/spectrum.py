@@ -362,7 +362,8 @@ def spectrum_table(x, M, units, l=0, n_states=3):
     a record array with one row per numeric state (grid doubling checked)
     and the fields n, l, E_numeric, E_oracle (bohr_oracle at that n), rel_err
     = |E_numeric - E_oracle| / |E_oracle - V0| and V0.  An x or M that is
-    not positive raises ValueError naming it."""
+    not positive, or a depth E_oracle - V0 that rounds to 0 against V0,
+    raises ValueError naming it."""
     _require_positive(x=x, M=M)
     pars = effective.effective_params(x * units.m_p, units)
     states = solve_radial(pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
@@ -370,6 +371,11 @@ def spectrum_table(x, M, units, l=0, n_states=3):
     oracle = {s.n: s.E for s in bohr_oracle(
         pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
         n_max=l + n_states) if s.l == 0}
+    for s in states:
+        if oracle[s.n] == pars.V0:  # rel_err would divide by 0
+            raise ValueError("spectrum_table: the depth E_oracle - V0 of "
+                             "state n = %d rounds to 0 against V0 = %r at "
+                             "x = %r, M = %r" % (s.n, pars.V0, x, M))
     rows = [(s.n, s.l, s.E, oracle[s.n],
              abs(s.E - oracle[s.n]) / abs(oracle[s.n] - pars.V0), pars.V0)
             for s in states]

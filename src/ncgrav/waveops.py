@@ -17,7 +17,7 @@ a grid and evaluate the varying finite difference on the whole grid at once
 (one timeops.delta0_general call on a GridField).  That is a different
 (non-resummed) object on logarithmic profiles -- see the mode flag.
 
-kg_residual subtracts the mass term from a box already applied to psi.
+kg_residual subtracts the mass term from a SeparableField box applied to psi.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class GridField:
     def scale(self, c):
         """c may be a scalar or an array over the nodes."""
         return GridField(self.r, {k: c * v for k, v in self.data.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
 
     def stencil(self, taps, lam):
         """sum_j w_j psi(r, t + i lam a_j(r)) over taps [(w_j, a_j)]; w_j and
@@ -231,9 +228,6 @@ def box_newton(psi, gamma, c, lam):
 # ---------------------------------------------------------------------------
 
 def kg_residual(box, psi, m, hbar, c):
-    """box - (m c / hbar)^2 psi, where box is a wave operator applied to psi
-    (a SeparableField, or the GridField of box_general's pointwise mode)."""
-    mass_term = psi.scale((m * c / hbar) ** 2)
-    if isinstance(box, GridField):
-        return box - mass_term.to_grid(box.r)
-    return box - mass_term
+    """box - (m c / hbar)^2 psi, where box is a wave operator applied to the
+    SeparableField psi, as a SeparableField."""
+    return box - psi.scale((m * c / hbar) ** 2)

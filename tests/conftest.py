@@ -48,6 +48,24 @@ def gen_t(d):
     return NCElement.monomial(d, (0,) * d, 1)
 
 
+def scaled(elem, c):
+    """The NCElement elem times the int or Coeff c."""
+    if isinstance(c, int):
+        c = Coeff.from_rational(c)
+    return elem * NCElement.monomial(elem.d, (0,) * elem.d, 0, c)
+
+
+def partial_x(psi, i):
+    """d psi / d x_i of the NCElement psi, term by term through coeffs()."""
+    out = NCElement.zero(psi.d)
+    for (xpow, n), c in psi.coeffs().items():
+        if xpow[i - 1]:
+            lower = xpow[:i - 1] + (xpow[i - 1] - 1,) + xpow[i:]
+            out = out + scaled(NCElement.monomial(psi.d, lower, n, c),
+                               xpow[i - 1])
+    return out
+
+
 def is_zero(x):
     """Whether the Coeff, NCElement or NCOneForm x holds no term."""
     return not (x.parts if isinstance(x, NCOneForm) else x.terms)

@@ -253,6 +253,9 @@ class TestSpectrum:
         # the Bohr radius hbar^2/(m_I G M m_G) underflows to 0
         (("--lam", "1e-300"), "the Bohr radius hbar^2/(m_I G M m_G) leaves "
          "the normal float range at m_I = "),
+        # E_oracle - V0 rounds to 0: rel_err divided by it
+        (("--x", "0.3", "--M", "1e-8"), "the depth E_oracle - V0 of state "
+         "n = 3 rounds to 0 against V0 = "),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "spectrum", "--x", "1e-8", *argv)

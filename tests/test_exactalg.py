@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_t, gen_x, is_zero, subs_lam_zero
+from conftest import (gen_t, gen_x, is_zero, partial_x, scaled,
+                      subs_lam_zero)
 from ncgrav import coeff, exactalg, verify
 from ncgrav.coeff import Coeff
 from ncgrav.exactalg import (
@@ -139,7 +140,7 @@ class TestCoeff:
         assert verify.lam_valuation(c) == 2
 
     def test_div_i_lam(self):
-        z = scalar(I_LAM).scale(5)
+        z = scaled(scalar(I_LAM), 5)
         assert div_i_lam(z) == scalar(5)
         with pytest.raises(ArithmeticError):
             div_i_lam(NCElement.one(D))
@@ -195,8 +196,8 @@ class TestCoeffRing:
     @given(scalars(), st.integers(-4, 4), _fracs)
     def test_scale(self, a, n, q):
         a, ra = a
-        assert_matches(a.scale(n), ref_mul(ra, {(0, 0): (Fraction(n), 0)}))
-        assert_matches(a.scale(Coeff.from_rational(q, n)),
+        assert_matches(scaled(a, n), ref_mul(ra, {(0, 0): (Fraction(n), 0)}))
+        assert_matches(scaled(a, Coeff.from_rational(q, n)),
                        ref_mul(ra, {(0, 0): (q, Fraction(n))}))
 
     @given(scalars(), st.integers(0, 5))
@@ -324,12 +325,6 @@ class TestBimoduleAction:
                                                     (2, 0, 1, 0))
         assert exactalg._t_power_shifted(4, 0) == ((4, 0, 1, 0),)
 
-    def test_shift_t_takes_int_shifts_only(self):
-        t = gen_t(D)
-        assert t.shift_t(-1) == t + scalar(MINUS_I_LAM)
-        with pytest.raises(TypeError, match="int shift"):
-            t.shift_t(Fraction(1, 2))
-
 
 # small elements for the product properties: degree <= 2, Gaussian-integer
 # coefficients
@@ -396,10 +391,10 @@ class TestHalfIntegerElements:
 
     @given(half_elements())
     def test_half_then_two_is_identity(self, f):
-        assert f.scale(HALF).scale(2) == f
-        whole = f.scale(2)  # Gaussian-integer coefficients
-        assert whole.scale(HALF).scale(2) == whole
-        assert whole.den == 1 and whole.scale(HALF).scale(2).den == 1
+        assert scaled(scaled(f, HALF), 2) == f
+        whole = scaled(f, 2)  # Gaussian-integer coefficients
+        assert scaled(scaled(whole, HALF), 2) == whole
+        assert whole.den == 1 and scaled(scaled(whole, HALF), 2).den == 1
 
     @given(half_elements(_DEGREES))
     def test_coefficient_round_trip(self, f):
@@ -515,13 +510,13 @@ class TestPackedKeys:
 
     def test_lam_power_reaching_the_limit_raises(self):
         # lam^(LIMIT-1) t: one more lam from _times, or from the i lam of
-        # the shift t -> t + i lam, reaches the limit
+        # the shift t -> t + i lam in theta' psi, reaches the limit
         psi = elem((0, 0, 0), 1, lam_power(LIMIT - 1))
         with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
             psi._times(1, 0, 1)
         with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
-            psi.shift_t(1)
-        assert psi.shift_t(0) == psi and psi._times(1, 0, -1).coeffs() == \
+            NCOneForm(D, {THETA: NCElement.one(D)}).mul_elem(psi)
+        assert psi._times(1, 0, -1).coeffs() == \
             {((0, 0, 0), 1): lam_power(LIMIT - 2)}
 
     def test_exterior_d_checks_only_its_result(self):
@@ -535,6 +530,39 @@ class TestPackedKeys:
             exterior_d_leibniz(realization_symbol(psi), D)
         with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
             exterior_d(elem((0, 0, 0), 2, lam_power(LIMIT - 1)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mul_elem_checks_only_its_result(self, d):
+        # each basis one-form w on lam^63 x_j t gives the oracle's w psi
+        # where every exponent fits, and refuses lam^64 or lam^65 where it
+        # does not; dx_i psi = psi dx_i fits for i != j, though S^+ psi
+        # holds lam^64
+        fits = 0
+        for j, w in itertools.product(range(1, d + 1), [DT, THETA] + [
+                dx(i) for i in range(1, d + 1)]):
+            xpow = [0] * d
+            xpow[j - 1] = 1
+            psi = NCElement.monomial(d, xpow, 1, lam_power(LIMIT - 1))
+            want = normal_order_action(d, w, psi)
+            action = NCOneForm(d, {w: NCElement.one(d)})
+            if max(e for sym in want.values() for k in sym for e in k) < LIMIT:
+                got = action.mul_elem(psi)
+                assert form_symbol(got) == want
+                assert got == NCOneForm(d, {w: psi})
+                fits += 1
+            else:
+                with pytest.raises(OVERFLOW, match="power of lam reaches"):
+                    action.mul_elem(psi)
+        assert fits == d * (d - 1)
+
+    def test_commutator_d_domain_is_narrower(self):
+        # [theta, psi] holds lam^64 before the division by lam, so d psi by
+        # the commutator refuses lam^63 t, which exterior_d takes
+        psi = elem((0, 0, 0), 1, lam_power(LIMIT - 1))
+        assert exterior_d(psi) == NCOneForm(D, {DT: elem(
+            (0, 0, 0), 0, lam_power(LIMIT - 1))})
+        with pytest.raises(OVERFLOW, match="power of lam reaches %d" % LIMIT):
+            commutator_d(psi)
 
     def test_division_by_lam_still_checked(self):
         with pytest.raises(ArithmeticError, match="not divisible by lam"):
@@ -581,7 +609,8 @@ class TestWorkCounts:
         rng = random.Random(37)
         psis = [random_element(rng) for _ in range(10)]
         spies = [self.spy(monkeypatch, NCElement, name) for name in
-                 ("shift_t", "_combine", "_times", "__mul__", "partial_x")]
+                 ("_combine", "_times", "__mul__")]
+        spies.append(self.spy(monkeypatch, exactalg, "_s_plus_pass"))
         built = self.spy(monkeypatch, exactalg, "_element")
         for psi in psis:
             built.clear()
@@ -590,18 +619,39 @@ class TestWorkCounts:
             assert len(built) == len(dpsi.parts)
 
     def test_mul_elem_shifts_at_most_once(self, monkeypatch):
-        # the dt action shifts nothing; S^+ psi is shared by the theta' and
-        # dx actions
+        # the S^+ pass runs at most once, shared by the theta' and dx
+        # actions, and never for dt alone; before its first product,
+        # mul_elem sums and scales nothing, and the elements it builds
+        # outside a product or a sum are the parts of the actions
         rng = random.Random(41)
         pairs = [(exterior_d(random_element(rng)), random_element(rng))
                  for _ in range(10)]
         pairs += [(NCOneForm(D, {DT: NCElement.one(D)}), psi)
                   for _omega, psi in pairs[:3]]
-        calls = self.spy(monkeypatch, NCElement, "shift_t")
-        for omega, psi in pairs:
-            calls.clear()
+        acts = [len(exactalg._s_plus_pass(psi, omega.parts))
+                * (set(omega.parts) != {DT}) + len(exactalg._one_pass(
+                    psi, exactalg._dt_action_tables, exactalg._J_UNIT, 0, -1))
+                * (DT in omega.parts) for omega, psi in pairs]
+        passes = self.spy(monkeypatch, exactalg, "_s_plus_pass")
+        log, depth = [], [0]
+        for owner, name in ((NCElement, "__mul__"), (NCElement, "_combine"),
+                            (NCElement, "_times"), (exactalg, "_element")):
+            def logged(*args, _real=getattr(owner, name), _name=name):
+                if not depth[0]:
+                    log.append(_name)
+                depth[0] += 1
+                try:
+                    return _real(*args)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(owner, name, logged)
+        for (omega, psi), n_acts in zip(pairs, acts):
+            passes.clear()
+            log.clear()
             omega.mul_elem(psi)
-            assert len(calls) == (set(omega.parts) != {DT})
+            assert len(passes) == (set(omega.parts) != {DT})
+            assert "_times" not in log and log.count("_element") == n_acts
+            assert "_combine" not in log[:log.index("__mul__")]
 
     def test_commutator_d_multiplies_central_factors_by_times(
             self, monkeypatch):
@@ -641,6 +691,17 @@ def scaled_symbol(form, c):
             for w, sym in form.items()}
 
 
+def normal_order_action(d, w, psi):
+    """The symbol of w psi for a basis one-form w, by `verify.normal_order`
+    on each term's word, summed over the terms of psi."""
+    want = {}
+    for key, c in realization_symbol(psi).items():
+        word = [w] + _monomial_word(key[:d], key[d])
+        verify._add_form(want, scaled_symbol(normal_order(d, word),
+                                             (key[d + 1:], c)))
+    return {wp: sym for wp, sym in want.items() if sym}
+
+
 class TestOneFormsAgainstTheOracles:
     """exterior_d and the bimodule action on multi-term elements with
     denominator 2 and lam/beta powers, against the symbol oracles, which
@@ -662,14 +723,8 @@ class TestOneFormsAgainstTheOracles:
     def test_basis_forms_match_normal_order(self, d, data):
         psi = data.draw(d_elements(d)) * data.draw(d_elements(d))
         for w in [DT, THETA] + [dx(i) for i in range(1, d + 1)]:
-            want = {}
-            for key, c in realization_symbol(psi).items():
-                word = [w] + _monomial_word(key[:d], key[d])
-                verify._add_form(want, scaled_symbol(
-                    normal_order(d, word), (key[d + 1:], c)))
-            want = {wp: sym for wp, sym in want.items() if sym}
             got = NCOneForm(d, {w: NCElement.one(d)}).mul_elem(psi)
-            assert form_symbol(got) == want
+            assert form_symbol(got) == normal_order_action(d, w, psi)
 
 
 class TestProductProperties:
@@ -691,7 +746,7 @@ def classical_dt(psi):
     out = NCElement.zero(D)
     for (xpow, n), c in psi.coeffs().items():
         if n:
-            out = out + elem(xpow, n - 1, c).scale(n)
+            out = out + scaled(elem(xpow, n - 1, c), n)
     return out
 
 
@@ -717,7 +772,7 @@ class TestExteriorD:
     def test_d_x1_squared(self):
         psi = gen_x(D, 1) * gen_x(D, 1)
         got = exterior_d(psi)
-        want = NCOneForm(D, {dx(1): gen_x(D, 1).scale(2),
+        want = NCOneForm(D, {dx(1): scaled(gen_x(D, 1), 2),
                              THETA: scalar(I_LAM)})
         assert got == want
 
@@ -725,7 +780,7 @@ class TestExteriorD:
         psi = gen_t(D) * gen_t(D)
         got = exterior_d(psi)
         want = NCOneForm(D, {
-            DT: gen_t(D).scale(2) + scalar(MINUS_I_LAM),
+            DT: scaled(gen_t(D), 2) + scalar(MINUS_I_LAM),
             THETA: scalar(I_LAM_BETA),
         })
         assert got == want
@@ -783,14 +838,14 @@ class TestExteriorD:
             classical = subs_lam_zero(dpsi)
             for i in range(1, D + 1):
                 assert classical.coeff(dx(i)) == \
-                    subs_lam_zero(psi.partial_x(i))
+                    subs_lam_zero(partial_x(psi, i))
 
 
 class TestSerialization:
     def test_text_round_stability(self):
         # (3/2 + i) lam^2
-        psi = (gen_x(D, 1) * gen_t(D)).scale(
-            Coeff.from_parts({(2, 0): (3, 2)}, 2))
+        psi = scaled(gen_x(D, 1) * gen_t(D),
+                     Coeff.from_parts({(2, 0): (3, 2)}, 2))
         text = psi.to_text()
         assert "lam^2" in text and "x1" in text and "t" in text
         assert psi.to_text() == text  # deterministic

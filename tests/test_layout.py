@@ -1,7 +1,8 @@
 """Source layout: each production module computes a quantity by one route, and
 the second routes (the oracles) and the check helpers live in `verify`, which
 production never imports; every public member of a production module other
-than `verify` is referenced from `src/`; importing the CLI loads only the
+than `verify` is referenced from `src/`, and every public method name that
+several classes define is listed; importing the CLI loads only the
 layers the tables render, the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
 and no json, all but spectrum load no mpmath, scipy is imported only in
@@ -195,9 +196,52 @@ def test_public_members_have_a_caller_in_src():
         "unused.py:UnusedThing.unused_helper", "unused.py:UnusedThing.floor"]
 
 
+# every public method name that more than one class in src/ defines, with
+# the classes that define it: the caller rule counts any attribute of that
+# name as a call of each, so a new shared name needs its line here.  A caller
+# in src/ of each (no caller in src/ is marked "tests"):
+#   deriv     RadialProfile: ode_residuals; TimeFunction: TimeFunction.stencil
+#   evaluate  TimeFunction: verify.classical_limit_check; GridField:
+#             field_max_diff
+#   monomial  NCElement: NCElement.one; TimeFunction: the registry check
+#             timeops.classical-limit-orders
+#   one       Coeff: tests and perfbench/test_perfbench.py; NCElement:
+#             commutator_d
+#   scale     RadialProfile: tests; TimeFunction: SeparableField.scale;
+#             SeparableField: kg_residual; GridField: box_general
+#   shift     TimeFunction: box_const; GridField: tests
+#   stencil   TimeFunction: timeops.d0; GridField: timeops.delta0_general
+#   to_text   NCElement: NCOneForm.to_text; NCOneForm: NCOneForm.__repr__
+#   zero      NCElement: NCOneForm.coeff; TimeFunction: verify.random_tf
+SHARED_METHODS = {
+    "deriv": ["geometry.py:RadialProfile", "timeops.py:TimeFunction"],
+    "evaluate": ["timeops.py:TimeFunction", "waveops.py:GridField"],
+    "monomial": ["exactalg.py:NCElement", "timeops.py:TimeFunction"],
+    "one": ["coeff.py:Coeff", "exactalg.py:NCElement"],
+    "scale": ["geometry.py:RadialProfile", "timeops.py:TimeFunction",
+              "waveops.py:SeparableField", "waveops.py:GridField"],
+    "shift": ["timeops.py:TimeFunction", "waveops.py:GridField"],
+    "stencil": ["timeops.py:TimeFunction", "waveops.py:GridField"],
+    "to_text": ["exactalg.py:NCElement", "exactalg.py:NCOneForm"],
+    "zero": ["exactalg.py:NCElement", "timeops.py:TimeFunction"],
+}
+
+
+def test_shared_method_names_are_listed():
+    owners = {}
+    for p in sorted(SRC.glob("*.py")):
+        for qual, member in _public_members(ast.parse(p.read_text(),
+                                                      filename=str(p))):
+            if "." in qual:
+                owners.setdefault(member, []).append(
+                    "%s:%s" % (p.name, qual.split(".")[0]))
+    assert {m: q for m, q in owners.items() if len(q) > 1} == SHARED_METHODS
+
+
 def test_exact_oracles_use_no_production_arithmetic(monkeypatch):
     # the symbol oracles read an element only through coeffs(): with the
     # element and one-form arithmetic refused they still reduce every word
+    from ncgrav import exactalg
     from ncgrav import verify as V
     from ncgrav.exactalg import DT, THETA, NCElement, NCOneForm, dx
 
@@ -205,11 +249,11 @@ def test_exact_oracles_use_no_production_arithmetic(monkeypatch):
         raise AssertionError("an exact oracle used production arithmetic")
 
     psis = V.monomials()[::40]
-    for cls, names in ((NCElement, ("__mul__", "_combine", "_times",
-                                    "shift_t", "partial_x")),
-                       (NCOneForm, ("__add__", "mul_elem", "lmul"))):
+    for owner, names in ((NCElement, ("__mul__", "_combine", "_times")),
+                         (NCOneForm, ("__add__", "mul_elem", "lmul")),
+                         (exactalg, ("_one_pass", "_s_plus_pass"))):
         for name in names:
-            monkeypatch.setattr(cls, name, refuse)
+            monkeypatch.setattr(owner, name, refuse)
     words = [["t", ("x", 1), ("x", 2)], [DT, "t", ("x", 1), "t"],
              [("x", 2), THETA, "t"], ["t", ("x", 1), dx(1), ("x", 1)]]
     for word in words:

@@ -192,6 +192,15 @@ class TestSolveRadial:
                            r"at m_I = 9\.9+e\+291, "):
             S.spectrum_table(1e-8, 1.0, E.PlanckUnits(lam=1e-300))
 
+    def test_spectrum_table_names_a_depth_that_rounds_to_zero(self):
+        # at M = 1e-8 the depth m_I (G M m_G)^2/(2 hbar^2 n^2) of n = 3 is
+        # below the spacing of floats near V0 = -1.1e-3, so E_oracle equals
+        # V0 and rel_err divided by 0 ("float division by zero")
+        with pytest.raises(ValueError, match=r"^spectrum_table: the depth "
+                           r"E_oracle - V0 of state n = 3 rounds to 0 against "
+                           r"V0 = -0\.00110954\d+ at x = 0\.3, M = 1e-08$"):
+            S.spectrum_table(0.3, 1e-8, E.PlanckUnits())
+
     def test_grid_convergence_guard_passes(self):
         states = S.solve_radial(M_I, M_G, V0, M, GN, HBAR, n_states=2,
                                 check_grid=True)
