@@ -17,8 +17,8 @@ constructor given Fraction parts, and the text of a part.
 
 ``Coeff`` is the type of the API boundary, not of the calculus, and it has
 no arithmetic: an ``NCElement`` keeps its own flat dict from packed keys to
-(re, im) pairs and builds a ``Coeff`` only where a caller asks for one (its
-constructors take one; ``coeffs()`` and ``to_text`` return them).  A packed
+(re, im) pairs and builds a ``Coeff`` only where a caller asks for one
+(``monomial`` takes one; ``coeffs()`` and ``to_text`` return them).  A packed
 key is one int of 8-bit fields for beta^k, lam^j, t^n and x_1..x_d, lowest
 first; every exponent stays below 64, and one that would reach it raises
 ``exactalg.ExponentOverflowError`` instead of carrying into the next field.

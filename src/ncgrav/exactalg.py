@@ -16,8 +16,8 @@ terms and den.  The structure constants lie in Z[i][lam, beta] (Sitarz, Phys.
 Lett. B 349 (1995) 42), so den is nearly always 1, and the product, the
 shifts, the derivatives and the one-form actions are int arithmetic on these
 pairs with no coefficient object per term.  ``coeff.Coeff`` is the boundary
-type: the constructors (``NCElement(d, {(xpow, n): Coeff})`` and
-``monomial``) take it, and ``coeffs()`` and ``to_text`` build it.
+type: ``monomial`` takes it, and ``coeffs()`` and ``to_text`` build it.  An
+element is built only by ``zero``, ``one``, ``monomial`` and arithmetic.
 
 Packed keys.  The key of x^xpow t^n lam^j beta^k is one int of d + 3
 fields of FIELD_BITS = 8 bits, lowest first: k, j, n, then x_1..x_d, so the
@@ -34,10 +34,9 @@ field carries into the next; an exponent that reaches the limit sets a
 headroom bit, and the operation raises ``ExponentOverflowError`` (an
 ``OverflowError``) instead of storing it.  A factor with no x and no t is
 central, and the product multiplies by it through ``_times``; a factor 1
-gives the other factor itself.  Keys are unpacked only at the boundary: the
-constructors, and ``coeffs()``, which ``to_text`` reads and which keeps its
-result on the element.  An element never changes, so results may share
-elements and keep what they compute.
+gives the other factor itself.  Keys are unpacked only at the boundary, by
+``coeffs()``, which ``to_text`` reads; it unpacks on each call.  An element
+never changes, so results may share elements.
 
 A basis one-form acts on a whole element psi from the left as follows, with
 S^+- psi = psi(t +- i lam) and Delta = sum_j d_j^2:
@@ -124,38 +123,23 @@ def _field_names(d):
 @lru_cache(maxsize=4096)
 def _pack(d, xpow, n, j, k):
     """The key of x^xpow t^n lam^j beta^k, for a tuple xpow and exponents
-    >= 0.  Cached: an element's monomials recur."""
+    in 0..EXPONENT_LIMIT - 1.  Cached: an element's monomials recur."""
     fields = (k, j, n, *xpow)
     if len(fields) != d + 3:
         raise ValueError("xpow %r has %d powers, the algebra has d = %d"
                          % (tuple(xpow), len(fields) - 3, d))
-    try:
-        key = int.from_bytes(bytes(fields), "little")
-    except ValueError:  # a field outside 0..255
-        key = _headroom(d)
-    if key & _headroom(d):
-        for what, e in zip(_field_names(d), fields):
-            if e < 0:
-                raise ValueError("the power of %s is %d < 0" % (what, e))
-            if e >= EXPONENT_LIMIT:
-                raise _overflow(what, e)
-    return key
+    for what, e in zip(_field_names(d), fields):
+        if e < 0:
+            raise ValueError("the power of %s is %d < 0" % (what, e))
+        if e >= EXPONENT_LIMIT:
+            raise _overflow(what, e)
+    return int.from_bytes(bytes(fields), "little")
 
 
 @lru_cache(maxsize=4096)
 def _x_degree(x):
     """x_1 + .. + x_d of the spatial fields x = key >> _X of a key."""
     return sum(x.to_bytes((x.bit_length() + 7) // 8, "little"))
-
-
-@lru_cache(maxsize=16)
-def _monomial_table(d):
-    """The dict m -> (xpow, n) that `coeffs` fills, for the monomial fields
-    m = key >> _N of the keys of one d."""
-    return {}
-
-
-_MONOMIAL_TABLE_MAX = 1 << 14
 
 
 @lru_cache(maxsize=64)
@@ -191,7 +175,7 @@ def _element(d, terms, den=1):
     if den != 1:
         terms, den = lowest_terms(terms, den)
     out = object.__new__(NCElement)
-    out.d, out.terms, out.den, out._coeffs = d, terms, den, None
+    out.d, out.terms, out.den = d, terms, den
     return out
 
 
@@ -200,18 +184,7 @@ class NCElement:
     rational coefficients: ``terms`` maps the packed key of (xpow, n, j, k)
     to an int pair (re, im) over the element's one denominator ``den``."""
 
-    __slots__ = ("d", "terms", "den", "_coeffs")
-
-    def __init__(self, d, terms=None):
-        # terms: {(xpow, n): Coeff}, brought over one denominator; each Coeff
-        # is in lowest terms, so their lcm is too
-        coeffs = [(key, c) for key, c in (terms or {}).items() if c]
-        den = lcm(*(c.den for _key, c in coeffs))
-        self.d, self._coeffs = d, None
-        self.terms = {_pack(d, xpow, n, j, k): (re * f, im * f)
-                      for (xpow, n), c in coeffs for f in [den // c.den]
-                      for (j, k), (re, im) in c.terms.items()}
-        self.den = den
+    __slots__ = ("d", "terms", "den")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -232,27 +205,17 @@ class NCElement:
                             for (j, k), v in c.terms.items()}, c.den)
 
     def coeffs(self):
-        """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n.
-        An element does not change, so the first call keeps the unpacked
-        dict and every call returns a copy of it."""
-        if self._coeffs is not None:
-            return dict(self._coeffs)
+        """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n."""
         parts = {}
         for key, v in self.terms.items():
             # group by the fields n, x_1..x_d; divmod splits off (j, k)
             jk = divmod(key & _JK_MASK, _J_UNIT)
             parts.setdefault(key >> _N, {})[jk] = v
-        table, width, den = _monomial_table(self.d), self.d + 1, self.den
-        out = self._coeffs = {}
+        out = {}
         for m, p in parts.items():
-            mono = table.get(m)
-            if mono is None:  # unpack the fields n, x_1..x_d once
-                if len(table) >= _MONOMIAL_TABLE_MAX:
-                    table.clear()
-                n_x = m.to_bytes(width, "little")
-                mono = table[m] = (tuple(n_x[1:]), n_x[0])
-            out[mono] = Coeff.from_parts(p, den)
-        return dict(out)
+            n_x = m.to_bytes(self.d + 1, "little")
+            out[tuple(n_x[1:]), n_x[0]] = Coeff.from_parts(p, self.den)
+        return out
 
     # -- ring structure ----------------------------------------------
     def __eq__(self, other):
@@ -296,20 +259,13 @@ class NCElement:
 
     def _times(self, re, im, dj=0, dk=0, den=1):
         """self * (re + i im) lam^dj beta^dk / den, for a nonzero Gaussian
-        integer re + i im and den > 0.  A negative dj (dk) divides by lam^-dj
-        (beta^-dk), which must divide every term."""
-        if dj >= EXPONENT_LIMIT:
-            raise _overflow("lam", dj)
-        if dk >= EXPONENT_LIMIT:
-            raise _overflow("beta", dk)
-        if dj < 0 or dk < 0:
+        integer re + i im, den > 0, dk >= 0 and dj, dk below EXPONENT_LIMIT.
+        A negative dj divides by lam^-dj, which must divide every term."""
+        if dj < 0:
             for key in self.terms:
                 if key & _J_MASK < -dj << _J:
                     raise ArithmeticError("element not divisible by lam^%d: "
                                           "%s" % (-dj, self.to_text()))
-                if key & _FIELD < -dk:
-                    raise ArithmeticError("element not divisible by beta^%d: "
-                                          "%s" % (-dk, self.to_text()))
         off = (dj << _J) + dk
         out = {key + off: (a * re - b * im, a * im + b * re)
                for key, (a, b) in self.terms.items()}
@@ -372,11 +328,10 @@ class NCElement:
     __repr__ = to_text
 
 
-@lru_cache(maxsize=4096)
 def _t_power_shifted(n, s):
     """(t + s i lam)^n for an int s, as ((q, p, re, im), ...) meaning
-    (re + i im) lam^p t^q with p = n - q; zero terms are left out.  Cached:
-    the table is shared between callers."""
+    (re + i im) lam^p t^q with p = n - q; zero terms are left out.  Its
+    callers cache what they build from it."""
     out = []
     for q in range(n + 1):
         # C(n, q) (s i lam)^p
@@ -555,11 +510,7 @@ class NCOneForm:
     def __add__(self, other):
         out = dict(self.parts)
         for w, e in other.parts.items():
-            new = out[w] + e if w in out else e
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
+            out[w] = out[w] + e if w in out else e
         return NCOneForm(self.d, out)
 
     def __neg__(self):

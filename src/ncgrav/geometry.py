@@ -15,6 +15,7 @@ runs, live in `verify` beside their checks.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -90,12 +91,6 @@ class RadialProfile:
             lambda r: self(r) + other(r),
             deriv=lambda r: self.deriv(r) + other.deriv(r),
             deriv2=lambda r: self.deriv2(r) + other.deriv2(r))
-
-    def scale(self, c):
-        return RadialProfile(
-            lambda r: c * self(r),
-            deriv=lambda r: c * self.deriv(r),
-            deriv2=lambda r: c * self.deriv2(r))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +276,21 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     r_ref and that radius, not interpolated.  The derivatives are the ODE:
     mu' = (beta - 2 mu)/r and nu' = (mu - nu)/r.  The values are real when
     every imaginary part on the grid is exactly 0 (a real beta with real
-    pins), complex otherwise, however small."""
+    pins), complex otherwise, however small.  A grid that does not increase,
+    or a radius or pin that is not finite, raises ValueError naming it."""
     r_grid = np.asarray(r_grid, dtype=float)
-    if (r_grid.ndim != 1 or not r_ref > 0 or not np.all(r_grid > 0)
+    if (r_grid.ndim != 1 or not np.all((r_grid > 0) & (r_grid < math.inf))
             or np.any(np.diff(r_grid) <= 0)):
-        raise ValueError("r grid must be strictly increasing and positive, "
-                         "and r_ref positive")
+        raise ValueError("r_grid must be strictly increasing, positive and "
+                         "finite")
+    if not 0 < r_ref < math.inf:
+        raise ValueError("r_ref must be positive and finite, got %r"
+                         % (r_ref,))
     r_ref = float(r_ref)
     mu_ref, nu_ref = complex(mu_ref), complex(nu_ref)
+    for name, value in (("mu_ref", mu_ref), ("nu_ref", nu_ref)):
+        if not cmath.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     pin_mu, pin_nu = r_ref ** 2 * mu_ref, r_ref * (mu_ref + nu_ref)
 
     def solution(r, s_beta, plain):

@@ -1096,7 +1096,10 @@ def _(level):
 
 
 def run(level="fast"):
-    """Execute the registry; returns the report dict (see CLI for exit code)."""
+    """Execute the registry at level "fast" or "full"; returns the report
+    dict (see CLI for exit code)."""
+    if level not in ("fast", "full"):
+        raise ValueError('level must be "fast" or "full", got %r' % (level,))
     results = []
     t0 = time.perf_counter()
     for name, fn in CHECKS:

@@ -98,10 +98,6 @@ class GridField:
         return GridField(self.r, timeops.stencil_terms(self.data, taps, lam,
                                                        np.exp))
 
-    def shift(self, a, lam):
-        """Exact psi(r, t + i lam a(r)), the one-tap stencil."""
-        return self.stencil([(1, a)], lam)
-
     def evaluate(self, t):
         t = complex(t)
         total = np.zeros(self.r.shape, dtype=complex)
@@ -187,8 +183,12 @@ def box_general(psi, beta, mu, nu, lam, grid=None, mode="auto"):
     RadialProfile) goes through the closed-form Delta0 of each power law
     (result stays separable); a beta without one, or mode = "pointwise",
     samples psi, mu, nu and beta on `grid` and evaluates the varying finite
-    difference on all nodes at once, returning a GridField.
+    difference on all nodes at once, returning a GridField.  Any other mode
+    raises ValueError.
     """
+    if mode not in ("auto", "pointwise"):
+        raise ValueError('mode must be "auto" or "pointwise", got %r'
+                         % (mode,))
     structure = beta.structure if mode == "auto" else None
     dbar = SeparableField()
     for sp, f in psi.terms:

@@ -48,6 +48,15 @@ def gen_t(d):
     return NCElement.monomial(d, (0,) * d, 1)
 
 
+def element(d, coeffs):
+    """The NCElement with the coefficients {(xpow, n): Coeff}, as a sum of
+    monomials: the inverse of `NCElement.coeffs`."""
+    out = NCElement.zero(d)
+    for (xpow, n), c in coeffs.items():
+        out = out + NCElement.monomial(d, xpow, n, c)
+    return out
+
+
 def scaled(elem, c):
     """The NCElement elem times the int or Coeff c."""
     if isinstance(c, int):
@@ -82,6 +91,18 @@ def subs_lam_zero(x):
     if isinstance(x, NCOneForm):
         return NCOneForm(x.d, {w: subs_lam_zero(e)
                                for w, e in x.parts.items()})
-    return NCElement(x.d, {key: Coeff.from_parts(
+    return element(x.d, {key: Coeff.from_parts(
         {jk: v for jk, v in c.terms.items() if jk[0] == 0}, c.den)
         for key, c in x.coeffs().items()})
+
+
+def scaled_profile(p, c):
+    """The RadialProfile c p, with its derivatives."""
+    return RadialProfile(lambda r: c * p(r),
+                         deriv=lambda r: c * p.deriv(r),
+                         deriv2=lambda r: c * p.deriv2(r))
+
+
+def shifted_grid(g, a, lam):
+    """The GridField g at t + i lam a(r): its one-tap stencil."""
+    return g.stencil([(1, a)], lam)

@@ -668,6 +668,16 @@ class TestRegistryDirect:
         assert rep["n_failed"] == 1
         assert "boom" in rep["checks"][0]["measured"]
 
+    @pytest.mark.parametrize("level", ["FULL", "Fast", "slow"])
+    def test_unknown_level_named(self, monkeypatch, level):
+        # "FULL" once ran the fast sample sizes under the label "FULL"
+        def never(level):
+            raise AssertionError("a check ran at an unknown level")
+        monkeypatch.setattr(verify, "CHECKS", [("synthetic.never", never)])
+        with pytest.raises(ValueError, match='^level must be "fast" or '
+                           '"full", got %r$' % level):
+            verify.run(level)
+
 
 def render_csv_oracle(header, rows):
     """Per-cell csv.writer rendering: each float as %.12e, any other cell as

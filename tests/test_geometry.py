@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import scaled_profile
 from ncgrav import geometry as G
 from ncgrav import verify as V
 from ncgrav.timeops import POWER_WINDOW
@@ -28,7 +29,7 @@ class TestRadialProfile:
     def test_sum_and_scale(self):
         a = G.RadialProfile.constant(2.0)
         b = G.RadialProfile.power_law(1)
-        s = a + b.scale(3.0)
+        s = a + scaled_profile(b, 3.0)
         r = np.array([1.0, 2.0])
         assert np.allclose(s(r), 2.0 + 3.0 / r)
         assert np.allclose(s.deriv(r), -3.0 / r ** 2)
@@ -314,6 +315,23 @@ class TestQuadratureAccuracy:
         with pytest.raises(ValueError, match="strictly increasing"):
             G.mu_nu_numeric(G.RadialProfile.power_law(3.0), 1.0, -1.0, 0.5,
                             [2.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("name, args", [
+        ("r_ref", dict(r_ref=np.inf)),
+        ("r_grid", dict(r_grid=np.append(G.default_log_grid(0.5, 10, 49),
+                                         np.inf))),
+        ("mu_ref", dict(mu_ref=np.nan)),
+        ("nu_ref", dict(nu_ref=np.inf))])
+    def test_non_finite_inputs_named(self, name, args):
+        # an infinite radius once reached numpy's bare "repeats may not
+        # contain negative values"; a nan or inf pin gave nan or inf
+        # profiles with no error
+        call = dict(beta=G.RadialProfile.power_law(3), r_ref=1.0,
+                    mu_ref=-1.0, nu_ref=0.5,
+                    r_grid=G.default_log_grid(0.5, 10, 50))
+        call.update(args)
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            G.mu_nu_numeric(**call)
 
 
 class TestStaticMetric:

@@ -11,9 +11,11 @@ parameter with a default of the public API and every refusal the CLI makes
 itself is listed here, the mu/nu quadrature `geometry.mu_nu_numeric` loads
 no scipy, spectrum starts no thread, and where numpy bundles its OpenBLAS,
 spectrum resolves exactly the two LAPACK routines it calls, dstebz and
-dlaebz."""
+dlaebz.  The benchmark's tracer targets that no longer resolve are listed
+too."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -207,9 +209,8 @@ def test_public_members_have_a_caller_in_src():
 #             timeops.classical-limit-orders
 #   one       Coeff: tests and perfbench/test_perfbench.py; NCElement:
 #             commutator_d
-#   scale     RadialProfile: tests; TimeFunction: SeparableField.scale;
-#             SeparableField: kg_residual; GridField: box_general
-#   shift     TimeFunction: box_const; GridField: tests
+#   scale     TimeFunction: SeparableField.scale; SeparableField:
+#             kg_residual; GridField: box_general
 #   stencil   TimeFunction: timeops.d0; GridField: timeops.delta0_general
 #   to_text   NCElement: NCOneForm.to_text; NCOneForm: NCOneForm.__repr__
 #   zero      NCElement: NCOneForm.coeff; TimeFunction: verify.random_tf
@@ -218,9 +219,8 @@ SHARED_METHODS = {
     "evaluate": ["timeops.py:TimeFunction", "waveops.py:GridField"],
     "monomial": ["exactalg.py:NCElement", "timeops.py:TimeFunction"],
     "one": ["coeff.py:Coeff", "exactalg.py:NCElement"],
-    "scale": ["geometry.py:RadialProfile", "timeops.py:TimeFunction",
-              "waveops.py:SeparableField", "waveops.py:GridField"],
-    "shift": ["timeops.py:TimeFunction", "waveops.py:GridField"],
+    "scale": ["timeops.py:TimeFunction", "waveops.py:SeparableField",
+              "waveops.py:GridField"],
     "stencil": ["timeops.py:TimeFunction", "waveops.py:GridField"],
     "to_text": ["exactalg.py:NCElement", "exactalg.py:NCOneForm"],
     "zero": ["exactalg.py:NCElement", "timeops.py:TimeFunction"],
@@ -383,7 +383,6 @@ OPTIONS = [
     ("coeff.py", "Coeff.from_rational", "im"),
     ("effective.py", "effective_params", "units"),
     ("effective.py", "dark_energy_estimate", "c"),
-    ("exactalg.py", "NCElement.__init__", "terms"),
     ("exactalg.py", "NCElement.monomial", "c"),
     ("exactalg.py", "NCOneForm.__init__", "parts"),
     ("geometry.py", "RadialProfile.__init__", "deriv"),
@@ -538,3 +537,37 @@ def test_figure1_columns_make_no_per_point_scalar_call(monkeypatch):
     monkeypatch.setattr(mpmath, "workdps", refuse)
     for x_max, n in ((10.0, 20000), (0.9 * E.SMALL_X, 2000)):
         assert E.figure1_data(x_max, n).shape == (n, 4)
+
+
+# the targets of perfbench/tracer.py that no longer resolve on ncgrav: the
+# benchmark skips each and reports its metrics absent.  A change that
+# renames or deletes another traced function edits this list
+STALE_TRACER_TARGETS = [
+    "ncgrav.coeff:Coeff.__mul__", "ncgrav.coeff:Coeff.__rmul__",
+    "ncgrav.coeff:Coeff.__add__", "ncgrav.coeff:Coeff.__neg__",
+    "ncgrav.coeff:Coeff.__sub__", "ncgrav.coeff:Coeff.div_i_lam",
+    "ncgrav.exactalg:NCElement.shift_t", "ncgrav.exactalg:NCElement.partial_x",
+    "ncgrav.exactalg:NCElement.d0", "ncgrav.exactalg:NCElement.delta0_const",
+    "ncgrav.exactalg:NCOneForm.mul_gen", "ncgrav.exactalg:normal_order",
+    "ncgrav.exactalg:exterior_d_leibniz", "ncgrav.exactalg:exterior_d_formula",
+    "ncgrav.dispersion:dispersion_point", "ncgrav.dispersion:solve_k",
+    "ncgrav.dispersion:group_velocity",
+]
+
+
+def test_stale_tracer_targets_are_listed():
+    # read as text, so the benchmark's own code is not imported
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets, = [ast.literal_eval(node.value)
+                for node in ast.parse(tracer.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]]
+    stale = []
+    for _layer, module, attr, _name in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            stale.append("%s:%s" % (module, attr))
+    assert stale == STALE_TRACER_TARGETS

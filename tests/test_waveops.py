@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tf_constant, tf_isclose, time_only
+from conftest import (scaled_profile, shifted_grid, tf_constant, tf_isclose,
+                      time_only)
 from ncgrav import geometry as G
 from ncgrav import timeops as T
 from ncgrav import verify as V
@@ -95,7 +96,7 @@ class TestGridFieldShift:
         rng = np.random.default_rng(3)
         real_a = rng.uniform(-2.0, 2.0, grid.size)
         for a in (real_a, real_a + 1j * rng.uniform(-1.0, 1.0, grid.size)):
-            shifted = g.shift(a, LAM)
+            shifted = shifted_grid(g, a, LAM)
             for j in range(grid.size):
                 want = f.shift(a[j], LAM).scale(sp_v[j])
                 assert set(shifted.data) == set(want.terms)
@@ -109,7 +110,8 @@ class TestGridFieldShift:
         # shifting by a(r) then b(r) is shifting by a(r) + b(r), to 1e-12
         # relative at every node
         g = W.GridField(GRID[:4], data)
-        got, want = g.shift(a, LAM).shift(b, LAM), g.shift(a + b, LAM)
+        got = shifted_grid(shifted_grid(g, a, LAM), b, LAM)
+        want = shifted_grid(g, a + b, LAM)
         for j in range(4):
             assert tf_isclose(TF({k: v[j] for k, v in got.data.items()}),
                               TF({k: v[j] for k, v in want.data.items()}))
@@ -199,8 +201,8 @@ class TestBoxGeneral:
     def test_structureless_beta_goes_pointwise(self):
         # a scaled power law carries no structure, so auto mode samples it
         # on a grid like any other beta
-        beta = G.RadialProfile.power_law(3).scale(2.0)
-        mu, nu = (p.scale(2.0) for p in G.mu_nu_closed(3))
+        beta = scaled_profile(G.RadialProfile.power_law(3), 2.0)
+        mu, nu = (scaled_profile(p, 2.0) for p in G.mu_nu_closed(3))
         psi = mixed_field()
         with pytest.raises(ValueError, match="grid"):
             W.box_general(psi, beta, mu, nu, LAM)
@@ -231,6 +233,16 @@ class TestBoxGeneral:
         beta = G.RadialProfile.constant(-1.0)
         with pytest.raises(ValueError):
             W.box_general(psi, beta, beta, beta, LAM)
+
+    @pytest.mark.parametrize("mode", ["Pointwise", "grid", ""])
+    def test_unknown_mode_named(self, mode):
+        # any string but "auto" once took the pointwise route silently
+        beta = G.RadialProfile.power_law(3)
+        mu, nu = G.mu_nu_closed(3)
+        with pytest.raises(ValueError, match='^mode must be "auto" or '
+                           '"pointwise", got %r$' % mode):
+            W.box_general(mixed_field(), beta, mu, nu, LAM, grid=GRID,
+                          mode=mode)
 
     @pytest.mark.parametrize("mode", ["auto", "pointwise"])
     def test_beta_zero_nodes_named(self, mode):
