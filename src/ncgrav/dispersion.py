@@ -19,29 +19,29 @@ at the largest k at which the term is finite.
 
 An omega with no propagating mode (k^2 < 0, or a massive shell that is
 stationary there) is not an error but a row flag: its `evanescent` is 1,
-its k, vg and residual are nan, and it never fails.  Any other failure
-raises where it is found, in stage order: the domain, checked once per sweep
-(lam, c or hbar not positive, m negative, or any of the four inf or nan;
-(c lam)^2 or (m c / hbar)^2 beyond the float range; then the first omega < 0
-or with omega lam above `U_MAX`, each with the ValueError `k_squared_closed`
-raises there); the residual at k = 0 (a ValueError where the prefactor
-2/(c^2 lam^2) is beyond the float range or a term passes the float limit,
-as with a subnormal (c lam)^2); the bracket sign; brentq's iteration cap;
-then vg's prefactor 2/(c^2 lam).  So a sweep raises exactly when a loop of
-one-omega sweeps would, and with one fault it raises the same error; with
-several, the earliest stage's.
+its k, vg and residual are nan, and it never fails.  Everything else that
+is outside the domain is refused up front, with a ValueError, before any
+omega is solved, even where every row is evanescent: lam, c or hbar not
+positive, m negative, or any of the four inf or nan; (c lam)^2 outside the
+normal floats; (m c / hbar)^2 overflowing; then the first omega that is
+nan, negative, or has omega lam above `U_MAX` (so the sweep raises what
+`k_squared_closed` raises at that omega); then the prefactors 4/(c^2 lam^2)
+of the k-free term and 2/(c^2 lam) of vg outside the normal floats.  Each
+float-range refusal is `effective._normal_scale`'s.  Past these no term of
+the shell residual can be nan; a residual with a term beyond the float
+limit raises where Brent's method meets it, as do a bracket without a sign
+change and brentq's iteration cap.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .effective import _libm
+from .effective import _libm, _normal_scale
 
 # math.exp overflows above this (about 709.78)
 U_MAX = math.log(sys.float_info.max)
@@ -59,16 +59,10 @@ def _check_domain(omega, m, lam, c, hbar):
     if not 0 <= m < math.inf:
         raise ValueError("m must be >= 0 (a negative mass is not treated): "
                          "m = %g" % m)
-    if omega < 0:
-        raise ValueError("omega < 0 branch is not treated")
-    try:
-        cl2 = (c * lam) ** 2
-    except OverflowError:
-        raise ValueError("(c lam)^2 overflows at c = %g, lam = %g"
-                         % (c, lam)) from None
-    if cl2 == 0:
-        raise ValueError("(c lam)^2 underflows to 0 at c = %g, lam = %g"
-                         % (c, lam))
+    _normal_scale(lambda: (c * lam) ** 2, "(c lam)^2", c=c, lam=lam)
+    if not omega >= 0:  # nan too
+        raise ValueError("omega must be >= 0 (the omega < 0 branch is not "
+                         "treated): omega = %g" % omega)
     if omega * lam > U_MAX:
         raise ValueError("omega lam = %g is above %.6f, where exp(omega lam) "
                          "overflows" % (omega * lam, U_MAX))
@@ -117,50 +111,33 @@ _QUIET = np.errstate(all="ignore")
 
 
 class _Shell:
-    """The shell on an array of omegas, one lane per omega.  k^2 and
-    e^{omega lam} are computed once per lane, here, on the whole array; a
-    lane with no propagating mode is flagged in `evanescent` and leaves
-    every later stage.  A failure raises in the stage that finds it (see
-    the module docstring)."""
+    """The shell on an array of omegas, one lane per omega.  The domain is
+    refused here, and k^2, e^{omega lam} and the k-free term are computed
+    once per lane on the whole array; a lane with no propagating mode is
+    flagged in `evanescent` and leaves every later stage."""
 
     @_QUIET
     def __init__(self, omegas, m, lam, c, hbar):
         self.m, self.lam, self.c, self.hbar = m, lam, c, hbar
         self.omega = omega = np.array(omegas, dtype=float)
         u = omega * lam
-        # the omega-free checks hold for every omega once they hold for the
-        # first (they include lam > 0); past it, an omega fails exactly where
-        # omega < 0 or e^{omega lam} overflows
-        bad = np.flatnonzero((omega < 0) | (u > U_MAX))
-        for w in [*omegas[:1], *omega[bad[:1]].tolist()]:
-            k_squared_closed(w, m, lam, c, hbar)
-        # checked above when there is an omega; an empty sweep checks nothing
-        self.t3 = (m * c / hbar) ** 2 if len(omega) else math.nan
+        # the domain at the first omega outside it (nan too), if there is one
+        bad = omega[~(omega >= 0) | (u > U_MAX)]
+        k_squared_closed(float(bad[0]) if len(bad) else 0.0, m, lam, c, hbar)
+        self.t3 = (m * c / hbar) ** 2
         # k^2 as k_squared_closed computes it, lane by lane
         a = -_libm(math.expm1, -u) / (c * lam)
         self.k2 = a * a - self.t3 * _libm(math.exp, -u)
         self.evanescent = self.k2 < 0
         self.eu = _libm(math.exp, u)
-
-    @cached_property
-    @_QUIET
-    def t2(self):
-        """The k-free term (2/(c^2 lam^2))(cosh(omega lam) - 1) per lane,
-        computed on first use, so that only a sweep with a propagating lane
-        meets its prefactor's error."""
-        scale = self._prefactor(
-            "2/(c^2 lam^2)", lambda c, lam: (2.0 / (c ** 2 * lam ** 2)) * 2.0)
-        return scale * _squares(_libm(math.sinh, self.omega * self.lam / 2))
-
-    def _prefactor(self, name, fn):
-        """fn(c, lam), the shell's prefactor `name`; a ValueError naming it
-        where c^2 or lam^2 overflows or the divisor underflows to 0."""
-        try:
-            return fn(self.c, self.lam)
-        except ArithmeticError:
-            raise ValueError("the shell prefactor %s is beyond the float "
-                             "range at c = %g, lam = %g"
-                             % (name, self.c, self.lam)) from None
+        # the k-free term (2/(c^2 lam^2))(cosh(omega lam) - 1) and vg's scale
+        self.t2 = _normal_scale(
+            lambda: (2.0 / (c ** 2 * lam ** 2)) * 2.0,
+            "the shell prefactor 4/(c^2 lam^2)", c=c, lam=lam) \
+            * _squares(_libm(math.sinh, u / 2))
+        self.vg_scale = _normal_scale(
+            lambda: 2.0 / (c ** 2 * lam),
+            "the group-velocity prefactor 2/(c^2 lam)", c=c, lam=lam)
 
     @_QUIET
     def residual(self, lanes, k):
@@ -169,19 +146,14 @@ class _Shell:
         a ValueError where it is not finite."""
         t1 = -_squares(k) * self.eu[lanes]
         t2, t3 = self.t2[lanes], self.t3
-        # max(|t1|, |t2|, |t3|) as Python's max takes it: left to right,
-        # keeping the current item unless the next is greater, so a nan in
-        # the second or third place is passed over
-        scale, a2 = np.abs(t1), np.abs(t2)
-        np.copyto(scale, a2, where=a2 > scale)
-        np.copyto(scale, abs(t3), where=abs(t3) > scale)
+        scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), abs(t3))
         res = (t1 + t2 - t3) / scale
         np.copyto(res, 0.0, where=scale == 0)
         nan = np.isnan(res)
         if nan.any():
             raise ValueError(
                 "shell residual at omega = %g, lam = %g is not finite (a term "
-                "is nan or beyond the float limit %g)" % (
+                "is beyond the float limit %g)" % (
                     self.omega[lanes[nan.argmax()]], self.lam,
                     sys.float_info.max))
         return res
@@ -269,11 +241,9 @@ class _Shell:
         shell, at k from the closed form.  At the massless omega = 0 point
         the shell is stationary; vg is its limit c.  A stationary massive
         lane is flagged evanescent."""
-        vg_scale = self._prefactor("2/(c^2 lam)",
-                                   lambda c, lam: 2.0 / (c ** 2 * lam))
         k, eu = np.sqrt(self.k2[lanes]), self.eu[lanes]
         denom = -_squares(k) * self.lam * eu \
-            + vg_scale * _libm(math.sinh, self.omega[lanes] * self.lam)
+            + self.vg_scale * _libm(math.sinh, self.omega[lanes] * self.lam)
         if self.m != 0:
             self.evanescent[lanes[denom == 0]] = True
         return np.where(denom == 0, self.c, 2 * k * eu / denom)
@@ -307,9 +277,9 @@ class SweepTable(np.recarray):
 def sweep(omegas, m, lam, c, hbar):
     """The dispersion table: a record array with one row per omega and the
     fields omega, k, vg, residual and evanescent, the int flag 1 where the
-    omega has no propagating mode and k, vg and the residual are nan.  A
-    failure raises where `_Shell` finds it (a ValueError for an omega
-    outside the domain, the one `k_squared_closed` raises there)."""
+    omega has no propagating mode and k, vg and the residual are nan.  The
+    domain is refused before any omega is solved (see the module
+    docstring)."""
     omegas = [float(w) for w in omegas]
     shell = _Shell(omegas, m, lam, c, hbar)
     k, vg, res = shell.sweep()

@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import comb, lcm
-from operator import or_
+from operator import index, or_
 
 from .coeff import Coeff, lowest_terms
 
@@ -118,6 +118,19 @@ def _overflow(what, e):
 
 def _field_names(d):
     return ("beta", "lam", "t") + tuple("x%d" % i for i in range(1, d + 1))
+
+
+def _int_exponents(xpow, n):
+    """(xpow, n) as ints; a bool or non-integer exponent raises ValueError
+    naming its field, before `_pack`'s cache, where 2.0 finds a cached 2
+    (`effective._require_index`'s rule; effective loads numpy)."""
+    powers = []
+    for i, e in enumerate((n, *xpow)):
+        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
+            raise ValueError("the power of %s must be an integer, got %r"
+                             % (_field_names(len(xpow))[i + 2], e))
+        powers.append(index(e))
+    return tuple(powers[1:]), powers[0]
 
 
 @lru_cache(maxsize=4096)
@@ -193,11 +206,11 @@ class NCElement:
 
     @classmethod
     def one(cls, d):
-        return cls.monomial(d, (0,) * d, 0)
+        return _element(d, dict(_ONE))
 
     @classmethod
     def monomial(cls, d, xpow, tpow, c=None):
-        xpow = tuple(xpow)
+        xpow, tpow = _int_exponents(tuple(xpow), tpow)
         if c is None:
             return _element(d, {_pack(d, xpow, tpow, 0, 0): (1, 0)})
         # c is in lowest terms, so its pairs and den are the element's

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .effective import _require_index
+from .effective import _normal_scale, _require_index
 
 # n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
 # and in timeops.delta0_power: nearer than that, the generic formulas divide
@@ -129,16 +129,13 @@ def mu_nu_newton(gamma, c):
     nu = -(1/c^2)(1/2 - (gamma/r) ln(gamma/r)).
 
     beta's structure [(0, -1/c^2), (1, -gamma/c^2)] (a constant plus a 1/r
-    power law) lets the wave operators take Delta_0 term by term.
+    power law) lets the wave operators take Delta_0 term by term.  Refused
+    by name: gamma or c not positive and finite, or c^2 not a normal float
+    (`effective._normal_scale`), where 1/c^2 would not be finite.
     """
     if not (0 < gamma < math.inf and 0 < c < math.inf):
         raise ValueError("gamma and c must be positive")
-    try:
-        c2 = c ** 2
-    except OverflowError:
-        raise ValueError("c^2 overflows at c = %g" % c) from None
-    if c2 == 0:
-        raise ValueError("c^2 underflows to 0 at c = %g" % c)
+    c2 = _normal_scale(lambda: c ** 2, "mu_nu_newton: c^2", c=c)
     inv_c2 = 1.0 / c2
     beta = RadialProfile(
         lambda r: -inv_c2 * (1 + gamma / r),

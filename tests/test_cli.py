@@ -130,7 +130,8 @@ class TestDispersion:
     @pytest.mark.parametrize("argv, msg", [
         (("--m", "1e200"), "(m c / hbar)^2 overflows at m = 1e+200, c = 1, "
                            "hbar = 1"),
-        (("--c", "1e200"), "(c lam)^2 overflows at c = 1e+200, lam = 1"),
+        (("--c", "1e200"), "(c lam)^2 leaves the normal float range at "
+                           "c = 1e+200, lam = 1.0"),
     ])
     def test_square_overflow_exit_2(self, capsys, argv, msg):
         # a float ** 2 that raises OverflowError is refused by name
@@ -180,14 +181,14 @@ class TestDispersion:
 
     @pytest.mark.parametrize("argv, words", [
         (("--omega-max", "1e4"), "exp(omega lam) overflows"),
-        (("--lam", "1e-300"), "(c lam)^2 underflows"),
+        (("--lam", "1e-300"), "(c lam)^2 leaves the normal float range at "
+                              "c = 1.0, lam = 1e-300"),
         (("--omega-max", "354.8", "--lam", "2", "--c", "0.7", "--n", "3"),
          "dispersion column vg is inf at omega = 354.8"),
         (("--lam", "1e-160", "--n", "3"),
-         "omega = 1, lam = 1e-160 is not finite (a term is nan or beyond the "
-         "float limit"),
+         "(c lam)^2 leaves the normal float range at c = 1.0, lam = 1e-160"),
         (("--c", "1e200", "--lam", "1e-200", "--n", "3"),
-         "the shell prefactor 2/(c^2 lam^2) is beyond the float range at "
+         "the shell prefactor 4/(c^2 lam^2) leaves the normal float range at "
          "c = 1e+200, lam = 1e-200"),
         (("--m", "-20", "--omega-min", "99", "--omega-max", "100", "--n", "2",
           "--lam", "0.1"), "m must be >= 0 (a negative mass is not treated)"),
@@ -328,16 +329,27 @@ class TestMuNu:
         code, out, err = run_cli(capsys, "mu-nu", "--gamma", "1e-3",
                                  "--c", "1e-200")
         assert (code, out) == (2, "")
-        assert err == "error: c^2 underflows to 0 at c = 1e-200\n"
-        with pytest.raises(ValueError, match="underflows"):
+        assert err == ("error: mu_nu_newton: c^2 leaves the normal float "
+                       "range at c = 1e-200\n")
+        with pytest.raises(ValueError, match="leaves the normal float range"):
             G.mu_nu_newton(1e-3, 1e-200)
+
+    def test_c_squared_subnormal_exit_2(self, capsys):
+        # c^2 = 1e-320 is subnormal: 1/c^2 would overflow and the profiles
+        # would be inf ("mu-nu column beta is -inf at r = 0.5")
+        code, out, err = run_cli(capsys, "mu-nu", "--gamma", "1e-3",
+                                 "--c", "1e-160")
+        assert (code, out) == (2, "")
+        assert err == ("error: mu_nu_newton: c^2 leaves the normal float "
+                       "range at c = 1e-160\n")
 
     def test_c_squared_overflow_exit_2(self, capsys):
         # c ** 2 raises OverflowError; it is refused by name, not by errno
         code, out, err = run_cli(capsys, "mu-nu", "--gamma", "1e-3",
                                  "--c", "1e200")
         assert (code, out) == (2, "")
-        assert err == "error: c^2 overflows at c = 1e+200\n"
+        assert err == ("error: mu_nu_newton: c^2 leaves the normal float "
+                       "range at c = 1e+200\n")
 
     def test_requires_profile_choice(self, capsys):
         code, _, err = run_cli(capsys, "mu-nu")

@@ -185,12 +185,29 @@ class TestSolveK:
                 want = math.sqrt(D.k_squared_closed(p.omega, m, lam, C, HBAR))
                 assert abs(p.k - want) <= 1e-12
 
-    def test_nan_term_passed_over_as_max_does(self):
-        # (c lam)^2 is subnormal, so 2/(c lam)^2 overflows and the sinh^2
-        # term is inf * 0 = nan at omega = 0; Python's max(0.0, nan, 0.0) is
-        # 0.0, so the residual is 0 and k = 0 (np.maximum would give nan)
-        p = _row(0.0, 0.0, lam=1e-154)
-        assert (p.k, p.vg, p.residual) == (0.0, C, 0.0)
+    @pytest.mark.parametrize("lam", [1e-154, 1e-157, 1e-160])
+    def test_subnormal_cl2_refused(self, lam):
+        # (c lam)^2 is subnormal, so 4/(c^2 lam^2) would overflow: refused by
+        # name at omega = 0 (where the sinh^2 term would be inf * 0 = nan), at
+        # omega > 0, and where every row is evanescent
+        msg = ("(c lam)^2 leaves the normal float range at c = 1.0, lam = %r"
+               % lam)
+        for omegas, m in (([0.0], 0.0), ([0.5, 1.0], 0.0), ([0.0, 1e-3], 0.3)):
+            with pytest.raises(ValueError) as info:
+                D.sweep(omegas, m, lam, C, HBAR)
+            assert str(info.value) == msg
+
+    def test_normal_cl2_keeps_its_bits(self):
+        # (c lam)^2 = 2.25e-308 is normal: solved, bit for bit as when the
+        # residual's scale was Python's max of its terms
+        table = D.sweep([0.0, 0.5, 1.0, 2.0], 0.3, 1.5e-154, C, HBAR)
+        assert [_bits(row[1:4]) for row in table.tolist()] == [
+            _bits([math.nan] * 3),
+            ("0x1.99999999999a1p-2", "0x1.999999999999ap-1", "0x0.0p+0"),
+            ("0x1.e86ab810ea624p-1", "0x1.e86ab810ea912p-1",
+             "0x1.64b0000000003p-43"),
+            ("0x1.fa350d0b5f102p+0", "0x1.fa350d0b5f505p-1",
+             "0x1.fb6c000000000p-43")]
 
     @pytest.mark.parametrize("omega", [708.5, 709.0, 709.7, 709.78])
     def test_bracket_end_overflow_solved(self, omega):
@@ -284,7 +301,7 @@ class TestSweep:
 
 class TestClosedFormLanes:
     """`_Shell` computes k^2 on the whole omega array, bit for bit as the
-    scalar `k_squared_closed`, and fails where a loop over omega would."""
+    scalar `k_squared_closed`, and refuses a bad omega as it does."""
 
     @given(st.lists(st.floats(0.0, 700.0), max_size=40),
            st.floats(0.0, 2.0), st.floats(1e-3, 1.0))
@@ -295,10 +312,10 @@ class TestClosedFormLanes:
 
     @given(st.lists(st.floats(0.0, 100.0), max_size=20), st.data())
     def test_bad_omega_fails_its_lane(self, omegas, data):
-        # omega < 0, e^{omega lam} overflows, or lam < 0 (named)
+        # omega < 0 or nan, e^{omega lam} overflows, or lam < 0 (named)
         lam, bad = data.draw(st.sampled_from(
             [(LAM, -0.5), (LAM, -math.inf), (LAM, 1e4), (LAM, math.inf),
-             (-LAM, 1e4)]))
+             (LAM, math.nan), (-LAM, 1e4)]))
         i = data.draw(st.integers(0, len(omegas)))
         omegas = omegas[:i] + [bad] + omegas[i:]
         with pytest.raises(ValueError) as info:
@@ -307,6 +324,16 @@ class TestClosedFormLanes:
             D.sweep(omegas, 0.3, lam, C, HBAR)
         assert (type(got.value), str(got.value)) == (type(info.value),
                                                      str(info.value))
+
+    def test_empty_sweep_checks_the_domain(self):
+        # the domain is refused up front, whether or not there is an omega
+        for args in ((0.3, -LAM, C, HBAR), (0.3, LAM, 1e200, HBAR),
+                     (-1.0, LAM, C, HBAR)):
+            with pytest.raises(ValueError) as info:
+                D.sweep([], *args)
+            with pytest.raises(ValueError) as want:
+                D.k_squared_closed(0.0, *args)
+            assert str(info.value) == str(want.value)
 
     @pytest.mark.parametrize("lam, c", [(-0.1, 1.0), (0.1, -1.0), (0.0, 1.0),
                                         (math.nan, 1.0), (0.1, math.nan),

@@ -497,6 +497,23 @@ class TestPackedKeys:
         assert isinstance(err.value, OverflowError)
         assert "reaches %d" % LIMIT in str(err.value)
 
+    @pytest.mark.parametrize("xpow, n, msg", [
+        ((1, 0, 0), 2.0, "the power of t must be an integer, got 2.0"),
+        ((1.0, 0, 0), 2, "the power of x1 must be an integer, got 1.0"),
+        ((1, 0, 1.5), 2, "the power of x3 must be an integer, got 1.5"),
+        ((True, 0, 0), 2, "the power of x1 must be an integer, got True"),
+        ((1, 0, 0), False, "the power of t must be an integer, got False")])
+    def test_monomial_refuses_non_int_exponents(self, xpow, n, msg):
+        # refused before the key cache, so whether x1 t^2's int key is
+        # cached or not
+        exactalg._pack.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                NCElement.monomial(D, xpow, n)
+            assert str(info.value) == msg
+            assert NCElement.monomial(D, (1, 0, 0), 2).coeffs() == {
+                ((1, 0, 0), 2): Coeff.from_rational(1)}
+
     def test_product_reaching_the_limit_raises(self):
         half = LIMIT // 2
         x, t = elem((0, half, 0), 0), elem((0, 0, 0), half)

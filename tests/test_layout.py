@@ -7,11 +7,12 @@ layers the tables render, the table subcommands load no scipy (spectrum's
 eigensolve calls LAPACK in the OpenBLAS numpy bundles), no time operators
 and no json, all but spectrum load no mpmath, scipy is imported only in
 spectrum's eigensolve fallback, every import made inside a function, every
-parameter with a default of the public API and every refusal the CLI makes
-itself is listed here, the mu/nu quadrature `geometry.mu_nu_numeric` loads
-no scipy, spectrum starts no thread, and where numpy bundles its OpenBLAS,
-spectrum resolves exactly the two LAPACK routines it calls, dstebz and
-dlaebz.  The benchmark's tracer targets that no longer resolve are listed
+parameter with a default of the public API, every refusal the CLI makes
+itself and every handler of an arithmetic exception is listed here, the
+exact layer loads no numpy, the mu/nu quadrature `geometry.mu_nu_numeric`
+loads no scipy, spectrum starts no thread, and where numpy bundles its
+OpenBLAS, spectrum resolves exactly the two LAPACK routines it calls,
+dstebz and dlaebz.  The benchmark's tracer targets that no longer resolve are listed
 too."""
 
 import ast
@@ -349,6 +350,44 @@ def test_cli_refusals_are_listed():
     assert sorted(found) == sorted(CLI_REFUSALS)
 
 
+def _arithmetic_handlers(tree, scope=()):
+    """The qualified function of each `except` that names an arithmetic
+    exception, alone or in a tuple."""
+    out = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            types = getattr(child.type, "elts", [child.type])
+            if {getattr(t, "id", None) for t in types} & ARITHMETIC:
+                out.append(".".join(scope))
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        out += _arithmetic_handlers(
+            child, scope + (child.name,) if named else scope)
+    return out
+
+
+ARITHMETIC = {"ArithmeticError", "OverflowError", "ZeroDivisionError",
+              "FloatingPointError"}
+# every `except` of an arithmetic exception in src/, as (module, function):
+# a value that leaves the normal float range is refused by
+# `effective._normal_scale`, so a new hand-rolled range refusal needs its
+# line here
+ARITHMETIC_HANDLERS = [
+    ("cli.py", "main"),  # a library error is exit 2, not a range rule
+    ("dispersion.py", "_Shell._brent"),
+    ("dispersion.py", "_term_finite"),
+    ("dispersion.py", "k_squared_closed"),  # m = 0 is valid
+    ("effective.py", "_normal_scale"),
+    ("effective.py", "dark_energy_estimate"),
+]
+
+
+def test_arithmetic_handlers_are_listed():
+    found = sorted((p.name, scope) for p in sorted(SRC.glob("*.py"))
+                   for scope in _arithmetic_handlers(
+                       ast.parse(p.read_text(), filename=str(p))))
+    assert found == ARITHMETIC_HANDLERS
+
+
 def _defaulted(fn):
     """The parameters of fn that have a default, positional then keyword."""
     a = fn.args
@@ -518,6 +557,24 @@ def test_mu_nu_quadrature_loads_no_scipy():
     # the integrator is Gauss-Legendre on numpy; no ODE solver, no spline
     proc = subprocess.run(
         [sys.executable, "-c", QUADRATURE_NO_SCIPY],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+EXACT_NO_NUMPY = """
+import json, sys
+import ncgrav.exactalg, ncgrav.coeff
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+"""
+
+
+def test_exact_layer_loads_no_numpy():
+    # the exact calculus is pure Python: numpy's import alone would take
+    # several times its whole setup
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_NO_NUMPY],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
