@@ -21,16 +21,18 @@ An omega with no propagating mode (k^2 < 0, or a massive shell that is
 stationary there) is not an error but a row flag: its `evanescent` is 1,
 its k, vg and residual are nan, and it never fails.  Everything else that
 is outside the domain is refused up front, with a ValueError, before any
-omega is solved, even where every row is evanescent: lam, c or hbar not
-positive, m negative, or any of the four inf or nan; (c lam)^2 outside the
-normal floats; (m c / hbar)^2 overflowing; then the first omega that is
-nan, negative, or has omega lam above `U_MAX` (so the sweep raises what
-`k_squared_closed` raises at that omega); then the prefactors 4/(c^2 lam^2)
-of the k-free term and 2/(c^2 lam) of vg outside the normal floats.  Each
-float-range refusal is `effective._normal_scale`'s.  Past these no term of
-the shell residual can be nan; a residual with a term beyond the float
-limit raises where Brent's method meets it, as do a bracket without a sign
-change and brentq's iteration cap.
+omega is solved, even where every row is evanescent.  `_check_domain`
+refuses, for the sweep at its first bad omega (or at 0.0) as for
+`k_squared_closed`: lam, c or hbar not positive and finite, then m not
+>= 0 and finite (`effective._require`); (c lam)^2, then c^2 and lam^2,
+outside the normal floats (the prefactors below divide by c^2 and lam^2
+apart); an omega that is nan, negative, or has omega lam above `U_MAX`;
+(m c / hbar)^2 overflowing.  `_Shell` then refuses the prefactors
+4/(c^2 lam^2) of the k-free term and 2/(c^2 lam) of vg outside the normal
+floats.  Each float-range refusal is `effective._normal_scale`'s.  Past
+these no term of the shell residual can be nan; a residual with a term
+beyond the float limit raises where Brent's method meets it, as do a
+bracket without a sign change and brentq's iteration cap.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .effective import _libm, _normal_scale
+from .effective import _libm, _normal_scale, _require
 
 # math.exp overflows above this (about 709.78)
 U_MAX = math.log(sys.float_info.max)
@@ -50,34 +52,31 @@ XTOL, RTOL = 1e-12, 8.9e-16
 
 
 def _check_domain(omega, m, lam, c, hbar):
-    # "not 0 < x < inf" also refuses nan
-    if not (0 < lam < math.inf and 0 < c < math.inf):
-        raise ValueError("lam and c must be positive: lam = %g, c = %g"
-                         % (lam, c))
-    if not 0 < hbar < math.inf:
-        raise ValueError("hbar must be positive: hbar = %g" % hbar)
-    if not 0 <= m < math.inf:
-        raise ValueError("m must be >= 0 (a negative mass is not treated): "
-                         "m = %g" % m)
+    """(m c / hbar)^2, once the domain at omega is checked (see the module
+    docstring)."""
+    _require("dispersion", "positive", lam=lam, c=c, hbar=hbar)
+    _require("dispersion", ">= 0", m=m)
     _normal_scale(lambda: (c * lam) ** 2, "(c lam)^2", c=c, lam=lam)
+    _normal_scale(lambda: c ** 2, "c^2", c=c)
+    _normal_scale(lambda: lam ** 2, "lam^2", lam=lam)
     if not omega >= 0:  # nan too
         raise ValueError("omega must be >= 0 (the omega < 0 branch is not "
                          "treated): omega = %g" % omega)
     if omega * lam > U_MAX:
         raise ValueError("omega lam = %g is above %.6f, where exp(omega lam) "
                          "overflows" % (omega * lam, U_MAX))
+    try:
+        return (m * c / hbar) ** 2
+    except OverflowError:  # m = 0 is valid, so no _normal_scale
+        raise ValueError("(m c / hbar)^2 overflows at m = %g, c = %g, "
+                         "hbar = %g" % (m, c, hbar)) from None
 
 
 def k_squared_closed(omega, m, lam, c, hbar):
     """k^2 = (1 - e^{-omega lam})^2 / (c lam)^2 - (m c / hbar)^2 e^{-omega lam}."""
-    _check_domain(omega, m, lam, c, hbar)
+    mass2 = _check_domain(omega, m, lam, c, hbar)
     u = omega * lam
     a = -math.expm1(-u) / (c * lam)  # (1 - e^{-u}) / (c lam), stable
-    try:
-        mass2 = (m * c / hbar) ** 2
-    except OverflowError:
-        raise ValueError("(m c / hbar)^2 overflows at m = %g, c = %g, "
-                         "hbar = %g" % (m, c, hbar)) from None
     return a * a - mass2 * math.exp(-u)
 
 
@@ -123,8 +122,8 @@ class _Shell:
         u = omega * lam
         # the domain at the first omega outside it (nan too), if there is one
         bad = omega[~(omega >= 0) | (u > U_MAX)]
-        k_squared_closed(float(bad[0]) if len(bad) else 0.0, m, lam, c, hbar)
-        self.t3 = (m * c / hbar) ** 2
+        self.t3 = _check_domain(float(bad[0]) if len(bad) else 0.0, m, lam,
+                                c, hbar)
         # k^2 as k_squared_closed computes it, lane by lane
         a = -_libm(math.expm1, -u) / (c * lam)
         self.k2 = a * a - self.t3 * _libm(math.exp, -u)
@@ -278,8 +277,9 @@ def sweep(omegas, m, lam, c, hbar):
     """The dispersion table: a record array with one row per omega and the
     fields omega, k, vg, residual and evanescent, the int flag 1 where the
     omega has no propagating mode and k, vg and the residual are nan.  The
-    domain is refused before any omega is solved (see the module
-    docstring)."""
+    domain is refused by name before any omega is solved (see the module
+    docstring); on a propagating row k and the residual are finite and vg
+    is finite, or inf where 2 k e^{omega lam} overflows."""
     omegas = [float(w) for w in omegas]
     shell = _Shell(omegas, m, lam, c, hbar)
     k, vg, res = shell.sweep()

@@ -56,6 +56,25 @@ def _normal_scale(scale, what, **pars):
     return value
 
 
+# `_require`'s rules: wording, and test ("finite" takes a complex value)
+_RULES = {
+    "positive": ("must be positive and finite", lambda v: 0 < v < math.inf),
+    ">= 0": ("must be >= 0 and finite", lambda v: 0 <= v < math.inf),
+    "finite": ("must be finite",
+               lambda v: math.isfinite(v.real) and math.isfinite(v.imag)),
+}
+
+
+def _require(where, rule, **values):
+    """Raise ValueError("<where>: <name> must be <rule>, got <value!r>") at
+    the first of values that breaks the rule of `_RULES`."""
+    wording, test = _RULES[rule]
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError("%s: %s %s, got %r"
+                             % (where, name, wording, value))
+
+
 def _require_index(name, value):
     """value as an int where operator.index takes it; a bool, which it also
     takes, or anything else raises ValueError naming the parameter."""
@@ -76,11 +95,8 @@ class PlanckUnits:
     G: float = 1.0
 
     def __post_init__(self):
-        for name in ("lam", "c", "hbar", "G"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError("PlanckUnits: %s must be positive and "
-                                 "finite, got %r" % (name, value))
+        _require("PlanckUnits", "positive", lam=self.lam, c=self.c,
+                 hbar=self.hbar, G=self.G)
         _normal_scale(lambda: self.m_p,
                       "PlanckUnits: the Planck mass hbar/(lam c^2)",
                       lam=self.lam, c=self.c, hbar=self.hbar)
@@ -146,10 +162,10 @@ def _ratios(x):
 
 
 def effective_params(m, units=PlanckUnits()):
-    if m <= 0:
-        raise ValueError("m must be positive")
-    if math.isnan(m):
-        raise ValueError("effective_params: m must be a number, got nan")
+    """The effective masses and V_0 at mass m: an m not positive and finite,
+    or an x = m/m_p outside the normal floats or above X_MAX, raises
+    ValueError naming it.  Every field is finite."""
+    _require("effective_params", "positive", m=m)
     x = _normal_scale(lambda: m * units.c ** 2 * units.lam / units.hbar,
                       "effective_params: x = m/m_p", m=m, units=units)
     mi, mg, v0 = _ratios(x)
@@ -204,12 +220,14 @@ def V0_over_mpc2(x):
 
 def figure1_data(x_max, n_points):
     """Rows (x, m_I/m_p, m_G/m_p, V0/(m_p c^2)) on a uniform x grid of
-    n_points, an integer; any other n_points raises ValueError naming it."""
+    n_points up to x_max: an x_max not positive and finite (or above X_MAX)
+    or an n_points not an integer >= 2 raises ValueError naming it.  Every
+    cell is finite."""
     n_points = _require_index("n_points", n_points)
-    if x_max <= 0 or n_points < 2:
-        raise ValueError("x_max > 0 and n_points >= 2 required")
-    if not math.isfinite(x_max):  # nan passes the test above
-        raise ValueError("figure1_data: x_max must be finite, got %r" % x_max)
+    _require("figure1_data", "positive", x_max=x_max)
+    if n_points < 2:
+        raise ValueError("figure1_data: n_points must be >= 2, got %r"
+                         % n_points)
     xs = np.linspace(x_max / n_points, x_max, n_points)
     return np.column_stack([xs, mI_over_mp(xs), mG_over_mp(xs),
                             V0_over_mpc2(xs)])
@@ -219,20 +237,14 @@ def dark_energy_estimate(m_U, r_U, c=1.0):
     """Constant-term energy density -(m_p c^2 / 2) (m_U / (4.5 m_p r_U^3)),
     i.e. a mass density of magnitude m_U / (9 r_U^3); the sign is opposite to
     observed dark energy and is reported as such; m_p cancels, so c is the
-    one constant read.  A non-finite m_U or r_U, a c that is not positive and
-    finite, a 9 r_U^3 outside the normal floats, a mass density that
+    one constant read.  An m_U not >= 0 and finite, an r_U or c not positive
+    and finite, a 9 r_U^3 outside the normal floats, a mass density that
     overflows, or (m_U > 0) an energy density that underflows raises
     ValueError naming it; one that overflows is -inf.  Where c^2 overflows
     (c above about 1.34e154) the density is multiplied by c twice."""
-    if m_U < 0 or r_U <= 0:
-        raise ValueError("m_U >= 0 and r_U > 0 required")
-    for name, value in (("m_U", m_U), ("r_U", r_U)):
-        if not math.isfinite(value):
-            raise ValueError("dark_energy_estimate: %s must be finite, got %r"
-                             % (name, value))
-    if not 0 < c < math.inf:
-        raise ValueError("dark_energy_estimate: c must be positive and "
-                         "finite, got %r" % c)
+    _require("dark_energy_estimate", "finite", m_U=m_U, r_U=r_U)
+    _require("dark_energy_estimate", ">= 0", m_U=m_U)
+    _require("dark_energy_estimate", "positive", r_U=r_U, c=c)
     mass_density = m_U / _normal_scale(lambda: 9.0 * r_U ** 3,
                                        "dark_energy_estimate: 9 r_U^3",
                                        r_U=r_U)

@@ -15,13 +15,12 @@ runs, live in `verify` beside their checks.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
 import numpy as np
 
-from .effective import _normal_scale, _require_index
+from .effective import _normal_scale, _require, _require_index
 
 # n within POWER_WINDOW of 1 or 2 takes the closed-form power-law family, here
 # and in timeops.delta0_power: nearer than that, the generic formulas divide
@@ -133,8 +132,7 @@ def mu_nu_newton(gamma, c):
     by name: gamma or c not positive and finite, or c^2 not a normal float
     (`effective._normal_scale`), where 1/c^2 would not be finite.
     """
-    if not (0 < gamma < math.inf and 0 < c < math.inf):
-        raise ValueError("gamma and c must be positive")
+    _require("mu_nu_newton", "positive", gamma=gamma, c=c)
     c2 = _normal_scale(lambda: c ** 2, "mu_nu_newton: c^2", c=c)
     inv_c2 = 1.0 / c2
     beta = RadialProfile(
@@ -173,10 +171,12 @@ def mu_nu_table(rmin, rmax, nodes, n=None, gamma=None, c=1.0):
     array with one row per radius and the fields r, beta, mu, nu, res_mu and
     res_nu (`ode_residuals`).  The profiles are mu_nu_newton(gamma, c) when
     gamma is given, else beta = 1/r^n with mu_nu_closed(n); giving both, or
-    neither, or a grid outside 0 < rmin < rmax < inf, nodes >= 2, or a
-    nodes that is not an integer, raises ValueError.  Each profile is
-    evaluated on the whole grid; a cell beyond the float range is inf or
-    nan, unwarned, for the caller to refuse."""
+    neither, a grid outside 0 < rmin < rmax < inf, nodes >= 2, a nodes that
+    is not an integer, or what mu_nu_newton refuses (a gamma or c not
+    positive and finite, a c^2 not normal) raises ValueError naming it; n
+    is any float.  Each profile is evaluated on the whole grid; a cell
+    beyond the float range is inf or nan, unwarned, for the caller to
+    refuse."""
     if (n is None) == (gamma is None):
         raise ValueError("mu_nu_table takes exactly one profile: n or gamma")
     nodes = _require_index("nodes", nodes)
@@ -278,16 +278,12 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.ndim != 1 or not np.all((r_grid > 0) & (r_grid < math.inf))
             or np.any(np.diff(r_grid) <= 0)):
-        raise ValueError("r_grid must be strictly increasing, positive and "
-                         "finite")
-    if not 0 < r_ref < math.inf:
-        raise ValueError("r_ref must be positive and finite, got %r"
-                         % (r_ref,))
+        raise ValueError("mu_nu_numeric: r_grid must be strictly "
+                         "increasing, positive and finite")
+    _require("mu_nu_numeric", "positive", r_ref=r_ref)
     r_ref = float(r_ref)
     mu_ref, nu_ref = complex(mu_ref), complex(nu_ref)
-    for name, value in (("mu_ref", mu_ref), ("nu_ref", nu_ref)):
-        if not cmath.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+    _require("mu_nu_numeric", "finite", mu_ref=mu_ref, nu_ref=nu_ref)
     pin_mu, pin_nu = r_ref ** 2 * mu_ref, r_ref * (mu_ref + nu_ref)
 
     def solution(r, s_beta, plain):

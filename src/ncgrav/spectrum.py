@@ -42,16 +42,11 @@ class GridConvergenceError(RuntimeError):
     """Eigenvalues still drifting when the grid is doubled."""
 
 
-def _require_positive(**values):
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError("%s must be positive, got %r" % (name, value))
-
-
 def bohr_radius(m_I, m_G, M, G, hbar):
-    """hbar^2/(m_I G M m_G); a radius outside the normal float range raises
-    ValueError naming the parameters."""
-    _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
+    """hbar^2/(m_I G M m_G); a parameter not positive and finite, or a radius
+    outside the normal float range, raises ValueError naming it."""
+    effective._require("bohr_radius", "positive", m_I=m_I, m_G=m_G, M=M,
+                       G=G, hbar=hbar)
     return effective._normal_scale(
         lambda: hbar ** 2 / (m_I * G * M * m_G),
         "the Bohr radius hbar^2/(m_I G M m_G)",
@@ -60,13 +55,13 @@ def bohr_radius(m_I, m_G, M, G, hbar):
 
 def bohr_oracle(m_I, m_G, V0, M, G, hbar, n_max=3):
     """E_n = V0 - m_I (G M m_G)^2 / (2 hbar^2 n^2), each with l = 0..n-1.
-    A parameter that is not positive (V0: not finite), an n_max that is not
-    an integer, or a depth below V0 outside the normal float range, raises
-    ValueError naming it."""
-    _require_positive(m_I=m_I, m_G=m_G, M=M, G=G, hbar=hbar)
+    A parameter not positive and finite (V0: not finite), an n_max that is
+    not an integer, or a depth below V0 outside the normal float range,
+    raises ValueError naming it."""
+    effective._require("bohr_oracle", "positive", m_I=m_I, m_G=m_G, M=M,
+                       G=G, hbar=hbar)
     n_max = effective._require_index("n_max", n_max)
-    if not math.isfinite(V0):
-        raise ValueError("V0 must be finite, got %r" % V0)
+    effective._require("bohr_oracle", "finite", V0=V0)
     out = []
     for n in range(1, n_max + 1):
         E = V0 - effective._normal_scale(
@@ -301,13 +296,14 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
                  check_grid=False):
     """Lowest bound states below V0 at angular index l.
 
-    The coupling G M m_G may be zero on an explicit grid (no bound states);
-    the default grid scales with the Bohr radius, so it needs all five
-    parameters positive.  An explicit grid must be uniform and increasing,
-    start above r = 0 and hold at least 2000 nodes; any other raises
-    ValueError before a solve starts, and so does a Hamiltonian out of the
-    float range or with an off-diagonal scale hbar^2/(2 m_I h^2) outside
-    [KIN_MIN, KIN_MAX), about 1.5e-154 to 6.7e153.
+    An m_I or hbar not positive and finite raises ValueError naming it.  The
+    coupling G M m_G may be zero on an explicit grid (no bound states); the
+    default grid scales with the Bohr radius (`bohr_radius`), so it needs
+    all five parameters positive and finite.  An explicit grid must be
+    uniform and increasing, start above r = 0 and hold at least 2000 nodes;
+    any other raises ValueError before a solve starts, and so does a
+    Hamiltonian out of the float range or with an off-diagonal scale
+    hbar^2/(2 m_I h^2) outside [KIN_MIN, KIN_MAX), about 1.5e-154 to 6.7e153.
 
     check_grid compares with the grid of half the spacing over the same box
     and raises GridConvergenceError where an energy moves by more than
@@ -337,7 +333,7 @@ def solve_radial(m_I, m_G, V0, M, G, hbar, l=0, grid=None, n_states=3,
         raise ValueError("l must be >= 0, got %r" % l)
     if n_states < 1:
         raise ValueError("n_states must be >= 1, got %r" % n_states)
-    _require_positive(m_I=m_I, hbar=hbar)
+    effective._require("solve_radial", "positive", m_I=m_I, hbar=hbar)
     if grid is None:
         grid = default_grid(m_I, m_G, M, G, hbar, n_max=l + n_states)
     grid = np.asarray(grid, dtype=float)
@@ -361,10 +357,12 @@ def spectrum_table(x, M, units, l=0, n_states=3):
     """The spectrum table of a particle of mass x m_p about a central mass M:
     a record array with one row per numeric state (grid doubling checked)
     and the fields n, l, E_numeric, E_oracle (bohr_oracle at that n), rel_err
-    = |E_numeric - E_oracle| / |E_oracle - V0| and V0.  An x or M that is
-    not positive, or a depth E_oracle - V0 that rounds to 0 against V0,
-    raises ValueError naming it."""
-    _require_positive(x=x, M=M)
+    = |E_numeric - E_oracle| / |E_oracle - V0| and V0, every cell finite.
+    An x or M not positive and finite, what `effective_params`,
+    `solve_radial` and `bohr_oracle` refuse at mass x m_p, or a depth
+    E_oracle - V0 that rounds to 0 against V0, raises ValueError naming it;
+    a grid that drifts under doubling raises GridConvergenceError."""
+    effective._require("spectrum_table", "positive", x=x, M=M)
     pars = effective.effective_params(x * units.m_p, units)
     states = solve_radial(pars.m_I, pars.m_G, pars.V0, M, units.G, units.hbar,
                           l=l, n_states=n_states, check_grid=True)

@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import POWER_WINDOW
+from .geometry import POWER_WINDOW, _require
 
 
 class DegenerateProfileError(ValueError):
@@ -52,21 +52,13 @@ def _check_nondegenerate(mu, nu):
             "mu = 0 or mu + nu = 0 at node(s) %s" % bad.tolist())
 
 
-def _check_finite(op, **params):
-    """Raise ValueError naming the first non-finite scalar parameter."""
-    for name, value in params.items():
-        if not cmath.isfinite(value):
-            raise ValueError("%s requires a finite %s, got %s = %r"
-                             % (op, name, name, value))
-
-
 # the smallest lam the operators take: below it 1/lam^2 passes the float range
 LAM_MIN = 1 / math.sqrt(sys.float_info.max)
 
 
 def _check_lam(op, lam):
     if not LAM_MIN <= lam < math.inf:
-        _check_finite(op, lam=lam)
+        _require(op, "finite", lam=lam)
         raise ValueError("%s requires lam >= LAM_MIN = %.6g (1/lam^2 overflows "
                          "below it), got lam = %r" % (op, LAM_MIN, lam))
 
@@ -161,7 +153,7 @@ class TimeFunction:
     def shift(self, a, lam):
         """Exact f(t + i lam a); a may be complex (varying-beta shifts)."""
         if not (cmath.isfinite(a) and math.isfinite(lam)):
-            _check_finite("shift", a=a, lam=lam)
+            _require("shift", "finite", a=a, lam=lam)
         return TimeFunction(stencil_terms(self.terms, [(1, a)], lam, cmath.exp))
 
     def evaluate(self, t):
@@ -199,7 +191,7 @@ def d0(f, lam):
 def delta0_const(f, lam, beta):
     """(beta/2) (f(t+i lam) + f(t-i lam) - 2 f) / (i lam)^2."""
     _check_lam("delta0_const", lam)
-    _check_finite("delta0_const", beta=beta)
+    _require("delta0_const", "finite", beta=beta)
     w = beta / (2 * (1j * lam) ** 2)
     return f.stencil([(w, 1), (w, -1), (-2 * w, 0)], lam)
 
@@ -220,7 +212,7 @@ def delta0_power(f, lam, n):
     removable-singularity limits of the generic finite-difference formula.
     """
     _check_lam("delta0_power", lam)
-    _check_finite("delta0_power", n=n)
+    _require("delta0_power", "finite", n=n)
     k = 1.0 / (1j * lam)
     if abs(n - 1) < POWER_WINDOW:
         return f.stencil([(-k * k, 1), (k * k, 0)], lam, [(k, 1)])

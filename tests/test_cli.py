@@ -187,11 +187,12 @@ class TestDispersion:
          "dispersion column vg is inf at omega = 354.8"),
         (("--lam", "1e-160", "--n", "3"),
          "(c lam)^2 leaves the normal float range at c = 1.0, lam = 1e-160"),
-        (("--c", "1e200", "--lam", "1e-200", "--n", "3"),
+        # (c lam)^2 = lam^2 is the least normal float: 4 over it overflows
+        (("--lam", "1.4916681462400413e-154", "--n", "3"),
          "the shell prefactor 4/(c^2 lam^2) leaves the normal float range at "
-         "c = 1e+200, lam = 1e-200"),
+         "c = 1.0, lam = 1.4916681462400413e-154"),
         (("--m", "-20", "--omega-min", "99", "--omega-max", "100", "--n", "2",
-          "--lam", "0.1"), "m must be >= 0 (a negative mass is not treated)"),
+          "--lam", "0.1"), "dispersion: m must be >= 0 and finite, got -20.0"),
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, words):
         code, out, err = run_cli(capsys, "dispersion", *argv)
@@ -247,7 +248,8 @@ class TestSpectrum:
         (("--n-states", "0"), "n_states must be"),
         (("--x", "1000"), "710.47"),
         # m_G cancels to 0.0 in effective's 30-digit branch at this x
-        (("--x", "7.7e-20"), "m_G must be positive, got 0.0"),
+        (("--x", "7.7e-20"),
+         "bohr_radius: m_G must be positive and finite, got 0.0"),
         # lam c^2 underflows to 0: m_p = hbar/(lam c^2) has no float value
         (("--c", "1e-310"), "PlanckUnits: the Planck mass hbar/(lam c^2) "
          "leaves the normal float range at lam = 1.0, c = 1e-310"),
@@ -916,21 +918,23 @@ class TestErrorPolicy:
 
     @pytest.mark.parametrize("argv, message", [
         (["dispersion", "--n", "3", "--lam", "-1"],
-         "lam and c must be positive: lam = -1, c = 1"),
+         "dispersion: lam must be positive and finite, got -1.0"),
         (["dispersion", "--n", "3", "--c", "0"],
-         "lam and c must be positive: lam = 1, c = 0"),
+         "dispersion: c must be positive and finite, got 0.0"),
         (["dispersion", "--n", "3", "--hbar", "-2"],
-         "hbar must be positive: hbar = -2"),
+         "dispersion: hbar must be positive and finite, got -2.0"),
         (["spectrum", "--x", "1e-8", "--lam", "-1"],
          "PlanckUnits: lam must be positive and finite, got -1.0"),
         (["spectrum", "--x", "1e-8", "--G", "0"],
          "PlanckUnits: G must be positive and finite, got 0.0"),
-        (["spectrum", "--x", "0"], "x must be positive, got 0.0"),
+        (["spectrum", "--x", "0"],
+         "spectrum_table: x must be positive and finite, got 0.0"),
         (["spectrum", "--x", "1e-8", "--M", "-3"],
-         "M must be positive, got -3.0"),
-        (["mu-nu", "--gamma", "0"], "gamma and c must be positive"),
+         "spectrum_table: M must be positive and finite, got -3.0"),
+        (["mu-nu", "--gamma", "0"],
+         "mu_nu_newton: gamma must be positive and finite, got 0.0"),
         (["mu-nu", "--gamma", "1", "--c", "-1"],
-         "gamma and c must be positive"),
+         "mu_nu_newton: c must be positive and finite, got -1.0"),
         (["mu-nu", "--n", "3", "--rmin", "10", "--rmax", "1"],
          "mu_nu_table needs 0 < rmin < rmax < inf and nodes >= 2, got "
          "rmin = 10.0, rmax = 1.0, nodes = 200"),
@@ -993,6 +997,15 @@ class TestErrorPolicy:
         assert code in (0, 1, 2)
         if code:
             assert "error:" in err.getvalue()
+        if code == 2:
+            # a named refusal: not a bare exception class name (what the CLI
+            # prints for an exception without a message), nor the words of
+            # an arithmetic fault that no producer caught
+            message = err.getvalue().rsplit("error: ", 1)[-1].strip()
+            assert not message.isidentifier(), message
+            for bare in ("math domain error", "division by zero",
+                         "math range error"):
+                assert bare not in message, message
         assert "Traceback" not in err.getvalue()
         # a non-finite flag value is refused before any table is made
         if any(a.split("=", 1)[1] in ("nan", "inf", "-inf") for a in argv[1:]):

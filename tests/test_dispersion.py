@@ -197,6 +197,25 @@ class TestSolveK:
                 D.sweep(omegas, m, lam, C, HBAR)
             assert str(info.value) == msg
 
+    @pytest.mark.parametrize("omega, lam, c, msg", [
+        (1e-154, 1e154, 3e-160,
+         "c^2 leaves the normal float range at c = 3e-160"),
+        (1e158, 3e-160, 1e154,
+         "lam^2 leaves the normal float range at lam = 3e-160")])
+    def test_subnormal_c2_or_lam2_refused(self, omega, lam, c, msg):
+        # (c lam)^2 and the prefactors 4/(c^2 lam^2) and 2/(c^2 lam) are
+        # normal, but c^2 (or lam^2) is subnormal, so the prefactors, made
+        # from c ** 2 and lam ** 2 apart, lost bits: the sweep gave k =
+        # 210708.0258 (9851.5437) with residual 0.0 (1.5e-16) where the
+        # closed form is 210706.8529 (9851.4888).  Refused alike by the
+        # sweep, the closed form and the oracle
+        for call in (lambda: D.sweep([omega], 0.0, lam, c, HBAR),
+                     lambda: D.k_squared_closed(omega, 0.0, lam, c, HBAR),
+                     lambda: _oracle_shell(omega, 0.0, lam, c, HBAR)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == msg
+
     def test_normal_cl2_keeps_its_bits(self):
         # (c lam)^2 = 2.25e-308 is normal: solved, bit for bit as when the
         # residual's scale was Python's max of its terms
@@ -339,7 +358,9 @@ class TestClosedFormLanes:
                                         (math.nan, 1.0), (0.1, math.nan),
                                         (math.inf, 1.0), (0.1, math.inf)])
     def test_non_positive_lam_or_c_named(self, lam, c):
-        msg = "lam and c must be positive: lam = %g, c = %g" % (lam, c)
+        name, value = ("c", c) if lam == 0.1 else ("lam", lam)
+        msg = "dispersion: %s must be positive and finite, got %r" % (name,
+                                                                      value)
         for call in (lambda: D.sweep([0.5], 0.3, lam, c, HBAR),
                      lambda: D.k_squared_closed(0.5, 0.3, lam, c, HBAR)):
             with pytest.raises(ValueError) as info:
@@ -349,7 +370,7 @@ class TestClosedFormLanes:
     @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_hbar_named(self, hbar):
         # named before m c / hbar divides by it
-        msg = "hbar must be positive: hbar = %g" % hbar
+        msg = "dispersion: hbar must be positive and finite, got %r" % hbar
         for call in (lambda: D.sweep([0.5], 0.3, LAM, C, hbar),
                      lambda: D.k_squared_closed(0.5, 0.3, LAM, C, hbar)):
             with pytest.raises(ValueError) as info:
@@ -426,7 +447,7 @@ class TestBrentqOracle:
         # a negative (or nan or inf) m is refused by name on every edge lam, c and
         # omega, before any omega is looked at: at m = -20 the bracket end
         # 1/(c lam) + m c/hbar + 1 of a propagating lane is negative
-        msg = "m must be >= 0 (a negative mass is not treated): m = %g" % m
+        msg = "dispersion: m must be >= 0 and finite, got %r" % m
         for lam, c in itertools.product(EDGE_LAM, EDGE_C):
             for omegas in ([w] for w in EDGE_OMEGA):
                 with pytest.raises(ValueError) as info:

@@ -105,10 +105,14 @@ class TestClosedForms:
         (float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("nan")),
         (1e-3, float("inf")), (1e-3, -float("inf"))])
     def test_newton_refuses_non_finite_params(self, gamma, c):
-        with pytest.raises(ValueError, match="^gamma and c must be positive"):
-            G.mu_nu_newton(gamma, c)
-        with pytest.raises(ValueError, match="^gamma and c must be positive"):
-            G.mu_nu_table(0.5, 10, 4, gamma=gamma, c=c)
+        name, value = ("gamma", gamma) if gamma != 1e-3 else ("c", c)
+        msg = "mu_nu_newton: %s must be positive and finite, got %r" % (
+            name, value)
+        for call in (lambda: G.mu_nu_newton(gamma, c),
+                     lambda: G.mu_nu_table(0.5, 10, 4, gamma=gamma, c=c)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == msg
 
     def test_newton_structure_decomposition(self):
         gamma, c = 0.3, 2.0
@@ -330,7 +334,8 @@ class TestQuadratureAccuracy:
                     mu_ref=-1.0, nu_ref=0.5,
                     r_grid=G.default_log_grid(0.5, 10, 50))
         call.update(args)
-        with pytest.raises(ValueError, match="^%s must be" % name):
+        with pytest.raises(ValueError, match="^mu_nu_numeric: %s must be"
+                           % name):
             G.mu_nu_numeric(**call)
 
 

@@ -43,8 +43,8 @@ class TestBohrOracle:
     def test_nonpositive_parameter_named(self, name, value):
         kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
         kw[name] = value
-        with pytest.raises(ValueError, match="^%s must be positive, got "
-                           % name):
+        with pytest.raises(ValueError, match="^bohr_oracle: %s must be "
+                           "positive and finite, got " % name):
             S.bohr_oracle(**kw)
 
     @pytest.mark.parametrize("name", ["M", "G"])
@@ -53,8 +53,8 @@ class TestBohrOracle:
         # a negative M gave a bound state, E = -5e-7, for a repulsive coupling
         kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
         kw[name] = value
-        with pytest.raises(ValueError, match="^%s must be positive, got "
-                           % name):
+        with pytest.raises(ValueError, match="^bohr_oracle: %s must be "
+                           "positive and finite, got " % name):
             S.bohr_oracle(**kw)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -63,7 +63,8 @@ class TestBohrOracle:
         # a nan V0 gave E = nan
         with pytest.raises(ValueError) as err:
             S.bohr_oracle(M_I, M_G, value, M, GN, HBAR)
-        assert str(err.value) == "V0 must be finite, got %r" % value
+        assert str(err.value) == "bohr_oracle: V0 must be finite, got %r" \
+            % value
 
     @pytest.mark.parametrize("kw, n", [
         ({"hbar": 1e-160}, 1),          # depth overflows: E was -inf
@@ -164,8 +165,11 @@ class TestSolveRadial:
     def test_nonpositive_parameter_named(self, name, value):
         kw = dict(m_I=M_I, m_G=M_G, V0=V0, M=M, G=GN, hbar=HBAR)
         kw[name] = value
-        with pytest.raises(ValueError, match="^%s must be positive, got "
-                           % name):
+        # solve_radial names m_I and hbar; bohr_radius, for the default
+        # grid, the rest
+        where = "solve_radial" if name in ("m_I", "hbar") else "bohr_radius"
+        with pytest.raises(ValueError, match="^%s: %s must be positive and "
+                           "finite, got " % (where, name)):
             S.solve_radial(**kw)
 
     @pytest.mark.parametrize("masses, words", [

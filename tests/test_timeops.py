@@ -194,8 +194,8 @@ class TestNonFiniteRefused:
             "general-lam", "shift-a", "shift-complex-a", "shift-lam"])
     def test_scalar_parameter_named(self, name, call, value):
         with pytest.raises(ValueError,
-                           match=r"requires a finite %s, got %s = .*%s" % (
-                               name, name, re.escape(repr(abs(value))))):
+                           match=r"^\w+: %s must be finite, got .*%s" % (
+                               name, re.escape(repr(abs(value))))):
             call(value)
 
     @pytest.mark.parametrize("name", ["mu", "nu", "beta"])
