@@ -2,7 +2,7 @@
 
 Modules
 -------
-coeff, exactalg : exact symbolic normal ordering over Q(i)[lam, beta]
+coeff, exactalg : exact symbolic normal ordering over Z[i][lam, beta]
 timeops         : finite-difference time operators on shiftable functions
 geometry        : radial beta/mu/nu profiles and their ODE system
 waveops         : the assembled wave operators on separable fields

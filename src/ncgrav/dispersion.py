@@ -27,7 +27,8 @@ refuses, for the sweep at its first bad omega (or at 0.0) as for
 >= 0 and finite (`effective._require`); (c lam)^2, then c^2 and lam^2,
 outside the normal floats (the prefactors below divide by c^2 and lam^2
 apart); an omega that is nan, negative, or has omega lam above `U_MAX`;
-(m c / hbar)^2 overflowing.  `_Shell` then refuses the prefactors
+(m c / hbar)^2 overflowing, whether the square raises or m c / hbar itself
+is inf.  `_Shell` then refuses the prefactors
 4/(c^2 lam^2) of the k-free term and 2/(c^2 lam) of vg outside the normal
 floats.  Each float-range refusal is `effective._normal_scale`'s.  Past
 these no term of the shell residual can be nan; a residual with a term
@@ -66,10 +67,13 @@ def _check_domain(omega, m, lam, c, hbar):
         raise ValueError("omega lam = %g is above %.6f, where exp(omega lam) "
                          "overflows" % (omega * lam, U_MAX))
     try:
-        return (m * c / hbar) ** 2
+        mass2 = (m * c / hbar) ** 2
     except OverflowError:  # m = 0 is valid, so no _normal_scale
+        mass2 = math.inf
+    if mass2 == math.inf:  # m c / hbar itself overflows without raising
         raise ValueError("(m c / hbar)^2 overflows at m = %g, c = %g, "
-                         "hbar = %g" % (m, c, hbar)) from None
+                         "hbar = %g" % (m, c, hbar))
+    return mass2
 
 
 def k_squared_closed(omega, m, lam, c, hbar):

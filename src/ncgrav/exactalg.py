@@ -8,16 +8,15 @@ Elements are kept in canonical normal order: spatial powers to the left of
 time powers, function coefficients to the left of basis one-forms.
 
 An element is one flat dict ``terms`` mapping a packed key to a pair of
-Python ints (re, im), and one positive int ``den`` shared by the whole
-element: the coefficient of x^xpow t^n lam^j beta^k is (re + i im) / den.
-Invariant: no pair is (0, 0), and den is 1 or shares no common factor with
-all the numerators; zero is ``terms == {}`` with den 1, so equality compares
-terms and den.  The structure constants lie in Z[i][lam, beta] (Sitarz, Phys.
-Lett. B 349 (1995) 42), so den is nearly always 1, and the product, the
-shifts, the derivatives and the one-form actions are int arithmetic on these
-pairs with no coefficient object per term.  ``coeff.Coeff`` is the boundary
-type: ``monomial`` takes it, and ``coeffs()`` and ``to_text`` build it.  An
-element is built only by ``zero``, ``one``, ``monomial`` and arithmetic.
+Python ints (re, im): the coefficient of x^xpow t^n lam^j beta^k is
+re + i im.  Invariant: no pair is (0, 0); zero is ``terms == {}``, so
+equality compares terms.  The structure constants lie in Z[i][lam, beta]
+(Sitarz, Phys. Lett. B 349 (1995) 42), so the product, the shifts, the
+derivatives and the one-form actions are int arithmetic on these pairs,
+with no coefficient object per term and no division.  ``coeff.Coeff`` is
+the boundary type: ``monomial`` takes it, and ``coeffs()`` and ``to_text``
+build it.  An element is built only by ``zero``, ``one``, ``monomial`` and
+arithmetic.
 
 Packed keys.  The key of x^xpow t^n lam^j beta^k is one int of d + 3
 fields of FIELD_BITS = 8 bits, lowest first: k, j, n, then x_1..x_d, so the
@@ -71,13 +70,13 @@ odd (for dt) powers of lam in S^+ t^n, and the Laplacian table S^+ t^n
 times i lam (for d) or lam^2 (for dt), applied at the key of x^a t^n minus
 2 units of x_i with weight a_i (a_i - 1)/2.  The 1/2 of (i lam/2) box and
 of (beta/2), (lam^2/2) cancels against a 2 in each table, so every entry is
-a Gaussian integer and the theta' part sits over psi's own den, with no
-division check.  An exponent is checked only on the result, so d(lam^63 t)
-= lam^63 dt and dx_1 (lam^63 x_2 t) = lam^63 x_2 t dx_1, though S^+ psi
-holds lam^64, while d(lam^63 t^2) raises (it holds lam^64).
+a Gaussian integer and the theta' part needs no division.  An exponent
+is checked only on the result, so d(lam^63 t) = lam^63 dt and
+dx_1 (lam^63 x_2 t) = lam^63 x_2 t dx_1, though S^+ psi holds lam^64,
+while d(lam^63 t^2) raises (it holds lam^64).
 
 The oracles in `verify` apply the relations one generator at a time, on
-plain int/Fraction symbols (`verify.normal_order`, `verify.mul_gen`,
+plain int symbols (`verify.normal_order`, `verify.mul_gen`,
 `verify.exterior_d_leibniz`), and read results from here only through
 `coeffs()`.
 """
@@ -85,10 +84,10 @@ plain int/Fraction symbols (`verify.normal_order`, `verify.mul_gen`,
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import comb, lcm
+from math import comb
 from operator import index, or_
 
-from .coeff import Coeff, lowest_terms
+from .coeff import Coeff
 
 # one-form basis tags
 DT = "dt"
@@ -182,22 +181,20 @@ def _form_name(form):
     return "dx%d" % form[1]
 
 
-def _element(d, terms, den=1):
-    """NCElement from packed keys to int pairs without (0, 0) over den > 0,
-    reduced to the invariant.  The dict is adopted, not copied."""
-    if den != 1:
-        terms, den = lowest_terms(terms, den)
+def _element(d, terms):
+    """NCElement from packed keys to int pairs without (0, 0).  The dict is
+    adopted, not copied."""
     out = object.__new__(NCElement)
-    out.d, out.terms, out.den = d, terms, den
+    out.d, out.terms = d, terms
     return out
 
 
 class NCElement:
     """Canonical sum of monomials x^xpow t^n lam^j beta^k with Gaussian
-    rational coefficients: ``terms`` maps the packed key of (xpow, n, j, k)
-    to an int pair (re, im) over the element's one denominator ``den``."""
+    integer coefficients: ``terms`` maps the packed key of (xpow, n, j, k)
+    to an int pair (re, im)."""
 
-    __slots__ = ("d", "terms", "den")
+    __slots__ = ("d", "terms")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -213,9 +210,8 @@ class NCElement:
         xpow, tpow = _int_exponents(tuple(xpow), tpow)
         if c is None:
             return _element(d, {_pack(d, xpow, tpow, 0, 0): (1, 0)})
-        # c is in lowest terms, so its pairs and den are the element's
         return _element(d, {_pack(d, xpow, tpow, j, k): v
-                            for (j, k), v in c.terms.items()}, c.den)
+                            for (j, k), v in c.terms.items()})
 
     def coeffs(self):
         """{(xpow, n): Coeff}, the coefficient of each monomial x^xpow t^n."""
@@ -227,38 +223,30 @@ class NCElement:
         out = {}
         for m, p in parts.items():
             n_x = m.to_bytes(self.d + 1, "little")
-            out[tuple(n_x[1:]), n_x[0]] = Coeff.from_parts(p, self.den)
+            out[tuple(n_x[1:]), n_x[0]] = Coeff.from_parts(p)
         return out
 
     # -- ring structure ----------------------------------------------
     def __eq__(self, other):
-        return (isinstance(other, NCElement) and self.den == other.den
-                and self.terms == other.terms)
+        return isinstance(other, NCElement) and self.terms == other.terms
 
     def is_zero(self):
         return not self.terms
 
     def _combine(self, other, sign):
         """self + sign * other."""
-        den = self.den
-        if other.den == den:
-            out = dict(self.terms)
-            f = sign
-        else:
-            den = lcm(den, other.den)
-            g, f = den // self.den, sign * (den // other.den)
-            out = {k: (a * g, b * g) for k, (a, b) in self.terms.items()}
+        out = dict(self.terms)
         for key, (a, b) in other.terms.items():
             cur = out.get(key)
             if cur is None:
-                out[key] = (a * f, b * f)
+                out[key] = (a * sign, b * sign)
             else:
-                a, b = cur[0] + a * f, cur[1] + b * f
+                a, b = cur[0] + a * sign, cur[1] + b * sign
                 if a or b:
                     out[key] = (a, b)
                 else:
                     del out[key]
-        return _element(self.d, out, den)
+        return _element(self.d, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -268,11 +256,11 @@ class NCElement:
 
     def __neg__(self):
         terms = {k: (-a, -b) for k, (a, b) in self.terms.items()}
-        return _element(self.d, terms, self.den)
+        return _element(self.d, terms)
 
-    def _times(self, re, im, dj=0, dk=0, den=1):
-        """self * (re + i im) lam^dj beta^dk / den, for a nonzero Gaussian
-        integer re + i im, den > 0, dk >= 0 and dj, dk below EXPONENT_LIMIT.
+    def _times(self, re, im, dj=0, dk=0):
+        """self * (re + i im) lam^dj beta^dk, for a nonzero Gaussian integer
+        re + i im, dk >= 0 and dj, dk below EXPONENT_LIMIT.
         A negative dj divides by lam^-dj, which must divide every term."""
         if dj < 0:
             for key in self.terms:
@@ -284,14 +272,14 @@ class NCElement:
                for key, (a, b) in self.terms.items()}
         if (dj > 0 or dk > 0) and reduce(or_, out, 0) & _headroom(self.d):
             _refuse_exponents(out, self.d)
-        return _element(self.d, out, self.den * den)
+        return _element(self.d, out)
 
     def _times_scalar(self, c):
         """self * c for an element c with no x and no t: c is central, so
         this is one `_times` per term of c, and c = 1 gives self itself."""
-        if c.terms == _ONE and c.den == 1:
+        if c.terms == _ONE:
             return self
-        parts = [self._times(re, im, kc >> _J, kc & _FIELD, c.den)
+        parts = [self._times(re, im, kc >> _J, kc & _FIELD)
                  for kc, (re, im) in c.terms.items()]
         return sum(parts[1:], parts[0])
 
@@ -322,7 +310,7 @@ class NCElement:
         out = {k: v for k, v in out.items() if v[0] or v[1]}
         if reduce(or_, out, 0) & _headroom(self.d):
             _refuse_exponents(out, self.d)
-        return _element(self.d, out, self.den * other.den)
+        return _element(self.d, out)
 
     def to_text(self):
         if not self.terms:
@@ -422,7 +410,7 @@ def _one_pass(psi, tables, grad_off, gre, gim):
     terms: the dt and theta' parts from the tables, and the dx_i part
     (gre + i gim) d_i psi at key + grad_off.  An exponent of the result at
     EXPONENT_LIMIT raises; intermediate sums are never stored."""
-    d, den = psi.d, psi.den
+    d = psi.d
     dt_part, theta = {}, {}
     grads = [{} for _ in range(d)]
     dget, tget = dt_part.get, theta.get
@@ -456,7 +444,7 @@ def _one_pass(psi, tables, grad_off, gre, gim):
                     cur = tget(k2)
                     theta[k2] = (vr, vi) if cur is None else (cur[0] + vr,
                                                               cur[1] + vi)
-    return _checked_parts(d, den, {DT: dt_part, THETA: theta}, {
+    return _checked_parts(d, {DT: dt_part, THETA: theta}, {
         dx(i): g for i, g in enumerate(grads, start=1)})
 
 
@@ -484,11 +472,11 @@ def _s_plus_pass(psi, forms):
                 if grads[i] is not None:
                     grads[i][key - unit + _J_UNIT] = (-im * a, re * a)
         parts.update((dx(i + 1), grads[i]) for i in wants)
-    return _checked_parts(psi.d, psi.den, {}, parts)
+    return _checked_parts(psi.d, {}, parts)
 
 
-def _checked_parts(d, den, sums, parts):
-    """{w: element over den} of the nonempty parts and sums {w: terms}, with
+def _checked_parts(d, sums, parts):
+    """{w: element} of the nonempty parts and sums {w: terms}, with
     the (0, 0) of sums dropped; an exponent at EXPONENT_LIMIT raises."""
     for w, out in sums.items():
         parts[w] = {k: v for k, v in out.items() if v[0] or v[1]}
@@ -497,7 +485,7 @@ def _checked_parts(d, den, sums, parts):
         bits = reduce(or_, out, bits)
     if bits & _headroom(d):
         _refuse_exponents([k for out in parts.values() for k in out], d)
-    return {w: _element(d, out, den) for w, out in parts.items() if out}
+    return {w: _element(d, out) for w, out in parts.items() if out}
 
 
 class NCOneForm:

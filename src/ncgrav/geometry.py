@@ -274,7 +274,10 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     mu' = (beta - 2 mu)/r and nu' = (mu - nu)/r.  The values are real when
     every imaginary part on the grid is exactly 0 (a real beta with real
     pins), complex otherwise, however small.  A grid that does not increase,
-    or a radius or pin that is not finite, raises ValueError naming it."""
+    a radius or pin that is not finite, an r_ref^2 outside the normal
+    floats, pin terms r_ref^2 mu_ref or r_ref (mu_ref + nu_ref) that are
+    not finite, or a solution on the grid that is not finite raises
+    ValueError naming it (the first such radius for the solution)."""
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.ndim != 1 or not np.all((r_grid > 0) & (r_grid < math.inf))
             or np.any(np.diff(r_grid) <= 0)):
@@ -284,7 +287,11 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     r_ref = float(r_ref)
     mu_ref, nu_ref = complex(mu_ref), complex(nu_ref)
     _require("mu_nu_numeric", "finite", mu_ref=mu_ref, nu_ref=nu_ref)
-    pin_mu, pin_nu = r_ref ** 2 * mu_ref, r_ref * (mu_ref + nu_ref)
+    r_ref2 = _normal_scale(lambda: r_ref ** 2, "mu_nu_numeric: r_ref^2",
+                           r_ref=r_ref)
+    pin_mu, pin_nu = r_ref2 * mu_ref, r_ref * (mu_ref + nu_ref)
+    _require("mu_nu_numeric", "finite",
+             **{"r_ref^2 mu_ref": pin_mu, "r_ref (mu_ref + nu_ref)": pin_nu})
 
     def solution(r, s_beta, plain):
         r2_mu = pin_mu + s_beta
@@ -299,7 +306,12 @@ def mu_nu_numeric(beta, r_ref, mu_ref, nu_ref, r_grid):
     for total, gaps in ((s_beta, gap_sb), (plain, gap_b)):
         total[pin + 1:] = _cumsum(gaps[pin:])
         total[:pin] = -_cumsum(gaps[:pin][::-1])[::-1]
-    mu_at, nu_at = solution(radii, s_beta, plain)
+    with np.errstate(all="ignore"):  # a solution out of range is refused
+        mu_at, nu_at = solution(radii, s_beta, plain)
+    bad = ~(np.isfinite(mu_at) & np.isfinite(nu_at))
+    if bad.any():
+        raise ValueError("mu_nu_numeric: the solution is not finite at "
+                         "r = %r" % float(radii[bad.argmax()]))
     real = np.all(mu_at.imag == 0) and np.all(nu_at.imag == 0)
     cast = np.real if real else np.asarray
     mu_at, nu_at = cast(mu_at), cast(nu_at)

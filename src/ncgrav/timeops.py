@@ -36,7 +36,8 @@ from math import comb
 
 import numpy as np
 
-from .geometry import POWER_WINDOW, _require
+from .effective import _require
+from .geometry import POWER_WINDOW
 
 
 class DegenerateProfileError(ValueError):

@@ -6,10 +6,12 @@ runs the registry and exits nonzero if anything fails.  The seeded sample
 generators `random_element` and `random_tf`, the monomial set `monomials` and
 the oracles are shared with the test suite.  The oracles are the second routes
 that no production module calls: the Meljanac-Stojic realization of the
-product (`realization_product`), and on its plain int/Fraction symbols the
-word reducer `normal_order` (with the generator push `mul_gen`) and the
-Leibniz-rule `exterior_d_leibniz`; production results reach them only through
-`realization_symbol` and `form_symbol`.  The five closed-form operator
+product (`realization_product`), and on its plain int symbols the word
+reducer `normal_order` (with the generator push `mul_gen`) and the
+Leibniz-rule `exterior_d_leibniz`; production results reach them only
+through `realization_symbol` and `form_symbol`.  The samples are Gaussian
+integers: each identity checked is linear or bilinear over the scalars, so
+it holds on Gaussian rationals once it holds on Gaussian integers.  The five closed-form operator
 symbols on a mode (`symbol_d0` ... `symbol_delta0_general`) and the
 hand-written weak-field operator `box_newton_oracle` are oracles too.  The
 code only the checks use lives here beside them: the effective-parameter
@@ -30,7 +32,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 import numpy as np
@@ -101,17 +102,15 @@ def monomials():
 # [x_i, t] = i lam x_i (Meljanac & Stojic, Eur. Phys. J. C 47 (2006) 531).
 # Acting on 1, x^a t^n gives X^a T^n, so the normal-ordered symbol of f g is
 # f's operator acting on the symbol of g.  A symbol is a dict
-# {(a_1, .., a_d, n, lam_pow, beta_pow): (re, im)} of ints or Fractions;
+# {(a_1, .., a_d, n, lam_pow, beta_pow): (re, im)} of ints;
 # nothing here uses exactalg's or coeff's arithmetic.
 
 def realization_symbol(elem):
     """The symbol of an NCElement, read through its coefficients."""
     out = {}
     for (xpow, n), c in elem.coeffs().items():
-        for (j, k), (re, im) in c.terms.items():
-            if c.den != 1:
-                re, im = Fraction(re, c.den), Fraction(im, c.den)
-            out[(*xpow, n, j, k)] = (re, im)
+        for (j, k), v in c.terms.items():
+            out[(*xpow, n, j, k)] = v
     return out
 
 

@@ -92,7 +92,7 @@ def subs_lam_zero(x):
         return NCOneForm(x.d, {w: subs_lam_zero(e)
                                for w, e in x.parts.items()})
     return element(x.d, {key: Coeff.from_parts(
-        {jk: v for jk, v in c.terms.items() if jk[0] == 0}, c.den)
+        {jk: v for jk, v in c.terms.items() if jk[0] == 0})
         for key, c in x.coeffs().items()})
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from ncgrav import cli
 from ncgrav import dispersion as D
 
 LAM, C, HBAR = 0.1, 1.0, 1.0
@@ -376,6 +377,25 @@ class TestClosedFormLanes:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == msg
+
+    def test_overflowing_m_c_over_hbar_named(self, capsys):
+        # m c / hbar overflows to inf without raising an OverflowError;
+        # its square is refused by name, not swept as evanescent nan rows
+        for m, c, hbar in ((0.3, 0.3, 1e-310), (1e308, 10.0, 1.0)):
+            msg = ("(m c / hbar)^2 overflows at m = %g, c = %g, hbar = %g"
+                   % (m, c, hbar))
+            for call in (lambda: D.sweep([0.5, 1.0], m, LAM, c, hbar),
+                         lambda: D.k_squared_closed(0.5, m, LAM, c, hbar)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == msg
+        with pytest.raises(SystemExit) as info:
+            cli.main(["dispersion", "--m", "0.3", "--c", "0.3",
+                      "--hbar", "1e-310", "--n", "3"])
+        out = capsys.readouterr()
+        assert (info.value.code, out.out, out.err) == (
+            2, "", "error: (m c / hbar)^2 overflows at m = 0.3, c = 0.3, "
+                   "hbar = 1e-310\n")
 
 
 # the omega grids of the cli-tables benchmark: 4,000 points, m = 0 and 0.5

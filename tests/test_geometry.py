@@ -1,6 +1,7 @@
 """Radial profiles and the mu/nu ODE system; the static metric and the
 weak-field check that `verify` keeps beside its registry checks."""
 
+import re
 import warnings
 
 import numpy as np
@@ -337,6 +338,28 @@ class TestQuadratureAccuracy:
         with pytest.raises(ValueError, match="^mu_nu_numeric: %s must be"
                            % name):
             G.mu_nu_numeric(**call)
+
+    def test_out_of_range_pins_named(self):
+        # a finite r_ref whose square overflows once raised a bare
+        # OverflowError; a finite pin near the float max gave inf/nan
+        # profiles with only a numpy RuntimeWarning
+        grid = G.default_log_grid(0.5, 10, 50)
+        for r_ref, mu_ref, nu_ref, msg in (
+                (1e160, -1.0, 0.5, "r_ref^2 leaves the normal float range "
+                                   "at r_ref = 1e+160"),
+                (1e150, 1e10, 0.5, "r_ref^2 mu_ref must be finite"),
+                (1.0, 1e308, 1e308, "r_ref (mu_ref + nu_ref) must be "
+                                    "finite"),
+                (1.0, 1.7e308, 0.5, "the solution is not finite at "
+                                    "r = 0.5"),
+                (1e154, -1.0, 0.5, "the solution is not finite at "
+                                   "r = 0.5")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(
+                        "mu_nu_numeric: " + msg)):
+                    G.mu_nu_numeric(G.RadialProfile.power_law(3.0), r_ref,
+                                    mu_ref, nu_ref, grid)
 
 
 class TestStaticMetric:

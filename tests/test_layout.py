@@ -601,13 +601,15 @@ def test_mu_nu_quadrature_loads_no_scipy():
 EXACT_NO_NUMPY = """
 import json, sys
 import ncgrav.exactalg, ncgrav.coeff
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("numpy", "fractions"))))
 """
 
 
 def test_exact_layer_loads_no_numpy():
-    # the exact calculus is pure Python: numpy's import alone would take
-    # several times its whole setup
+    # the exact calculus is pure Python on Gaussian-integer pairs: numpy's
+    # import alone would take several times its whole setup, and fractions
+    # (with decimal and numbers) has nothing to hold
     proc = subprocess.run(
         [sys.executable, "-c", EXACT_NO_NUMPY],
         capture_output=True, text=True, timeout=120,
