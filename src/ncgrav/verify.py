@@ -11,17 +11,18 @@ reducer `normal_order` (with the generator push `mul_gen`) and the
 Leibniz-rule `exterior_d_leibniz`; production results reach them only
 through `realization_symbol` and `form_symbol`.  The samples are Gaussian
 integers: each identity checked is linear or bilinear over the scalars, so
-it holds on Gaussian rationals once it holds on Gaussian integers.  The five closed-form operator
-symbols on a mode (`symbol_d0` ... `symbol_delta0_general`) and the
-hand-written weak-field operator `box_newton_oracle` are oracles too.  The
-code only the checks use lives here beside them: the effective-parameter
-reports `series_check` and `extrema_report` (with `mG_over_mI`; it finds
-its extrema by the golden-section search `_golden_min`, so the registry
-loads no scipy), `lam_valuation`, `classical_limit_check`, the static
-metric `StaticMetric` with the weak-field Poisson check `weak_field_check`
-and their finite differences, the test orbital `exp_orbital`, the spectrum's
-`virial_check`, and the reduction-residual laboratory (`reduction_residual`
-with `_stage_two` and its `ReductionScales`).
+it holds on Gaussian rationals once it holds on Gaussian integers.  The
+five closed-form operator symbols on a mode (`symbol_d0` ...
+`symbol_delta0_general`) and the hand-written weak-field operator
+`box_newton_oracle` are oracles too.  The code only the checks use lives
+here beside them: the effective-parameter reports `series_check` and
+`extrema_report` (with `mG_over_mI`; it finds its extrema by the
+golden-section search `_golden_min`, so the registry loads no scipy),
+`lam_valuation`, `classical_limit_check`, the static metric `StaticMetric`
+with the weak-field Poisson check `weak_field_check` and their finite
+differences, the test orbital `exp_orbital`, the spectrum's
+`virial_check`, and the reduction-residual laboratory
+(`reduction_residual` with `_stage_two` and its `ReductionScales`).
 """
 
 from __future__ import annotations
@@ -107,11 +108,8 @@ def monomials():
 
 def realization_symbol(elem):
     """The symbol of an NCElement, read through its coefficients."""
-    out = {}
-    for (xpow, n), c in elem.coeffs().items():
-        for (j, k), v in c.terms.items():
-            out[(*xpow, n, j, k)] = v
-    return out
+    return {(*xpow, n, j, k): v for (xpow, n), c in elem.coeffs().items()
+            for (j, k), v in c.terms.items()}
 
 
 def form_symbol(form):
